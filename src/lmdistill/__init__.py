@@ -2,14 +2,13 @@
 knowledge distillation with trust-regularized loss weighting, plus N-best
 rescoring of speech hypotheses."""
 
-from .data import BpttBatch, TokenStream, Vocabulary, bptt_batches, build_vocab, decode, encode
+from .data import BpttBatch, TokenStream, Vocabulary, bptt_batches, build_vocab, encode
 from .errors import (ConfigError, ContractError, DataError, FormatError,
                      NumericError, ShapeError, TrainingError, UserError)
 from .losses import (DistillLossSpec, SoftLabelBatch, ce_loss, distill_loss,
-                     fixed_interp_loss, kl_loss, temperature_softmax, tr_loss,
-                     trust_weight)
+                     fixed_interp_loss, kl_loss, tr_loss)
 from .model import (ForwardResult, LmModel, LmState, ModelConfig, build_model,
-                    lstm_step, model_forward, mos_forward, param_count)
+                    lstm_step, model_forward, param_count)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .regularization import (DropoutSpec, RegContext, activation_reg,
                              drop_connect, embedding_dropout, variational_mask)

@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TokenStream, Vocabulary, build_vocab, encode
 from .errors import ConfigError, DataError, UserError
 from .losses import LOSS_VARIANTS, DistillLossSpec
-from .model import ModelConfig, build_model, lstm_step, mos_forward, model_forward
+from .model import ModelConfig, build_model, lstm_step, model_forward, mos_log_probs
 from .regularization import DropoutSpec
 from .rescore import (RescoreConfig, parse_nbest, parse_refs, rescore_nbest, wer)
 from .tensor import Tensor, grad_check, grad_check_params
@@ -64,7 +64,6 @@ CONFIG_KEYS: dict[str, tuple] = {
     "tar_weight": (float, 0.0),
     "loss_variant": (str, "ce_only"),
     "alpha": (float, 0.1),
-    "temperature": (float, 1.0),
     "lr": (float, 1.0),
     "grad_clip": (float, 0.25),
     "epochs": (int, 5),
@@ -108,7 +107,7 @@ class RunConfig:
     def loss_spec(self, variant: str | None = None) -> DistillLossSpec:
         v = self.values
         return DistillLossSpec(variant=v["loss_variant"] if variant is None else variant,
-                               alpha=v["alpha"], temperature=v["temperature"])
+                               alpha=v["alpha"])
 
     def train_config(self, loss: DistillLossSpec | None = None) -> TrainConfig:
         v = self.values
@@ -347,7 +346,7 @@ def cmd_grad_check(args) -> int:
 
 def _grad_check_makers() -> list[tuple[str, object]]:
     """(name, make) pairs; make(rng) returns (scalar_fn, tensor_under_test)."""
-    from .losses import ce_loss, fixed_interp_loss, kl_loss, temperature_softmax, tr_loss
+    from .losses import ce_loss, fixed_interp_loss, kl_loss, tr_loss
 
     def rnd(rng, *shape):
         return Tensor(rng.standard_normal(shape))
@@ -401,10 +400,6 @@ def _grad_check_makers() -> list[tuple[str, object]]:
         red = weighted_sum(rng, (5, 4))
         return lambda x: red(T.transpose(x)), rnd(rng, 4, 5)
 
-    def make_log(rng):
-        red = weighted_sum(rng, (4, 5))
-        return lambda x: red(T.log(x)), Tensor(rng.uniform(0.05, 2.0, (4, 5)))
-
     def make_log_mix(rng):
         comps = [Tensor(rng.standard_normal((4, 6))) for _ in range(3)]
         red = weighted_sum(rng, (4, 6))
@@ -453,22 +448,18 @@ def _grad_check_makers() -> list[tuple[str, object]]:
     def make_mos(rng):
         model = tiny_model(rng)
         red = weighted_sum(rng, (3, 10))
-        return lambda x: red(mos_forward(model, x)), rnd(rng, 3, 4)
+        return lambda x: red(mos_log_probs(model, x)), rnd(rng, 3, 4)
 
-    def loss_through_softmax(loss_of_p):
+    def loss_through_log_softmax(loss_of_log_p):
         def make(rng):
             y = rng.integers(0, 6, size=4)
             q_raw = rng.uniform(0.1, 1.0, (4, 6))
             q = q_raw / q_raw.sum(axis=1, keepdims=True)
-            return lambda x: loss_of_p(T.softmax_rows(x), q, y), rnd(rng, 4, 6)
+            return lambda x: loss_of_log_p(T.log_softmax_rows(x), q, y), rnd(rng, 4, 6)
         return make
 
     def make_sum_all(rng):
         return lambda x: T.sum_all(x), rnd(rng, 4, 5)
-
-    def make_temp_softmax(rng):
-        red = weighted_sum(rng, (4, 6))
-        return lambda x: red(temperature_softmax(x, 2.0)), rnd(rng, 4, 6)
 
     return [
         ("matmul(lhs)", make_matmul),
@@ -482,9 +473,6 @@ def _grad_check_makers() -> list[tuple[str, object]]:
         ("transpose", make_transpose),
         ("sigmoid", unary(T.sigmoid)),
         ("tanh", unary(T.tanh)),
-        ("exp", unary(T.exp)),
-        ("log", make_log),
-        ("softmax_rows", unary(T.softmax_rows)),
         ("log_softmax_rows", unary(T.log_softmax_rows)),
         ("log_mix", make_log_mix),
         ("embedding_rows", make_embedding),
@@ -494,13 +482,12 @@ def _grad_check_makers() -> list[tuple[str, object]]:
         ("sum_all", make_sum_all),
         ("mean_all", lambda rng: (lambda x: T.mean_all(x), rnd(rng, 4, 5))),
         ("lstm_step", make_lstm_step),
-        ("mos_forward", make_mos),
-        ("ce_loss", loss_through_softmax(lambda p, q, y: ce_loss(p, y))),
-        ("kl_loss", loss_through_softmax(lambda p, q, y: kl_loss(p, q))),
+        ("mos_log_probs", make_mos),
+        ("ce_loss", loss_through_log_softmax(lambda lp, q, y: ce_loss(lp, y))),
+        ("kl_loss", loss_through_log_softmax(lambda lp, q, y: kl_loss(lp, q))),
         ("fixed_interp_loss",
-         loss_through_softmax(lambda p, q, y: fixed_interp_loss(p, q, y, 0.3))),
-        ("tr_loss", loss_through_softmax(lambda p, q, y: tr_loss(p, q, y, 0.5))),
-        ("temperature_softmax", make_temp_softmax),
+         loss_through_log_softmax(lambda lp, q, y: fixed_interp_loss(lp, q, y, 0.3))),
+        ("tr_loss", loss_through_log_softmax(lambda lp, q, y: tr_loss(lp, q, y, 0.5))),
     ]
 
 
@@ -534,7 +521,7 @@ def _model_grad_check(seed: int):
 
     def loss_fn():
         out = model_forward(model, tokens, model.init_state(2))
-        return ce_loss(out.probs, flatten_targets(targets))
+        return ce_loss(out.log_probs, flatten_targets(targets))
 
     reports = grad_check_params(loss_fn, model.parameters())
     worst = max(reports.values(), key=lambda r: r.max_rel_err)
@@ -587,7 +574,7 @@ def cmd_ablate(args) -> int:
         vppls, tppls = [], []
         for seed in seeds:
             model = build_model(cfg.model_config(vocab.size, dropout=spec), seed)
-            loss = DistillLossSpec(variant=variant, alpha=a, temperature=cfg["temperature"])
+            loss = DistillLossSpec(variant=variant, alpha=a)
             run_cfg = cfg.train_config(loss)
             run_cfg.seed = seed
             train(model, train_stream, valid_stream, run_cfg,

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DataError, FormatError
 
 __all__ = ["EOS", "UNK", "RNN_UNK", "Vocabulary", "build_vocab", "encode",
-           "decode", "TokenStream", "BpttBatch", "bptt_batches"]
+           "TokenStream", "BpttBatch", "bptt_batches"]
 
 EOS = "<eos>"
 UNK = "<unk>"
@@ -156,21 +156,6 @@ def encode(lines: list[str], vocab: Vocabulary) -> TokenStream:
     if not ids:
         raise DataError("empty corpus: nothing to encode")
     return TokenStream(np.asarray(ids, dtype=np.int64))
-
-
-def decode(stream: TokenStream, vocab: Vocabulary) -> list[str]:
-    """Inverse of encode for fully in-vocab text: split lines at eos ids."""
-    lines: list[str] = []
-    cur: list[str] = []
-    for idx in stream.ids:
-        if idx == vocab.eos_id:
-            lines.append(" ".join(cur))
-            cur = []
-        else:
-            cur.append(vocab.word(int(idx)))
-    if cur:
-        lines.append(" ".join(cur))
-    return lines
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Distillation objectives over next-word distributions.
 
-All losses take a model distribution tensor P ([N x V], rows sum to 1, N
-positions flattened time-major) and average over positions in natural log.
+All losses take model log-probabilities log P ([N x V], rows log-sum-exp to
+0, N positions flattened time-major), as the model head produces them, and
+average over positions in natural log.
 The teacher distribution Q and target ids y are fixed data, never
 differentiated through; the per-position trust weight R = -alpha*log(1 - Q[y])
 is likewise a constant during backprop.
@@ -18,8 +19,8 @@ from .errors import ConfigError, DataError, ShapeError
 from .tensor import Tensor
 
 __all__ = ["DistillLossSpec", "SoftLabelBatch", "ce_loss", "kl_loss",
-           "temperature_softmax", "fixed_interp_loss", "trust_weight",
-           "trust_weights", "tr_loss", "distill_loss", "LOSS_VARIANTS"]
+           "fixed_interp_loss", "trust_weights", "tr_loss", "distill_loss",
+           "LOSS_VARIANTS"]
 
 LOSS_VARIANTS = ("ce_only", "kl_only", "fixed_interp", "trust_reg")
 
@@ -32,7 +33,6 @@ TRUST_CLAMP = 1e-8
 class DistillLossSpec:
     variant: str = "ce_only"
     alpha: float = 0.1
-    temperature: float = 1.0
 
     def __post_init__(self):
         if self.variant not in LOSS_VARIANTS:
@@ -42,8 +42,6 @@ class DistillLossSpec:
             raise ConfigError(f"fixed_interp needs alpha in [0, 1], got {self.alpha}")
         if self.variant == "trust_reg" and not self.alpha > 0.0:
             raise ConfigError(f"trust_reg needs alpha > 0, got {self.alpha}")
-        if self.temperature < 1.0:
-            raise ConfigError(f"temperature must be >= 1, got {self.temperature}")
 
     @property
     def needs_teacher(self) -> bool:
@@ -76,61 +74,43 @@ class SoftLabelBatch:
             raise DataError(f"teacher row {i} sums to {sums[i]!r}, expected 1 within 1e-6")
 
 
-def _check_dist(p: Tensor, what: str) -> int:
-    if p.data.ndim != 2:
-        raise ShapeError(f"{what} needs [N x V] distributions, got shape {p.data.shape}")
-    n = p.data.shape[0]
+def _check_dist(log_p: Tensor, what: str) -> int:
+    if log_p.data.ndim != 2:
+        raise ShapeError(f"{what} needs [N x V] log-probabilities, got shape {log_p.data.shape}")
+    n = log_p.data.shape[0]
     if n == 0:
         raise ShapeError(f"{what} needs at least one position")
     return n
 
 
-def ce_loss(p: Tensor, y: np.ndarray) -> Tensor:
+def ce_loss(log_p: Tensor, y: np.ndarray) -> Tensor:
     """Mean over positions of -log P[i, y[i]]."""
-    n = _check_dist(p, "ce_loss")
-    return T.scale(T.sum_all(T.neg(T.log(T.pick_cols(p, y)))), 1.0 / n)
+    n = _check_dist(log_p, "ce_loss")
+    return T.scale(T.sum_all(T.pick_cols(log_p, y)), -1.0 / n)
 
 
-def kl_loss(p: Tensor, q) -> Tensor:
+def kl_loss(log_p: Tensor, q) -> Tensor:
     """Teacher-weighted cross entropy: mean over positions of -sum_x Q[x] log P[x].
 
     Equals KL(Q || P) plus the constant teacher entropy H(Q), so its gradient
     in P is the gradient of the KL divergence.
     """
-    n = _check_dist(p, "kl_loss")
+    n = _check_dist(log_p, "kl_loss")
     q = q if isinstance(q, Tensor) else Tensor(q)
-    if q.shape != p.shape:
-        raise ShapeError(f"teacher shaped {q.shape}, model shaped {p.shape}")
-    return T.scale(T.sum_all(T.mul(q, T.log(p))), -1.0 / n)
-
-
-def temperature_softmax(logits: Tensor, tau: float) -> Tensor:
-    """softmax(logits / tau); tau >= 1, tau=1 reduces to plain softmax."""
-    if tau < 1.0:
-        raise ConfigError(f"temperature must be >= 1, got {tau}")
-    return T.softmax_rows(T.scale(logits, 1.0 / tau))
-
-
-def trust_weight(q_row: np.ndarray, y: int, alpha: float) -> float:
-    """Per-position CE weight R = -alpha * log(1 - Q[y]), Q[y] clamped below 1."""
-    if alpha <= 0.0:
-        raise ConfigError(f"trust weighting needs alpha > 0, got {alpha}")
-    q_row = np.asarray(q_row, dtype=np.float64)
-    if not 0 <= y < q_row.shape[0]:
-        raise DataError(f"target id {y} out of range [0, {q_row.shape[0]})")
-    qy = min(float(q_row[y]), 1.0 - TRUST_CLAMP)
-    return -alpha * float(np.log(1.0 - qy))
+    if q.shape != log_p.shape:
+        raise ShapeError(f"teacher shaped {q.shape}, model shaped {log_p.shape}")
+    return T.scale(T.sum_all(T.mul(q, log_p)), -1.0 / n)
 
 
 def trust_weights(q: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorized trust_weight over all positions; returns [N]."""
+    """Per-position CE weights R = -alpha * log(1 - Q[i, y[i]]), Q[y] clamped below 1; [N]."""
     if alpha <= 0.0:
         raise ConfigError(f"trust weighting needs alpha > 0, got {alpha}")
     qy = np.minimum(q[np.arange(q.shape[0]), y], 1.0 - TRUST_CLAMP)
     return -alpha * np.log(1.0 - qy)
 
 
-def tr_loss(p: Tensor, q: np.ndarray, y: np.ndarray, alpha: float) -> Tensor:
+def tr_loss(log_p: Tensor, q: np.ndarray, y: np.ndarray, alpha: float) -> Tensor:
     """Trust-regularized objective: mean_i [ R_i * (-log P[i,y_i]) ] + kl_loss.
 
     R_i is the teacher's confidence in the ground truth mapped through
@@ -138,15 +118,14 @@ def tr_loss(p: Tensor, q: np.ndarray, y: np.ndarray, alpha: float) -> Tensor:
     an unsure one leaves the soft KL term in charge. R is a constant in the
     backward pass (no gradient flows into it).
     """
-    n = _check_dist(p, "tr_loss")
+    n = _check_dist(log_p, "tr_loss")
     q = np.asarray(q, dtype=np.float64)
     r = trust_weights(q, np.asarray(y, dtype=np.int64), alpha)
-    nll = T.neg(T.log(T.pick_cols(p, y)))
-    weighted = T.scale(T.sum_all(T.mul(nll, Tensor(r))), 1.0 / n)
-    return T.add(weighted, kl_loss(p, Tensor(q)))
+    weighted = T.scale(T.sum_all(T.mul(T.pick_cols(log_p, y), Tensor(r))), -1.0 / n)
+    return T.add(weighted, kl_loss(log_p, Tensor(q)))
 
 
-def fixed_interp_loss(p: Tensor, q: np.ndarray, y: np.ndarray, alpha: float) -> Tensor:
+def fixed_interp_loss(log_p: Tensor, q: np.ndarray, y: np.ndarray, alpha: float) -> Tensor:
     """alpha * ce_loss + (1 - alpha) * kl_loss with alpha in [0, 1].
 
     The endpoints are explicit branches so alpha=1 is ce_loss and alpha=0 is
@@ -155,14 +134,14 @@ def fixed_interp_loss(p: Tensor, q: np.ndarray, y: np.ndarray, alpha: float) -> 
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError(f"fixed_interp needs alpha in [0, 1], got {alpha}")
     if alpha == 1.0:
-        return ce_loss(p, y)
+        return ce_loss(log_p, y)
     if alpha == 0.0:
-        return kl_loss(p, Tensor(np.asarray(q, dtype=np.float64)))
-    return T.add(T.scale(ce_loss(p, y), alpha),
-                 T.scale(kl_loss(p, Tensor(np.asarray(q, dtype=np.float64))), 1.0 - alpha))
+        return kl_loss(log_p, Tensor(np.asarray(q, dtype=np.float64)))
+    return T.add(T.scale(ce_loss(log_p, y), alpha),
+                 T.scale(kl_loss(log_p, Tensor(np.asarray(q, dtype=np.float64))), 1.0 - alpha))
 
 
-def distill_loss(spec: DistillLossSpec, p: Tensor, y: np.ndarray,
+def distill_loss(spec: DistillLossSpec, log_p: Tensor, y: np.ndarray,
                  q: np.ndarray | None = None) -> Tensor:
     """Dispatch on the configured variant. q is required unless ce_only."""
     if spec.needs_teacher:
@@ -171,9 +150,9 @@ def distill_loss(spec: DistillLossSpec, p: Tensor, y: np.ndarray,
     elif q is not None:
         raise ConfigError("ce_only takes no teacher distributions")
     if spec.variant == "ce_only":
-        return ce_loss(p, y)
+        return ce_loss(log_p, y)
     if spec.variant == "kl_only":
-        return kl_loss(p, Tensor(np.asarray(q, dtype=np.float64)))
+        return kl_loss(log_p, Tensor(np.asarray(q, dtype=np.float64)))
     if spec.variant == "fixed_interp":
-        return fixed_interp_loss(p, q, y, spec.alpha)
-    return tr_loss(p, q, y, spec.alpha)
+        return fixed_interp_loss(log_p, q, y, spec.alpha)
+    return tr_loss(log_p, q, y, spec.alpha)

@@ -5,8 +5,8 @@ experts mixed by a learned prior. The final LSTM layer's width defaults to
 hidden_dim but may be set separately (reference configs narrow it to the
 bottleneck width, which is how the published parameter counts come out).
 
-All next-word distributions are computed in log space (log-softmax per expert
-combined by log-sum-exp over experts), then exponentiated, so a log of an
+All next-word distributions are computed and returned in log space
+(log-softmax per expert combined by log-sum-exp over experts), so a log of an
 underflowed softmax entry can never occur downstream.
 """
 
@@ -22,7 +22,7 @@ from .regularization import DropoutSpec, RegContext, drop_connect, embedding_dro
 from .tensor import Tensor
 
 __all__ = ["ModelConfig", "LmModel", "LmState", "LstmLayer", "ForwardResult",
-           "build_model", "param_count", "lstm_step", "mos_forward", "model_forward"]
+           "build_model", "param_count", "lstm_step", "mos_log_probs", "model_forward"]
 
 EMBED_INIT_RANGE = 0.1
 
@@ -255,11 +255,6 @@ def mos_log_probs(model: LmModel, h_bottleneck: Tensor,
     return T.log_mix(log_pi, comps)
 
 
-def mos_forward(model: LmModel, h_bottleneck: Tensor) -> Tensor:
-    """Mixture-of-softmaxes distribution P = sum_k pi_k * softmax_k, [n x V]."""
-    return T.exp(mos_log_probs(model, h_bottleneck))
-
-
 @dataclass
 class ForwardResult:
     """Output of one forward pass over a [batch x T] id block.
@@ -272,10 +267,6 @@ class ForwardResult:
     state: LmState
     raw_outputs: list[Tensor]
     dropped_outputs: list[Tensor]
-
-    @property
-    def probs(self) -> Tensor:
-        return T.exp(self.log_probs)
 
 
 def flatten_targets(targets: np.ndarray) -> np.ndarray:

@@ -49,11 +49,6 @@ class DropoutSpec:
             if v < 0.0:
                 raise ConfigError(f"{name} must be >= 0, got {v}")
 
-    @property
-    def any_active(self) -> bool:
-        return any((self.input_rate, self.output_rate, self.hidden_rate,
-                    self.embed_rate, self.other_rate))
-
 
 class RegContext:
     """Carries train/eval mode, the dropout RNG, and the per-sequence mask cache.

@@ -10,7 +10,6 @@ gradients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +19,10 @@ from .errors import ContractError, NumericError, ShapeError
 __all__ = [
     "Tensor", "Tape", "backward", "grad_check", "grad_check_params",
     "GradCheckReport", "as_tensor", "matmul", "add", "sub", "mul", "scale",
-    "neg", "transpose", "sigmoid", "tanh", "exp", "log", "softmax_rows",
-    "log_softmax_rows", "log_mix", "embedding_rows", "pick_cols",
-    "slice_cols", "concat_rows", "sum_all", "mean_all",
+    "neg", "transpose", "sigmoid", "tanh", "log_softmax_rows", "log_mix",
+    "embedding_rows", "pick_cols", "slice_cols", "concat_rows", "sum_all",
+    "mean_all",
 ]
-
-# Floor for log() inputs; keeps log of an exact zero finite so that
-# 0 * log(0) products in loss code stay 0 instead of going NaN.
-_LOG_FLOOR = 1e-300
-
 
 class Tensor:
     """A float64 array plus an optional gradient of the same shape."""
@@ -248,58 +242,16 @@ def tanh(a: Tensor) -> Tensor:
     return _record(out, (a,), back)
 
 
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = Tensor(y)
-
-    def back(g):
-        _accum(a, g * y)
-
-    return _record(out, (a,), back)
-
-
-def log(a: Tensor) -> Tensor:
-    clamped = np.maximum(a.data, _LOG_FLOOR)
-    out = Tensor(np.log(clamped))
-
-    def back(g):
-        _accum(a, g / clamped)
-
-    return _record(out, (a,), back)
-
-
 # ---------------------------------------------------------------------------
 # softmax family
-
-
-def _check_finite_rows(x: np.ndarray, op: str) -> None:
-    if np.isnan(x).any():
-        raise NumericError(f"{op} received NaN input")
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax of a [n x m] matrix, stabilized by max subtraction."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a matrix, got shape {a.data.shape}")
-    _check_finite_rows(a.data, "softmax_rows")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(s)
-
-    def back(g):
-        # J^T g for each row: s * (g - <g, s>)
-        dot = (g * s).sum(axis=1, keepdims=True)
-        _accum(a, s * (g - dot))
-
-    return _record(out, (a,), back)
 
 
 def log_softmax_rows(a: Tensor) -> Tensor:
     """Row-wise log softmax, fused as x - max - log(sum(exp(x - max)))."""
     if a.data.ndim != 2:
         raise ShapeError(f"log_softmax_rows needs a matrix, got shape {a.data.shape}")
-    _check_finite_rows(a.data, "log_softmax_rows")
+    if np.isnan(a.data).any():
+        raise NumericError("log_softmax_rows received NaN input")
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     y = shifted - lse
@@ -553,10 +505,3 @@ def grad_check_params(loss_fn, params: list[tuple[str, Tensor]],
         reports[name] = GradCheckReport(max_rel, max_rel <= tol, tol, step)
     return reports
 
-
-def global_grad_norm(params) -> float:
-    total = 0.0
-    for _, p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    return math.sqrt(total)

@@ -144,7 +144,11 @@ class OneHotOracle:
 
 
 def clip_gradients(params: list[tuple[str, Tensor]], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients so their global L2 norm is at most max_norm.
+
+    Returns the pre-clip norm. A non-finite norm leaves the gradients as they
+    are, for the caller to reject.
+    """
     if max_norm <= 0:
         raise ConfigError(f"grad_clip must be > 0, got {max_norm}")
     total = 0.0
@@ -152,7 +156,7 @@ def clip_gradients(params: list[tuple[str, Tensor]], max_norm: float) -> float:
         if p.grad is not None:
             total += float(np.sum(p.grad * p.grad))
     norm = math.sqrt(total)
-    if norm > max_norm:
+    if math.isfinite(norm) and norm > max_norm:
         factor = max_norm / norm
         for _, p in params:
             if p.grad is not None:
@@ -188,7 +192,7 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
 
     teacher must be present exactly when the loss variant consumes soft labels
     (anything but ce_only). Raises TrainingError naming the batch if the loss
-    goes non-finite.
+    or the gradient norm goes non-finite.
     """
     if cfg.loss.needs_teacher and teacher is None:
         raise ConfigError(f"loss variant {cfg.loss.variant!r} needs a teacher")
@@ -222,7 +226,7 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
             ctx.new_sequence()
             with Tape() as tape:
                 out = model_forward(model, batch.inputs, state, ctx)
-                loss = distill_loss(cfg.loss, out.probs, y, q)
+                loss = distill_loss(cfg.loss, out.log_probs, y, q)
                 if use_reg:
                     loss = T.add(loss, activation_reg(
                         out.dropped_outputs, out.raw_outputs,
@@ -233,7 +237,10 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
                         f"non-finite loss {value} at epoch {epoch}, batch {bi}")
                 backward(loss, tape)
             state = out.state.detach()
-            clip_gradients(params, cfg.grad_clip)
+            norm = clip_gradients(params, cfg.grad_clip)
+            if not math.isfinite(norm):
+                raise TrainingError(
+                    f"non-finite gradient norm {norm} at epoch {epoch}, batch {bi}")
             for _, p in params:
                 if p.grad is not None:
                     p.data -= lr * p.grad
@@ -277,25 +284,25 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
 
 def perplexity(model: LmModel, stream: TokenStream, batch_size: int = 1,
                bptt_len: int = 32) -> float:
-    """exp of the mean natural-log NLL over all batched target tokens (eos included).
+    """exp of the mean natural-log NLL over every target token (eos included).
 
-    The window is clamped to the lane length so short validation streams are
-    still fully covered rather than rejected.
+    The stream is cut into batch_size contiguous lanes, as for training; the
+    last window of a lane may be shorter than bptt_len, so no target is
+    dropped. Tokens past the last whole lane are not scored.
     """
+    if bptt_len < 1:
+        raise ConfigError(f"bptt_len must be >= 1, got {bptt_len}")
     lane_len = len(stream) // batch_size
     if lane_len < 2:
         raise DataError(f"stream of {len(stream)} tokens too short for "
                         f"{batch_size} evaluation lanes")
-    batches = bptt_batches(stream, batch_size, min(bptt_len, lane_len - 1))
+    lanes = stream.ids[: lane_len * batch_size].reshape(batch_size, lane_len)
     state = model.init_state(batch_size)
     total = 0.0
-    count = 0
-    for batch in batches:
-        out = model_forward(model, batch.inputs, state)
-        y = flatten_targets(batch.targets)
+    for lo in range(0, lane_len - 1, bptt_len):
+        hi = min(lo + bptt_len, lane_len - 1)
+        out = model_forward(model, lanes[:, lo:hi], state)
+        y = flatten_targets(lanes[:, lo + 1:hi + 1])
         total += float(-out.log_probs.data[np.arange(y.shape[0]), y].sum())
-        count += y.shape[0]
         state = out.state
-    if count == 0:
-        raise DataError("no target tokens to evaluate")
-    return math.exp(total / count)
+    return math.exp(total / (batch_size * (lane_len - 1)))

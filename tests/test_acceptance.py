@@ -15,7 +15,7 @@ from lmdistill import tensor as T
 from lmdistill.cli import _grad_check_suite, dispatch, load_config
 from lmdistill.data import build_vocab, encode
 from lmdistill.losses import (DistillLossSpec, ce_loss, fixed_interp_loss,
-                              kl_loss, trust_weight, trust_weights)
+                              kl_loss, trust_weights)
 from lmdistill.model import (ModelConfig, build_model, model_forward,
                              param_count)
 from lmdistill.rescore import edit_ops
@@ -56,38 +56,39 @@ def test_criterion_2_loss_identities():
     q_onehot = np.zeros((n, v))
     q_onehot[np.arange(n), y] = 1.0
 
-    def loss_and_grad(loss_of_p):
+    def loss_and_grad(loss_of_log_p):
         x = Tensor(rng.standard_normal((n, v)).copy(), requires_grad=True)
         with Tape() as tape:
-            backward(loss_of_p(T.softmax_rows(x)), tape)
+            backward(loss_of_log_p(T.log_softmax_rows(x)), tape)
         return x
 
     rng = np.random.default_rng(2)  # same logits for every loss below
-    ce_x = loss_and_grad(lambda p: ce_loss(p, y))
+    ce_x = loss_and_grad(lambda log_p: ce_loss(log_p, y))
     rng = np.random.default_rng(2)
-    kl_x = loss_and_grad(lambda p: kl_loss(p, Tensor(q_onehot)))
+    kl_x = loss_and_grad(lambda log_p: kl_loss(log_p, Tensor(q_onehot)))
     grads_match = np.array_equal(ce_x.grad, kl_x.grad)
 
     x = Tensor(np.random.default_rng(3).standard_normal((n, v)))
-    p = T.softmax_rows(x)
-    ce_v = float(ce_loss(p, y).data)
-    kl_v = float(kl_loss(p, Tensor(q_onehot)).data)
+    log_p = T.log_softmax_rows(x)
+    ce_v = float(ce_loss(log_p, y).data)
+    kl_v = float(kl_loss(log_p, Tensor(q_onehot)).data)
     values_match = math.isclose(ce_v, kl_v, rel_tol=1e-12)
 
     q = np.random.default_rng(4).uniform(0.1, 1.0, (n, v))
     q /= q.sum(axis=1, keepdims=True)
     ends_match = (
-        float(fixed_interp_loss(p, q, y, 1.0).data) == ce_v
-        and float(fixed_interp_loss(p, q, y, 0.0).data)
-        == float(kl_loss(p, Tensor(q)).data))
+        float(fixed_interp_loss(log_p, q, y, 1.0).data) == ce_v
+        and float(fixed_interp_loss(log_p, q, y, 0.0).data)
+        == float(kl_loss(log_p, Tensor(q)).data))
 
     row = np.full(v, 0.01)
     row[2] = 1.0 - math.exp(-1.0)
     alpha = 0.7
-    anchor = math.isclose(trust_weight(row, 2, alpha), alpha, rel_tol=1e-12)
+    anchor = math.isclose(trust_weights(row[None], np.array([2]), alpha)[0], alpha,
+                          rel_tol=1e-12)
     row[2] = 1.0
     clamp_want = -alpha * np.log(1.0 - (1.0 - 1e-8))
-    clamped = trust_weight(row, 2, alpha) == clamp_want
+    clamped = trust_weights(row[None], np.array([2]), alpha)[0] == clamp_want
     vec = np.array([trust_weights(np.stack([row, row]), np.array([2, 2]), alpha)])
     vectorized = bool(np.all(vec == clamp_want))
 

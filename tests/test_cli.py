@@ -78,6 +78,10 @@ def test_config_file_errors(tmp_path):
     path.write_text("lr = 1.0\nwhatever = 3\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=r"run\.cfg:2: unknown config key"):
         load_config(path)
+    # configs written for older versions may still set the removed temperature key
+    path.write_text("alpha = 0.1\ntemperature = 1.0\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"run\.cfg:2: unknown config key 'temperature'"):
+        load_config(path)
     path.write_text("alpha = banana\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=r"run\.cfg:1: bad value for alpha"):
         load_config(path)

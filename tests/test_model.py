@@ -6,7 +6,7 @@ import pytest
 import lmdistill.tensor as T
 from lmdistill.errors import ConfigError, ShapeError
 from lmdistill.model import (LmModel, ModelConfig, build_model, flatten_targets,
-                             lstm_step, model_forward, mos_forward, param_count)
+                             lstm_step, model_forward, mos_log_probs, param_count)
 from lmdistill.regularization import DropoutSpec, RegContext
 from lmdistill.tensor import Tensor
 
@@ -194,7 +194,7 @@ def test_mos_single_expert_equals_plain_softmax():
     model = build_model(tiny_config(num_experts=1), seed=4)
     rng = np.random.default_rng(5)
     h = Tensor(rng.standard_normal((6, 4)))
-    got = mos_forward(model, h).data
+    got = np.exp(mos_log_probs(model, h).data)
 
     ctx = np.tanh(h.data @ model.expert_w[0].data + model.expert_b[0].data)
     logits = ctx @ model.embedding.data.T + model.out_b.data
@@ -222,14 +222,14 @@ def test_mos_matches_per_expert_loop_oracle():
         logits = ctx @ model.embedding.data.T + model.out_b.data
         want += pi[:, k:k + 1] * softmax(logits)
 
-    got = mos_forward(model, Tensor(h)).data
+    got = np.exp(mos_log_probs(model, Tensor(h)).data)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 def test_mos_rows_are_distributions():
     model = build_model(tiny_config(num_experts=3), seed=8)
     rng = np.random.default_rng(9)
-    p = mos_forward(model, Tensor(rng.standard_normal((10, 4)))).data
+    p = np.exp(mos_log_probs(model, Tensor(rng.standard_normal((10, 4)))).data)
     assert np.all(p > 0)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
@@ -237,7 +237,7 @@ def test_mos_rows_are_distributions():
 def test_mos_input_width_check():
     model = build_model(tiny_config(), seed=0)
     with pytest.raises(ShapeError):
-        mos_forward(model, Tensor(np.zeros((2, 5))))
+        mos_log_probs(model, Tensor(np.zeros((2, 5))))
 
 
 def test_tied_output_matrix_follows_embedding():
@@ -246,9 +246,9 @@ def test_tied_output_matrix_follows_embedding():
     model = build_model(tiny_config(), seed=1)
     rng = np.random.default_rng(2)
     h = Tensor(rng.standard_normal((3, 4)))
-    before = mos_forward(model, h).data.copy()
+    before = mos_log_probs(model, h).data.copy()
     model.embedding.data[3] += 5.0
-    after = mos_forward(model, h).data
+    after = mos_log_probs(model, h).data
     assert not np.allclose(before, after)
     assert np.all(after[:, 3] != before[:, 3])
 
@@ -410,7 +410,7 @@ def test_state_detach_blocks_cross_segment_gradient():
         first = model_forward(model, tokens, model.init_state(1))
         carried = first.state.detach()
         second = model_forward(model, tokens, carried)
-        loss = ce_loss(second.probs, flatten_targets(tokens))
+        loss = ce_loss(second.log_probs, flatten_targets(tokens))
         backward(loss, tape)
     for h, c in carried.layers:
         assert h.grad is None

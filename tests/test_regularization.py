@@ -18,10 +18,6 @@ def test_dropout_spec_validation():
         DropoutSpec(hidden_rate=-0.1)
     with pytest.raises(ConfigError):
         DropoutSpec(ar_weight=-1.0)
-    assert not DropoutSpec().any_active
-    assert DropoutSpec(output_rate=0.5).any_active
-    # AR/TAR weights alone do not make dropout active
-    assert not DropoutSpec(ar_weight=2.0).any_active
 
 
 def test_reg_context_mode_validation():

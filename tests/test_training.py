@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lmdistill import training
 from lmdistill.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from lmdistill.data import TokenStream, build_vocab, encode
 from lmdistill.errors import (ConfigError, DataError, FormatError,
@@ -321,6 +322,28 @@ def test_train_reports_non_finite_loss_with_location():
             train(model, stream, stream, cfg, teacher=OneHotOracle(vocab.size))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_train_reports_non_finite_gradient_norm_at_its_batch(monkeypatch, bad):
+    vocab, stream = tiny_corpus()
+    model = build_model(tiny_config(vocab.size), 3)
+    steps = []
+
+    def poisoned_backward(loss, tape):
+        backward(loss, tape)
+        steps.append(None)
+        if len(steps) == 2:
+            model.embedding.grad[0, 0] = bad
+
+    backward = training.backward
+    monkeypatch.setattr(training, "backward", poisoned_backward)
+    cfg = TrainConfig(loss=DistillLossSpec("ce_only"), epochs=1, batch_size=2, bptt_len=6)
+    with pytest.raises(TrainingError,
+                       match=r"non-finite gradient norm (inf|nan) at epoch 1, batch 1"):
+        train(model, stream, stream, cfg)
+    # the bad gradient was never applied
+    assert all(np.all(np.isfinite(p.data)) for _, p in model.parameters())
+
+
 def test_train_rejects_corrupt_teacher_rows():
     vocab, stream = tiny_corpus()
 
@@ -414,6 +437,20 @@ def test_perplexity_batched_lanes():
     y = flatten_targets(targets)
     nll = -out.log_probs.data[np.arange(len(y)), y].mean()
     assert ppl == pytest.approx(math.exp(nll), rel=1e-12)
+
+
+def test_perplexity_scores_trailing_partial_window():
+    vocab, stream = tiny_corpus(n_lines=12)
+    stream = TokenStream(stream.ids[:100])
+    model = build_model(tiny_config(vocab.size), 4)
+    # brute force: one token at a time, state carried, every one of the 99 targets
+    state = model.init_state(1)
+    nll = 0.0
+    for t in range(99):
+        out = model_forward(model, stream.ids[None, t:t + 1], state)
+        nll -= out.log_probs.data[0, stream.ids[t + 1]]
+        state = out.state
+    assert perplexity(model, stream) == pytest.approx(math.exp(nll / 99), rel=1e-12)
 
 
 def test_perplexity_rejects_tiny_streams():
