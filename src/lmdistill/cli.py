@@ -401,12 +401,13 @@ def _grad_check_makers() -> list[tuple[str, object]]:
         return lambda x: red(T.transpose(x)), rnd(rng, 4, 5)
 
     def make_log_mix(rng):
-        comps = [Tensor(rng.standard_normal((4, 6))) for _ in range(3)]
+        # K=3 experts stacked expert-major over n=4 rows
+        block = Tensor(rng.standard_normal((3 * 4, 6)))
         red = weighted_sum(rng, (4, 6))
 
         def f(x):
             log_pi = T.log_softmax_rows(x)
-            return red(T.log_mix(log_pi, [T.log_softmax_rows(c) for c in comps]))
+            return red(T.log_mix(log_pi, T.log_softmax_rows(block)))
 
         return f, rnd(rng, 4, 3)
 

@@ -64,11 +64,6 @@ class Vocabulary:
             return self.rnn_unk_id
         return self.unk_id
 
-    def word(self, idx: int) -> str:
-        if not 0 <= idx < len(self.words):
-            raise DataError(f"word id {idx} out of range [0, {len(self.words)})")
-        return self.words[idx]
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             for w, c in zip(self.words, self.counts):

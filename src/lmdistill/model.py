@@ -5,9 +5,11 @@ experts mixed by a learned prior. The final LSTM layer's width defaults to
 hidden_dim but may be set separately (reference configs narrow it to the
 bottleneck width, which is how the published parameter counts come out).
 
-All next-word distributions are computed and returned in log space
-(log-softmax per expert combined by log-sum-exp over experts), so a log of an
-underflowed softmax entry can never occur downstream.
+All next-word distributions are computed and returned in log space, so a log
+of an underflowed softmax entry can never occur downstream. The K expert
+contexts are stacked expert-major into one [K*n x E] block, so one output
+matmul and one log-softmax run over all experts; a log-sum-exp over the
+experts then mixes the block's K row groups.
 """
 
 from __future__ import annotations
@@ -160,10 +162,6 @@ class LmModel:
         for _, p in self.parameters():
             p.grad = None
 
-    def forward(self, tokens: np.ndarray, state: LmState,
-                ctx: RegContext | None = None) -> "ForwardResult":
-        return model_forward(self, tokens, state, ctx)
-
 
 def _param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     shapes: list[tuple[str, tuple[int, ...]]] = [
@@ -247,12 +245,10 @@ def mos_log_probs(model: LmModel, h_bottleneck: Tensor,
     if out_matrix is None:
         out_matrix = _output_matrix(model)
     log_pi = T.log_softmax_rows(T.add(T.matmul(h_bottleneck, model.prior_w), model.prior_b))
-    comps = []
-    for k in range(model.config.num_experts):
-        ctx_k = T.tanh(T.add(T.matmul(h_bottleneck, model.expert_w[k]), model.expert_b[k]))
-        logits = T.add(T.matmul(ctx_k, out_matrix), model.out_b)
-        comps.append(T.log_softmax_rows(logits))
-    return T.log_mix(log_pi, comps)
+    contexts = T.concat_rows([T.tanh(T.add(T.matmul(h_bottleneck, w), b))
+                              for w, b in zip(model.expert_w, model.expert_b)])
+    logits = T.add(T.matmul(contexts, out_matrix), model.out_b)
+    return T.log_mix(log_pi, T.log_softmax_rows(logits))
 
 
 @dataclass

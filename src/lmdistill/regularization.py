@@ -79,15 +79,8 @@ class RegContext:
         return got
 
 
-def _check_rate(rate: float) -> float:
-    if not (0.0 <= rate < 1.0):
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    return float(rate)
-
-
 def variational_mask(shape: tuple[int, ...], rate: float, ctx: RegContext, role) -> Tensor:
     """Bernoulli keep-mask scaled by 1/(1-rate), cached per sequence under role."""
-    rate = _check_rate(rate)
     if not ctx.training or rate == 0.0:
         return ctx.cached(("ones", role, shape), lambda: Tensor(np.ones(shape)))
 
@@ -103,7 +96,6 @@ def variational_mask(shape: tuple[int, ...], rate: float, ctx: RegContext, role)
 
 def drop_connect(weights: Tensor, rate: float, ctx: RegContext, role) -> Tensor:
     """Mask entries of a weight matrix, once per sequence. Identity in eval."""
-    rate = _check_rate(rate)
     if not ctx.training or rate == 0.0:
         return weights
     # Cache the masked node itself so every step shares one tape entry.
@@ -116,7 +108,6 @@ def drop_connect(weights: Tensor, rate: float, ctx: RegContext, role) -> Tensor:
 
 def embedding_dropout(embedding: Tensor, rate: float, ctx: RegContext) -> Tensor:
     """Zero whole word rows of the embedding table, scaling kept rows by 1/(1-rate)."""
-    rate = _check_rate(rate)
     if not ctx.training or rate == 0.0:
         return embedding
 
@@ -134,22 +125,17 @@ def activation_reg(dropped: list[Tensor], raw: list[Tensor],
 
     AR  = ar_weight  * mean over all elements of dropped[t]^2
     TAR = tar_weight * mean over all elements of (raw[t+1] - raw[t])^2
-    Weights must be >= 0; a single step contributes no TAR term.
+    Each is one mean over the steps stacked into one block; every step has the
+    same shape, so that equals the mean of per-step means. Weights must be
+    >= 0; a single step contributes no TAR term.
     """
     if ar_weight < 0 or tar_weight < 0:
         raise ConfigError(f"activation reg weights must be >= 0, got {ar_weight}, {tar_weight}")
     total = Tensor(0.0)
     if ar_weight > 0 and dropped:
-        acc = None
-        for h in dropped:
-            term = T.mean_all(T.mul(h, h))
-            acc = term if acc is None else T.add(acc, term)
-        total = T.add(total, T.scale(acc, ar_weight / len(dropped)))
+        d = T.concat_rows(dropped)
+        total = T.add(total, T.scale(T.mean_all(T.mul(d, d)), ar_weight))
     if tar_weight > 0 and len(raw) > 1:
-        acc = None
-        for a, b in zip(raw[:-1], raw[1:]):
-            d = T.sub(b, a)
-            term = T.mean_all(T.mul(d, d))
-            acc = term if acc is None else T.add(acc, term)
-        total = T.add(total, T.scale(acc, tar_weight / (len(raw) - 1)))
+        d = T.sub(T.concat_rows(raw[1:]), T.concat_rows(raw[:-1]))
+        total = T.add(total, T.scale(T.mean_all(T.mul(d, d)), tar_weight))
     return total

@@ -263,42 +263,35 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     return _record(out, (a,), back)
 
 
-def log_mix(log_pi: Tensor, log_probs: list[Tensor]) -> Tensor:
-    """log(sum_k pi_k * P_k) from log priors [n x K] and K log-prob matrices.
+def log_mix(log_pi: Tensor, log_probs: Tensor) -> Tensor:
+    """log(sum_k pi_k * P_k) from log priors [n x K] and one stacked block of
+    expert log-probs [K*n x V], expert-major: rows k*n .. (k+1)*n - 1 are
+    expert k.
 
     Computed as a log-sum-exp over the mixture axis so a log never sees an
     underflowed probability.
     """
-    k = len(log_probs)
-    if k == 0:
-        raise ShapeError("log_mix needs at least one component")
-    n = log_pi.data.shape[0]
-    if log_pi.data.shape != (n, k):
-        raise ShapeError(f"log priors shaped {log_pi.data.shape}, expected ({n}, {k})")
-    for lp in log_probs:
-        if lp.data.shape != log_probs[0].data.shape or lp.data.shape[0] != n:
-            raise ShapeError(
-                f"mixture component shaped {lp.data.shape}, expected "
-                f"{(n, log_probs[0].data.shape[1])}")
-    stacked = np.stack([log_pi.data[:, j:j + 1] + log_probs[j].data for j in range(k)])
+    if log_pi.data.ndim != 2 or log_pi.data.shape[1] == 0:
+        raise ShapeError(f"log priors shaped {log_pi.data.shape}, expected (n, K) with K >= 1")
+    n, k = log_pi.data.shape
+    if log_probs.data.ndim != 2 or log_probs.data.shape[0] != k * n:
+        raise ShapeError(
+            f"stacked log-probs shaped {log_probs.data.shape}, expected ({k * n}, V) "
+            f"for K={k} experts of n={n} rows")
+    v = log_probs.data.shape[1]
+    stacked = log_probs.data.reshape(k, n, v) + log_pi.data.T[:, :, None]
     m = stacked.max(axis=0)
     y = m + np.log(np.exp(stacked - m).sum(axis=0))
     out = Tensor(y)
 
     def back(g):
-        for j in range(k):
-            w = np.exp(stacked[j] - y)  # posterior responsibility of expert j
-            gw = g * w
-            _accum(log_probs[j], gw)
-            _accum(log_pi, _col(gw.sum(axis=1), j, k))
+        gw = stacked - y
+        np.exp(gw, out=gw)  # posterior responsibility of each expert
+        gw *= g
+        _accum(log_probs, gw.reshape(k * n, v))
+        _accum(log_pi, gw.sum(axis=2).T)
 
-    return _record(out, (log_pi, *log_probs), back)
-
-
-def _col(v: np.ndarray, j: int, k: int) -> np.ndarray:
-    out = np.zeros((v.shape[0], k))
-    out[:, j] = v
-    return out
+    return _record(out, (log_pi, log_probs), back)
 
 
 # ---------------------------------------------------------------------------
@@ -426,52 +419,30 @@ class GradCheckReport:
 _REL_FLOOR = 1e-4
 
 
-def _eval_scalar(f, x: Tensor) -> float:
-    out = f(x)
+def _scalar(out) -> Tensor:
     if not isinstance(out, Tensor) or out.data.shape != ():
         raise ContractError("grad_check function must return a scalar Tensor")
-    return float(out.data)
+    return out
 
 
 def grad_check(f, x: Tensor, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Compare the tape gradient of f at x against central finite differences.
 
-    f must map the tensor x to a scalar Tensor using ops from this module. The
-    analytic gradient is taken from one taped backward pass; the numeric one
-    perturbs each element of x.data by +-step with no tape active.
+    f must map the tensor x to a scalar Tensor using ops from this module.
+    x.requires_grad is restored and x.grad cleared afterwards.
     """
     was = x.requires_grad
     x.requires_grad = True
-    x.grad = None
     try:
-        with Tape() as tape:
-            out = f(x)
-        backward(out, tape)
-        analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-
-        numeric = np.zeros_like(x.data)
-        flat = x.data.reshape(-1)
-        nflat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            plus = _eval_scalar(f, x)
-            flat[i] = orig - step
-            minus = _eval_scalar(f, x)
-            flat[i] = orig
-            nflat[i] = (plus - minus) / (2.0 * step)
+        return grad_check_params(lambda: f(x), [("x", x)], step, tol)["x"]
     finally:
         x.requires_grad = was
         x.grad = None
 
-    denom = np.maximum(np.abs(analytic) + np.abs(numeric), _REL_FLOOR)
-    max_rel = float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0
-    return GradCheckReport(max_rel, max_rel <= tol, tol, step)
-
 
 def grad_check_params(loss_fn, params: list[tuple[str, Tensor]],
                       step: float = 1e-5, tol: float = 1e-4) -> dict[str, GradCheckReport]:
-    """grad_check over named parameters of a composed computation.
+    """Tape gradient against central finite differences, per named parameter.
 
     loss_fn() recomputes the scalar loss from the params' current .data, so
     finite differences can perturb each parameter in place.
@@ -479,7 +450,7 @@ def grad_check_params(loss_fn, params: list[tuple[str, Tensor]],
     for _, p in params:
         p.grad = None
     with Tape() as tape:
-        out = loss_fn()
+        out = _scalar(loss_fn())
     backward(out, tape)
     analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
                 for name, p in params}

@@ -226,6 +226,82 @@ def test_mos_matches_per_expert_loop_oracle():
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
+def _per_expert_log_mix(log_pi, log_probs):
+    # The list-based mixture the stacked head replaced, kept as a taped oracle:
+    # K shifted copies stacked, and a backward that loops over experts.
+    k = len(log_probs)
+    stacked = np.stack([log_pi.data[:, j:j + 1] + log_probs[j].data for j in range(k)])
+    m = stacked.max(axis=0)
+    y = m + np.log(np.exp(stacked - m).sum(axis=0))
+
+    def back(g):
+        for j in range(k):
+            gw = g * np.exp(stacked[j] - y)
+            T._accum(log_probs[j], gw)
+            col = np.zeros_like(log_pi.data)
+            col[:, j] = gw.sum(axis=1)
+            T._accum(log_pi, col)
+
+    return T._record(Tensor(y), (log_pi, *log_probs), back)
+
+
+def _per_expert_mos(model, h):
+    # K output matmuls and K log-softmaxes over [n x V], one per expert
+    out_matrix = T.transpose(model.embedding) if model.out_w is None else model.out_w
+    log_pi = T.log_softmax_rows(T.add(T.matmul(h, model.prior_w), model.prior_b))
+    comps = [T.log_softmax_rows(T.add(T.matmul(T.tanh(T.add(T.matmul(h, w), b)),
+                                               out_matrix), model.out_b))
+             for w, b in zip(model.expert_w, model.expert_b)]
+    return _per_expert_log_mix(log_pi, comps)
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_mos_stacked_block_matches_per_expert_head(tied):
+    # K=3 experts, n=5 rows: a row-order bug in the stacked block cannot hide
+    cfg = ModelConfig(vocab_size=7, embed_dim=3, lstm_layers=1, hidden_dim=4,
+                      bottleneck_dim=2, num_experts=3, tie_embeddings=tied)
+    model = build_model(cfg, seed=12)
+    rng = np.random.default_rng(13)
+    h = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+    w = Tensor(rng.standard_normal((5, 7)))
+
+    def run(head):
+        model.zero_grad()
+        h.grad = None
+        with T.Tape() as tape:
+            log_p = head(model, h)
+            loss = T.sum_all(T.mul(log_p, w))
+        T.backward(loss, tape)
+        grads = {name: p.grad.copy() for name, p in model.parameters()
+                 if p.grad is not None}
+        grads["h"] = h.grad.copy()
+        return log_p.data, grads
+
+    got, got_grads = run(mos_log_probs)
+    want, want_grads = run(_per_expert_mos)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    head = {"prior.w", "prior.b", "expert0.w", "expert0.b", "expert1.w", "expert1.b",
+            "expert2.w", "expert2.b", "embedding" if tied else "out.w", "out.b", "h"}
+    assert got_grads.keys() == want_grads.keys() == head
+    for name, g in want_grads.items():
+        err = np.max(np.abs(got_grads[name] - g)) / np.max(np.abs(g))
+        assert err <= 1e-12, f"{name}: relative error {err:.3e}"
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_mos_records_four_vocab_wide_nodes_for_any_k(k):
+    # one output matmul, one bias add, one log-softmax over [K*n x V], one mix
+    v = 9
+    model = build_model(tiny_config(vocab_size=v, num_experts=k, tie_embeddings=False),
+                        seed=3)
+    h = Tensor(np.random.default_rng(4).standard_normal((5, 4)))
+    with T.Tape() as tape:
+        mos_log_probs(model, h)
+    wide = [node for node in tape.nodes
+            if node.output.data.ndim == 2 and node.output.data.shape[1] == v]
+    assert len(wide) == 4
+
+
 def test_mos_rows_are_distributions():
     model = build_model(tiny_config(num_experts=3), seed=8)
     rng = np.random.default_rng(9)

@@ -111,22 +111,29 @@ def test_log_softmax_wide_range_finite():
 
 
 def test_log_mix_matches_direct_mixture():
+    # K=3 experts over n=4 rows, stacked expert-major: rows k*n .. (k+1)*n - 1
     rng = np.random.default_rng(4)
-    n, v, k = 5, 7, 3
+    n, v, k = 4, 7, 3
     pis = rng.dirichlet(np.ones(k), size=n)
     comps = [rng.dirichlet(np.ones(v), size=n) for _ in range(k)]
-    got = np.exp(T.log_mix(Tensor(np.log(pis)),
-                           [Tensor(np.log(c)) for c in comps]).data)
+    block = np.log(np.concatenate(comps))
+    got = np.exp(T.log_mix(Tensor(np.log(pis)), Tensor(block)).data)
     want = sum(pis[:, j:j + 1] * comps[j] for j in range(k))
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 def test_log_mix_shape_errors():
+    with pytest.raises(ShapeError, match="K >= 1"):
+        T.log_mix(Tensor(np.zeros((4, 0))), Tensor(np.zeros((0, 5))))
     with pytest.raises(ShapeError):
-        T.log_mix(Tensor(np.zeros((2, 2))), [])
+        T.log_mix(Tensor(np.zeros(4)), Tensor(np.zeros((4, 5))))
     with pytest.raises(ShapeError):
-        T.log_mix(Tensor(np.zeros((2, 3))), [Tensor(np.zeros((2, 4))),
-                                              Tensor(np.zeros((2, 4)))])
+        T.log_mix(Tensor(np.zeros((4, 3))), Tensor(np.zeros(12)))
+    # rows != K*n
+    with pytest.raises(ShapeError, match=r"expected \(12, V\)"):
+        T.log_mix(Tensor(np.zeros((4, 3))), Tensor(np.zeros((8, 5))))
+    with pytest.raises(ShapeError):
+        T.log_mix(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 5))))
 
 
 def test_embedding_rows_gather_and_scatter_with_duplicates():
@@ -234,17 +241,17 @@ def _op_case(name, rng):
     if name == "log_softmax_rows":
         w = _weighted(rng, (3, 5))
         return lambda x: w(T.log_softmax_rows(x)), rnd(rng, 3, 5)
+    # log_mix: K=3 experts stacked expert-major over n=4 rows
     if name == "log_mix_priors":
-        comps = [Tensor(np.log(rng.dirichlet(np.ones(5), size=3))) for _ in range(2)]
-        w = _weighted(rng, (3, 5))
-        return (lambda x: w(T.log_mix(T.log_softmax_rows(x), comps)),
-                rnd(rng, 3, 2))
+        block = Tensor(np.log(rng.dirichlet(np.ones(5), size=3 * 4)))
+        w = _weighted(rng, (4, 5))
+        return (lambda x: w(T.log_mix(T.log_softmax_rows(x), block)),
+                rnd(rng, 4, 3))
     if name == "log_mix_component":
-        pi = Tensor(np.log(rng.dirichlet(np.ones(2), size=3)))
-        other = Tensor(np.log(rng.dirichlet(np.ones(5), size=3)))
-        w = _weighted(rng, (3, 5))
-        return (lambda x: w(T.log_mix(pi, [T.log_softmax_rows(x), other])),
-                rnd(rng, 3, 5))
+        pi = Tensor(np.log(rng.dirichlet(np.ones(3), size=4)))
+        w = _weighted(rng, (4, 5))
+        return (lambda x: w(T.log_mix(pi, T.log_softmax_rows(x))),
+                rnd(rng, 3 * 4, 5))
     if name == "embedding_rows":
         ids = rng.integers(0, 6, size=8)
         w = _weighted(rng, (8, 3))
@@ -309,6 +316,16 @@ def test_grad_check_fails_on_corrupted_backward():
     f = lambda x: T.sum_all(T.mul(bad_tanh(x), w))
     report = grad_check(f, Tensor(rng.standard_normal((3, 3))))
     assert not report.passed
+
+
+def test_grad_check_rejects_non_scalar_and_restores_x():
+    x = Tensor(np.ones((2, 2)))
+    with pytest.raises(ContractError, match="scalar"):
+        grad_check(lambda t: T.mul(t, t), x)
+    assert x.requires_grad is False and x.grad is None
+    report = grad_check(lambda t: T.sum_all(T.mul(t, t)), x)
+    assert report.passed
+    assert x.requires_grad is False and x.grad is None
 
 
 # ---------------------------------------------------------------------------
