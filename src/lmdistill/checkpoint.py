@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 from .model import LmModel, ModelConfig, _param_shapes
 from .regularization import DropoutSpec
 from .tensor import Tensor
@@ -101,8 +101,11 @@ class _Reader:
 
 def load_checkpoint(path) -> LmModel:
     """Rebuild a model from a checkpoint, validating names and shapes."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except FileNotFoundError:
+        raise DataError(f"no checkpoint at {path}") from None
     if not blob.startswith(MAGIC):
         raise FormatError(f"{path}: not a model checkpoint (bad magic)")
     # Metadata runs to the first empty line.

@@ -2,8 +2,9 @@
 
 Subcommands: train-teacher, train-student, eval-ppl, rescore, grad-check,
 ablate. Hyperparameters come from a key=value config file plus repeatable
---set overrides; every run echoes its fully resolved config before doing any
-work. Exit codes: 0 success, 1 user/config error, 2 internal error.
+--set overrides; every subcommand but grad-check, which takes no options,
+echoes its fully resolved config before doing any work. Exit codes: 0
+success, 1 user/config error, 2 internal error.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TokenStream, Vocabulary, build_vocab, encode
 from .errors import ConfigError, DataError, UserError
-from .losses import LOSS_VARIANTS, DistillLossSpec
-from .model import ModelConfig, build_model, lstm_step, model_forward, mos_log_probs
-from .regularization import DropoutSpec
+from .losses import LOSS_VARIANTS, DistillLossSpec, distill_loss
+from .model import ModelConfig, build_model, flatten_targets, model_forward
+from .regularization import DropoutSpec, RegContext, activation_reg
 from .rescore import (RescoreConfig, parse_nbest, parse_refs, rescore_nbest, wer)
-from .tensor import Tensor, grad_check, grad_check_params
+from .tensor import GradCheckReport, grad_check_params
 from .training import TeacherEnsemble, TrainConfig, perplexity, train
 
 # ---------------------------------------------------------------------------
@@ -194,11 +195,17 @@ def _read_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def _load_vocab_for_model(vocab_arg, model_path) -> Vocabulary:
-    path = Path(vocab_arg) if vocab_arg else Path(model_path).parent / "vocab.txt"
+def _load_model_and_vocab(args):
+    """The --model checkpoint and its vocabulary (--vocab, or vocab.txt beside it)."""
+    model = load_checkpoint(args.model)
+    path = Path(args.vocab) if args.vocab else Path(args.model).parent / "vocab.txt"
     if not path.is_file():
         raise DataError(f"no vocabulary at {path}; pass --vocab")
-    return Vocabulary.load(path)
+    vocab = Vocabulary.load(path)
+    if vocab.size != model.config.vocab_size:
+        raise ConfigError(f"model was built for {model.config.vocab_size} words "
+                          f"but the vocabulary has {vocab.size}")
+    return model, vocab
 
 
 def _train_streams(cfg: RunConfig, data_dir: Path) -> tuple[Vocabulary, TokenStream, TokenStream]:
@@ -273,11 +280,7 @@ def cmd_train_student(args) -> int:
 def cmd_eval_ppl(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
     _echo_config(cfg, Path(args.out) if args.out else None)
-    model = load_checkpoint(args.model)
-    vocab = _load_vocab_for_model(args.vocab, args.model)
-    if vocab.size != model.config.vocab_size:
-        raise ConfigError(f"model was built for {model.config.vocab_size} words "
-                          f"but the vocabulary has {vocab.size}")
+    model, vocab = _load_model_and_vocab(args)
     stream = encode(_read_lines(Path(args.data)), vocab)
     ppl = perplexity(model, stream)
     print(f"ppl={ppl:.6f}")
@@ -287,11 +290,7 @@ def cmd_eval_ppl(args) -> int:
 def cmd_rescore(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
     _echo_config(cfg, Path(args.out) if args.out else None)
-    model = load_checkpoint(args.model)
-    vocab = _load_vocab_for_model(args.vocab, args.model)
-    if vocab.size != model.config.vocab_size:
-        raise ConfigError(f"model was built for {model.config.vocab_size} words "
-                          f"but the vocabulary has {vocab.size}")
+    model, vocab = _load_model_and_vocab(args)
     nbest = parse_nbest(_read_lines(Path(args.nbest)), args.nbest)
     refs = parse_refs(_read_lines(Path(args.refs)), args.refs) if args.refs else None
 
@@ -332,9 +331,7 @@ def _sweep_grid(args):
 
 
 def cmd_grad_check(args) -> int:
-    cfg = load_config(args.config, args.set, args.seed)
-    _echo_config(cfg, None)
-    rows = _grad_check_suite(seeds=range(10))
+    rows = grad_check_rows()
     width = max(len(name) for name, _ in rows)
     ok = True
     for name, report in rows:
@@ -344,191 +341,47 @@ def cmd_grad_check(args) -> int:
     return 0 if ok else 1
 
 
-def _grad_check_makers() -> list[tuple[str, object]]:
-    """(name, make) pairs; make(rng) returns (scalar_fn, tensor_under_test)."""
-    from .losses import ce_loss, fixed_interp_loss, kl_loss, tr_loss
+def grad_check_rows() -> list[tuple[str, GradCheckReport]]:
+    """Finite-difference check of the full training loss, one row per loss variant.
 
-    def rnd(rng, *shape):
-        return Tensor(rng.standard_normal(shape))
-
-    def weighted_sum(rng, shape):
-        # Reduce through a fixed random weighting so every element matters.
-        w = Tensor(rng.standard_normal(shape))
-        return lambda t: T.sum_all(T.mul(t, w))
-
-    def unary(op):
-        def make(rng):
-            red = weighted_sum(rng, (4, 5))
-            return lambda x: red(op(x)), rnd(rng, 4, 5)
-        return make
-
-    def make_matmul(rng):
-        w = rnd(rng, 5, 3)
-        red = weighted_sum(rng, (4, 3))
-        return lambda x: red(T.matmul(x, w)), rnd(rng, 4, 5)
-
-    def make_matmul_rhs(rng):
-        a = rnd(rng, 3, 4)
-        red = weighted_sum(rng, (3, 6))
-        return lambda x: red(T.matmul(a, x)), rnd(rng, 4, 6)
-
-    def make_add(rng):
-        b = rnd(rng, 4, 5)
-        red = weighted_sum(rng, (4, 5))
-        return lambda x: red(T.add(x, b)), rnd(rng, 4, 5)
-
-    def make_add_bias(rng):
-        a = rnd(rng, 4, 5)
-        red = weighted_sum(rng, (4, 5))
-        return lambda x: red(T.add(a, x)), rnd(rng, 5)
-
-    def make_sub(rng):
-        b = rnd(rng, 4, 5)
-        red = weighted_sum(rng, (4, 5))
-        return lambda x: red(T.sub(x, b)), rnd(rng, 4, 5)
-
-    def make_mul(rng):
-        b = rnd(rng, 4, 5)
-        red = weighted_sum(rng, (4, 5))
-        return lambda x: red(T.mul(x, b)), rnd(rng, 4, 5)
-
-    def make_scale(rng):
-        red = weighted_sum(rng, (4, 5))
-        return lambda x: red(T.scale(x, 0.37)), rnd(rng, 4, 5)
-
-    def make_transpose(rng):
-        red = weighted_sum(rng, (5, 4))
-        return lambda x: red(T.transpose(x)), rnd(rng, 4, 5)
-
-    def make_log_mix(rng):
-        # K=3 experts stacked expert-major over n=4 rows
-        block = Tensor(rng.standard_normal((3 * 4, 6)))
-        red = weighted_sum(rng, (4, 6))
-
-        def f(x):
-            log_pi = T.log_softmax_rows(x)
-            return red(T.log_mix(log_pi, T.log_softmax_rows(block)))
-
-        return f, rnd(rng, 4, 3)
-
-    def make_embedding(rng):
-        ids = rng.integers(0, 7, size=9)
-        red = weighted_sum(rng, (9, 3))
-        return lambda x: red(T.embedding_rows(x, ids)), rnd(rng, 7, 3)
-
-    def make_pick(rng):
-        ids = rng.integers(0, 5, size=4)
-        red = weighted_sum(rng, (4,))
-        return lambda x: red(T.pick_cols(x, ids)), rnd(rng, 4, 5)
-
-    def make_slice(rng):
-        red = weighted_sum(rng, (4, 2))
-        return lambda x: red(T.slice_cols(x, 1, 3)), rnd(rng, 4, 5)
-
-    def make_concat(rng):
-        b = rnd(rng, 2, 5)
-        red = weighted_sum(rng, (6, 5))
-        return lambda x: red(T.concat_rows([x, b, x])), rnd(rng, 2, 5)
-
-    def make_lstm_step(rng):
-        h, c = rnd(rng, 3, 4), rnd(rng, 3, 4)
-        wx, wh, b = rnd(rng, 5, 16), rnd(rng, 4, 16), rnd(rng, 16)
-        red = weighted_sum(rng, (3, 4))
-
-        def f(x):
-            h2, c2 = lstm_step(x, h, c, wx, wh, b)
-            return T.add(red(h2), T.mean_all(T.mul(c2, c2)))
-
-        return f, rnd(rng, 3, 5)
-
-    def tiny_model(rng):
-        config = ModelConfig(vocab_size=10, embed_dim=4, lstm_layers=1, hidden_dim=8,
-                             bottleneck_dim=4, num_experts=2)
-        return build_model(config, int(rng.integers(0, 2 ** 31)))
-
-    def make_mos(rng):
-        model = tiny_model(rng)
-        red = weighted_sum(rng, (3, 10))
-        return lambda x: red(mos_log_probs(model, x)), rnd(rng, 3, 4)
-
-    def loss_through_log_softmax(loss_of_log_p):
-        def make(rng):
-            y = rng.integers(0, 6, size=4)
-            q_raw = rng.uniform(0.1, 1.0, (4, 6))
-            q = q_raw / q_raw.sum(axis=1, keepdims=True)
-            return lambda x: loss_of_log_p(T.log_softmax_rows(x), q, y), rnd(rng, 4, 6)
-        return make
-
-    def make_sum_all(rng):
-        return lambda x: T.sum_all(x), rnd(rng, 4, 5)
-
-    return [
-        ("matmul(lhs)", make_matmul),
-        ("matmul(rhs)", make_matmul_rhs),
-        ("add", make_add),
-        ("add(bias)", make_add_bias),
-        ("sub", make_sub),
-        ("mul", make_mul),
-        ("scale", make_scale),
-        ("neg", unary(T.neg)),
-        ("transpose", make_transpose),
-        ("sigmoid", unary(T.sigmoid)),
-        ("tanh", unary(T.tanh)),
-        ("log_softmax_rows", unary(T.log_softmax_rows)),
-        ("log_mix", make_log_mix),
-        ("embedding_rows", make_embedding),
-        ("pick_cols", make_pick),
-        ("slice_cols", make_slice),
-        ("concat_rows", make_concat),
-        ("sum_all", make_sum_all),
-        ("mean_all", lambda rng: (lambda x: T.mean_all(x), rnd(rng, 4, 5))),
-        ("lstm_step", make_lstm_step),
-        ("mos_log_probs", make_mos),
-        ("ce_loss", loss_through_log_softmax(lambda lp, q, y: ce_loss(lp, y))),
-        ("kl_loss", loss_through_log_softmax(lambda lp, q, y: kl_loss(lp, q))),
-        ("fixed_interp_loss",
-         loss_through_log_softmax(lambda lp, q, y: fixed_interp_loss(lp, q, y, 0.3))),
-        ("tr_loss", loss_through_log_softmax(lambda lp, q, y: tr_loss(lp, q, y, 0.5))),
-    ]
-
-
-def _grad_check_suite(seeds) -> list[tuple[str, object]]:
-    """Worst-of-N-seeds finite-difference report per op, plus the full model."""
+    The loss is composed as train() composes it: model_forward in train mode,
+    distill_loss, plus activation_reg. The tiny model has two LSTM layers (the
+    last narrower), K=3 experts, every dropout and AR/TAR on; tied and untied
+    output matrices alternate. Each row names the variant, the tying and the
+    parameter with the worst relative error.
+    """
+    vocab, batch, steps, seed = 8, 2, 3, 0
+    rng = np.random.default_rng(seed)
+    tokens = rng.integers(0, vocab, size=(batch, steps))
+    y = flatten_targets(rng.integers(0, vocab, size=(batch, steps)))
+    q = rng.dirichlet(np.ones(vocab), size=batch * steps)
+    rates = DropoutSpec(input_rate=0.2, output_rate=0.2, hidden_rate=0.2, embed_rate=0.2,
+                        other_rate=0.2, ar_weight=2.0, tar_weight=1.0)
     rows = []
-    for name, make in _grad_check_makers():
-        worst = None
-        for seed in seeds:
-            f, x = make(np.random.default_rng(seed))
-            report = grad_check(f, x)
-            if worst is None or report.max_rel_err > worst.max_rel_err:
-                worst = report
-        rows.append((name, worst))
-    rows.append(("model(all params)", _model_grad_check(seed=0)))
+    for i, variant in enumerate(LOSS_VARIANTS):
+        tied = i % 2 == 0
+        config = ModelConfig(vocab_size=vocab, embed_dim=3, lstm_layers=2, hidden_dim=4,
+                             last_hidden_dim=3, bottleneck_dim=3, num_experts=3,
+                             tie_embeddings=tied, dropout=rates)
+        model = build_model(config, seed + i)
+        spec = DistillLossSpec(variant=variant, alpha=0.3)
+        soft = q if spec.needs_teacher else None
+
+        def loss_fn():
+            # A fresh context per evaluation draws the same masks every time;
+            # drop_connect caches its masked product, so a reused one is stale.
+            ctx = RegContext("train", seed=seed)
+            out = model_forward(model, tokens, model.init_state(batch), ctx)
+            reg = activation_reg(out.dropped_outputs, out.raw_outputs,
+                                 rates.ar_weight, rates.tar_weight)
+            return T.add(distill_loss(spec, out.log_probs, y, soft), reg)
+
+        reports = grad_check_params(loss_fn, model.parameters())
+        worst_name, worst = max(reports.items(), key=lambda kv: kv[1].max_rel_err)
+        passed = all(r.passed for r in reports.values())
+        rows.append((f"{variant} {'tied' if tied else 'untied'} worst={worst_name}",
+                     GradCheckReport(worst.max_rel_err, passed, worst.tol, worst.step)))
     return rows
-
-
-def _model_grad_check(seed: int):
-    """grad_check_params over a tiny model's full CE loss; worst report."""
-    from .losses import ce_loss
-    from .model import flatten_targets
-    from .tensor import GradCheckReport
-
-    config = ModelConfig(vocab_size=10, embed_dim=4, lstm_layers=1, hidden_dim=8,
-                         bottleneck_dim=4, num_experts=2)
-    model = build_model(config, seed)
-    rng = np.random.default_rng(seed + 1)
-    tokens = rng.integers(0, 10, size=(2, 3))
-    targets = rng.integers(0, 10, size=(2, 3))
-
-    def loss_fn():
-        out = model_forward(model, tokens, model.init_state(2))
-        return ce_loss(out.log_probs, flatten_targets(targets))
-
-    reports = grad_check_params(loss_fn, model.parameters())
-    worst = max(reports.values(), key=lambda r: r.max_rel_err)
-    return GradCheckReport(worst.max_rel_err,
-                           all(r.passed for r in reports.values()),
-                           worst.tol, worst.step)
 
 
 def cmd_ablate(args) -> int:
@@ -640,8 +493,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--sweep-wip", metavar="P1,P2,...",
                     help="grid-search word insertion penalties (needs --refs)")
 
-    sp = sub.add_parser("grad-check", help="finite-difference check of every op")
-    common(sp)
+    sp = sub.add_parser("grad-check",
+                        help="finite-difference check of the full training loss")
 
     sp = sub.add_parser("ablate", help="loss/regularizer switch matrix over 3 seeds")
     common(sp, data_dir=True, out=True)

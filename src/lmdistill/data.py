@@ -65,13 +65,16 @@ class Vocabulary:
         return self.unk_id
 
     def save(self, path) -> None:
+        """One word<TAB>count line per id, then word<TAB><rnn_unk> per rare word."""
         with open(path, "w", encoding="utf-8") as f:
             for w, c in zip(self.words, self.counts):
                 f.write(f"{w}\t{c}\n")
+            for w in sorted(self.rare):
+                f.write(f"{w}\t{RNN_UNK}\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        words, counts = [], []
+        words, counts, rare = [], [], set()
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
                 line = line.rstrip("\n")
@@ -83,11 +86,14 @@ class Vocabulary:
                 try:
                     counts.append(int(parts[1]))
                 except ValueError:
-                    raise FormatError(f"{path}:{lineno}: bad count {parts[1]!r}") from None
+                    if parts[1] != RNN_UNK:
+                        raise FormatError(f"{path}:{lineno}: bad count {parts[1]!r}") from None
+                    rare.add(parts[0])  # a rare word: maps to rnn_unk, has no id
+                    continue
                 words.append(parts[0])
         if not words:
             raise FormatError(f"{path}: empty vocabulary file")
-        return cls(words, counts)
+        return cls(words, counts, rare)
 
 
 def build_vocab(lines: list[str], cap: int, rnn_unk_min_count: int = 0) -> Vocabulary:

@@ -98,10 +98,6 @@ class LstmLayer:
     wh: Tensor  # [H x 4H]
     b: Tensor   # [4H]
 
-    @property
-    def hidden(self) -> int:
-        return self.wh.shape[0]
-
 
 @dataclass
 class LmState:
@@ -297,10 +293,8 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
     rates = cfg.dropout
     training = ctx.training
 
-    table = embedding_dropout(model.embedding, rates.embed_rate, ctx) \
-        if training and rates.embed_rate > 0 else model.embedding
+    table = embedding_dropout(model.embedding, rates.embed_rate, ctx)
     masked_wh = [drop_connect(layer.wh, rates.hidden_rate, ctx, ("wh", i))
-                 if training and rates.hidden_rate > 0 else layer.wh
                  for i, layer in enumerate(model.layers)]
     out_matrix = _output_matrix(model)
 

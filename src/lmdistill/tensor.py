@@ -18,8 +18,8 @@ from .errors import ContractError, NumericError, ShapeError
 
 __all__ = [
     "Tensor", "Tape", "backward", "grad_check", "grad_check_params",
-    "GradCheckReport", "as_tensor", "matmul", "add", "sub", "mul", "scale",
-    "neg", "transpose", "sigmoid", "tanh", "log_softmax_rows", "log_mix",
+    "GradCheckReport", "matmul", "add", "sub", "mul", "scale",
+    "transpose", "sigmoid", "tanh", "log_softmax_rows", "log_mix",
     "embedding_rows", "pick_cols", "slice_cols", "concat_rows", "sum_all",
     "mean_all",
 ]
@@ -47,16 +47,9 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 @dataclass
@@ -193,15 +186,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def back(g):
         _accum(a, g * c)
-
-    return _record(out, (a,), back)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-
-    def back(g):
-        _accum(a, -g)
 
     return _record(out, (a,), back)
 

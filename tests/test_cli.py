@@ -1,15 +1,20 @@
 """Command-line behavior: config resolution, subcommands, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lmdistill
+import lmdistill.tensor as T
 from lmdistill.checkpoint import load_checkpoint
 from lmdistill.cli import CONFIG_KEYS, dispatch, load_config
-from lmdistill.data import Vocabulary, encode
+from lmdistill.data import Vocabulary, build_vocab, encode
 from lmdistill.errors import ConfigError
+from lmdistill.losses import LOSS_VARIANTS
 from lmdistill.rescore import (RescoreConfig, parse_nbest, parse_refs,
                                rescore_nbest, wer)
 from lmdistill.training import perplexity
@@ -145,9 +150,30 @@ def test_internal_error_exits_2(tmp_path, capsys):
     assert "Traceback" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval-ppl", "rescore", "train-student"])
+def test_missing_checkpoint_exits_1_naming_path(tmp_path, data_dir, command, capsys):
+    missing = tmp_path / "nowhere" / "model.dlm"
+    argv = {
+        "eval-ppl": ["eval-ppl", "--model", str(missing),
+                     "--data", str(data_dir / "valid.txt")],
+        "rescore": ["rescore", "--model", str(missing),
+                    "--nbest", str(tmp_path / "nbest.tsv")],
+        "train-student": ["train-student", "--data-dir", str(data_dir),
+                          "--teacher", str(missing)] + sets("loss_variant=kl_only"),
+    }[command]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert str(missing) in err
+    assert "Traceback" not in err
+
+
 def test_console_entry_point_smoke():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(lmdistill.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "lmdistill"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     # no command: usage on stderr, exit 1
     assert proc.returncode == 1
     assert "usage" in proc.stderr
@@ -269,6 +295,26 @@ def test_eval_ppl_matches_library(tmp_path, data_dir, capsys):
     vocab = Vocabulary.load(teacher / "vocab.txt")
     stream = encode((data_dir / "valid.txt").read_text().splitlines(), vocab)
     assert shown == pytest.approx(perplexity(model, stream), abs=5e-7)
+
+
+def test_eval_ppl_matches_library_with_rare_words(tmp_path, data_dir, capsys):
+    # two once-seen words fall below rnn_unk_min_count=2: eval-ppl, reading
+    # vocab.txt, must encode them as rnn_unk exactly as the in-memory vocab does
+    train_path = data_dir / "train.txt"
+    lines = train_path.read_text().splitlines() + ["w0 once1 w1", "w2 once2"]
+    train_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    teacher = train_teacher(tmp_path, data_dir, "teacher", "rnn_unk_min_count=2")
+    capsys.readouterr()
+    rc = dispatch(["eval-ppl", "--model", str(teacher / "model.dlm"),
+                   "--data", str(train_path)])
+    assert rc == 0
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("ppl=")]
+    shown = float(line[0][len("ppl="):])
+
+    vocab = build_vocab(lines, 30, rnn_unk_min_count=2)
+    assert vocab.rare == {"once1", "once2"}
+    model = load_checkpoint(teacher / "model.dlm")
+    assert shown == pytest.approx(perplexity(model, encode(lines, vocab)), abs=5e-7)
 
 
 def test_eval_ppl_needs_vocab(tmp_path, data_dir, capsys):
@@ -395,9 +441,42 @@ def test_rescore_bad_oov_mode(tmp_path, rescore_files, capsys):
 
 def test_grad_check_command(capsys):
     assert dispatch(["grad-check"]) == 0
-    stdout = capsys.readouterr().out
-    assert "grad-check: all ok" in stdout
-    assert "model(all params)" in stdout
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "grad-check: all ok"
+    rows = lines[:-1]
+    assert len(rows) == len(LOSS_VARIANTS)
+    for variant, row in zip(LOSS_VARIANTS, rows):
+        assert row.split()[0] == variant
+        assert "worst=" in row and row.endswith("[ok]")
+    tyings = {row.split()[1] for row in rows}
+    assert tyings == {"tied", "untied"}
+
+
+@pytest.mark.parametrize("option", [["--set", "a=1"], ["--config", "x.cfg"],
+                                    ["--seed", "3"], ["--out", "runs"]],
+                         ids=["set", "config", "seed", "out"])
+def test_grad_check_takes_no_options(option, capsys):
+    assert dispatch(["grad-check"] + option) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", ["mean_all", "sigmoid"])
+def test_grad_check_catches_scaled_backward(op, monkeypatch, capsys):
+    # negative control: the op's recorded backward is off by 1%
+    original = getattr(T, op)
+
+    def skewed(a):
+        out = original(a)
+        tape = T._active_tape()
+        if tape is not None and tape.nodes and tape.nodes[-1].output is out:
+            node = tape.nodes[-1]
+            back = node.backward_fn
+            node.backward_fn = lambda g: back(1.01 * g)
+        return out
+
+    monkeypatch.setattr(T, op, skewed)
+    assert dispatch(["grad-check"]) == 1
+    assert "FAILURES" in capsys.readouterr().out
 
 
 def test_ablate_prints_all_rows(tmp_path, data_dir, capsys):

@@ -117,9 +117,24 @@ def test_vocabulary_save_load_round_trip(tmp_path):
     vocab = build_vocab(["a a b", "c b a"], cap=10, rnn_unk_min_count=0)
     path = tmp_path / "vocab.txt"
     vocab.save(path)
+    # no rare words: the file is the two-column word/count listing, nothing else
+    assert path.read_text(encoding="utf-8") == "".join(
+        f"{w}\t{c}\n" for w, c in zip(vocab.words, vocab.counts))
     loaded = Vocabulary.load(path)
     assert loaded.words == vocab.words
     assert loaded.counts == vocab.counts
+
+    # rare words have no id but must still map to rnn_unk after a round trip
+    rare = build_vocab(["a a a b b b", "c d c"], cap=10, rnn_unk_min_count=2)
+    assert rare.rare == {"d"}
+    rare.save(path)
+    loaded = Vocabulary.load(path)
+    assert loaded.words == rare.words
+    assert loaded.counts == rare.counts
+    assert loaded.rare == rare.rare
+    for w in ("a", "b", "c", "d", "never-seen"):
+        assert loaded.lookup(w) == rare.lookup(w), w
+    assert loaded.lookup("d") == loaded.rnn_unk_id
 
 
 def test_vocabulary_load_errors(tmp_path):

@@ -200,7 +200,7 @@ def test_tr_loss_weight_is_constant_in_backward():
     r = trust_weights(q, y, alpha)
 
     def manual(log_p):
-        nll = T.neg(T.pick_cols(log_p, y))
+        nll = T.scale(T.pick_cols(log_p, y), -1.0)
         weighted = T.scale(T.sum_all(T.mul(nll, Tensor(r))), 1.0 / 3)
         return T.add(weighted, kl_loss(log_p, Tensor(q)))
 

@@ -8,7 +8,7 @@ from lmdistill.errors import ConfigError, ShapeError
 from lmdistill.model import (LmModel, ModelConfig, build_model, flatten_targets,
                              lstm_step, model_forward, mos_log_probs, param_count)
 from lmdistill.regularization import DropoutSpec, RegContext
-from lmdistill.tensor import Tensor
+from lmdistill.tensor import Tensor, grad_check_params
 
 
 def tiny_config(**kw):
@@ -163,6 +163,28 @@ def test_lstm_step_matches_numpy_oracle():
                        Tensor(b))
     assert np.allclose(c2.data, want_c, rtol=1e-12, atol=1e-14)
     assert np.allclose(h2.data, want_h, rtol=1e-12, atol=1e-14)
+
+
+def test_lstm_step_gradients_match_finite_differences():
+    # every input of the cell: x, carried h and c, and the three weight tensors
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        B, E, H = 3, 5, 4
+        shapes = {"x": (B, E), "h": (B, H), "c": (B, H),
+                  "wx": (E, 4 * H), "wh": (H, 4 * H), "b": (4 * H,)}
+        params = [(name, Tensor(rng.standard_normal(shape), requires_grad=True))
+                  for name, shape in shapes.items()]
+        w_h = Tensor(rng.standard_normal((B, H)))
+        w_c = Tensor(rng.standard_normal((B, H)))
+
+        def loss_fn():
+            h2, c2 = lstm_step(*(p for _, p in params))
+            return T.add(T.sum_all(T.mul(h2, w_h)), T.sum_all(T.mul(c2, w_c)))
+
+        reports = grad_check_params(loss_fn, params)
+        assert list(reports) == list(shapes)
+        for name, report in reports.items():
+            assert report.passed, f"seed {seed} {name}: {report}"
 
 
 def test_lstm_step_weight_shape_error():

@@ -214,6 +214,9 @@ def _op_case(name, rng):
     if name == "matmul_right":
         a, w = rnd(rng, 4, 5), rnd(rng, 4, 3)
         return lambda x: T.sum_all(T.mul(T.matmul(a, x), w)), rnd(rng, 5, 3)
+    if name == "add":
+        b, w = rnd(rng, 3, 4), rnd(rng, 3, 4)
+        return lambda x: T.sum_all(T.mul(T.add(x, b), w)), rnd(rng, 3, 4)
     if name == "add_bias":
         a, w = rnd(rng, 4, 5), rnd(rng, 4, 5)
         return lambda x: T.sum_all(T.mul(T.add(a, x), w)), rnd(rng, 5)
@@ -226,9 +229,6 @@ def _op_case(name, rng):
     if name == "scale":
         w = _weighted(rng, (3, 4))
         return lambda x: w(T.scale(x, -2.5)), rnd(rng, 3, 4)
-    if name == "neg":
-        w = _weighted(rng, (3, 4))
-        return lambda x: w(T.neg(x)), rnd(rng, 3, 4)
     if name == "transpose":
         w = _weighted(rng, (4, 3))
         return lambda x: w(T.transpose(x)), rnd(rng, 3, 4)
@@ -274,8 +274,8 @@ def _op_case(name, rng):
     raise AssertionError(name)
 
 
-OP_NAMES = ["matmul_left", "matmul_right", "add_bias", "sub", "mul", "scale",
-            "neg", "transpose", "sigmoid", "tanh", "log_softmax_rows", "log_mix_priors",
+OP_NAMES = ["matmul_left", "matmul_right", "add", "add_bias", "sub", "mul", "scale",
+            "transpose", "sigmoid", "tanh", "log_softmax_rows", "log_mix_priors",
             "log_mix_component", "embedding_rows", "pick_cols", "slice_cols",
             "concat_rows", "sum_all", "mean_all"]
 
