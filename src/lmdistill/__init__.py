@@ -10,11 +10,10 @@ from .losses import (DistillLossSpec, SoftLabelBatch, ce_loss, distill_loss,
 from .model import (ForwardResult, LmModel, LmState, ModelConfig, build_model,
                     lstm_step, model_forward, param_count)
 from .checkpoint import load_checkpoint, save_checkpoint
-from .regularization import (DropoutSpec, RegContext, activation_reg,
-                             drop_connect, embedding_dropout, variational_mask)
+from .regularization import DropoutSpec, activation_reg, variational_mask
 from .rescore import (NbestEntry, RescoreConfig, WerReport, combine_and_select,
                       parse_nbest, rescore_nbest, score_hypothesis, wer)
-from .tensor import Tape, Tensor, backward, grad_check, grad_check_params
+from .tensor import Tape, Tensor, backward, grad_check_params
 from .training import (OneHotOracle, TeacherEnsemble, TrainConfig,
                        ensemble_predict, perplexity, train)
 

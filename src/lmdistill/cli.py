@@ -23,7 +23,7 @@ from .data import TokenStream, Vocabulary, build_vocab, encode
 from .errors import ConfigError, DataError, UserError
 from .losses import LOSS_VARIANTS, DistillLossSpec, distill_loss
 from .model import ModelConfig, build_model, flatten_targets, model_forward
-from .regularization import DropoutSpec, RegContext, activation_reg
+from .regularization import DropoutSpec, activation_reg
 from .rescore import (RescoreConfig, parse_nbest, parse_refs, rescore_nbest, wer)
 from .tensor import GradCheckReport, grad_check_params
 from .training import TeacherEnsemble, TrainConfig, perplexity, train
@@ -368,10 +368,9 @@ def grad_check_rows() -> list[tuple[str, GradCheckReport]]:
         soft = q if spec.needs_teacher else None
 
         def loss_fn():
-            # A fresh context per evaluation draws the same masks every time;
-            # drop_connect caches its masked product, so a reused one is stale.
-            ctx = RegContext("train", seed=seed)
-            out = model_forward(model, tokens, model.init_state(batch), ctx)
+            # A fresh generator per evaluation draws the same masks every time.
+            out = model_forward(model, tokens, model.init_state(batch),
+                                np.random.default_rng(seed))
             reg = activation_reg(out.dropped_outputs, out.raw_outputs,
                                  rates.ar_weight, rates.tar_weight)
             return T.add(distill_loss(spec, out.log_probs, y, soft), reg)
@@ -388,15 +387,9 @@ def cmd_ablate(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
     _echo_config(cfg, Path(args.out) if args.out else None)
     data_dir = Path(args.data_dir)
-    train_lines = _read_lines(data_dir / "train.txt")
-    valid_lines = _read_lines(data_dir / "valid.txt")
+    vocab, train_stream, valid_stream = _train_streams(cfg, data_dir)
     test_path = data_dir / "test.txt"
-    test_lines = _read_lines(test_path) if test_path.is_file() else None
-
-    vocab = build_vocab(train_lines, cfg["vocab_cap"], cfg["rnn_unk_min_count"])
-    train_stream = encode(train_lines, vocab)
-    valid_stream = encode(valid_lines, vocab)
-    test_stream = encode(test_lines, vocab) if test_lines is not None else None
+    test_stream = encode(_read_lines(test_path), vocab) if test_path.is_file() else None
 
     dropout = cfg.dropout_spec()
     plain = DropoutSpec()

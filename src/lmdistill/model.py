@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .regularization import DropoutSpec, RegContext, drop_connect, embedding_dropout, variational_mask
+from .regularization import DropoutSpec, variational_mask
 from .tensor import Tensor
 
 __all__ = ["ModelConfig", "LmModel", "LmState", "LstmLayer", "ForwardResult",
@@ -266,13 +266,20 @@ def flatten_targets(targets: np.ndarray) -> np.ndarray:
     return np.asarray(targets, dtype=np.int64).ravel(order="F")
 
 
+def _masked(x: Tensor, mask: Tensor | None) -> Tensor:
+    return x if mask is None else T.mul(x, mask)
+
+
 def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
-                  ctx: RegContext | None = None) -> ForwardResult:
+                  rng: np.random.Generator | None = None) -> ForwardResult:
     """Run the model over tokens [batch x T], threading state across steps.
 
-    ctx=None means eval mode (all regularizers are identities). In train mode
-    each dropout mask is sampled once for this call's sequence role and reused
-    at every time step.
+    rng=None means eval mode: no mask is drawn and every regularizer is an
+    identity. In train mode each dropout mask is drawn from rng once, at the
+    top of this call, and reused at every time step. The draw order is the
+    embedding rows [V x 1], each layer's hidden-to-hidden weights, the input
+    [batch x E], each layer's output [batch x H_i], then the bottleneck
+    [batch x bottleneck_dim]; a mask whose rate is 0 is not drawn.
     """
     cfg = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -288,14 +295,19 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
             f"token id {int(tokens[b, t])} at (lane {b}, step {t}) out of range "
             f"[0, {cfg.vocab_size})")
 
-    if ctx is None:
-        ctx = RegContext("eval")
     rates = cfg.dropout
-    training = ctx.training
+    embed_mask = variational_mask((cfg.vocab_size, 1), rates.embed_rate, rng)
+    wh_masks = [variational_mask(layer.wh.shape, rates.hidden_rate, rng)
+                for layer in model.layers]
+    in_mask = variational_mask((batch, cfg.embed_dim), rates.input_rate, rng)
+    out_masks = [variational_mask((batch, h), rates.output_rate, rng)
+                 for h in cfg.layer_widths]
+    other_mask = variational_mask((batch, cfg.bottleneck_dim), rates.other_rate, rng)
 
-    table = embedding_dropout(model.embedding, rates.embed_rate, ctx)
-    masked_wh = [drop_connect(layer.wh, rates.hidden_rate, ctx, ("wh", i))
-                 for i, layer in enumerate(model.layers)]
+    table = model.embedding
+    if embed_mask is not None:  # whole word rows
+        table = T.mul(table, Tensor(np.broadcast_to(embed_mask.data, table.shape)))
+    masked_wh = [_masked(layer.wh, m) for layer, m in zip(model.layers, wh_masks)]
     out_matrix = _output_matrix(model)
 
     hs = [h for h, _ in state.layers]
@@ -305,22 +317,13 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
     step_log_probs: list[Tensor] = []
 
     for t in range(steps):
-        x = T.embedding_rows(table, tokens[:, t])
-        if training and rates.input_rate > 0:
-            x = T.mul(x, variational_mask(x.shape, rates.input_rate, ctx, ("in", 0)))
+        x = _masked(T.embedding_rows(table, tokens[:, t]), in_mask)
         for i, layer in enumerate(model.layers):
-            h2, c2 = lstm_step(x, hs[i], cs[i], layer.wx, masked_wh[i], layer.b)
-            hs[i], cs[i] = h2, c2
-            if i == len(model.layers) - 1:
-                raw_outputs.append(h2)
-            if training and rates.output_rate > 0:
-                h2 = T.mul(h2, variational_mask(h2.shape, rates.output_rate, ctx, ("out", i)))
-            if i == len(model.layers) - 1:
-                dropped_outputs.append(h2)
-            x = h2
-        bott = T.add(T.matmul(x, model.bottleneck_w), model.bottleneck_b)
-        if training and rates.other_rate > 0:
-            bott = T.mul(bott, variational_mask(bott.shape, rates.other_rate, ctx, ("other",)))
+            hs[i], cs[i] = lstm_step(x, hs[i], cs[i], layer.wx, masked_wh[i], layer.b)
+            x = _masked(hs[i], out_masks[i])
+        raw_outputs.append(hs[-1])
+        dropped_outputs.append(x)
+        bott = _masked(T.add(T.matmul(x, model.bottleneck_w), model.bottleneck_b), other_mask)
         step_log_probs.append(mos_log_probs(model, bott, out_matrix))
 
     if steps == 0:

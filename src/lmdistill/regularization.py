@@ -1,8 +1,8 @@
 """Dropout variants and activation regularizers for recurrent LMs.
 
-All masks are "variational": sampled once per sequence (one BPTT segment) and
-reused at every time step, with inverted scaling 1/(1-rate) so expectations
-match eval mode. Eval mode is a strict identity for every regularizer here.
+All masks are "variational": drawn once per model_forward call and reused at
+every time step of that call, with inverted scaling 1/(1-rate) so expectations
+match eval mode. Eval mode draws no mask, so every regularizer is an identity.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from . import tensor as T
 from .errors import ConfigError
 from .tensor import Tensor
 
-__all__ = ["DropoutSpec", "RegContext", "variational_mask", "drop_connect",
-           "embedding_dropout", "activation_reg"]
+__all__ = ["DropoutSpec", "variational_mask", "activation_reg"]
 
 
 @dataclass
@@ -50,73 +49,13 @@ class DropoutSpec:
                 raise ConfigError(f"{name} must be >= 0, got {v}")
 
 
-class RegContext:
-    """Carries train/eval mode, the dropout RNG, and the per-sequence mask cache.
-
-    Keys in the cache are caller-chosen roles (e.g. ("out", layer_index)), so
-    the same mask tensor is returned for every step of the current sequence.
-    new_sequence() must be called at each segment boundary.
-    """
-
-    def __init__(self, mode: str = "eval", seed: int = 0):
-        if mode not in ("train", "eval"):
-            raise ConfigError(f"RegContext mode must be 'train' or 'eval', got {mode!r}")
-        self.mode = mode
-        self.rng = np.random.default_rng(seed)
-        self._cache: dict[object, Tensor] = {}
-
-    @property
-    def training(self) -> bool:
-        return self.mode == "train"
-
-    def new_sequence(self) -> None:
-        self._cache.clear()
-
-    def cached(self, role, make):
-        got = self._cache.get(role)
-        if got is None:
-            got = self._cache[role] = make()
-        return got
-
-
-def variational_mask(shape: tuple[int, ...], rate: float, ctx: RegContext, role) -> Tensor:
-    """Bernoulli keep-mask scaled by 1/(1-rate), cached per sequence under role."""
-    if not ctx.training or rate == 0.0:
-        return ctx.cached(("ones", role, shape), lambda: Tensor(np.ones(shape)))
-
-    def make():
-        keep = (ctx.rng.random(shape) >= rate).astype(np.float64)
-        return Tensor(keep / (1.0 - rate))
-
-    mask = ctx.cached(("mask", role, shape), make)
-    if mask.shape != tuple(shape):
-        raise ConfigError(f"mask role {role!r} reused with shape {shape}, cached {mask.shape}")
-    return mask
-
-
-def drop_connect(weights: Tensor, rate: float, ctx: RegContext, role) -> Tensor:
-    """Mask entries of a weight matrix, once per sequence. Identity in eval."""
-    if not ctx.training or rate == 0.0:
-        return weights
-    # Cache the masked node itself so every step shares one tape entry.
-    def make():
-        keep = (ctx.rng.random(weights.shape) >= rate).astype(np.float64)
-        return T.mul(weights, Tensor(keep / (1.0 - rate)))
-
-    return ctx.cached(("drop_connect", role), make)
-
-
-def embedding_dropout(embedding: Tensor, rate: float, ctx: RegContext) -> Tensor:
-    """Zero whole word rows of the embedding table, scaling kept rows by 1/(1-rate)."""
-    if not ctx.training or rate == 0.0:
-        return embedding
-
-    def make():
-        v = embedding.shape[0]
-        keep = (ctx.rng.random((v, 1)) >= rate).astype(np.float64) / (1.0 - rate)
-        return T.mul(embedding, Tensor(np.broadcast_to(keep, embedding.shape).copy()))
-
-    return ctx.cached(("embed_drop",), make)
+def variational_mask(shape: tuple[int, ...], rate: float,
+                     rng: np.random.Generator | None) -> Tensor | None:
+    """Bernoulli keep-mask scaled by 1/(1-rate); None in eval (rng None) or at rate 0."""
+    if rng is None or rate == 0.0:
+        return None
+    keep = (rng.random(shape) >= rate).astype(np.float64)
+    return Tensor(keep / (1.0 - rate))
 
 
 def activation_reg(dropped: list[Tensor], raw: list[Tensor],

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractError, NumericError, ShapeError
 
 __all__ = [
-    "Tensor", "Tape", "backward", "grad_check", "grad_check_params",
+    "Tensor", "Tape", "backward", "grad_check_params",
     "GradCheckReport", "matmul", "add", "sub", "mul", "scale",
     "transpose", "sigmoid", "tanh", "log_softmax_rows", "log_mix",
     "embedding_rows", "pick_cols", "slice_cols", "concat_rows", "sum_all",
@@ -405,23 +405,8 @@ _REL_FLOOR = 1e-4
 
 def _scalar(out) -> Tensor:
     if not isinstance(out, Tensor) or out.data.shape != ():
-        raise ContractError("grad_check function must return a scalar Tensor")
+        raise ContractError("grad_check loss_fn must return a scalar Tensor")
     return out
-
-
-def grad_check(f, x: Tensor, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
-    """Compare the tape gradient of f at x against central finite differences.
-
-    f must map the tensor x to a scalar Tensor using ops from this module.
-    x.requires_grad is restored and x.grad cleared afterwards.
-    """
-    was = x.requires_grad
-    x.requires_grad = True
-    try:
-        return grad_check_params(lambda: f(x), [("x", x)], step, tol)["x"]
-    finally:
-        x.requires_grad = was
-        x.grad = None
 
 
 def grad_check_params(loss_fn, params: list[tuple[str, Tensor]],

@@ -19,7 +19,7 @@ from .data import TokenStream, bptt_batches
 from .errors import ConfigError, DataError, TrainingError
 from .losses import DistillLossSpec, SoftLabelBatch, distill_loss
 from .model import LmModel, LmState, flatten_targets, model_forward
-from .regularization import RegContext, activation_reg
+from .regularization import activation_reg
 from .tensor import Tape, Tensor, backward
 
 __all__ = ["TrainConfig", "EpochLog", "TrainResult", "TeacherEnsemble",
@@ -201,7 +201,7 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
 
     batches = bptt_batches(train_stream, cfg.batch_size, cfg.bptt_len)
     params = model.parameters()
-    ctx = RegContext("train", seed=cfg.seed)
+    dropout_rng = np.random.default_rng(cfg.seed)
     rates = model.config.dropout
     use_reg = rates.ar_weight > 0 or rates.tar_weight > 0
 
@@ -223,9 +223,8 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
             y = flatten_targets(batch.targets)
             if q is not None:
                 q = SoftLabelBatch(q, y).q  # validates rows and ids
-            ctx.new_sequence()
             with Tape() as tape:
-                out = model_forward(model, batch.inputs, state, ctx)
+                out = model_forward(model, batch.inputs, state, dropout_rng)
                 loss = distill_loss(cfg.loss, out.log_probs, y, q)
                 if use_reg:
                     loss = T.add(loss, activation_reg(
@@ -266,8 +265,8 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
         if valid_ppl < best_ppl:
             best_ppl = valid_ppl
             best_epoch = epoch
-            best_params = averager.avg if averager is not None else _snapshot(params)
-            best_params = [a.copy() for a in best_params]
+            best_params = ([a.copy() for a in averager.avg] if averager is not None
+                           else _snapshot(params))
             bad_epochs = 0
         else:
             bad_epochs += 1

@@ -7,7 +7,7 @@ import lmdistill.tensor as T
 from lmdistill.errors import ConfigError, ShapeError
 from lmdistill.model import (LmModel, ModelConfig, build_model, flatten_targets,
                              lstm_step, model_forward, mos_log_probs, param_count)
-from lmdistill.regularization import DropoutSpec, RegContext
+from lmdistill.regularization import DropoutSpec
 from lmdistill.tensor import Tensor, grad_check_params
 
 
@@ -462,9 +462,6 @@ def test_eval_forward_ignores_dropout_config():
     p1 = model_forward(plain, tokens, plain.init_state(2)).log_probs.data
     p2 = model_forward(drop, tokens, drop.init_state(2)).log_probs.data
     assert np.array_equal(p1, p2)
-    p3 = model_forward(drop, tokens, drop.init_state(2),
-                       RegContext("eval")).log_probs.data
-    assert np.array_equal(p1, p3)
 
 
 def test_train_mode_all_zero_rates_matches_eval_bitwise():
@@ -473,7 +470,7 @@ def test_train_mode_all_zero_rates_matches_eval_bitwise():
     tokens = rng.integers(0, 10, size=(2, 4))
     pe = model_forward(model, tokens, model.init_state(2)).log_probs.data
     pt = model_forward(model, tokens, model.init_state(2),
-                       RegContext("train", seed=0)).log_probs.data
+                       np.random.default_rng(0)).log_probs.data
     assert np.array_equal(pe, pt)
 
 
@@ -483,9 +480,7 @@ def test_train_mode_dropout_changes_outputs_and_keeps_distributions():
     model = build_model(tiny_config(dropout=spec), seed=22)
     rng = np.random.default_rng(23)
     tokens = rng.integers(0, 10, size=(2, 4))
-    ctx = RegContext("train", seed=1)
-    ctx.new_sequence()
-    out_t = model_forward(model, tokens, model.init_state(2), ctx)
+    out_t = model_forward(model, tokens, model.init_state(2), np.random.default_rng(1))
     out_e = model_forward(model, tokens, model.init_state(2))
     assert not np.array_equal(out_t.log_probs.data, out_e.log_probs.data)
     p = np.exp(out_t.log_probs.data)
@@ -495,6 +490,91 @@ def test_train_mode_dropout_changes_outputs_and_keeps_distributions():
     assert len(out_t.dropped_outputs) == 4
     assert not np.array_equal(out_t.raw_outputs[0].data,
                               out_t.dropped_outputs[0].data)
+
+
+def _np_log_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _np_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+def test_train_forward_matches_numpy_with_masks_in_draw_order(tied):
+    # The masks come from one generator in a fixed order: embedding rows
+    # [V x 1], each layer's recurrent weights, the input [B x E], each layer's
+    # output [B x H_i], the bottleneck [B x bottleneck_dim]. That order is what
+    # keeps trained bits reproducible per seed.
+    r_in, r_out, r_hid, r_emb, r_oth = 0.2, 0.25, 0.3, 0.1, 0.15
+    spec = DropoutSpec(input_rate=r_in, output_rate=r_out, hidden_rate=r_hid,
+                       embed_rate=r_emb, other_rate=r_oth)
+    cfg = tiny_config(lstm_layers=2, hidden_dim=6, last_hidden_dim=5, num_experts=3,
+                      tie_embeddings=tied, dropout=spec)
+    model = build_model(cfg, seed=26)
+    batch, steps = 3, 4
+    tokens = np.random.default_rng(27).integers(0, 10, size=(batch, steps))
+    rng = np.random.default_rng(28)
+    out = model_forward(model, tokens, model.init_state(batch), rng)
+
+    draw = np.random.default_rng(28)
+    mask = lambda shape, rate: (draw.random(shape) >= rate) / (1.0 - rate)
+    emb_m = mask((cfg.vocab_size, 1), r_emb)
+    wh_m = [mask(layer.wh.shape, r_hid) for layer in model.layers]
+    in_m = mask((batch, cfg.embed_dim), r_in)
+    out_m = [mask((batch, h), r_out) for h in cfg.layer_widths]
+    oth_m = mask((batch, cfg.bottleneck_dim), r_oth)
+    assert rng.random() == draw.random()  # no draw beyond these five kinds
+
+    emb = model.embedding.data * emb_m
+    out_w = model.embedding.data.T if tied else model.out_w.data
+    hs = [np.zeros((batch, h)) for h in cfg.layer_widths]
+    cs = [np.zeros((batch, h)) for h in cfg.layer_widths]
+    rows, raw, dropped = [], [], []
+    for t in range(steps):
+        x = emb[tokens[:, t]] * in_m
+        for i, layer in enumerate(model.layers):
+            n = layer.wh.shape[0]
+            z = x @ layer.wx.data + hs[i] @ (layer.wh.data * wh_m[i]) + layer.b.data
+            ig, fg = _np_sigmoid(z[:, :n]), _np_sigmoid(z[:, n:2 * n])
+            g, og = np.tanh(z[:, 2 * n:3 * n]), _np_sigmoid(z[:, 3 * n:])
+            cs[i] = fg * cs[i] + ig * g
+            hs[i] = og * np.tanh(cs[i])
+            x = hs[i] * out_m[i]
+        raw.append(hs[-1])
+        dropped.append(x)
+        bott = (x @ model.bottleneck_w.data + model.bottleneck_b.data) * oth_m
+        log_pi = _np_log_softmax(bott @ model.prior_w.data + model.prior_b.data)
+        comps = [log_pi[:, [k]] + _np_log_softmax(
+                     np.tanh(bott @ w.data + b.data) @ out_w + model.out_b.data)
+                 for k, (w, b) in enumerate(zip(model.expert_w, model.expert_b))]
+        rows.append(np.logaddexp.reduce(np.stack(comps), axis=0))
+
+    np.testing.assert_allclose(out.log_probs.data, np.concatenate(rows), rtol=0, atol=1e-12)
+    for got, want in zip(out.raw_outputs + out.dropped_outputs, raw + dropped):
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+    for (h, c), h_want, c_want in zip(out.state.layers, hs, cs):
+        np.testing.assert_allclose(h.data, h_want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c.data, c_want, rtol=0, atol=1e-12)
+
+
+def test_masks_shared_within_call_and_fresh_across_calls():
+    rate = 0.5
+    model = build_model(tiny_config(dropout=DropoutSpec(output_rate=rate)), seed=29)
+    tokens = np.random.default_rng(30).integers(0, 10, size=(2, 5))
+    rng = np.random.default_rng(31)
+
+    def step_masks():
+        out = model_forward(model, tokens, model.init_state(2), rng)
+        return [d.data / r.data for d, r in zip(out.dropped_outputs, out.raw_outputs)]
+
+    first, second = step_masks(), step_masks()
+    for masks in (first, second):
+        assert set(np.unique(masks[0])) == {0.0, 1.0 / (1.0 - rate)}
+        for m in masks[1:]:
+            assert np.array_equal(m, masks[0])
+    assert not np.array_equal(first[0], second[0])
 
 
 def test_state_detach_blocks_cross_segment_gradient():

@@ -5,10 +5,9 @@ import pytest
 
 import lmdistill.tensor as T
 from lmdistill.errors import ConfigError
-from lmdistill.regularization import (DropoutSpec, RegContext, activation_reg,
-                                      drop_connect, embedding_dropout,
-                                      variational_mask)
-from lmdistill.tensor import Tape, Tensor, backward
+from lmdistill.model import ModelConfig, build_model, model_forward
+from lmdistill.regularization import DropoutSpec, activation_reg, variational_mask
+from lmdistill.tensor import Tape, Tensor, backward, grad_check_params
 
 
 def test_dropout_spec_validation():
@@ -20,17 +19,9 @@ def test_dropout_spec_validation():
         DropoutSpec(ar_weight=-1.0)
 
 
-def test_reg_context_mode_validation():
-    with pytest.raises(ConfigError):
-        RegContext("predict")
-    assert RegContext("train").training
-    assert not RegContext("eval").training
-
-
 def test_mask_values_and_scaling():
-    ctx = RegContext("train", seed=0)
     rate = 0.4
-    m = variational_mask((200, 50), rate, ctx, "x").data
+    m = variational_mask((200, 50), rate, np.random.default_rng(0)).data
     keep = 1.0 / (1.0 - rate)
     vals = np.unique(m)
     assert set(vals) <= {0.0, keep}
@@ -38,95 +29,79 @@ def test_mask_values_and_scaling():
     assert abs(m.mean() - 1.0) < 0.05
 
 
-def test_mask_cached_within_sequence_and_fresh_after():
-    ctx = RegContext("train", seed=1)
-    a = variational_mask((4, 8), 0.5, ctx, ("out", 0))
-    b = variational_mask((4, 8), 0.5, ctx, ("out", 0))
-    assert a is b  # exact same tensor reused every step
-    other = variational_mask((4, 8), 0.5, ctx, ("out", 1))
-    assert not np.array_equal(a.data, other.data)
-    ctx.new_sequence()
-    c = variational_mask((4, 8), 0.5, ctx, ("out", 0))
-    assert c is not a
-    assert not np.array_equal(c.data, a.data)
+def test_mask_is_none_in_eval():
+    assert variational_mask((3, 5), 0.9, None) is None
 
 
-def test_mask_eval_mode_is_all_ones():
-    ctx = RegContext("eval")
-    m = variational_mask((3, 5), 0.9, ctx, "x")
-    assert np.array_equal(m.data, np.ones((3, 5)))
-
-
-def test_mask_rate_zero_is_all_ones_in_train():
-    ctx = RegContext("train", seed=2)
-    m = variational_mask((3, 5), 0.0, ctx, "x")
-    assert np.array_equal(m.data, np.ones((3, 5)))
+def test_mask_rate_zero_is_none_and_draws_nothing():
+    rng = np.random.default_rng(2)
+    assert variational_mask((3, 5), 0.0, rng) is None
+    assert rng.random() == np.random.default_rng(2).random()
 
 
 def test_mask_determinism_under_seed():
-    m1 = variational_mask((6, 6), 0.3, RegContext("train", seed=7), "r").data
-    m2 = variational_mask((6, 6), 0.3, RegContext("train", seed=7), "r").data
+    m1 = variational_mask((6, 6), 0.3, np.random.default_rng(7)).data
+    m2 = variational_mask((6, 6), 0.3, np.random.default_rng(7)).data
     assert np.array_equal(m1, m2)
+    rng = np.random.default_rng(7)
+    variational_mask((6, 6), 0.3, rng)
+    assert not np.array_equal(variational_mask((6, 6), 0.3, rng).data, m1)
 
 
-def test_mask_same_role_new_shape_gets_own_mask():
-    # shape is part of the cache key, so batch-size changes never collide
-    ctx = RegContext("train", seed=3)
-    a = variational_mask((4, 8), 0.5, ctx, "r")
-    b = variational_mask((2, 8), 0.5, ctx, "r")
-    assert a.shape == (4, 8) and b.shape == (2, 8)
-    assert variational_mask((4, 8), 0.5, ctx, "r") is a
+def _only(**rates):
+    # 1-layer untied model whose only nonzero dropout is the one given
+    config = ModelConfig(vocab_size=12, embed_dim=4, lstm_layers=1, hidden_dim=6,
+                         bottleneck_dim=4, num_experts=2, tie_embeddings=False,
+                         dropout=DropoutSpec(**rates))
+    return build_model(config, seed=3)
+
+
+TOKENS = np.arange(12).reshape(2, 6)  # every word once
+
+
+def _eval_log_probs(model):
+    return model_forward(model, TOKENS, model.init_state(2)).log_probs.data
+
+
+def _assert_eval_and_rate_zero_are_identities(rate_name):
+    plain = _eval_log_probs(_only())
+    assert np.array_equal(_eval_log_probs(_only(**{rate_name: 0.5})), plain)
+    off = _only(**{rate_name: 0.0})
+    train_off = model_forward(off, TOKENS, off.init_state(2), np.random.default_rng(0))
+    assert np.array_equal(train_off.log_probs.data, plain)
 
 
 def test_drop_connect_eval_is_identity():
-    w = Tensor(np.ones((4, 4)), requires_grad=True)
-    assert drop_connect(w, 0.5, RegContext("eval"), "wh") is w
-    assert drop_connect(w, 0.0, RegContext("train", seed=0), "wh") is w
-
-
-def test_drop_connect_masks_entries_and_caches_node():
-    ctx = RegContext("train", seed=4)
-    w = Tensor(np.full((10, 10), 3.0), requires_grad=True)
-    rate = 0.5
-    a = drop_connect(w, rate, ctx, ("wh", 0))
-    b = drop_connect(w, rate, ctx, ("wh", 0))
-    assert a is b  # one tape node shared by all steps of the sequence
-    vals = np.unique(a.data)
-    assert set(vals) <= {0.0, 3.0 / (1.0 - rate)}
-    assert 0.0 in vals and 3.0 / (1.0 - rate) in vals
-
-
-def test_drop_connect_gradient_only_through_kept_entries():
-    ctx = RegContext("train", seed=5)
-    w = Tensor(np.ones((6, 6)), requires_grad=True)
-    with Tape() as tape:
-        masked = drop_connect(w, 0.5, ctx, "wh")
-        loss = T.sum_all(masked)
-    backward(loss, tape)
-    dropped = masked.data == 0.0
-    assert np.all(w.grad[dropped] == 0.0)
-    assert np.all(w.grad[~dropped] == 2.0)  # 1/(1-rate)
-
-
-def test_embedding_dropout_zeroes_whole_rows():
-    ctx = RegContext("train", seed=6)
-    table = Tensor(np.arange(1.0, 41.0).reshape(20, 2), requires_grad=True)
-    rate = 0.4
-    out = embedding_dropout(table, rate, ctx)
-    scale = 1.0 / (1.0 - rate)
-    zero_rows = 0
-    for i in range(20):
-        row = out.data[i]
-        if np.all(row == 0.0):
-            zero_rows += 1
-        else:
-            assert np.array_equal(row, table.data[i] * scale)
-    assert 0 < zero_rows < 20
+    _assert_eval_and_rate_zero_are_identities("hidden_rate")
 
 
 def test_embedding_dropout_eval_identity():
-    table = Tensor(np.ones((5, 3)), requires_grad=True)
-    assert embedding_dropout(table, 0.7, RegContext("eval")) is table
+    _assert_eval_and_rate_zero_are_identities("embed_rate")
+
+
+def test_drop_connect_gradient_only_through_kept_entries():
+    rate = 0.5
+    model = _only(hidden_rate=rate)
+    with Tape() as tape:
+        out = model_forward(model, TOKENS, model.init_state(2), np.random.default_rng(5))
+        backward(T.sum_all(out.log_probs), tape)
+    # the recurrent-weight mask is the only draw
+    kept = np.random.default_rng(5).random(model.layers[0].wh.shape) >= rate
+    grad = model.layers[0].wh.grad
+    assert 0 < kept.sum() < kept.size
+    assert np.all(grad[~kept] == 0.0)
+    assert np.all(grad[kept] != 0.0)
+
+
+def test_embedding_dropout_zeroes_whole_rows():
+    rate = 0.4
+    model = _only(embed_rate=rate)
+    got = model_forward(model, TOKENS, model.init_state(2), np.random.default_rng(6))
+    # the embedding-row mask is the only draw; it keeps or drops whole rows
+    kept = np.random.default_rng(6).random((12, 1)) >= rate
+    assert 0 < kept.sum() < kept.size
+    model.embedding.data = model.embedding.data * (kept / (1.0 - rate))
+    assert np.array_equal(got.log_probs.data, _eval_log_probs(model))
 
 
 def test_activation_reg_hand_case():
@@ -164,13 +139,12 @@ def test_activation_reg_weight_validation():
 
 
 def test_activation_reg_gradients():
-    from lmdistill.tensor import grad_check
-
     def f(x):
         a = T.slice_cols(x, 0, 2)
         b = T.slice_cols(x, 2, 4)
         return activation_reg([a, b], [a, b], 0.7, 1.3)
 
     rng = np.random.default_rng(11)
-    report = grad_check(f, Tensor(rng.standard_normal((3, 4))))
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    report = grad_check_params(lambda: f(x), [("x", x)])["x"]
     assert report.passed, report

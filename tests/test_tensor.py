@@ -5,7 +5,7 @@ import pytest
 
 import lmdistill.tensor as T
 from lmdistill.errors import ContractError, NumericError, ShapeError
-from lmdistill.tensor import Tape, Tensor, backward, grad_check, grad_check_params
+from lmdistill.tensor import Tape, Tensor, backward, grad_check_params
 
 
 def rnd(rng, *shape):
@@ -284,7 +284,8 @@ OP_NAMES = ["matmul_left", "matmul_right", "add", "add_bias", "sub", "mul", "sca
 def test_op_gradient_matches_finite_differences(name):
     for seed in range(10):
         f, x = _op_case(name, np.random.default_rng(seed))
-        report = grad_check(f, x)
+        x.requires_grad = True
+        report = grad_check_params(lambda: f(x), [("x", x)])["x"]
         assert report.passed, f"{name} seed {seed}: {report}"
 
 
@@ -314,18 +315,16 @@ def test_grad_check_fails_on_corrupted_backward():
     rng = np.random.default_rng(8)
     w = Tensor(rng.standard_normal((3, 3)))
     f = lambda x: T.sum_all(T.mul(bad_tanh(x), w))
-    report = grad_check(f, Tensor(rng.standard_normal((3, 3))))
+    x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    report = grad_check_params(lambda: f(x), [("x", x)])["x"]
     assert not report.passed
 
 
-def test_grad_check_rejects_non_scalar_and_restores_x():
-    x = Tensor(np.ones((2, 2)))
+def test_grad_check_rejects_non_scalar():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ContractError, match="scalar"):
-        grad_check(lambda t: T.mul(t, t), x)
-    assert x.requires_grad is False and x.grad is None
-    report = grad_check(lambda t: T.sum_all(T.mul(t, t)), x)
-    assert report.passed
-    assert x.requires_grad is False and x.grad is None
+        grad_check_params(lambda: T.mul(x, x), [("x", x)])
+    assert grad_check_params(lambda: T.sum_all(T.mul(x, x)), [("x", x)])["x"].passed
 
 
 # ---------------------------------------------------------------------------
