@@ -5,8 +5,7 @@ rescoring of speech hypotheses."""
 from .data import BpttBatch, TokenStream, Vocabulary, bptt_batches, build_vocab, encode
 from .errors import (ConfigError, ContractError, DataError, FormatError,
                      NumericError, ShapeError, TrainingError, UserError)
-from .losses import (DistillLossSpec, SoftLabelBatch, ce_loss, distill_loss,
-                     fixed_interp_loss, kl_loss, tr_loss)
+from .losses import DistillLossSpec, distill_loss
 from .model import (ForwardResult, LmModel, LmState, ModelConfig, build_model,
                     lstm_step, model_forward, param_count)
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -14,7 +13,7 @@ from .regularization import DropoutSpec, activation_reg, variational_mask
 from .rescore import (NbestEntry, RescoreConfig, WerReport, combine_and_select,
                       parse_nbest, rescore_nbest, score_hypothesis, wer)
 from .tensor import Tape, Tensor, backward, grad_check_params
-from .training import (OneHotOracle, TeacherEnsemble, TrainConfig,
-                       ensemble_predict, perplexity, train)
+from .training import (TeacherEnsemble, TrainConfig, ensemble_predict, perplexity,
+                       step_loss, train)
 
 __version__ = "0.1.0"

@@ -17,16 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import TokenStream, Vocabulary, build_vocab, encode
+from .data import BpttBatch, TokenStream, Vocabulary, build_vocab, encode
 from .errors import ConfigError, DataError, UserError
-from .losses import LOSS_VARIANTS, DistillLossSpec, distill_loss
-from .model import ModelConfig, build_model, flatten_targets, model_forward
-from .regularization import DropoutSpec, activation_reg
+from .losses import LOSS_VARIANTS, DistillLossSpec
+from .model import ModelConfig, build_model
+from .regularization import DropoutSpec
 from .rescore import (RescoreConfig, parse_nbest, parse_refs, rescore_nbest, wer)
 from .tensor import GradCheckReport, grad_check_params
-from .training import TeacherEnsemble, TrainConfig, perplexity, train
+from .training import TeacherEnsemble, TrainConfig, perplexity, step_loss, train
 
 # ---------------------------------------------------------------------------
 # run configuration
@@ -344,17 +343,17 @@ def cmd_grad_check(args) -> int:
 def grad_check_rows() -> list[tuple[str, GradCheckReport]]:
     """Finite-difference check of the full training loss, one row per loss variant.
 
-    The loss is composed as train() composes it: model_forward in train mode,
-    distill_loss, plus activation_reg. The tiny model has two LSTM layers (the
-    last narrower), K=3 experts, every dropout and AR/TAR on; tied and untied
-    output matrices alternate. Each row names the variant, the tying and the
-    parameter with the worst relative error.
+    The loss is training.step_loss, the function train() calls: model_forward
+    in train mode, distill_loss, plus activation_reg. The tiny model has two
+    LSTM layers (the last narrower), K=3 experts, every dropout and AR/TAR on;
+    tied and untied output matrices alternate. Each row names the variant, the
+    tying and the parameter with the worst relative error.
     """
-    vocab, batch, steps, seed = 8, 2, 3, 0
+    vocab, lanes, steps, seed = 8, 2, 3, 0
     rng = np.random.default_rng(seed)
-    tokens = rng.integers(0, vocab, size=(batch, steps))
-    y = flatten_targets(rng.integers(0, vocab, size=(batch, steps)))
-    q = rng.dirichlet(np.ones(vocab), size=batch * steps)
+    batch = BpttBatch(rng.integers(0, vocab, size=(lanes, steps)),
+                      rng.integers(0, vocab, size=(lanes, steps)))
+    q = rng.dirichlet(np.ones(vocab), size=lanes * steps)
     rates = DropoutSpec(input_rate=0.2, output_rate=0.2, hidden_rate=0.2, embed_rate=0.2,
                         other_rate=0.2, ar_weight=2.0, tar_weight=1.0)
     rows = []
@@ -369,11 +368,8 @@ def grad_check_rows() -> list[tuple[str, GradCheckReport]]:
 
         def loss_fn():
             # A fresh generator per evaluation draws the same masks every time.
-            out = model_forward(model, tokens, model.init_state(batch),
-                                np.random.default_rng(seed))
-            reg = activation_reg(out.dropped_outputs, out.raw_outputs,
-                                 rates.ar_weight, rates.tar_weight)
-            return T.add(distill_loss(spec, out.log_probs, y, soft), reg)
+            return step_loss(model, batch, model.init_state(lanes), spec, soft,
+                             np.random.default_rng(seed))[0]
 
         reports = grad_check_params(loss_fn, model.parameters())
         worst_name, worst = max(reports.items(), key=lambda kv: kv[1].max_rel_err)

@@ -25,6 +25,20 @@ RNN_UNK = "<rnn_unk>"
 _SPECIALS = (EOS, UNK, RNN_UNK)
 
 
+def _first_bad_word(words: list[str]) -> tuple[int, str] | None:
+    """(index, reason) of the first word that breaks "specials first, no duplicates"."""
+    if words[:3] != list(_SPECIALS):
+        i = next((i for i, (w, s) in enumerate(zip(words, _SPECIALS)) if w != s), len(words) - 1)
+        return i, f"vocabulary must start with {_SPECIALS}"
+    if len(set(words)) < len(words):
+        seen = set()
+        for i, w in enumerate(words):
+            if w in seen:
+                return i, f"vocabulary has duplicate word {w!r}"
+            seen.add(w)
+    return None
+
+
 @dataclass
 class Vocabulary:
     words: list[str]  # id -> word, dense, specials first
@@ -32,10 +46,9 @@ class Vocabulary:
     rare: set[str] = field(default_factory=set)  # listed-rank words remapped to rnn_unk
 
     def __post_init__(self):
-        if self.words[:3] != list(_SPECIALS):
-            raise FormatError(f"vocabulary must start with {_SPECIALS}")
-        if len(self.words) != len(set(self.words)):
-            raise FormatError("vocabulary has duplicate words")
+        bad = _first_bad_word(self.words)
+        if bad is not None:
+            raise FormatError(bad[1])
         if len(self.counts) != len(self.words):
             raise FormatError("vocabulary words/counts length mismatch")
         self._ids = {w: i for i, w in enumerate(self.words)}
@@ -74,7 +87,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        words, counts, rare = [], [], set()
+        words, counts, linenos, rare = [], [], [], set()
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
                 line = line.rstrip("\n")
@@ -91,8 +104,12 @@ class Vocabulary:
                     rare.add(parts[0])  # a rare word: maps to rnn_unk, has no id
                     continue
                 words.append(parts[0])
+                linenos.append(lineno)
         if not words:
             raise FormatError(f"{path}: empty vocabulary file")
+        bad = _first_bad_word(words)
+        if bad is not None:
+            raise FormatError(f"{path}:{linenos[bad[0]]}: {bad[1]}")
         return cls(words, counts, rare)
 
 

@@ -1,11 +1,20 @@
-"""Distillation objectives over next-word distributions.
+"""The distillation objective over next-word distributions.
 
-All losses take model log-probabilities log P ([N x V], rows log-sum-exp to
-0, N positions flattened time-major), as the model head produces them, and
-average over positions in natural log.
-The teacher distribution Q and target ids y are fixed data, never
-differentiated through; the per-position trust weight R = -alpha*log(1 - Q[y])
-is likewise a constant during backprop.
+The trust-regularized loss and its three baselines are one objective over
+model log-probabilities log P ([N x V], rows log-sum-exp to 0, N positions
+flattened time-major), as the model head produces them, in natural log:
+
+    L = -(1/N) * sum_i [ h * w_i * log P[i, y_i] + s * sum_x Q[i, x] * log P[i, x] ]
+
+    variant       (h, s)
+    ce_only       (1, 0)
+    kl_only       (0, 1)
+    fixed_interp  (alpha, 1 - alpha)   (Hinton et al. 2015)
+    trust_reg     (1, 1), w_i = R_i = -alpha * log(1 - Q[i, y_i]); else w_i = 1
+
+The soft term is KL(Q || P) plus the constant teacher entropy H(Q), so its
+gradient in P is that of the KL divergence. Q, y and R are fixed data, never
+differentiated through.
 """
 
 from __future__ import annotations
@@ -18,11 +27,16 @@ from . import tensor as T
 from .errors import ConfigError, DataError, ShapeError
 from .tensor import Tensor
 
-__all__ = ["DistillLossSpec", "SoftLabelBatch", "ce_loss", "kl_loss",
-           "fixed_interp_loss", "trust_weights", "tr_loss", "distill_loss",
-           "LOSS_VARIANTS"]
+__all__ = ["DistillLossSpec", "trust_weights", "distill_loss", "LOSS_VARIANTS"]
 
-LOSS_VARIANTS = ("ce_only", "kl_only", "fixed_interp", "trust_reg")
+# variant -> (h, s) as a function of alpha, in the grad-check's row order
+_WEIGHTS = {
+    "ce_only": lambda alpha: (1.0, 0.0),
+    "kl_only": lambda alpha: (0.0, 1.0),
+    "fixed_interp": lambda alpha: (alpha, 1.0 - alpha),
+    "trust_reg": lambda alpha: (1.0, 1.0),
+}
+LOSS_VARIANTS = tuple(_WEIGHTS)
 
 # Q[y] is clamped below 1 by this margin so the trust weight stays finite on
 # a fully confident teacher.
@@ -48,60 +62,6 @@ class DistillLossSpec:
         return self.variant != "ce_only"
 
 
-@dataclass
-class SoftLabelBatch:
-    """Teacher distributions Q [N x V] and target ids y [N] for one batch."""
-
-    q: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
-        if self.q.ndim != 2:
-            raise ShapeError(f"Q must be [N x V], got shape {self.q.shape}")
-        n, v = self.q.shape
-        if self.y.shape != (n,):
-            raise ShapeError(f"y shaped {self.y.shape}, expected ({n},)")
-        bad = np.nonzero((self.y < 0) | (self.y >= v))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise DataError(f"target id {int(self.y[i])} at position {i} out of range [0, {v})")
-        sums = self.q.sum(axis=1)
-        off = np.nonzero(np.abs(sums - 1.0) > 1e-6)[0]
-        if off.size:
-            i = int(off[0])
-            raise DataError(f"teacher row {i} sums to {sums[i]!r}, expected 1 within 1e-6")
-
-
-def _check_dist(log_p: Tensor, what: str) -> int:
-    if log_p.data.ndim != 2:
-        raise ShapeError(f"{what} needs [N x V] log-probabilities, got shape {log_p.data.shape}")
-    n = log_p.data.shape[0]
-    if n == 0:
-        raise ShapeError(f"{what} needs at least one position")
-    return n
-
-
-def ce_loss(log_p: Tensor, y: np.ndarray) -> Tensor:
-    """Mean over positions of -log P[i, y[i]]."""
-    n = _check_dist(log_p, "ce_loss")
-    return T.scale(T.sum_all(T.pick_cols(log_p, y)), -1.0 / n)
-
-
-def kl_loss(log_p: Tensor, q) -> Tensor:
-    """Teacher-weighted cross entropy: mean over positions of -sum_x Q[x] log P[x].
-
-    Equals KL(Q || P) plus the constant teacher entropy H(Q), so its gradient
-    in P is the gradient of the KL divergence.
-    """
-    n = _check_dist(log_p, "kl_loss")
-    q = q if isinstance(q, Tensor) else Tensor(q)
-    if q.shape != log_p.shape:
-        raise ShapeError(f"teacher shaped {q.shape}, model shaped {log_p.shape}")
-    return T.scale(T.sum_all(T.mul(q, log_p)), -1.0 / n)
-
-
 def trust_weights(q: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Per-position CE weights R = -alpha * log(1 - Q[i, y[i]]), Q[y] clamped below 1; [N]."""
     if alpha <= 0.0:
@@ -110,49 +70,44 @@ def trust_weights(q: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     return -alpha * np.log(1.0 - qy)
 
 
-def tr_loss(log_p: Tensor, q: np.ndarray, y: np.ndarray, alpha: float) -> Tensor:
-    """Trust-regularized objective: mean_i [ R_i * (-log P[i,y_i]) ] + kl_loss.
-
-    R_i is the teacher's confidence in the ground truth mapped through
-    -alpha*log(1-q); a confident teacher re-weights the hard-label CE term up,
-    an unsure one leaves the soft KL term in charge. R is a constant in the
-    backward pass (no gradient flows into it).
-    """
-    n = _check_dist(log_p, "tr_loss")
-    q = np.asarray(q, dtype=np.float64)
-    r = trust_weights(q, np.asarray(y, dtype=np.int64), alpha)
-    weighted = T.scale(T.sum_all(T.mul(T.pick_cols(log_p, y), Tensor(r))), -1.0 / n)
-    return T.add(weighted, kl_loss(log_p, Tensor(q)))
-
-
-def fixed_interp_loss(log_p: Tensor, q: np.ndarray, y: np.ndarray, alpha: float) -> Tensor:
-    """alpha * ce_loss + (1 - alpha) * kl_loss with alpha in [0, 1].
-
-    The endpoints are explicit branches so alpha=1 is ce_loss and alpha=0 is
-    kl_loss bitwise, not merely up to rounding of a 0-weighted term.
-    """
-    if not (0.0 <= alpha <= 1.0):
-        raise ConfigError(f"fixed_interp needs alpha in [0, 1], got {alpha}")
-    if alpha == 1.0:
-        return ce_loss(log_p, y)
-    if alpha == 0.0:
-        return kl_loss(log_p, Tensor(np.asarray(q, dtype=np.float64)))
-    return T.add(T.scale(ce_loss(log_p, y), alpha),
-                 T.scale(kl_loss(log_p, Tensor(np.asarray(q, dtype=np.float64))), 1.0 - alpha))
-
-
 def distill_loss(spec: DistillLossSpec, log_p: Tensor, y: np.ndarray,
                  q: np.ndarray | None = None) -> Tensor:
-    """Dispatch on the configured variant. q is required unless ce_only."""
+    """The objective above for spec's variant. q is required unless ce_only.
+
+    A term whose weight is 0 is not built and a weight of 1 is not applied, so
+    fixed_interp at alpha 1 or 0 is ce_only or kl_only bitwise.
+    """
     if spec.needs_teacher:
         if q is None:
             raise ConfigError(f"loss variant {spec.variant!r} needs teacher distributions")
     elif q is not None:
         raise ConfigError("ce_only takes no teacher distributions")
-    if spec.variant == "ce_only":
-        return ce_loss(log_p, y)
-    if spec.variant == "kl_only":
-        return kl_loss(log_p, Tensor(np.asarray(q, dtype=np.float64)))
-    if spec.variant == "fixed_interp":
-        return fixed_interp_loss(log_p, q, y, spec.alpha)
-    return tr_loss(log_p, q, y, spec.alpha)
+    if log_p.data.ndim != 2:
+        raise ShapeError(f"distill_loss needs [N x V] log-probs, got shape {log_p.data.shape}")
+    n = log_p.data.shape[0]
+    if n == 0:
+        raise ShapeError("distill_loss needs at least one position")
+    if q is not None:
+        q = np.asarray(q, dtype=np.float64)
+        if q.shape != log_p.data.shape:
+            raise ShapeError(f"teacher shaped {q.shape}, model shaped {log_p.data.shape}")
+        sums = q.sum(axis=1)
+        off = np.nonzero(~(np.abs(sums - 1.0) <= 1e-6))[0]  # NaN and inf rows too
+        if off.size:
+            i = int(off[0])
+            raise DataError(f"teacher row {i} sums to {sums[i]!r}, expected 1 within 1e-6")
+
+    h, s = _WEIGHTS[spec.variant](spec.alpha)
+    terms = []
+    if h != 0.0:
+        hard = T.pick_cols(log_p, y)
+        if spec.variant == "trust_reg":
+            hard = T.mul(hard, Tensor(trust_weights(q, np.asarray(y, np.int64), spec.alpha)))
+        terms.append(_weighted(T.scale(T.sum_all(hard), -1.0 / n), h))
+    if s != 0.0:
+        terms.append(_weighted(T.scale(T.sum_all(T.mul(Tensor(q), log_p)), -1.0 / n), s))
+    return terms[0] if len(terms) == 1 else T.add(*terms)
+
+
+def _weighted(term: Tensor, weight: float) -> Tensor:
+    return term if weight == 1.0 else T.scale(term, weight)

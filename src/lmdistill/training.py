@@ -1,10 +1,12 @@
-"""Training loop, teacher ensembling, and perplexity evaluation.
+"""Training loop, the step loss, teacher ensembling, and perplexity evaluation.
 
-Optimization is plain SGD with global-norm gradient clipping, optional
-plateau LR decay, and optional ASGD-style parameter averaging that arms after
-a configurable number of non-improving validation epochs. Teacher soft labels
-are computed on the fly per batch; teacher state is carried across the same
-token lanes the student sees. Everything is deterministic per (config, seed).
+step_loss is one step's loss (train-mode forward, distill_loss, AR/TAR), for
+train() and the grad-check alike. Optimization is plain SGD with global-norm
+gradient clipping, optional plateau LR decay, and optional ASGD-style
+parameter averaging that arms after a configurable number of non-improving
+validation epochs. Teacher soft labels are computed on the fly per batch;
+teacher state is carried across the same token lanes the student sees.
+Everything is deterministic per (config, seed).
 """
 
 from __future__ import annotations
@@ -15,15 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import TokenStream, bptt_batches
+from .data import BpttBatch, TokenStream, bptt_batches
 from .errors import ConfigError, DataError, TrainingError
-from .losses import DistillLossSpec, SoftLabelBatch, distill_loss
-from .model import LmModel, LmState, flatten_targets, model_forward
+from .losses import DistillLossSpec, distill_loss
+from .model import ForwardResult, LmModel, LmState, flatten_targets, model_forward
 from .regularization import activation_reg
 from .tensor import Tape, Tensor, backward
 
 __all__ = ["TrainConfig", "EpochLog", "TrainResult", "TeacherEnsemble",
-           "OneHotOracle", "ensemble_predict", "train", "perplexity",
+           "ensemble_predict", "step_loss", "train", "perplexity",
            "clip_gradients"]
 
 
@@ -127,22 +129,6 @@ def ensemble_predict(ensemble: TeacherEnsemble, tokens: np.ndarray,
     return total / len(ensemble.members), new_states
 
 
-class OneHotOracle:
-    """Degenerate teacher that puts all mass on the true next token."""
-
-    def __init__(self, vocab_size: int):
-        self.vocab_size = vocab_size
-
-    def reset_state(self, batch_size: int) -> None:
-        pass
-
-    def soft_labels(self, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        y = flatten_targets(targets)
-        q = np.zeros((y.shape[0], self.vocab_size))
-        q[np.arange(y.shape[0]), y] = 1.0
-        return q
-
-
 def clip_gradients(params: list[tuple[str, Tensor]], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
 
@@ -186,6 +172,22 @@ def _restore(params, snap: list[np.ndarray]) -> None:
         p.data = arr.copy()
 
 
+def step_loss(model: LmModel, batch: BpttBatch, state: LmState, spec: DistillLossSpec,
+              q: np.ndarray | None, rng: np.random.Generator) -> tuple[Tensor, ForwardResult]:
+    """Train-mode forward, distill_loss, plus AR/TAR when either weight is > 0.
+
+    train() and the grad-check both call this, so the check covers the loss
+    that training runs.
+    """
+    out = model_forward(model, batch.inputs, state, rng)
+    loss = distill_loss(spec, out.log_probs, flatten_targets(batch.targets), q)
+    rates = model.config.dropout
+    if rates.ar_weight > 0 or rates.tar_weight > 0:
+        loss = T.add(loss, activation_reg(out.dropped_outputs, out.raw_outputs,
+                                          rates.ar_weight, rates.tar_weight))
+    return loss, out
+
+
 def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
           cfg: TrainConfig, teacher=None, log_fn=None) -> TrainResult:
     """Train the model in place; on return it holds the best-validation params.
@@ -202,8 +204,6 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
     batches = bptt_batches(train_stream, cfg.batch_size, cfg.bptt_len)
     params = model.parameters()
     dropout_rng = np.random.default_rng(cfg.seed)
-    rates = model.config.dropout
-    use_reg = rates.ar_weight > 0 or rates.tar_weight > 0
 
     logs: list[EpochLog] = []
     lr = cfg.lr
@@ -220,16 +220,8 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
         loss_sum = 0.0
         for bi, batch in enumerate(batches):
             q = teacher.soft_labels(batch.inputs, batch.targets) if teacher is not None else None
-            y = flatten_targets(batch.targets)
-            if q is not None:
-                q = SoftLabelBatch(q, y).q  # validates rows and ids
             with Tape() as tape:
-                out = model_forward(model, batch.inputs, state, dropout_rng)
-                loss = distill_loss(cfg.loss, out.log_probs, y, q)
-                if use_reg:
-                    loss = T.add(loss, activation_reg(
-                        out.dropped_outputs, out.raw_outputs,
-                        rates.ar_weight, rates.tar_weight))
+                loss, out = step_loss(model, batch, state, cfg.loss, q, dropout_rng)
                 value = float(loss.data)
                 if not math.isfinite(value):
                     raise TrainingError(

@@ -14,14 +14,14 @@ import pytest
 from lmdistill import tensor as T
 from lmdistill.cli import dispatch, grad_check_rows, load_config
 from lmdistill.data import build_vocab, encode
-from lmdistill.losses import (LOSS_VARIANTS, DistillLossSpec, ce_loss,
-                              fixed_interp_loss, kl_loss, trust_weights)
+from lmdistill.losses import (LOSS_VARIANTS, DistillLossSpec, distill_loss,
+                              trust_weights)
 from lmdistill.model import (ModelConfig, build_model, model_forward,
                              param_count)
 from lmdistill.rescore import edit_ops
 from lmdistill.tensor import Tape, Tensor, backward
-from lmdistill.training import (OneHotOracle, TeacherEnsemble, TrainConfig,
-                                perplexity, train)
+from lmdistill.training import TeacherEnsemble, TrainConfig, perplexity, train
+from oracles import OneHotOracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -58,6 +58,8 @@ def test_criterion_2_loss_identities():
     y = rng.integers(0, v, size=n)
     q_onehot = np.zeros((n, v))
     q_onehot[np.arange(n), y] = 1.0
+    ce = DistillLossSpec("ce_only")
+    kl = DistillLossSpec("kl_only")
 
     def loss_and_grad(loss_of_log_p):
         x = Tensor(rng.standard_normal((n, v)).copy(), requires_grad=True)
@@ -66,23 +68,23 @@ def test_criterion_2_loss_identities():
         return x
 
     rng = np.random.default_rng(2)  # same logits for every loss below
-    ce_x = loss_and_grad(lambda log_p: ce_loss(log_p, y))
+    ce_x = loss_and_grad(lambda log_p: distill_loss(ce, log_p, y))
     rng = np.random.default_rng(2)
-    kl_x = loss_and_grad(lambda log_p: kl_loss(log_p, Tensor(q_onehot)))
+    kl_x = loss_and_grad(lambda log_p: distill_loss(kl, log_p, y, q_onehot))
     grads_match = np.array_equal(ce_x.grad, kl_x.grad)
 
     x = Tensor(np.random.default_rng(3).standard_normal((n, v)))
     log_p = T.log_softmax_rows(x)
-    ce_v = float(ce_loss(log_p, y).data)
-    kl_v = float(kl_loss(log_p, Tensor(q_onehot)).data)
+    ce_v = float(distill_loss(ce, log_p, y).data)
+    kl_v = float(distill_loss(kl, log_p, y, q_onehot).data)
     values_match = math.isclose(ce_v, kl_v, rel_tol=1e-12)
 
     q = np.random.default_rng(4).uniform(0.1, 1.0, (n, v))
     q /= q.sum(axis=1, keepdims=True)
     ends_match = (
-        float(fixed_interp_loss(log_p, q, y, 1.0).data) == ce_v
-        and float(fixed_interp_loss(log_p, q, y, 0.0).data)
-        == float(kl_loss(log_p, Tensor(q)).data))
+        float(distill_loss(DistillLossSpec("fixed_interp", 1.0), log_p, y, q).data) == ce_v
+        and float(distill_loss(DistillLossSpec("fixed_interp", 0.0), log_p, y, q).data)
+        == float(distill_loss(kl, log_p, y, q).data))
 
     row = np.full(v, 0.01)
     row[2] = 1.0 - math.exp(-1.0)

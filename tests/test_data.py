@@ -147,6 +147,15 @@ def test_vocabulary_load_errors(tmp_path):
     nofield.write_text("just-a-word\n", encoding="utf-8")
     with pytest.raises(FormatError, match="nofield.txt:1"):
         Vocabulary.load(nofield)
+    dup = tmp_path / "dup.txt"
+    dup.write_text(f"{EOS}\t1\n{UNK}\t0\n{RNN_UNK}\t0\nword\t2\nrare\t<rnn_unk>\n"
+                   "word\t1\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="dup.txt:6: vocabulary has duplicate word 'word'"):
+        Vocabulary.load(dup)
+    order = tmp_path / "order.txt"
+    order.write_text(f"{EOS}\t1\n\n{RNN_UNK}\t0\n{UNK}\t0\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="order.txt:3: vocabulary must start with"):
+        Vocabulary.load(order)
     empty = tmp_path / "empty.txt"
     empty.write_text("", encoding="utf-8")
     with pytest.raises(FormatError):

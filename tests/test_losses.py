@@ -1,6 +1,6 @@
-"""Distillation losses: hand-arithmetic oracles, identities, gradient checks.
+"""The distillation objective: hand-arithmetic oracles, identities, gradient checks.
 
-The losses take log-probabilities, so hand-computed cases pass np.log(P).
+distill_loss takes log-probabilities, so hand-computed cases pass np.log(P).
 """
 
 import math
@@ -10,9 +10,7 @@ import pytest
 
 import lmdistill.tensor as T
 from lmdistill.errors import ConfigError, DataError, ShapeError
-from lmdistill.losses import (TRUST_CLAMP, DistillLossSpec, SoftLabelBatch,
-                              ce_loss, distill_loss, fixed_interp_loss, kl_loss,
-                              tr_loss, trust_weights)
+from lmdistill.losses import TRUST_CLAMP, DistillLossSpec, distill_loss, trust_weights
 from lmdistill.tensor import Tape, Tensor, backward, grad_check_params
 
 
@@ -22,6 +20,57 @@ def log_rows(*data):
 
 def random_dist(rng, n, v):
     return rng.dirichlet(np.ones(v), size=n)
+
+
+# distill_loss per variant, in the argument order the cases below read best in
+
+
+def ce_loss(log_p, y):
+    return distill_loss(DistillLossSpec("ce_only"), log_p, y)
+
+
+def kl_loss(log_p, q):
+    return distill_loss(DistillLossSpec("kl_only"), log_p,
+                        np.zeros(log_p.shape[0], dtype=np.int64), q)
+
+
+def fixed_interp_loss(log_p, q, y, alpha):
+    return distill_loss(DistillLossSpec("fixed_interp", alpha=alpha), log_p, y, q)
+
+
+def tr_loss(log_p, q, y, alpha):
+    return distill_loss(DistillLossSpec("trust_reg", alpha=alpha), log_p, y, q)
+
+
+# ---------------------------------------------------------------------------
+# oracle: each variant as its own composition of tape ops, as the losses were
+# written before they became one weighted objective
+
+
+def oracle_ce(log_p, y):
+    n = log_p.shape[0]
+    return T.scale(T.sum_all(T.pick_cols(log_p, y)), -1.0 / n)
+
+
+def oracle_kl(log_p, q):
+    n = log_p.shape[0]
+    return T.scale(T.sum_all(T.mul(Tensor(q), log_p)), -1.0 / n)
+
+
+def oracle_fixed_interp(log_p, q, y, alpha):
+    if alpha == 1.0:
+        return oracle_ce(log_p, y)
+    if alpha == 0.0:
+        return oracle_kl(log_p, q)
+    return T.add(T.scale(oracle_ce(log_p, y), alpha),
+                 T.scale(oracle_kl(log_p, q), 1.0 - alpha))
+
+
+def oracle_tr(log_p, q, y, alpha):
+    n = log_p.shape[0]
+    r = trust_weights(q, y, alpha)
+    weighted = T.scale(T.sum_all(T.mul(T.pick_cols(log_p, y), Tensor(r))), -1.0 / n)
+    return T.add(weighted, oracle_kl(log_p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +251,7 @@ def test_tr_loss_weight_is_constant_in_backward():
     def manual(log_p):
         nll = T.scale(T.pick_cols(log_p, y), -1.0)
         weighted = T.scale(T.sum_all(T.mul(nll, Tensor(r))), 1.0 / 3)
-        return T.add(weighted, kl_loss(log_p, Tensor(q)))
+        return T.add(weighted, T.scale(T.sum_all(T.mul(Tensor(q), log_p)), -1.0 / 3))
 
     def grad_of(loss_fn):
         logits = Tensor(logits_data.copy(), requires_grad=True)
@@ -274,8 +323,9 @@ def test_fixed_interp_midpoint_value():
 
 def test_fixed_interp_alpha_range():
     p = Tensor(np.log(np.full((1, 2), 0.5)))
-    with pytest.raises(ConfigError):
-        fixed_interp_loss(p, np.full((1, 2), 0.5), np.array([0]), 1.5)
+    for alpha in (-0.1, 1.5):
+        with pytest.raises(ConfigError):
+            fixed_interp_loss(p, np.full((1, 2), 0.5), np.array([0]), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +345,35 @@ def test_spec_validation():
 
 
 def test_distill_loss_dispatch_matches_direct_calls():
+    # value and log P gradient bitwise equal to each variant's own composition
     rng = np.random.default_rng(11)
-    p = Tensor(np.log(random_dist(rng, 4, 5)))
+    p_data = np.log(random_dist(rng, 4, 5))
     q = random_dist(rng, 4, 5)
     y = rng.integers(0, 5, size=4)
-    assert distill_loss(DistillLossSpec("ce_only"), p, y).item() == \
-        ce_loss(p, y).item()
-    assert distill_loss(DistillLossSpec("kl_only"), p, y, q).item() == \
-        kl_loss(p, q).item()
-    assert distill_loss(DistillLossSpec("fixed_interp", alpha=0.3), p, y, q).item() == \
-        fixed_interp_loss(p, q, y, 0.3).item()
-    assert distill_loss(DistillLossSpec("trust_reg", alpha=0.3), p, y, q).item() == \
-        tr_loss(p, q, y, 0.3).item()
+    cases = [
+        ("ce_only", 0.1, lambda p: oracle_ce(p, y)),
+        ("kl_only", 0.1, lambda p: oracle_kl(p, q)),
+        ("fixed_interp", 0.0, lambda p: oracle_fixed_interp(p, q, y, 0.0)),
+        ("fixed_interp", 0.3, lambda p: oracle_fixed_interp(p, q, y, 0.3)),
+        ("fixed_interp", 1.0, lambda p: oracle_fixed_interp(p, q, y, 1.0)),
+        ("trust_reg", 0.3, lambda p: oracle_tr(p, q, y, 0.3)),
+    ]
+
+    def value_and_grad(loss_fn):
+        log_p = Tensor(p_data.copy(), requires_grad=True)
+        with Tape() as tape:
+            loss = loss_fn(log_p)
+        backward(loss, tape)
+        return loss.data, log_p.grad, len(tape.nodes)
+
+    for variant, alpha, oracle in cases:
+        spec = DistillLossSpec(variant, alpha=alpha)
+        got = value_and_grad(
+            lambda p: distill_loss(spec, p, y, q if spec.needs_teacher else None))
+        want = value_and_grad(oracle)
+        assert np.array_equal(got[0], want[0]), (variant, alpha)
+        assert np.array_equal(got[1], want[1]), (variant, alpha)
+        assert got[2] == want[2], (variant, alpha)
 
 
 def test_distill_loss_teacher_presence_contract():
@@ -320,16 +387,28 @@ def test_distill_loss_teacher_presence_contract():
 
 
 def test_soft_label_batch_validation():
+    p = Tensor(np.log(np.full((2, 3), 1 / 3)))
     q = np.full((2, 3), 1 / 3)
-    SoftLabelBatch(q, np.array([0, 2]))
-    with pytest.raises(DataError):
-        SoftLabelBatch(q, np.array([0, 3]))  # id out of range
+    fixed_interp_loss(p, q, np.array([0, 2]), 0.5)
+    with pytest.raises(ShapeError):
+        fixed_interp_loss(p, q, np.array([0, 3]), 0.5)  # id out of range
     bad = q.copy()
     bad[1, 0] += 0.01
-    with pytest.raises(DataError):
-        SoftLabelBatch(bad, np.array([0, 1]))  # row does not sum to 1
+    with pytest.raises(DataError, match="teacher row 1"):
+        kl_loss(p, bad)  # row does not sum to 1
     with pytest.raises(ShapeError):
-        SoftLabelBatch(np.full(3, 1 / 3), np.array([0]))
+        kl_loss(p, np.full(3, 1 / 3))
+    with pytest.raises(ShapeError):
+        kl_loss(p, np.full((3, 3), 1 / 3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_teacher_row_is_rejected(bad):
+    # |sum - 1| > 1e-6 is False for NaN, so the check must read "not within"
+    q = np.full((3, 2), 0.5)
+    q[2] = [bad, 1.0]
+    with pytest.raises(DataError, match="teacher row 2"):
+        kl_loss(Tensor(np.log(np.full((3, 2), 0.5))), q)
 
 
 def test_loss_gradient_checks_through_softmax():

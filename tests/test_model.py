@@ -578,7 +578,7 @@ def test_masks_shared_within_call_and_fresh_across_calls():
 
 
 def test_state_detach_blocks_cross_segment_gradient():
-    from lmdistill.losses import ce_loss
+    from lmdistill.losses import DistillLossSpec, distill_loss
     from lmdistill.tensor import Tape, backward
 
     model = build_model(tiny_config(), seed=24)
@@ -588,7 +588,7 @@ def test_state_detach_blocks_cross_segment_gradient():
         first = model_forward(model, tokens, model.init_state(1))
         carried = first.state.detach()
         second = model_forward(model, tokens, carried)
-        loss = ce_loss(second.log_probs, flatten_targets(tokens))
+        loss = distill_loss(DistillLossSpec(), second.log_probs, flatten_targets(tokens))
         backward(loss, tape)
     for h, c in carried.layers:
         assert h.grad is None

@@ -6,17 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
+from lmdistill import tensor as T
 from lmdistill import training
 from lmdistill.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from lmdistill.data import TokenStream, build_vocab, encode
+from lmdistill.data import TokenStream, bptt_batches, build_vocab, encode
 from lmdistill.errors import (ConfigError, DataError, FormatError,
                               NumericError, ShapeError, TrainingError)
-from lmdistill.losses import DistillLossSpec
-from lmdistill.model import ModelConfig, build_model, model_forward
-from lmdistill.regularization import DropoutSpec
-from lmdistill.training import (EpochLog, OneHotOracle, TeacherEnsemble,
-                                TrainConfig, clip_gradients, ensemble_predict,
-                                perplexity, train)
+from lmdistill.losses import DistillLossSpec, distill_loss
+from lmdistill.model import ModelConfig, build_model, flatten_targets, model_forward
+from lmdistill.regularization import DropoutSpec, activation_reg
+from lmdistill.tensor import Tape, backward
+from lmdistill.training import (EpochLog, TeacherEnsemble, TrainConfig,
+                                clip_gradients, ensemble_predict, perplexity, train)
+from oracles import OneHotOracle
 
 
 def tiny_corpus(seed=7, n_lines=8, n_words=6, line_len=8):
@@ -180,6 +182,41 @@ def test_one_hot_oracle_rows():
 
 # ---------------------------------------------------------------------------
 # Training behavior
+
+
+@pytest.mark.parametrize("ar, tar", [(0.0, 0.0), (2.0, 1.0)])
+def test_step_loss_is_forward_plus_distill_plus_reg(ar, tar):
+    vocab, stream = tiny_corpus()
+    rates = DropoutSpec(input_rate=0.2, output_rate=0.25, hidden_rate=0.3,
+                        embed_rate=0.1, other_rate=0.15, ar_weight=ar, tar_weight=tar)
+    model = build_model(tiny_config(vocab.size, lstm_layers=2, last_hidden_dim=6,
+                                    dropout=rates), 4)
+    batch = bptt_batches(stream, 2, 5)[0]
+    q = np.random.default_rng(5).dirichlet(np.ones(vocab.size), size=batch.inputs.size)
+    spec = DistillLossSpec("trust_reg", alpha=0.3)
+
+    def explicit(rng):
+        out = model_forward(model, batch.inputs, model.init_state(2), rng)
+        loss = distill_loss(spec, out.log_probs, flatten_targets(batch.targets), q)
+        if ar or tar:
+            loss = T.add(loss, activation_reg(out.dropped_outputs, out.raw_outputs, ar, tar))
+        return loss
+
+    def run(loss_fn):
+        model.zero_grad()
+        with Tape() as tape:
+            loss = loss_fn(np.random.default_rng(9))
+        backward(loss, tape)
+        grads = [None if p.grad is None else p.grad.copy() for _, p in model.parameters()]
+        return loss.data, grads, len(tape.nodes)
+
+    got = run(lambda rng: training.step_loss(model, batch, model.init_state(2), spec, q, rng)[0])
+    want = run(explicit)
+    assert np.array_equal(got[0], want[0])
+    assert all(g is None and w is None or np.array_equal(g, w)
+               for g, w in zip(got[1], want[1]))
+    # with AR/TAR off, not even a zero penalty is added to the tape
+    assert got[2] == want[2]
 
 
 def test_train_teacher_presence_contract():
