@@ -78,11 +78,11 @@ def save_checkpoint(model: LmModel, path) -> None:
 
 class _Reader:
     def __init__(self, blob: bytes, path):
-        self.blob = blob
+        self.blob = memoryview(blob)  # slices are views: a payload is copied once, by astype
         self.pos = 0
         self.path = path
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.blob):
             raise FormatError(
                 f"{self.path}: truncated checkpoint: needed {n} bytes for {what} "
@@ -133,7 +133,7 @@ def load_checkpoint(path) -> LmModel:
                 f"{path}: truncated checkpoint: missing parameter {want_name!r} "
                 f"at offset {reader.pos}")
         name_len = reader.u64("name length")
-        name = reader.take(name_len, "name").decode("utf-8")
+        name = str(reader.take(name_len, "name"), "utf-8")
         if name != want_name:
             raise FormatError(f"{path}: expected parameter {want_name!r}, found {name!r} "
                               f"at offset {reader.pos}")
@@ -146,7 +146,7 @@ def load_checkpoint(path) -> LmModel:
         for d in shape:
             count *= d
         payload = reader.take(8 * count, f"{name} payload")
-        data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+        data = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
         tensors[name] = Tensor(data, requires_grad=True)
     if not reader.done:
         raise FormatError(f"{path}: {len(blob) - reader.pos} trailing bytes "

@@ -259,8 +259,8 @@ def cmd_train_student(args) -> int:
     _echo_config(cfg, out_dir)
     loss = cfg.loss_spec()
     if not loss.needs_teacher:
-        raise ConfigError("train-student needs a distillation loss_variant "
-                          "(kl_only, fixed_interp, or trust_reg)")
+        raise ConfigError(f"train-student needs a distillation loss; loss_variant = "
+                          f"{loss.variant} at alpha = {loss.alpha:g} reads no teacher")
     paths = [p for chunk in args.teacher for p in chunk.split(",") if p]
     teacher = TeacherEnsemble.from_checkpoints(paths)
     vocab, train_stream, valid_stream = _train_streams(cfg, Path(args.data_dir))
@@ -395,12 +395,12 @@ def cmd_ablate(args) -> int:
                             other_rate=dropout.other_rate)
     alpha = cfg["alpha"]
     rows = [
-        ("student+tr", "trust_reg", alpha, plain, True),
-        ("-ce(kl_only)", "kl_only", alpha, plain, True),
-        ("-tr(fixed_weight)", "fixed_interp", alpha, plain, True),
-        ("+dropout", "trust_reg", alpha, drop_only, True),
-        ("+act_reg", "trust_reg", alpha, reg_only, True),
-        ("-kd(ce_only)", "ce_only", alpha, drop_only, False),
+        ("student+tr", "trust_reg", plain),
+        ("-ce(kl_only)", "kl_only", plain),
+        ("-tr(fixed_weight)", "fixed_interp", plain),
+        ("+dropout", "trust_reg", drop_only),
+        ("+act_reg", "trust_reg", reg_only),
+        ("-kd(ce_only)", "ce_only", drop_only),
     ]
     seeds = [cfg["seed"] + i for i in range(3)]
 
@@ -413,15 +413,15 @@ def cmd_ablate(args) -> int:
         teachers[seed] = TeacherEnsemble([tm])
 
     print(f"{'row':<20} {'valid_ppl':>10} {'test_ppl':>10}   (mean over seeds {seeds})")
-    for name, variant, a, spec, needs_teacher in rows:
+    for name, variant, spec in rows:
+        loss = DistillLossSpec(variant=variant, alpha=alpha)
         vppls, tppls = [], []
         for seed in seeds:
             model = build_model(cfg.model_config(vocab.size, dropout=spec), seed)
-            loss = DistillLossSpec(variant=variant, alpha=a)
             run_cfg = cfg.train_config(loss)
             run_cfg.seed = seed
             train(model, train_stream, valid_stream, run_cfg,
-                  teacher=teachers[seed] if needs_teacher else None)
+                  teacher=teachers[seed] if loss.needs_teacher else None)
             vppls.append(perplexity(model, valid_stream))
             if test_stream is not None:
                 tppls.append(perplexity(model, test_stream))

@@ -2,7 +2,7 @@
 
 The trust-regularized loss and its three baselines are one objective over
 model log-probabilities log P ([N x V], rows log-sum-exp to 0, N positions
-flattened time-major), as the model head produces them, in natural log:
+flattened time-major), in natural log:
 
     L = -(1/N) * sum_i [ h * w_i * log P[i, y_i] + s * sum_x Q[i, x] * log P[i, x] ]
 
@@ -14,7 +14,8 @@ flattened time-major), as the model head produces them, in natural log:
 
 The soft term is KL(Q || P) plus the constant teacher entropy H(Q), so its
 gradient in P is that of the KL divergence. Q, y and R are fixed data, never
-differentiated through.
+differentiated through, so dL/dlog P = g = -(s*Q + h*w*onehot(y))/N: over a
+model's train-mode rows (MosRows) the head takes L and g chunk by chunk.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class DistillLossSpec:
 
     @property
     def needs_teacher(self) -> bool:
-        return self.variant != "ce_only"
+        """True when the loss reads Q: its soft weight s is not 0."""
+        return _WEIGHTS[self.variant](self.alpha)[1] != 0.0
 
 
 def trust_weights(q: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
@@ -70,27 +72,30 @@ def trust_weights(q: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     return -alpha * np.log(1.0 - qy)
 
 
-def distill_loss(spec: DistillLossSpec, log_p: Tensor, y: np.ndarray,
+def distill_loss(spec: DistillLossSpec, log_p, y: np.ndarray,
                  q: np.ndarray | None = None) -> Tensor:
-    """The objective above for spec's variant. q is required unless ce_only.
+    """The objective above over log_p, a log-prob Tensor or MosRows; q iff needs_teacher.
 
-    A term whose weight is 0 is not built and a weight of 1 is not applied, so
-    fixed_interp at alpha 1 or 0 is ce_only or kl_only bitwise.
+    Over a Tensor, a term whose weight is 0 is not built and a weight of 1 is
+    not applied, so fixed_interp at alpha 1 or 0 is ce_only or kl_only bitwise.
     """
-    if spec.needs_teacher:
-        if q is None:
-            raise ConfigError(f"loss variant {spec.variant!r} needs teacher distributions")
-    elif q is not None:
+    if spec.needs_teacher and q is None:
+        raise ConfigError(f"loss variant {spec.variant!r} needs teacher distributions")
+    if spec.variant == "ce_only" and q is not None:
         raise ConfigError("ce_only takes no teacher distributions")
-    if log_p.data.ndim != 2:
-        raise ShapeError(f"distill_loss needs [N x V] log-probs, got shape {log_p.data.shape}")
-    n = log_p.data.shape[0]
+    if len(log_p.shape) != 2:
+        raise ShapeError(f"distill_loss needs [N x V] log-probs, got shape {log_p.shape}")
+    n, v = log_p.shape
     if n == 0:
         raise ShapeError("distill_loss needs at least one position")
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != (n,) or np.any((y < 0) | (y >= v)):
+        raise ShapeError(f"distill_loss needs {n} target ids in [0, {v}), got {y.shape} "
+                         f"ids in [{y.min(initial=0)}, {y.max(initial=0)}]")
     if q is not None:
         q = np.asarray(q, dtype=np.float64)
-        if q.shape != log_p.data.shape:
-            raise ShapeError(f"teacher shaped {q.shape}, model shaped {log_p.data.shape}")
+        if q.shape != log_p.shape:
+            raise ShapeError(f"teacher shaped {q.shape}, model shaped {log_p.shape}")
         sums = q.sum(axis=1)
         off = np.nonzero(~(np.abs(sums - 1.0) <= 1e-6))[0]  # NaN and inf rows too
         if off.size:
@@ -98,11 +103,19 @@ def distill_loss(spec: DistillLossSpec, log_p: Tensor, y: np.ndarray,
             raise DataError(f"teacher row {i} sums to {sums[i]!r}, expected 1 within 1e-6")
 
     h, s = _WEIGHTS[spec.variant](spec.alpha)
+    w = trust_weights(q, y, spec.alpha) if spec.variant == "trust_reg" else np.ones(n)
+    if not isinstance(log_p, Tensor):
+        def objective(lo: int, hi: int, log_p_rows: np.ndarray):
+            g = q[lo:hi] * (-s / n) if s != 0.0 else np.zeros_like(log_p_rows)
+            g[np.arange(hi - lo), y[lo:hi]] -= w[lo:hi] * (h / n)
+            return float(np.sum(g * log_p_rows)), g
+
+        return log_p.loss(objective)
     terms = []
     if h != 0.0:
         hard = T.pick_cols(log_p, y)
         if spec.variant == "trust_reg":
-            hard = T.mul(hard, Tensor(trust_weights(q, np.asarray(y, np.int64), spec.alpha)))
+            hard = T.mul(hard, Tensor(w))
         terms.append(_weighted(T.scale(T.sum_all(hard), -1.0 / n), h))
     if s != 0.0:
         terms.append(_weighted(T.scale(T.sum_all(T.mul(Tensor(q), log_p)), -1.0 / n), s))

@@ -5,11 +5,11 @@ experts mixed by a learned prior. The final LSTM layer's width defaults to
 hidden_dim but may be set separately (reference configs narrow it to the
 bottleneck width, which is how the published parameter counts come out).
 
-All next-word distributions are computed and returned in log space, so a log
-of an underflowed softmax entry can never occur downstream. The K expert
-contexts are stacked expert-major into one [K*n x E] block, so one output
-matmul and one log-softmax run over all experts; a log-sum-exp over the
-experts then mixes the block's K row groups.
+The LSTM runs step by step; the head runs once per window over all B*T rows,
+in chunks of CHUNK_ELEMENTS / (K*V) rows: one output matmul over the K expert
+contexts stacked expert-major, and a log-sum-exp over the experts' log-softmaxes
+(no log of an underflowed entry). Eval mode returns log P untaped; in train mode
+the loss runs head and backward per chunk in one tape node (MosRows).
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .regularization import DropoutSpec, variational_mask
 from .tensor import Tensor
 
-__all__ = ["ModelConfig", "LmModel", "LmState", "LstmLayer", "ForwardResult",
+__all__ = ["ModelConfig", "LmModel", "LmState", "LstmLayer", "ForwardResult", "MosRows",
            "build_model", "param_count", "lstm_step", "mos_log_probs", "model_forward"]
 
 EMBED_INIT_RANGE = 0.1
@@ -221,41 +221,119 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
     return h2, c2
 
 
-def _output_matrix(model: LmModel) -> Tensor:
-    # Tied: the (raw, undropped) embedding transposed. Untied: a free matrix.
-    if model.config.tie_embeddings:
-        return T.transpose(model.embedding)
-    return model.out_w
+# A head chunk's [K*rows x V] block holds about this many float64s (16 MB).
+CHUNK_ELEMENTS = 1 << 21
 
 
-def mos_log_probs(model: LmModel, h_bottleneck: Tensor,
-                  out_matrix: Tensor | None = None) -> Tensor:
-    """Log of the mixture-of-softmaxes distribution, [n x V].
+def _head_inputs(model: LmModel, hidden: Tensor) -> tuple[Tensor, Tensor]:
+    """log pi [n x K] and the expert contexts tanh(h W_k + b_k), expert-major [K*n x E]."""
+    if hidden.data.ndim != 2 or hidden.shape[1] != model.config.bottleneck_dim:
+        raise ShapeError(f"bottleneck input shaped {hidden.shape}, expected "
+                         f"(n, {model.config.bottleneck_dim})")
+    log_pi = T.log_softmax_rows(T.add(T.matmul(hidden, model.prior_w), model.prior_b))
+    return log_pi, T.concat_rows([T.tanh(T.add(T.matmul(hidden, w), b))
+                                  for w, b in zip(model.expert_w, model.expert_b)])
 
-    log P = logsumexp_k(log pi_k + log softmax(tanh(h W_k + b_k) W_out + b_out)).
-    """
-    if h_bottleneck.data.ndim != 2 or h_bottleneck.shape[1] != model.config.bottleneck_dim:
-        raise ShapeError(
-            f"bottleneck input shaped {h_bottleneck.shape}, expected "
-            f"(n, {model.config.bottleneck_dim})")
-    if out_matrix is None:
-        out_matrix = _output_matrix(model)
-    log_pi = T.log_softmax_rows(T.add(T.matmul(h_bottleneck, model.prior_w), model.prior_b))
-    contexts = T.concat_rows([T.tanh(T.add(T.matmul(h_bottleneck, w), b))
-                              for w, b in zip(model.expert_w, model.expert_b)])
-    logits = T.add(T.matmul(contexts, out_matrix), model.out_b)
-    return T.log_mix(log_pi, T.log_softmax_rows(logits))
+
+def _chunks(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray):
+    """(lo, hi, log pi rows, their contexts [K*c x E]) per chunk of the n rows."""
+    n, k = log_pi.shape
+    rows = max(1, CHUNK_ELEMENTS // (k * model.config.vocab_size))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        yield lo, hi, log_pi[lo:hi], ctx.reshape(k, n, -1)[:, lo:hi].reshape(k * (hi - lo), -1)
+
+
+def _head_chunk(model: LmModel, out_matrix: np.ndarray, log_pi: np.ndarray,
+                ctx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """stacked [K x c x V] = log pi_k + log softmax_k, and log P [c x V], using [c x V] temps."""
+    stacked = (ctx @ out_matrix).reshape(log_pi.shape[1], log_pi.shape[0], -1)
+    stacked += model.out_b.data
+    for z in stacked:  # log softmax of each expert's rows, in place
+        top = z.max(axis=1, keepdims=True)
+        if np.isnan(top).any():
+            raise NumericError("MoS head received NaN input")
+        z -= top
+        z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    stacked += log_pi.T[:, :, None]
+    top = stacked.max(axis=0)
+    total, e = np.zeros_like(top), np.empty_like(top)
+    for z in stacked:  # the same order as a sum over the expert axis
+        np.exp(np.subtract(z, top, out=e), out=e)
+        total += e
+    log_p = np.log(total, out=total)
+    log_p += top
+    return stacked, log_p
+
+
+def mos_log_probs(model: LmModel, hidden: Tensor) -> Tensor:
+    """log P = logsumexp_k(log pi_k + log softmax(tanh(h W_k + b_k) W_out + b_out)),
+    [n x V], chunk by chunk over the rows of hidden; a constant, recorded on no tape."""
+    with T.Tape():  # a throwaway tape: a caller's tape records nothing from eval
+        log_pi, ctx = _head_inputs(model, hidden)
+    out_matrix = model.embedding.data.T if model.out_w is None else model.out_w.data
+    out = np.empty((hidden.shape[0], model.config.vocab_size))
+    for lo, hi, log_pi_rows, ctx_rows in _chunks(model, log_pi.data, ctx.data):
+        out[lo:hi] = _head_chunk(model, out_matrix, log_pi_rows, ctx_rows)[1]
+    return Tensor(out)
+
+
+@dataclass
+class MosRows:
+    """Train mode's head input rows, for distill_loss to run the head and loss over (loss())."""
+
+    model: LmModel
+    hidden: Tensor  # [N x bottleneck], time-major
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.hidden.shape[0], self.model.config.vocab_size
+
+    def loss(self, objective) -> Tensor:
+        """Sum over row chunks of objective(lo, hi, log_p) -> (value, g = dL/dlog P).
+
+        All [. x V] work is one tape node: with r_k = exp(stacked_k - log P),
+        dL/dlog pi_k = sum_v r_k*g and dL/dlogits_k = r_k*g - softmax_k * dL/dlog pi_k."""
+        model, tied = self.model, self.model.out_w is None
+        log_pi, ctx = _head_inputs(model, self.hidden)
+        out_matrix = model.embedding.data.T if tied else model.out_w.data  # tied: a view
+        d_log_pi, d_ctx = np.zeros_like(log_pi.data), np.zeros_like(ctx.data)
+        d_out, d_out_b = np.zeros_like(out_matrix), np.zeros_like(model.out_b.data)
+        k, n = log_pi.shape[1], self.shape[0]
+
+        def chunk(lo, hi, log_pi_rows, ctx_rows) -> float:
+            stacked, log_p = _head_chunk(model, out_matrix, log_pi_rows, ctx_rows)
+            value, g = objective(lo, hi, log_p)
+            r = np.empty_like(log_p)
+            for j, z in enumerate(stacked):  # z becomes dL/dlogits_j
+                np.exp(np.subtract(z, log_p, out=r), out=r)
+                r *= g
+                d_log_pi[lo:hi, j] = r.sum(axis=1)
+                z -= log_pi_rows[:, j:j + 1]
+                np.exp(z, out=z)  # softmax_j
+                z *= d_log_pi[lo:hi, j:j + 1]
+                np.subtract(r, z, out=z)
+            d_z = stacked.reshape(len(ctx_rows), -1)
+            d_out_b[:] += d_z.sum(axis=0)
+            d_out[:] += ctx_rows.T @ d_z
+            d_ctx.reshape(k, n, -1)[:, lo:hi] = (d_z @ out_matrix.T).reshape(k, hi - lo, -1)
+            return value
+
+        total = sum(chunk(*rows) for rows in _chunks(model, log_pi.data, ctx.data))
+        return T.precomputed(total, [(log_pi, d_log_pi), (ctx, d_ctx), (model.out_b, d_out_b),
+                                     (model.embedding, d_out.T) if tied else (model.out_w, d_out)])
 
 
 @dataclass
 class ForwardResult:
     """Output of one forward pass over a [batch x T] id block.
 
-    log_probs rows are time-major: row t*batch + b is position t of lane b.
+    log_probs rows are time-major: row t*batch + b is position t of lane b;
+    in train mode they are MosRows, for a loss to evaluate.
     raw/dropped hold the final LSTM layer's per-step outputs (for TAR/AR).
     """
 
-    log_probs: Tensor  # [(batch*T) x V]
+    log_probs: Tensor | MosRows
     state: LmState
     raw_outputs: list[Tensor]
     dropped_outputs: list[Tensor]
@@ -308,13 +386,11 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
     if embed_mask is not None:  # whole word rows
         table = T.mul(table, Tensor(np.broadcast_to(embed_mask.data, table.shape)))
     masked_wh = [_masked(layer.wh, m) for layer, m in zip(model.layers, wh_masks)]
-    out_matrix = _output_matrix(model)
 
     hs = [h for h, _ in state.layers]
     cs = [c for _, c in state.layers]
     raw_outputs: list[Tensor] = []
     dropped_outputs: list[Tensor] = []
-    step_log_probs: list[Tensor] = []
 
     for t in range(steps):
         x = _masked(T.embedding_rows(table, tokens[:, t]), in_mask)
@@ -323,12 +399,11 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
             x = _masked(hs[i], out_masks[i])
         raw_outputs.append(hs[-1])
         dropped_outputs.append(x)
-        bott = _masked(T.add(T.matmul(x, model.bottleneck_w), model.bottleneck_b), other_mask)
-        step_log_probs.append(mos_log_probs(model, bott, out_matrix))
 
-    if steps == 0:
-        log_probs = Tensor(np.zeros((0, cfg.vocab_size)))
-    else:
-        log_probs = step_log_probs[0] if steps == 1 else T.concat_rows(step_log_probs)
+    x = T.concat_rows(dropped_outputs) if steps else Tensor(np.zeros((0, hs[-1].shape[1])))
+    if other_mask is not None:  # one mask per lane, the same at every step
+        other_mask = Tensor(np.tile(other_mask.data, (steps, 1)))
+    hidden = _masked(T.add(T.matmul(x, model.bottleneck_w), model.bottleneck_b), other_mask)
+    log_probs = MosRows(model, hidden) if rng is not None else mos_log_probs(model, hidden)
     new_state = LmState(list(zip(hs, cs)))
     return ForwardResult(log_probs, new_state, raw_outputs, dropped_outputs)

@@ -19,9 +19,8 @@ from .errors import ContractError, NumericError, ShapeError
 __all__ = [
     "Tensor", "Tape", "backward", "grad_check_params",
     "GradCheckReport", "matmul", "add", "sub", "mul", "scale",
-    "transpose", "sigmoid", "tanh", "log_softmax_rows", "log_mix",
-    "embedding_rows", "pick_cols", "slice_cols", "concat_rows", "sum_all",
-    "mean_all",
+    "sigmoid", "tanh", "log_softmax_rows", "embedding_rows", "pick_cols",
+    "slice_cols", "concat_rows", "sum_all", "mean_all", "precomputed",
 ]
 
 class Tensor:
@@ -190,17 +189,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(out, (a,), back)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a matrix, got shape {a.data.shape}")
-    out = Tensor(a.data.T.copy())
-
-    def back(g):
-        _accum(a, g.T)
-
-    return _record(out, (a,), back)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     y = np.empty_like(x)
@@ -245,37 +233,6 @@ def log_softmax_rows(a: Tensor) -> Tensor:
         _accum(a, g - np.exp(y) * g.sum(axis=1, keepdims=True))
 
     return _record(out, (a,), back)
-
-
-def log_mix(log_pi: Tensor, log_probs: Tensor) -> Tensor:
-    """log(sum_k pi_k * P_k) from log priors [n x K] and one stacked block of
-    expert log-probs [K*n x V], expert-major: rows k*n .. (k+1)*n - 1 are
-    expert k.
-
-    Computed as a log-sum-exp over the mixture axis so a log never sees an
-    underflowed probability.
-    """
-    if log_pi.data.ndim != 2 or log_pi.data.shape[1] == 0:
-        raise ShapeError(f"log priors shaped {log_pi.data.shape}, expected (n, K) with K >= 1")
-    n, k = log_pi.data.shape
-    if log_probs.data.ndim != 2 or log_probs.data.shape[0] != k * n:
-        raise ShapeError(
-            f"stacked log-probs shaped {log_probs.data.shape}, expected ({k * n}, V) "
-            f"for K={k} experts of n={n} rows")
-    v = log_probs.data.shape[1]
-    stacked = log_probs.data.reshape(k, n, v) + log_pi.data.T[:, :, None]
-    m = stacked.max(axis=0)
-    y = m + np.log(np.exp(stacked - m).sum(axis=0))
-    out = Tensor(y)
-
-    def back(g):
-        gw = stacked - y
-        np.exp(gw, out=gw)  # posterior responsibility of each expert
-        gw *= g
-        _accum(log_probs, gw.reshape(k * n, v))
-        _accum(log_pi, gw.sum(axis=2).T)
-
-    return _record(out, (log_pi, log_probs), back)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +337,18 @@ def mean_all(a: Tensor) -> Tensor:
         _accum(a, np.broadcast_to(g / size, a.data.shape))
 
     return _record(out, (a,), back)
+
+
+def precomputed(value: float, grads: list[tuple[Tensor, np.ndarray]]) -> Tensor:
+    """A scalar, as one tape node, whose gradient in each input came with its value;
+    a fused op that holds its gradients keeps none of its intermediates."""
+    out = Tensor(value)
+
+    def back(g):
+        for t, d in grads:
+            _accum(t, g * d)
+
+    return _record(out, tuple(t for t, _ in grads), back)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Training loop, the step loss, teacher ensembling, and perplexity evaluation.
 
-step_loss is one step's loss (train-mode forward, distill_loss, AR/TAR), for
-train() and the grad-check alike. Optimization is plain SGD with global-norm
-gradient clipping, optional plateau LR decay, and optional ASGD-style
-parameter averaging that arms after a configurable number of non-improving
-validation epochs. Teacher soft labels are computed on the fly per batch;
-teacher state is carried across the same token lanes the student sees.
-Everything is deterministic per (config, seed).
+step_loss is one step's loss (train-mode forward, distill_loss running the
+MoS head and the loss as one chunked op, AR/TAR), for train() and the
+grad-check alike. Optimization is plain SGD with global-norm gradient
+clipping, optional plateau LR decay, and optional ASGD-style parameter
+averaging that arms after a configurable number of non-improving validation
+epochs. Teacher soft labels are computed on the fly per batch; teacher state
+is carried across the same token lanes the student sees. Everything is
+deterministic per (config, seed).
 """
 
 from __future__ import annotations
@@ -192,14 +193,15 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
           cfg: TrainConfig, teacher=None, log_fn=None) -> TrainResult:
     """Train the model in place; on return it holds the best-validation params.
 
-    teacher must be present exactly when the loss variant consumes soft labels
-    (anything but ce_only). Raises TrainingError naming the batch if the loss
+    teacher must be present exactly when the loss reads soft labels
+    (cfg.loss.needs_teacher). Raises TrainingError naming the batch if the loss
     or the gradient norm goes non-finite.
     """
     if cfg.loss.needs_teacher and teacher is None:
         raise ConfigError(f"loss variant {cfg.loss.variant!r} needs a teacher")
     if not cfg.loss.needs_teacher and teacher is not None:
-        raise ConfigError("ce_only training takes no teacher")
+        raise ConfigError(f"loss variant {cfg.loss.variant!r} at alpha = {cfg.loss.alpha:g} "
+                          f"reads no teacher distributions; pass no teacher")
 
     batches = bptt_batches(train_stream, cfg.batch_size, cfg.bptt_len)
     params = model.parameters()

@@ -259,6 +259,17 @@ def test_train_student_rejects_ce_only(tmp_path, data_dir, capsys):
     assert "distillation" in capsys.readouterr().err
 
 
+def test_train_student_rejects_fixed_interp_at_alpha_one(tmp_path, data_dir, capsys):
+    # fixed_interp at alpha 1 reads no teacher distributions; it is ce_only
+    teacher = train_teacher(tmp_path, data_dir)
+    capsys.readouterr()
+    rc = dispatch(["train-student", "--data-dir", str(data_dir),
+                   "--teacher", str(teacher / "model.dlm")]
+                  + sets("loss_variant=fixed_interp", "alpha=1.0"))
+    assert rc == 1
+    assert "alpha = 1" in capsys.readouterr().err
+
+
 def test_train_student_vocab_mismatch(tmp_path, data_dir, capsys):
     teacher = train_teacher(tmp_path, data_dir)
     capsys.readouterr()

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import lmdistill.model as model_module
 import lmdistill.tensor as T
+import oracles
 from lmdistill.errors import ConfigError, ShapeError
-from lmdistill.model import (LmModel, ModelConfig, build_model, flatten_targets,
+from lmdistill.model import (LmModel, ModelConfig, MosRows, build_model, flatten_targets,
                              lstm_step, model_forward, mos_log_probs, param_count)
 from lmdistill.regularization import DropoutSpec
 from lmdistill.tensor import Tensor, grad_check_params
@@ -269,7 +271,7 @@ def _per_expert_log_mix(log_pi, log_probs):
 
 def _per_expert_mos(model, h):
     # K output matmuls and K log-softmaxes over [n x V], one per expert
-    out_matrix = T.transpose(model.embedding) if model.out_w is None else model.out_w
+    out_matrix = oracles.oracle_transpose(model.embedding) if model.out_w is None else model.out_w
     log_pi = T.log_softmax_rows(T.add(T.matmul(h, model.prior_w), model.prior_b))
     comps = [T.log_softmax_rows(T.add(T.matmul(T.tanh(T.add(T.matmul(h, w), b)),
                                                out_matrix), model.out_b))
@@ -277,31 +279,39 @@ def _per_expert_mos(model, h):
     return _per_expert_log_mix(log_pi, comps)
 
 
+def _linear_objective(w):
+    # L = sum(w * log P): each chunk's share and its gradient w
+    return lambda lo, hi, log_p: (float(np.sum(w[lo:hi] * log_p)), w[lo:hi])
+
+
 @pytest.mark.parametrize("tied", [True, False])
-def test_mos_stacked_block_matches_per_expert_head(tied):
+def test_mos_stacked_block_matches_per_expert_head(tied, monkeypatch):
     # K=3 experts, n=5 rows: a row-order bug in the stacked block cannot hide
     cfg = ModelConfig(vocab_size=7, embed_dim=3, lstm_layers=1, hidden_dim=4,
                       bottleneck_dim=2, num_experts=3, tie_embeddings=tied)
     model = build_model(cfg, seed=12)
     rng = np.random.default_rng(13)
     h = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
-    w = Tensor(rng.standard_normal((5, 7)))
+    w = rng.standard_normal((5, 7))
 
-    def run(head):
+    def run(loss_fn):
         model.zero_grad()
         h.grad = None
         with T.Tape() as tape:
-            log_p = head(model, h)
-            loss = T.sum_all(T.mul(log_p, w))
+            loss = loss_fn()
         T.backward(loss, tape)
         grads = {name: p.grad.copy() for name, p in model.parameters()
                  if p.grad is not None}
         grads["h"] = h.grad.copy()
-        return log_p.data, grads
+        return loss.item(), grads
 
-    got, got_grads = run(mos_log_probs)
-    want, want_grads = run(_per_expert_mos)
-    assert np.max(np.abs(got - want)) <= 1e-12
+    # the fused loss over 2-row chunks (2, 2, 1) against one taped per-expert head
+    monkeypatch.setattr(model_module, "CHUNK_ELEMENTS", 2 * 3 * 7)
+    got, got_grads = run(lambda: MosRows(model, h).loss(_linear_objective(w)))
+    want, want_grads = run(lambda: T.sum_all(T.mul(_per_expert_mos(model, h), Tensor(w))))
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert np.max(np.abs(mos_log_probs(model, h).data
+                         - _per_expert_mos(model, h).data)) <= 1e-12
     head = {"prior.w", "prior.b", "expert0.w", "expert0.b", "expert1.w", "expert1.b",
             "expert2.w", "expert2.b", "embedding" if tied else "out.w", "out.b", "h"}
     assert got_grads.keys() == want_grads.keys() == head
@@ -311,17 +321,20 @@ def test_mos_stacked_block_matches_per_expert_head(tied):
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
-def test_mos_records_four_vocab_wide_nodes_for_any_k(k):
-    # one output matmul, one bias add, one log-softmax over [K*n x V], one mix
+def test_mos_loss_records_one_vocab_wide_node_for_any_k(k):
+    # train mode: one node reads the [E x V] output matrix and the bias;
+    # eval mode records nothing
     v = 9
     model = build_model(tiny_config(vocab_size=v, num_experts=k, tie_embeddings=False),
                         seed=3)
-    h = Tensor(np.random.default_rng(4).standard_normal((5, 4)))
+    h = Tensor(np.random.default_rng(4).standard_normal((5, 4)), requires_grad=True)
     with T.Tape() as tape:
         mos_log_probs(model, h)
-    wide = [node for node in tape.nodes
-            if node.output.data.ndim == 2 and node.output.data.shape[1] == v]
-    assert len(wide) == 4
+    assert not tape.nodes
+    with T.Tape() as tape:
+        MosRows(model, h).loss(_linear_objective(np.ones((5, v))))
+    wide = [node for node in tape.nodes if any(t.shape[-1] == v for t in node.inputs)]
+    assert len(wide) == 1 and wide[0] is tape.nodes[-1]
 
 
 def test_mos_rows_are_distributions():
@@ -469,9 +482,9 @@ def test_train_mode_all_zero_rates_matches_eval_bitwise():
     rng = np.random.default_rng(21)
     tokens = rng.integers(0, 10, size=(2, 4))
     pe = model_forward(model, tokens, model.init_state(2)).log_probs.data
-    pt = model_forward(model, tokens, model.init_state(2),
-                       np.random.default_rng(0)).log_probs.data
-    assert np.array_equal(pe, pt)
+    rows = model_forward(model, tokens, model.init_state(2),
+                         np.random.default_rng(0)).log_probs
+    assert np.array_equal(pe, mos_log_probs(model, rows.hidden).data)
 
 
 def test_train_mode_dropout_changes_outputs_and_keeps_distributions():
@@ -482,8 +495,9 @@ def test_train_mode_dropout_changes_outputs_and_keeps_distributions():
     tokens = rng.integers(0, 10, size=(2, 4))
     out_t = model_forward(model, tokens, model.init_state(2), np.random.default_rng(1))
     out_e = model_forward(model, tokens, model.init_state(2))
-    assert not np.array_equal(out_t.log_probs.data, out_e.log_probs.data)
-    p = np.exp(out_t.log_probs.data)
+    log_p = mos_log_probs(model, out_t.log_probs.hidden).data
+    assert not np.array_equal(log_p, out_e.log_probs.data)
+    p = np.exp(log_p)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
     # raw and dropped final-layer activations are captured per step
     assert len(out_t.raw_outputs) == 4
@@ -551,7 +565,8 @@ def test_train_forward_matches_numpy_with_masks_in_draw_order(tied):
                  for k, (w, b) in enumerate(zip(model.expert_w, model.expert_b))]
         rows.append(np.logaddexp.reduce(np.stack(comps), axis=0))
 
-    np.testing.assert_allclose(out.log_probs.data, np.concatenate(rows), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mos_log_probs(model, out.log_probs.hidden).data,
+                               np.concatenate(rows), rtol=0, atol=1e-12)
     for got, want in zip(out.raw_outputs + out.dropped_outputs, raw + dropped):
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
     for (h, c), h_want, c_want in zip(out.state.layers, hs, cs):
@@ -585,11 +600,12 @@ def test_state_detach_blocks_cross_segment_gradient():
     rng = np.random.default_rng(25)
     tokens = rng.integers(0, 10, size=(1, 3))
     with Tape() as tape:
-        first = model_forward(model, tokens, model.init_state(1))
+        first = model_forward(model, tokens, model.init_state(1), np.random.default_rng(0))
         carried = first.state.detach()
-        second = model_forward(model, tokens, carried)
+        second = model_forward(model, tokens, carried, np.random.default_rng(1))
         loss = distill_loss(DistillLossSpec(), second.log_probs, flatten_targets(tokens))
         backward(loss, tape)
+    assert model.layers[0].wh.grad is not None  # the gradient did reach the LSTM
     for h, c in carried.layers:
         assert h.grad is None
         assert c.grad is None

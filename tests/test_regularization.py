@@ -5,7 +5,8 @@ import pytest
 
 import lmdistill.tensor as T
 from lmdistill.errors import ConfigError
-from lmdistill.model import ModelConfig, build_model, model_forward
+from lmdistill.losses import DistillLossSpec, distill_loss
+from lmdistill.model import ModelConfig, build_model, model_forward, mos_log_probs
 from lmdistill.regularization import DropoutSpec, activation_reg, variational_mask
 from lmdistill.tensor import Tape, Tensor, backward, grad_check_params
 
@@ -68,7 +69,7 @@ def _assert_eval_and_rate_zero_are_identities(rate_name):
     assert np.array_equal(_eval_log_probs(_only(**{rate_name: 0.5})), plain)
     off = _only(**{rate_name: 0.0})
     train_off = model_forward(off, TOKENS, off.init_state(2), np.random.default_rng(0))
-    assert np.array_equal(train_off.log_probs.data, plain)
+    assert np.array_equal(mos_log_probs(off, train_off.log_probs.hidden).data, plain)
 
 
 def test_drop_connect_eval_is_identity():
@@ -84,7 +85,8 @@ def test_drop_connect_gradient_only_through_kept_entries():
     model = _only(hidden_rate=rate)
     with Tape() as tape:
         out = model_forward(model, TOKENS, model.init_state(2), np.random.default_rng(5))
-        backward(T.sum_all(out.log_probs), tape)
+        y = np.random.default_rng(6).integers(0, 12, size=TOKENS.size)
+        backward(distill_loss(DistillLossSpec(), out.log_probs, y), tape)
     # the recurrent-weight mask is the only draw
     kept = np.random.default_rng(5).random(model.layers[0].wh.shape) >= rate
     grad = model.layers[0].wh.grad
@@ -97,11 +99,12 @@ def test_embedding_dropout_zeroes_whole_rows():
     rate = 0.4
     model = _only(embed_rate=rate)
     got = model_forward(model, TOKENS, model.init_state(2), np.random.default_rng(6))
+    got = mos_log_probs(model, got.log_probs.hidden).data
     # the embedding-row mask is the only draw; it keeps or drops whole rows
     kept = np.random.default_rng(6).random((12, 1)) >= rate
     assert 0 < kept.sum() < kept.size
     model.embedding.data = model.embedding.data * (kept / (1.0 - rate))
-    assert np.array_equal(got.log_probs.data, _eval_log_probs(model))
+    assert np.array_equal(got, _eval_log_probs(model))
 
 
 def test_activation_reg_hand_case():

@@ -110,32 +110,6 @@ def test_log_softmax_wide_range_finite():
     assert y[0, 1] == pytest.approx(-1490.0, abs=1e-6)
 
 
-def test_log_mix_matches_direct_mixture():
-    # K=3 experts over n=4 rows, stacked expert-major: rows k*n .. (k+1)*n - 1
-    rng = np.random.default_rng(4)
-    n, v, k = 4, 7, 3
-    pis = rng.dirichlet(np.ones(k), size=n)
-    comps = [rng.dirichlet(np.ones(v), size=n) for _ in range(k)]
-    block = np.log(np.concatenate(comps))
-    got = np.exp(T.log_mix(Tensor(np.log(pis)), Tensor(block)).data)
-    want = sum(pis[:, j:j + 1] * comps[j] for j in range(k))
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
-
-
-def test_log_mix_shape_errors():
-    with pytest.raises(ShapeError, match="K >= 1"):
-        T.log_mix(Tensor(np.zeros((4, 0))), Tensor(np.zeros((0, 5))))
-    with pytest.raises(ShapeError):
-        T.log_mix(Tensor(np.zeros(4)), Tensor(np.zeros((4, 5))))
-    with pytest.raises(ShapeError):
-        T.log_mix(Tensor(np.zeros((4, 3))), Tensor(np.zeros(12)))
-    # rows != K*n
-    with pytest.raises(ShapeError, match=r"expected \(12, V\)"):
-        T.log_mix(Tensor(np.zeros((4, 3))), Tensor(np.zeros((8, 5))))
-    with pytest.raises(ShapeError):
-        T.log_mix(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 5))))
-
-
 def test_embedding_rows_gather_and_scatter_with_duplicates():
     table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     ids = np.array([0, 1, 0])
@@ -183,12 +157,6 @@ def test_mean_all_empty_error():
         T.mean_all(Tensor(np.zeros((0, 3))))
 
 
-def test_transpose_round_trip():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((3, 5))
-    assert np.array_equal(T.transpose(T.transpose(Tensor(x))).data, x)
-
-
 def test_sigmoid_extreme_inputs_finite_and_bounded():
     x = np.array([-1000.0, -20.0, 0.0, 20.0, 1000.0])
     y = T.sigmoid(Tensor(x)).data
@@ -229,9 +197,6 @@ def _op_case(name, rng):
     if name == "scale":
         w = _weighted(rng, (3, 4))
         return lambda x: w(T.scale(x, -2.5)), rnd(rng, 3, 4)
-    if name == "transpose":
-        w = _weighted(rng, (4, 3))
-        return lambda x: w(T.transpose(x)), rnd(rng, 3, 4)
     if name == "sigmoid":
         w = _weighted(rng, (3, 4))
         return lambda x: w(T.sigmoid(x)), rnd(rng, 3, 4)
@@ -241,17 +206,6 @@ def _op_case(name, rng):
     if name == "log_softmax_rows":
         w = _weighted(rng, (3, 5))
         return lambda x: w(T.log_softmax_rows(x)), rnd(rng, 3, 5)
-    # log_mix: K=3 experts stacked expert-major over n=4 rows
-    if name == "log_mix_priors":
-        block = Tensor(np.log(rng.dirichlet(np.ones(5), size=3 * 4)))
-        w = _weighted(rng, (4, 5))
-        return (lambda x: w(T.log_mix(T.log_softmax_rows(x), block)),
-                rnd(rng, 4, 3))
-    if name == "log_mix_component":
-        pi = Tensor(np.log(rng.dirichlet(np.ones(3), size=4)))
-        w = _weighted(rng, (4, 5))
-        return (lambda x: w(T.log_mix(pi, T.log_softmax_rows(x))),
-                rnd(rng, 3 * 4, 5))
     if name == "embedding_rows":
         ids = rng.integers(0, 6, size=8)
         w = _weighted(rng, (8, 3))
@@ -271,13 +225,17 @@ def _op_case(name, rng):
         return lambda x: T.sum_all(x), rnd(rng, 3, 4)
     if name == "mean_all":
         return lambda x: T.mean_all(x), rnd(rng, 3, 4)
+    if name == "precomputed":
+        # sum(sin x) with its gradient cos x handed over, then scaled downstream
+        return (lambda x: T.scale(T.precomputed(float(np.sin(x.data).sum()),
+                                                [(x, np.cos(x.data))]), -2.5),
+                rnd(rng, 3, 4))
     raise AssertionError(name)
 
 
 OP_NAMES = ["matmul_left", "matmul_right", "add", "add_bias", "sub", "mul", "scale",
-            "transpose", "sigmoid", "tanh", "log_softmax_rows", "log_mix_priors",
-            "log_mix_component", "embedding_rows", "pick_cols", "slice_cols",
-            "concat_rows", "sum_all", "mean_all"]
+            "sigmoid", "tanh", "log_softmax_rows", "embedding_rows", "pick_cols",
+            "slice_cols", "concat_rows", "sum_all", "mean_all", "precomputed"]
 
 
 @pytest.mark.parametrize("name", OP_NAMES)
@@ -393,6 +351,18 @@ def test_detach_blocks_gradient():
         out = T.sum_all(T.mul(y.detach(), Tensor(np.ones(3))))
     backward(out, tape)
     assert x.grad is None
+
+
+def test_precomputed_records_one_node_and_nothing_without_tape():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    c = Tensor(np.ones(3))
+    assert not T.precomputed(1.0, [(x, np.ones((2, 3)))])._from_op
+    with Tape() as tape:
+        out = T.precomputed(2.0, [(x, np.full((2, 3), 0.5)), (c, np.ones(3))])
+    assert len(tape.nodes) == 1 and out.item() == 2.0
+    backward(out, tape)
+    assert np.array_equal(x.grad, np.full((2, 3), 0.5))
+    assert c.grad is None  # constants take no gradient
 
 
 def test_nested_tapes_restore_outer():

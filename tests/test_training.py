@@ -231,6 +231,25 @@ def test_train_teacher_presence_contract():
               teacher=OneHotOracle(vocab.size))
 
 
+def test_fixed_interp_at_alpha_one_runs_without_teacher():
+    # s = 1 - alpha = 0: the loss never reads Q, so no teacher is run for it
+    vocab, stream = tiny_corpus()
+    spec = DistillLossSpec("fixed_interp", alpha=1.0)
+    assert not spec.needs_teacher
+    assert DistillLossSpec("fixed_interp", alpha=0.999).needs_teacher
+    cfg = TrainConfig(loss=spec, epochs=1, batch_size=2, bptt_len=6)
+    with pytest.raises(ConfigError, match="alpha = 1 reads no teacher"):
+        train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg,
+              teacher=OneHotOracle(vocab.size))
+    a = build_model(tiny_config(vocab.size), 0)
+    b = build_model(tiny_config(vocab.size), 0)
+    train(a, stream, stream, cfg)
+    train(b, stream, stream, TrainConfig(loss=DistillLossSpec("ce_only"), epochs=1,
+                                         batch_size=2, bptt_len=6))
+    assert all(np.array_equal(p.data, r.data)
+               for (_, p), (_, r) in zip(a.parameters(), b.parameters()))
+
+
 def test_train_zero_lr_leaves_params_bitwise():
     vocab, stream = tiny_corpus()
     model = build_model(tiny_config(vocab.size), 0)
@@ -541,6 +560,35 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     save_checkpoint(model, p1)
     save_checkpoint(load_checkpoint(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_loads_writable_arrays_that_own_their_memory(tmp_path):
+    # each payload is copied once, out of the file's bytes, into its own array
+    _, _, model = _trained_model()
+    path = tmp_path / "m.dlm"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    for (name, got), (_, want) in zip(loaded.parameters(), model.parameters()):
+        flags = got.data.flags
+        assert flags.owndata and flags.writeable and flags.c_contiguous, name
+        assert got.data.dtype == np.float64 and got.data.shape == want.data.shape
+        assert got.data.tobytes() == want.data.tobytes(), name
+        got.data += 1.0  # writable in place, as SGD updates it
+
+
+def test_checkpoint_truncation_names_path_and_offset(tmp_path):
+    _, _, model = _trained_model()
+    path = tmp_path / "m.dlm"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-10])
+    vocab_size = model.config.vocab_size
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    msg = str(err.value)
+    assert msg.startswith(f"{path}: truncated checkpoint")
+    assert f"needed {8 * vocab_size} bytes for out.b payload" in msg
+    assert f"at offset {len(blob) - 8 * vocab_size}, file has {len(blob) - 10}" in msg
 
 
 def test_checkpoint_bad_magic(tmp_path):
