@@ -11,7 +11,7 @@ from .model import (ForwardResult, LmModel, LmState, ModelConfig, build_model,
 from .checkpoint import load_checkpoint, save_checkpoint
 from .regularization import DropoutSpec, activation_reg, variational_mask
 from .rescore import (NbestEntry, RescoreConfig, WerReport, combine_and_select,
-                      parse_nbest, rescore_nbest, score_hypothesis, wer)
+                      parse_nbest, rescore_nbest, wer)
 from .tensor import Tape, Tensor, backward, grad_check_params
 from .training import (TeacherEnsemble, TrainConfig, ensemble_predict, perplexity,
                        step_loss, train)

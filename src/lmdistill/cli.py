@@ -297,11 +297,11 @@ def cmd_rescore(args) -> int:
     if sweeps is not None:
         if refs is None:
             raise ConfigError("--sweep-lm-weight/--sweep-wip need --refs to score against")
-        best = None
+        best, lm_scores = None, {}  # the first sweep point scores; the rest reuse
         for lm_w, wip in sweeps:
             rc = RescoreConfig(lm_weight=lm_w, word_insertion_penalty=wip,
                                oov_mode=cfg["oov_mode"], oov_penalty=cfg["oov_penalty"])
-            selected = rescore_nbest(model, vocab, nbest, rc)
+            selected = rescore_nbest(model, vocab, nbest, rc, lm_scores)
             report = wer(refs, {u: e.words for u, e in selected.items()})
             print(f"lm_weight={lm_w:g} wip={wip:g} {report.line()}")
             if best is None or report.wer_percent < best[0]:

@@ -330,13 +330,15 @@ class ForwardResult:
 
     log_probs rows are time-major: row t*batch + b is position t of lane b;
     in train mode they are MosRows, for a loss to evaluate.
-    raw/dropped hold the final LSTM layer's per-step outputs (for TAR/AR).
+    raw_outputs holds the final LSTM layer's per-step outputs (for TAR);
+    dropped is the same after its output dropout, as the time-major
+    [batch*T x H] block that feeds the bottleneck (for AR).
     """
 
     log_probs: Tensor | MosRows
     state: LmState
     raw_outputs: list[Tensor]
-    dropped_outputs: list[Tensor]
+    dropped: Tensor
 
 
 def flatten_targets(targets: np.ndarray) -> np.ndarray:
@@ -400,10 +402,12 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
         raw_outputs.append(hs[-1])
         dropped_outputs.append(x)
 
-    x = T.concat_rows(dropped_outputs) if steps else Tensor(np.zeros((0, hs[-1].shape[1])))
+    dropped = (T.concat_rows(dropped_outputs) if steps
+               else Tensor(np.zeros((0, hs[-1].shape[1]))))
     if other_mask is not None:  # one mask per lane, the same at every step
         other_mask = Tensor(np.tile(other_mask.data, (steps, 1)))
-    hidden = _masked(T.add(T.matmul(x, model.bottleneck_w), model.bottleneck_b), other_mask)
+    hidden = _masked(T.add(T.matmul(dropped, model.bottleneck_w), model.bottleneck_b),
+                     other_mask)
     log_probs = MosRows(model, hidden) if rng is not None else mos_log_probs(model, hidden)
     new_state = LmState(list(zip(hs, cs)))
-    return ForwardResult(log_probs, new_state, raw_outputs, dropped_outputs)
+    return ForwardResult(log_probs, new_state, raw_outputs, dropped)

@@ -58,22 +58,23 @@ def variational_mask(shape: tuple[int, ...], rate: float,
     return Tensor(keep / (1.0 - rate))
 
 
-def activation_reg(dropped: list[Tensor], raw: list[Tensor],
+def activation_reg(dropped: Tensor, raw: list[Tensor],
                    ar_weight: float, tar_weight: float) -> Tensor:
-    """AR/TAR penalty over a sequence of [batch x H] activations (time-major).
+    """AR/TAR penalty over final-layer activations: dropped is the time-major
+    [batch*T x H] block model_forward feeds the bottleneck, raw the per-step
+    [batch x H] outputs before dropout.
 
-    AR  = ar_weight  * mean over all elements of dropped[t]^2
+    AR  = ar_weight  * mean over all elements of dropped^2
     TAR = tar_weight * mean over all elements of (raw[t+1] - raw[t])^2
-    Each is one mean over the steps stacked into one block; every step has the
+    TAR is one mean over the steps stacked into one block; every step has the
     same shape, so that equals the mean of per-step means. Weights must be
     >= 0; a single step contributes no TAR term.
     """
     if ar_weight < 0 or tar_weight < 0:
         raise ConfigError(f"activation reg weights must be >= 0, got {ar_weight}, {tar_weight}")
     total = Tensor(0.0)
-    if ar_weight > 0 and dropped:
-        d = T.concat_rows(dropped)
-        total = T.add(total, T.scale(T.mean_all(T.mul(d, d)), ar_weight))
+    if ar_weight > 0 and dropped.data.size:
+        total = T.add(total, T.scale(T.mean_all(T.mul(dropped, dropped)), ar_weight))
     if tar_weight > 0 and len(raw) > 1:
         d = T.sub(T.concat_rows(raw[1:]), T.concat_rows(raw[:-1]))
         total = T.add(total, T.scale(T.mean_all(T.mul(d, d)), tar_weight))

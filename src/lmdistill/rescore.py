@@ -2,10 +2,14 @@
 
 N-best files are TSV: utt_id, rank, acoustic_score, firstpass_lm_score, then
 the hypothesis words in one space-separated field (possibly empty). Each
-hypothesis is scored with a fresh zero LM state: inputs are [eos, w1..wn] and
+hypothesis is scored from a zero LM state: inputs are [eos, w1..wn] and
 targets [w1..wn, eos], so an n-word hypothesis contributes n+1 log-prob terms.
-The combined score is acoustic + lm_weight * lm_logprob + wip * word_count;
-the first-pass LM column is carried through but takes no part in combination.
+An utterance's hypotheses are scored together as one prefix trie over their
+inputs, one model_forward per trie depth, so a prefix they share is run once.
+LM scores do not depend on lm_weight or wip, so a sweep scores each utterance
+once and combines at every grid point. The combined score is acoustic +
+lm_weight * lm_logprob + wip * word_count; the first-pass LM column is carried
+through but takes no part in combination.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ import numpy as np
 
 from .data import UNK, Vocabulary
 from .errors import ConfigError, DataError, FormatError
-from .model import LmModel, model_forward
+from .model import LmModel, LmState, model_forward
+from .tensor import Tensor
 
-__all__ = ["NbestEntry", "RescoreConfig", "parse_nbest", "score_hypothesis",
+__all__ = ["NbestEntry", "RescoreConfig", "parse_nbest", "score_utterance",
            "combine_and_select", "rescore_nbest", "WerReport", "wer",
            "edit_ops", "parse_refs"]
 
@@ -103,40 +108,44 @@ def parse_refs(lines, source: str = "<refs>") -> dict[str, list[str]]:
     return refs
 
 
-def score_hypothesis(model: LmModel, vocab: Vocabulary, words: list[str],
-                     oov_mode: str = "rnn_unk", oov_penalty: float = -10.0) -> float:
-    """Total natural-log probability of words + eos from a fresh zero state.
+def score_utterance(model: LmModel, vocab: Vocabulary, hypotheses: list[list[str]],
+                    cfg: RescoreConfig) -> list[float]:
+    """Total natural-log probability of each hypothesis's words + eos from a zero state.
 
-    OOV words (those the vocabulary can only map to unk) are handled per
-    oov_mode: scored as rnn_unk, skipped (fed as context but not scored), or
-    charged a fixed penalty log-prob. The first input is always eos.
+    The hypotheses' inputs form a prefix trie, walked depth by depth: one eval
+    model_forward per depth runs every node at that depth from its parent's
+    (h, c), so a shared prefix is run once. Only the targets' log-probs are kept.
+    OOV words (those the vocabulary can only map to unk) are fed as rnn_unk and
+    handled per cfg.oov_mode: scored as rnn_unk, skipped (context only), or
+    charged cfg.oov_penalty.
     """
-    if oov_mode not in OOV_MODES:
-        raise ConfigError(f"oov_mode must be one of {', '.join(OOV_MODES)}, "
-                          f"got {oov_mode!r}")
-    if model.config.vocab_size != vocab.size:
-        raise ConfigError(f"model was built for {model.config.vocab_size} words "
-                          f"but the vocabulary has {vocab.size}")
-    ids = []
-    oov = []
-    for w in words:
-        idx = vocab.lookup(w)
-        if idx == vocab.unk_id and w != UNK:
-            oov.append(True)
-            ids.append(vocab.rnn_unk_id)  # context token for the unknown word
-        else:
-            oov.append(False)
-            ids.append(idx)
-    targets = np.asarray(ids + [vocab.eos_id], dtype=np.int64)
-    inputs = np.asarray([vocab.eos_id] + ids, dtype=np.int64)
-    out = model_forward(model, inputs[None, :], model.init_state(1))
-    logp = out.log_probs.data[np.arange(targets.shape[0]), targets]
-    oov = np.asarray(oov + [False])
-    if oov_mode == "rnn_unk":
-        return float(logp.sum())
-    if oov_mode == "skip":
-        return float(logp[~oov].sum())
-    return float(logp[~oov].sum()) + float(oov.sum()) * oov_penalty
+    targets, oov = [], []
+    for words in hypotheses:
+        found = [vocab.lookup(w) for w in words]
+        flags = [i == vocab.unk_id and w != UNK for i, w in zip(found, words)]
+        targets.append([vocab.rnn_unk_id if f else i for i, f in zip(found, flags)]
+                       + [vocab.eos_id])
+        oov.append(np.asarray(flags + [False]))
+    logp = [np.empty(len(t)) for t in targets]
+    node = [0] * len(targets)  # each hypothesis's row among the current depth's nodes
+    inputs, parents, state = [vocab.eos_id], [0], model.init_state(1)
+    for depth in range(max(map(len, targets), default=0)):
+        state = LmState([(Tensor(h.data[parents]), Tensor(c.data[parents]))
+                         for h, c in state.layers])
+        out = model_forward(model, np.asarray(inputs)[:, None], state)
+        live = [i for i, t in enumerate(targets) if depth < len(t)]
+        picked = out.log_probs.data[[node[i] for i in live], [targets[i][depth] for i in live]]
+        children: dict[tuple[int, int], int] = {}  # (parent row, input id) -> row
+        for i, lp in zip(live, picked):
+            logp[i][depth] = lp
+            if depth + 1 < len(targets[i]):
+                node[i] = children.setdefault((node[i], targets[i][depth]), len(children))
+        parents, inputs, state = [p for p, _ in children], [w for _, w in children], out.state
+        del out  # only the picked log-probs outlive their depth's forward
+    if cfg.oov_mode == "rnn_unk":
+        return [float(lp.sum()) for lp in logp]
+    penalty = cfg.oov_penalty if cfg.oov_mode == "penalty" else 0.0  # skip charges nothing
+    return [float(lp[~f].sum()) + float(f.sum()) * penalty for lp, f in zip(logp, oov)]
 
 
 def combine_and_select(entries: list[NbestEntry], lm_scores: list[float],
@@ -161,13 +170,23 @@ def combine_and_select(entries: list[NbestEntry], lm_scores: list[float],
 
 def rescore_nbest(model: LmModel, vocab: Vocabulary,
                   nbest: dict[str, list[NbestEntry]],
-                  cfg: RescoreConfig) -> dict[str, NbestEntry]:
-    """Score every hypothesis and select per utterance."""
+                  cfg: RescoreConfig,
+                  lm_scores: dict[str, list[float]] | None = None) -> dict[str, NbestEntry]:
+    """Select per utterance, scoring each utterance absent from lm_scores once.
+
+    lm_scores maps utt_id to its LM scores in entry order, and is filled in
+    place: a sweep over lm_weight and wip passes one dict to every call. Its
+    scores hold only for the same model, vocabulary, N-best and OOV settings.
+    """
+    if model.config.vocab_size != vocab.size:
+        raise ConfigError(f"model was built for {model.config.vocab_size} words "
+                          f"but the vocabulary has {vocab.size}")
+    lm_scores = {} if lm_scores is None else lm_scores
     out = {}
     for utt, entries in nbest.items():
-        lms = [score_hypothesis(model, vocab, e.words, cfg.oov_mode, cfg.oov_penalty)
-               for e in entries]
-        out[utt] = combine_and_select(entries, lms, cfg)
+        if utt not in lm_scores:
+            lm_scores[utt] = score_utterance(model, vocab, [e.words for e in entries], cfg)
+        out[utt] = combine_and_select(entries, lm_scores[utt], cfg)
     return out
 
 
@@ -200,25 +219,23 @@ class WerReport:
 def edit_ops(ref: list[str], hyp: list[str]) -> tuple[int, int, int]:
     """(substitutions, insertions, deletions) of one minimal edit alignment."""
     nr, nh = len(ref), len(hyp)
-    # cost[i][j]: edit distance between ref[:i] and hyp[:j]
-    cost = np.zeros((nr + 1, nh + 1), dtype=np.int64)
-    cost[:, 0] = np.arange(nr + 1)
-    cost[0, :] = np.arange(nh + 1)
+    # cost[i][j]: edit distance between ref[:i] and hyp[:j], in Python ints
+    cost = [list(range(nh + 1))] + [[i] + [0] * nh for i in range(1, nr + 1)]
     for i in range(1, nr + 1):
+        up, row, word = cost[i - 1], cost[i], ref[i - 1]
         for j in range(1, nh + 1):
-            same = ref[i - 1] == hyp[j - 1]
-            cost[i, j] = min(cost[i - 1, j - 1] + (0 if same else 1),
-                             cost[i - 1, j] + 1,   # delete ref word
-                             cost[i, j - 1] + 1)   # insert hyp word
+            row[j] = min(up[j - 1] + (word != hyp[j - 1]),
+                         up[j] + 1,        # delete ref word
+                         row[j - 1] + 1)   # insert hyp word
     subs = ins = dels = 0
     i, j = nr, nh
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] and ref[i - 1] == hyp[j - 1]:
+        if i > 0 and j > 0 and cost[i][j] == cost[i - 1][j - 1] and ref[i - 1] == hyp[j - 1]:
             i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] + 1:
+        elif i > 0 and j > 0 and cost[i][j] == cost[i - 1][j - 1] + 1:
             subs += 1
             i, j = i - 1, j - 1
-        elif i > 0 and cost[i, j] == cost[i - 1, j] + 1:
+        elif i > 0 and cost[i][j] == cost[i - 1][j] + 1:
             dels += 1
             i -= 1
         else:

@@ -184,7 +184,7 @@ def step_loss(model: LmModel, batch: BpttBatch, state: LmState, spec: DistillLos
     loss = distill_loss(spec, out.log_probs, flatten_targets(batch.targets), q)
     rates = model.config.dropout
     if rates.ar_weight > 0 or rates.tar_weight > 0:
-        loss = T.add(loss, activation_reg(out.dropped_outputs, out.raw_outputs,
+        loss = T.add(loss, activation_reg(out.dropped, out.raw_outputs,
                                           rates.ar_weight, rates.tar_weight))
     return loss, out
 

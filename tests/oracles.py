@@ -1,9 +1,11 @@
-"""Test-only teachers, and the per-step head and taped loss the fused head replaced."""
+"""Test-only teachers, the per-step head and taped loss the fused head replaced,
+and the per-hypothesis scoring the prefix-trie scorer replaced."""
 
 import numpy as np
 
 import lmdistill.tensor as T
-from lmdistill.model import LmState, flatten_targets, lstm_step
+from lmdistill.data import UNK
+from lmdistill.model import LmState, flatten_targets, lstm_step, model_forward
 from lmdistill.regularization import variational_mask
 from lmdistill.tensor import Tensor
 
@@ -111,3 +113,23 @@ def oracle_distill_loss(spec, log_p: Tensor, y: np.ndarray, q=None) -> Tensor:
     if s != 0.0:
         loss = T.add(loss, T.scale(T.sum_all(T.mul(Tensor(q), log_p)), -s / n))
     return loss
+
+
+# ---------------------------------------------------------------------------
+# N-best scoring as it ran before the prefix trie: one batch-1 eval forward
+# per hypothesis. The trie scorer must agree with it.
+
+
+def oracle_hypothesis_score(model, vocab, words, oov_mode="rnn_unk", oov_penalty=-10.0):
+    """Natural-log probability of words + eos, the hypothesis run alone from a zero state."""
+    oov = [vocab.lookup(w) == vocab.unk_id and w != UNK for w in words]
+    ids = [vocab.rnn_unk_id if o else vocab.lookup(w) for w, o in zip(words, oov)]
+    inputs = np.asarray([[vocab.eos_id] + ids])
+    targets = np.asarray(ids + [vocab.eos_id])
+    out = model_forward(model, inputs, model.init_state(1))
+    logp = out.log_probs.data[np.arange(targets.shape[0]), targets]
+    oov = np.asarray(oov + [False])  # eos is always scored
+    if oov_mode == "rnn_unk":
+        return float(logp.sum())
+    penalty = oov_penalty if oov_mode == "penalty" else 0.0
+    return float(logp[~oov].sum()) + float(oov.sum()) * penalty

@@ -16,8 +16,10 @@ sys.path.insert(0, str(ROOT / "bench"))
 import spans  # noqa: E402
 
 # Sites the tracer skips because the functions are gone (dropout masks have
-# come from variational_mask since the per-call generator replaced them).
-KNOWN_ABSENT = {("lmdistill.model", "drop_connect"), ("lmdistill.model", "embedding_dropout")}
+# come from variational_mask since the per-call generator replaced them;
+# rescoring scores each utterance as one prefix trie, not per hypothesis).
+KNOWN_ABSENT = {("lmdistill.model", "drop_connect"), ("lmdistill.model", "embedding_dropout"),
+                ("lmdistill.rescore", "score_hypothesis")}
 
 
 SITES = [site[:2] for site in spans.ENTRY_SITES + spans.CALL_SITES]

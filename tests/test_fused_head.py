@@ -53,7 +53,8 @@ def test_fused_step_matches_per_step_oracle(variant, tied, monkeypatch):
     def oracle(rng):
         log_p, _, raw, dropped = oracle_forward(model, batch.inputs, model.init_state(3), rng)
         loss = oracle_distill_loss(spec, log_p, flatten_targets(batch.targets), q)
-        return T.add(loss, activation_reg(dropped, raw, RATES.ar_weight, RATES.tar_weight))
+        return T.add(loss, activation_reg(T.concat_rows(dropped), raw,
+                                          RATES.ar_weight, RATES.tar_weight))
 
     def run(loss_fn):
         model.zero_grad()

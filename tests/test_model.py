@@ -499,11 +499,10 @@ def test_train_mode_dropout_changes_outputs_and_keeps_distributions():
     assert not np.array_equal(log_p, out_e.log_probs.data)
     p = np.exp(log_p)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
-    # raw and dropped final-layer activations are captured per step
+    # raw final-layer activations are captured per step, dropped as one block
     assert len(out_t.raw_outputs) == 4
-    assert len(out_t.dropped_outputs) == 4
-    assert not np.array_equal(out_t.raw_outputs[0].data,
-                              out_t.dropped_outputs[0].data)
+    assert out_t.dropped.shape == (2 * 4, out_t.raw_outputs[0].shape[1])
+    assert not np.array_equal(out_t.raw_outputs[0].data, out_t.dropped.data[:2])
 
 
 def _np_log_softmax(z):
@@ -567,8 +566,9 @@ def test_train_forward_matches_numpy_with_masks_in_draw_order(tied):
 
     np.testing.assert_allclose(mos_log_probs(model, out.log_probs.hidden).data,
                                np.concatenate(rows), rtol=0, atol=1e-12)
-    for got, want in zip(out.raw_outputs + out.dropped_outputs, raw + dropped):
+    for got, want in zip(out.raw_outputs, raw):
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.dropped.data, np.concatenate(dropped), rtol=0, atol=1e-12)
     for (h, c), h_want, c_want in zip(out.state.layers, hs, cs):
         np.testing.assert_allclose(h.data, h_want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(c.data, c_want, rtol=0, atol=1e-12)
@@ -582,7 +582,8 @@ def test_masks_shared_within_call_and_fresh_across_calls():
 
     def step_masks():
         out = model_forward(model, tokens, model.init_state(2), rng)
-        return [d.data / r.data for d, r in zip(out.dropped_outputs, out.raw_outputs)]
+        steps = np.split(out.dropped.data, len(out.raw_outputs))
+        return [d / r.data for d, r in zip(steps, out.raw_outputs)]
 
     first, second = step_masks(), step_masks()
     for masks in (first, second):

@@ -111,41 +111,42 @@ def test_activation_reg_hand_case():
     # dropped = raw = h over 2 steps of [[1]], [[3]]:
     # AR = mean(1^2, 3^2) = 5, TAR = (3-1)^2 = 4, total 9
     h0, h1 = Tensor(np.array([[1.0]])), Tensor(np.array([[3.0]]))
-    total = activation_reg([h0, h1], [h0, h1], ar_weight=1.0, tar_weight=1.0)
+    total = activation_reg(T.concat_rows([h0, h1]), [h0, h1], ar_weight=1.0, tar_weight=1.0)
     assert total.item() == 9.0
 
 
 def test_activation_reg_ar_only_and_tar_only():
     h0, h1 = Tensor(np.array([[1.0]])), Tensor(np.array([[3.0]]))
-    assert activation_reg([h0, h1], [h0, h1], 2.0, 0.0).item() == 10.0
-    assert activation_reg([h0, h1], [h0, h1], 0.0, 3.0).item() == 12.0
-    assert activation_reg([h0, h1], [h0, h1], 0.0, 0.0).item() == 0.0
+    block = T.concat_rows([h0, h1])
+    assert activation_reg(block, [h0, h1], 2.0, 0.0).item() == 10.0
+    assert activation_reg(block, [h0, h1], 0.0, 3.0).item() == 12.0
+    assert activation_reg(block, [h0, h1], 0.0, 0.0).item() == 0.0
 
 
 def test_activation_reg_single_step_has_no_tar():
     h = Tensor(np.array([[2.0]]))
-    assert activation_reg([h], [h], 0.0, 5.0).item() == 0.0
-    assert activation_reg([h], [h], 1.0, 5.0).item() == 4.0
+    assert activation_reg(h, [h], 0.0, 5.0).item() == 0.0
+    assert activation_reg(h, [h], 1.0, 5.0).item() == 4.0
 
 
 def test_activation_reg_batch_mean():
     # mean over all elements, not per-lane sums
     h = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     want = (1 + 4 + 9 + 16) / 4
-    assert activation_reg([h], [h], 1.0, 0.0).item() == want
+    assert activation_reg(h, [h], 1.0, 0.0).item() == want
 
 
 def test_activation_reg_weight_validation():
     h = Tensor(np.ones((1, 1)))
     with pytest.raises(ConfigError):
-        activation_reg([h], [h], -1.0, 0.0)
+        activation_reg(h, [h], -1.0, 0.0)
 
 
 def test_activation_reg_gradients():
     def f(x):
         a = T.slice_cols(x, 0, 2)
         b = T.slice_cols(x, 2, 4)
-        return activation_reg([a, b], [a, b], 0.7, 1.3)
+        return activation_reg(T.concat_rows([a, b]), [a, b], 0.7, 1.3)
 
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmdistill.data import UNK, build_vocab
+import lmdistill.rescore as rescore_module
+from lmdistill.checkpoint import save_checkpoint
+from lmdistill.cli import dispatch
+from lmdistill.data import EOS, UNK, Vocabulary, build_vocab
 from lmdistill.errors import ConfigError, DataError, FormatError
 from lmdistill.model import ModelConfig, build_model, model_forward
-from lmdistill.rescore import (NbestEntry, RescoreConfig, WerReport,
+from lmdistill.rescore import (OOV_MODES, NbestEntry, RescoreConfig, WerReport,
                                combine_and_select, edit_ops, parse_nbest,
-                               parse_refs, rescore_nbest, score_hypothesis,
-                               wer)
+                               parse_refs, rescore_nbest, score_utterance, wer)
+from oracles import oracle_hypothesis_score
 
 
 def make_vocab():
@@ -109,14 +112,19 @@ def test_parse_refs_errors():
 # hypothesis scoring
 
 
+def score(model, vocab, words, oov_mode="rnn_unk", oov_penalty=-10.0):
+    """One hypothesis through the trie scorer."""
+    cfg = RescoreConfig(oov_mode=oov_mode, oov_penalty=oov_penalty)
+    return score_utterance(model, vocab, [words], cfg)[0]
+
+
 def test_uniform_model_scores_count_log_vocab():
     vocab = make_vocab()
     model = uniform_model(vocab.size)
     # n in-vocab words + eos, each -ln V under a zeroed model
-    for words in ([], ["alpha"], ["alpha", "beta", "gamma"]):
-        score = score_hypothesis(model, vocab, words)
-        assert score == pytest.approx(-(len(words) + 1) * math.log(vocab.size),
-                                      rel=1e-12)
+    hyps = [[], ["alpha"], ["alpha", "beta", "gamma"]]
+    for words, got in zip(hyps, score_utterance(model, vocab, hyps, RescoreConfig())):
+        assert got == pytest.approx(-(len(words) + 1) * math.log(vocab.size), rel=1e-12)
 
 
 def test_oov_mode_relations_on_uniform_model():
@@ -124,9 +132,9 @@ def test_oov_mode_relations_on_uniform_model():
     model = uniform_model(vocab.size)
     words = ["alpha", "zzz", "beta"]  # zzz is OOV
     lnv = math.log(vocab.size)
-    s_rnn = score_hypothesis(model, vocab, words, "rnn_unk")
-    s_skip = score_hypothesis(model, vocab, words, "skip")
-    s_pen = score_hypothesis(model, vocab, words, "penalty", oov_penalty=-10.0)
+    s_rnn = score(model, vocab, words, "rnn_unk")
+    s_skip = score(model, vocab, words, "skip")
+    s_pen = score(model, vocab, words, "penalty", oov_penalty=-10.0)
     assert s_rnn == pytest.approx(-4 * lnv, rel=1e-12)
     assert s_skip == pytest.approx(-3 * lnv, rel=1e-12)
     assert s_pen == pytest.approx(-3 * lnv - 10.0, rel=1e-12)
@@ -136,13 +144,13 @@ def test_literal_unk_token_is_not_oov():
     vocab = make_vocab()
     model = uniform_model(vocab.size)
     # the unk word itself maps to unk_id by definition, so no OOV handling
-    s_rnn = score_hypothesis(model, vocab, [UNK], "rnn_unk")
-    s_skip = score_hypothesis(model, vocab, [UNK], "skip")
+    s_rnn = score(model, vocab, [UNK], "rnn_unk")
+    s_skip = score(model, vocab, [UNK], "skip")
     assert s_rnn == s_skip
     assert s_rnn == pytest.approx(-2 * math.log(vocab.size), rel=1e-12)
 
 
-def test_score_hypothesis_matches_manual_forward():
+def test_trie_scores_match_manual_forward():
     vocab = make_vocab()
     model = random_model(vocab.size)
     words = ["alpha", "zzz", "beta"]
@@ -151,28 +159,92 @@ def test_score_hypothesis_matches_manual_forward():
     targets = np.asarray(ids + [vocab.eos_id])
     out = model_forward(model, inputs, model.init_state(1))
     logp = out.log_probs.data[np.arange(4), targets]
-    assert score_hypothesis(model, vocab, words, "rnn_unk") == logp.sum()
+    # one forward per depth rounds differently from one forward over all steps
+    assert score(model, vocab, words, "rnn_unk") == pytest.approx(logp.sum(), rel=1e-12)
     # skip drops only the OOV position (index 1); eos is always scored
-    assert score_hypothesis(model, vocab, words, "skip") == logp[[0, 2, 3]].sum()
-    assert (score_hypothesis(model, vocab, words, "penalty", oov_penalty=-2.5)
-            == logp[[0, 2, 3]].sum() + 1 * -2.5)
+    assert score(model, vocab, words, "skip") == pytest.approx(logp[[0, 2, 3]].sum(), rel=1e-12)
+    assert (score(model, vocab, words, "penalty", oov_penalty=-2.5)
+            == pytest.approx(logp[[0, 2, 3]].sum() + 1 * -2.5, rel=1e-12))
 
 
 def test_empty_hypothesis_scores_eos_only():
     vocab = make_vocab()
     model = random_model(vocab.size)
+    # the trie's root is always one batch-1 forward of eos, so the bits agree
     out = model_forward(model, np.asarray([[vocab.eos_id]]), model.init_state(1))
-    assert score_hypothesis(model, vocab, []) == out.log_probs.data[0, vocab.eos_id]
+    assert score(model, vocab, []) == out.log_probs.data[0, vocab.eos_id]
 
 
-def test_score_hypothesis_validation():
-    vocab = make_vocab()
+@pytest.mark.parametrize("oov_mode", OOV_MODES)
+def test_trie_scores_match_per_hypothesis_oracle(oov_mode):
+    base = make_vocab()
+    vocab = Vocabulary(base.words, base.counts, rare={"rareword"})
     model = random_model(vocab.size)
-    with pytest.raises(ConfigError, match="oov_mode"):
-        score_hypothesis(model, vocab, ["alpha"], "bogus")
+    lines = [
+        "u1\t1\t-1.0\t0.0\talpha beta gamma",
+        "u1\t2\t-1.0\t0.0\talpha beta delta",    # shares alpha beta
+        "u1\t3\t-1.0\t0.0\talpha beta gamma",    # duplicate of rank 1
+        "u1\t4\t-1.0\t0.0",                       # empty hypothesis
+        "u1\t5\t-1.0\t0.0\talpha zzz beta",      # OOV: fed as rnn_unk
+        "u1\t6\t-1.0\t0.0\talpha rareword beta",  # rare: the same input, not OOV
+        "u1\t7\t-1.0\t0.0\talpha zzz",
+        "u2\t1\t-1.0\t0.0\tbeta beta alpha gamma delta",
+        "u2\t2\t-1.0\t0.0\tgamma",
+        "u2\t3\t-1.0\t0.0\tbeta beta",
+    ]
+    nbest = parse_nbest(lines)
+    cfg = RescoreConfig(oov_mode=oov_mode, oov_penalty=-3.0)
+    lm_scores = {}
+    rescore_nbest(model, vocab, nbest, cfg, lm_scores)
+    assert sorted(lm_scores) == ["u1", "u2"]
+    for utt, entries in nbest.items():
+        assert len(lm_scores[utt]) == len(entries)
+        for entry, got in zip(entries, lm_scores[utt]):
+            want = oracle_hypothesis_score(model, vocab, entry.words, oov_mode, -3.0)
+            assert got == pytest.approx(want, rel=1e-12), (utt, entry.rank)
+    u1 = lm_scores["u1"]
+    assert u1[0] == u1[2]
+    # the OOV and the rare word share a trie node and a target; only the OOV flag differs
+    assert (u1[4] == u1[5]) == (oov_mode == "rnn_unk")
+
+
+def test_sweep_feeds_one_trie_pass(tmp_path, monkeypatch, capsys):
+    vocab = make_vocab()
+    vocab.save(tmp_path / "vocab.txt")
+    save_checkpoint(random_model(vocab.size), tmp_path / "model.dlm")
+    hyps = {"u1": ["alpha beta gamma", "alpha beta", "alpha delta", ""],
+            "u2": ["beta", "beta gamma"]}
+    (tmp_path / "nbest.tsv").write_text("".join(
+        f"{u}\t{r}\t-1.0\t0.0\t{h}\n" for u, hs in hyps.items() for r, h in enumerate(hs, 1)))
+    (tmp_path / "refs.tsv").write_text("u1\talpha beta\nu2\tbeta\n")
+    # each distinct input prefix [eos, w1..wk] of an utterance is one trie node
+    nodes = [(u,) + tuple(([EOS] + h.split())[:k])
+             for u, hs in hyps.items() for h in hs for k in range(1, len(h.split()) + 2)]
+    want = sorted(vocab.lookup(node[-1]) for node in set(nodes))
+    fed = []
+    forward = rescore_module.model_forward
+
+    def recording(model, tokens, state):
+        assert tokens.shape == (state.batch_size, 1)
+        fed.extend(tokens.ravel().tolist())
+        return forward(model, tokens, state)
+
+    monkeypatch.setattr(rescore_module, "model_forward", recording)
+    rc = dispatch(["rescore", "--model", str(tmp_path / "model.dlm"),
+                   "--nbest", str(tmp_path / "nbest.tsv"), "--refs", str(tmp_path / "refs.tsv"),
+                   "--sweep-lm-weight", "0,1", "--sweep-wip", "0,-0.5"])
+    assert rc == 0
+    assert len([ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("lm_weight=")]) == 4
+    assert sorted(fed) == want
+    assert len(fed) == 8  # scoring each hypothesis at each point fed 4 x 16 ids
+
+
+def test_rescore_nbest_checks_vocab_size():
+    vocab = make_vocab()
     small = random_model(vocab.size - 1)
     with pytest.raises(ConfigError, match="vocabulary has"):
-        score_hypothesis(small, vocab, ["alpha"])
+        rescore_nbest(small, vocab, parse_nbest(["u\t1\t-1.0\t0.0\talpha"]), RescoreConfig())
 
 
 def test_rescore_config_validation():

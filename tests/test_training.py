@@ -199,7 +199,7 @@ def test_step_loss_is_forward_plus_distill_plus_reg(ar, tar):
         out = model_forward(model, batch.inputs, model.init_state(2), rng)
         loss = distill_loss(spec, out.log_probs, flatten_targets(batch.targets), q)
         if ar or tar:
-            loss = T.add(loss, activation_reg(out.dropped_outputs, out.raw_outputs, ar, tar))
+            loss = T.add(loss, activation_reg(out.dropped, out.raw_outputs, ar, tar))
         return loss
 
     def run(loss_fn):
