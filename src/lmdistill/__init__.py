@@ -7,7 +7,7 @@ from .errors import (ConfigError, ContractError, DataError, FormatError,
                      NumericError, ShapeError, TrainingError, UserError)
 from .losses import DistillLossSpec, distill_loss
 from .model import (ForwardResult, LmModel, LmState, ModelConfig, build_model,
-                    lstm_step, model_forward, param_count)
+                    model_forward, param_count)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .regularization import DropoutSpec, activation_reg, variational_mask
 from .rescore import (NbestEntry, RescoreConfig, WerReport, combine_and_select,

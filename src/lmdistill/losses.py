@@ -65,9 +65,9 @@ class DistillLossSpec:
 
 
 def trust_weights(q: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-position CE weights R = -alpha * log(1 - Q[i, y[i]]), Q[y] clamped below 1; [N]."""
-    if alpha <= 0.0:
-        raise ConfigError(f"trust weighting needs alpha > 0, got {alpha}")
+    """Per-position CE weights R = -alpha * log(1 - Q[i, y[i]]), Q[y] clamped below 1; [N].
+
+    alpha > 0 comes from a trust_reg DistillLossSpec, which admits no other."""
     qy = np.minimum(q[np.arange(q.shape[0]), y], 1.0 - TRUST_CLAMP)
     return -alpha * np.log(1.0 - qy)
 

@@ -5,11 +5,13 @@ experts mixed by a learned prior. The final LSTM layer's width defaults to
 hidden_dim but may be set separately (reference configs narrow it to the
 bottleneck width, which is how the published parameter counts come out).
 
-The LSTM runs step by step; the head runs once per window over all B*T rows,
-in chunks of CHUNK_ELEMENTS / (K*V) rows: one output matmul over the K expert
-contexts stacked expert-major, and a log-sum-exp over the experts' log-softmaxes
-(no log of an underflowed entry). Eval mode returns log P untaped; in train mode
-the loss runs head and backward per chunk in one tape node (MosRows).
+model_forward runs layer-major over whole windows: each LSTM layer is one
+tape node over the time-major [T*B x in] block (lstm_layer, its backward a
+hand-written BPTT). The head runs once per window over all B*T rows, in chunks
+of CHUNK_ELEMENTS / (K*V) rows: one output matmul over the K expert contexts
+stacked expert-major, and a log-sum-exp over the experts' log-softmaxes (no log
+of an underflowed entry). Eval mode returns log P untaped; in train mode the
+loss runs head and backward per chunk in one tape node (MosRows).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .regularization import DropoutSpec, variational_mask
 from .tensor import Tensor
 
 __all__ = ["ModelConfig", "LmModel", "LmState", "LstmLayer", "ForwardResult", "MosRows",
-           "build_model", "param_count", "lstm_step", "mos_log_probs", "model_forward"]
+           "build_model", "param_count", "lstm_layer", "mos_log_probs", "model_forward"]
 
 EMBED_INIT_RANGE = 0.1
 
@@ -200,25 +202,66 @@ def build_model(config: ModelConfig, seed: int) -> LmModel:
     return model
 
 
-def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
-              ) -> tuple[Tensor, Tensor]:
-    """One LSTM cell step; gate order in the fused matrices is [i, f, g, o].
+def _sigmoid(z: np.ndarray) -> None:
+    """Logistic function in place; the split form never exponentiates a positive value."""
+    e = np.exp(-np.abs(z))
+    np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=z)
 
-    i, f, o are sigmoid gates, g is the tanh candidate:
-    c' = f*c + i*g, h' = o*tanh(c').
+
+def lstm_layer(xs: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor
+               ) -> tuple[Tensor, Tensor, Tensor]:
+    """One LSTM layer over a time-major [T*B x in] block: (hs [T*B x H], h_T, c_T).
+
+    Gate order in the fused matrices is [i, f, g, o]; i, f, o are sigmoid gates,
+    g is the tanh candidate: c' = f*c + i*g, h' = o*tanh(c'). The input GEMM
+    for all T steps runs before the recurrence, which keeps only the gates and
+    the cells. hs is one tape node; its backward runs the reverse recurrence
+    and ends in one weight-gradient GEMM each for wx and wh. h_T and c_T are
+    constants: a caller carries them into the next window detached.
     """
-    hid = wh.shape[0]
-    if wx.shape[1] != 4 * hid or wh.shape[1] != 4 * hid or b.shape != (4 * hid,):
-        raise ShapeError(
-            f"inconsistent LSTM weights: wx {wx.shape}, wh {wh.shape}, b {b.shape}")
-    gates = T.add(T.add(T.matmul(x, wx), T.matmul(h, wh)), b)
-    i = T.sigmoid(T.slice_cols(gates, 0, hid))
-    f = T.sigmoid(T.slice_cols(gates, hid, 2 * hid))
-    g = T.tanh(T.slice_cols(gates, 2 * hid, 3 * hid))
-    o = T.sigmoid(T.slice_cols(gates, 3 * hid, 4 * hid))
-    c2 = T.add(T.mul(f, c), T.mul(i, g))
-    h2 = T.mul(o, T.tanh(c2))
-    return h2, c2
+    batch, hid = c0.shape
+    if (wx.shape[1] != 4 * hid or wh.shape != (hid, 4 * hid) or b.shape != (4 * hid,)
+            or h0.shape != c0.shape or xs.shape[1] != wx.shape[0] or xs.shape[0] % batch):
+        raise ShapeError(f"inconsistent LSTM layer: xs {xs.shape}, h0 {h0.shape}, "
+                         f"c0 {c0.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+    steps = xs.shape[0] // batch
+    gates = (xs.data @ wx.data).reshape(steps, batch, 4 * hid)
+    hs = np.empty((steps + 1, batch, hid))  # hs[0] = h0; hs[t + 1]: step t's output
+    cells = np.empty((steps + 1, batch, hid))
+    hs[0], cells[0] = h0.data, c0.data
+    for t, z in enumerate(gates):  # z becomes the gate activations in place
+        z += hs[t] @ wh.data
+        z += b.data
+        _sigmoid(z[:, :2 * hid])
+        np.tanh(z[:, 2 * hid:3 * hid], out=z[:, 2 * hid:3 * hid])
+        _sigmoid(z[:, 3 * hid:])
+        i, f, g, o = np.split(z, 4, axis=1)
+        np.multiply(f, cells[t], out=cells[t + 1])
+        cells[t + 1] += i * g
+        np.multiply(o, np.tanh(cells[t + 1]), out=hs[t + 1])
+
+    def backward(d_hs):
+        i, f, g, o = np.split(gates, 4, axis=2)
+        tanh_c = np.tanh(cells[1:])
+        dc_from_dh = o * (1.0 - tanh_c * tanh_c)
+        # dz = [dc*g*i(1-i), dc*c_prev*f(1-f), dc*i*(1-g^2), dh*tanh(c)*o(1-o)]
+        dz = np.concatenate([g * i * (1.0 - i), cells[:-1] * f * (1.0 - f),
+                             i * (1.0 - g * g), tanh_c * o * (1.0 - o)], axis=2)
+        d_hs, dz4 = d_hs.reshape(steps, batch, hid), dz.reshape(steps, batch, 4, hid)
+        dh, dc = np.zeros((batch, hid)), np.zeros((batch, hid))
+        for t in reversed(range(steps)):  # dh, dc: the gradients in h_t, c_t
+            dh += d_hs[t]
+            dc += dh * dc_from_dh[t]
+            dz4[t, :, :3] *= dc[:, None, :]
+            dz4[t, :, 3] *= dh
+            dh = dz[t] @ wh.data.T
+            dc *= f[t]
+        dz = dz.reshape(steps * batch, 4 * hid)
+        return (dz @ wx.data.T, dh, dc, xs.data.T @ dz,
+                hs[:-1].reshape(steps * batch, hid).T @ dz, dz.sum(axis=0))
+
+    out = T.fused(hs[1:].reshape(steps * batch, hid), (xs, h0, c0, wx, wh, b), backward)
+    return out, Tensor(hs[-1].copy()), Tensor(cells[-1].copy())
 
 
 # A head chunk's [K*rows x V] block holds about this many float64s (16 MB).
@@ -330,14 +373,14 @@ class ForwardResult:
 
     log_probs rows are time-major: row t*batch + b is position t of lane b;
     in train mode they are MosRows, for a loss to evaluate.
-    raw_outputs holds the final LSTM layer's per-step outputs (for TAR);
-    dropped is the same after its output dropout, as the time-major
-    [batch*T x H] block that feeds the bottleneck (for AR).
+    raw is the final LSTM layer's output block [batch*T x H], time-major
+    (for TAR); dropped is the same after its output dropout, the block that
+    feeds the bottleneck (for AR).
     """
 
     log_probs: Tensor | MosRows
     state: LmState
-    raw_outputs: list[Tensor]
+    raw: Tensor
     dropped: Tensor
 
 
@@ -348,6 +391,11 @@ def flatten_targets(targets: np.ndarray) -> np.ndarray:
 
 def _masked(x: Tensor, mask: Tensor | None) -> Tensor:
     return x if mask is None else T.mul(x, mask)
+
+
+def _tiled(mask: Tensor | None, steps: int) -> Tensor | None:
+    """A per-lane [batch x n] mask repeated for every step of a time-major block."""
+    return None if mask is None else Tensor(np.tile(mask.data, (steps, 1)))
 
 
 def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
@@ -387,27 +435,14 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
     table = model.embedding
     if embed_mask is not None:  # whole word rows
         table = T.mul(table, Tensor(np.broadcast_to(embed_mask.data, table.shape)))
-    masked_wh = [_masked(layer.wh, m) for layer, m in zip(model.layers, wh_masks)]
-
-    hs = [h for h, _ in state.layers]
-    cs = [c for _, c in state.layers]
-    raw_outputs: list[Tensor] = []
-    dropped_outputs: list[Tensor] = []
-
-    for t in range(steps):
-        x = _masked(T.embedding_rows(table, tokens[:, t]), in_mask)
-        for i, layer in enumerate(model.layers):
-            hs[i], cs[i] = lstm_step(x, hs[i], cs[i], layer.wx, masked_wh[i], layer.b)
-            x = _masked(hs[i], out_masks[i])
-        raw_outputs.append(hs[-1])
-        dropped_outputs.append(x)
-
-    dropped = (T.concat_rows(dropped_outputs) if steps
-               else Tensor(np.zeros((0, hs[-1].shape[1]))))
-    if other_mask is not None:  # one mask per lane, the same at every step
-        other_mask = Tensor(np.tile(other_mask.data, (steps, 1)))
-    hidden = _masked(T.add(T.matmul(dropped, model.bottleneck_w), model.bottleneck_b),
-                     other_mask)
+    x = _masked(T.embedding_rows(table, tokens.ravel(order="F")), _tiled(in_mask, steps))
+    layers = []
+    for layer, wh_mask, out_mask, (h0, c0) in zip(model.layers, wh_masks, out_masks,
+                                                  state.layers):
+        raw, h, c = lstm_layer(x, h0, c0, layer.wx, _masked(layer.wh, wh_mask), layer.b)
+        x = _masked(raw, _tiled(out_mask, steps))
+        layers.append((h, c))
+    hidden = _masked(T.add(T.matmul(x, model.bottleneck_w), model.bottleneck_b),
+                     _tiled(other_mask, steps))
     log_probs = MosRows(model, hidden) if rng is not None else mos_log_probs(model, hidden)
-    new_state = LmState(list(zip(hs, cs)))
-    return ForwardResult(log_probs, new_state, raw_outputs, dropped)
+    return ForwardResult(log_probs, LmState(layers), raw, x)

@@ -58,24 +58,29 @@ def variational_mask(shape: tuple[int, ...], rate: float,
     return Tensor(keep / (1.0 - rate))
 
 
-def activation_reg(dropped: Tensor, raw: list[Tensor],
+def activation_reg(dropped: Tensor, raw: Tensor, batch: int,
                    ar_weight: float, tar_weight: float) -> Tensor:
-    """AR/TAR penalty over final-layer activations: dropped is the time-major
-    [batch*T x H] block model_forward feeds the bottleneck, raw the per-step
-    [batch x H] outputs before dropout.
+    """AR/TAR penalty over the final LSTM layer's time-major [batch*T x H]
+    blocks: dropped feeds the bottleneck, raw is the same before dropout.
 
     AR  = ar_weight  * mean over all elements of dropped^2
     TAR = tar_weight * mean over all elements of (raw[t+1] - raw[t])^2
-    TAR is one mean over the steps stacked into one block; every step has the
-    same shape, so that equals the mean of per-step means. Weights must be
-    >= 0; a single step contributes no TAR term.
+    Step t of raw is rows t*batch..(t+1)*batch, so TAR's differences are the
+    block less itself shifted by batch rows; a single step has no TAR term.
+    Both terms and their gradients are one tape node (T.precomputed). The
+    weights come from a DropoutSpec, which keeps them >= 0.
     """
-    if ar_weight < 0 or tar_weight < 0:
-        raise ConfigError(f"activation reg weights must be >= 0, got {ar_weight}, {tar_weight}")
-    total = Tensor(0.0)
+    total, grads = 0.0, []
     if ar_weight > 0 and dropped.data.size:
-        total = T.add(total, T.scale(T.mean_all(T.mul(dropped, dropped)), ar_weight))
-    if tar_weight > 0 and len(raw) > 1:
-        d = T.sub(T.concat_rows(raw[1:]), T.concat_rows(raw[:-1]))
-        total = T.add(total, T.scale(T.mean_all(T.mul(d, d)), tar_weight))
-    return total
+        d = dropped.data
+        total += np.sum(d * d) / d.size * ar_weight
+        grads.append((dropped, d * (2.0 * ar_weight / d.size)))
+    if tar_weight > 0 and raw.shape[0] > batch:
+        diff = raw.data[batch:] - raw.data[:-batch]
+        total += np.sum(diff * diff) / diff.size * tar_weight
+        diff *= 2.0 * tar_weight / diff.size
+        g = np.zeros_like(raw.data)
+        g[batch:] += diff
+        g[:-batch] -= diff
+        grads.append((raw, g))
+    return T.precomputed(total, grads)

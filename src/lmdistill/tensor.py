@@ -18,9 +18,9 @@ from .errors import ContractError, NumericError, ShapeError
 
 __all__ = [
     "Tensor", "Tape", "backward", "grad_check_params",
-    "GradCheckReport", "matmul", "add", "sub", "mul", "scale",
-    "sigmoid", "tanh", "log_softmax_rows", "embedding_rows", "pick_cols",
-    "slice_cols", "concat_rows", "sum_all", "mean_all", "precomputed",
+    "GradCheckReport", "matmul", "add", "mul", "scale", "tanh",
+    "log_softmax_rows", "embedding_rows", "pick_cols", "concat_rows", "sum_all",
+    "fused", "precomputed",
 ]
 
 class Tensor:
@@ -155,18 +155,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub shapes differ: {a.data.shape} - {b.data.shape}")
-    out = Tensor(a.data - b.data)
-
-    def back(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _record(out, (a, b), back)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul shapes differ: {a.data.shape} * {b.data.shape}")
@@ -185,21 +173,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def back(g):
         _accum(a, g * c)
-
-    return _record(out, (a,), back)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])  # split form never exponentiates a positive value
-    y[~pos] = ex / (1.0 + ex)
-    out = Tensor(y)
-
-    def back(g):
-        _accum(a, g * y * (1.0 - y))
 
     return _record(out, (a,), back)
 
@@ -283,19 +256,6 @@ def pick_cols(a: Tensor, ids) -> Tensor:
     return _record(out, (a,), back)
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2 or not (0 <= start <= stop <= a.data.shape[1]):
-        raise ShapeError(f"slice_cols [{start}:{stop}] invalid for shape {a.data.shape}")
-    out = Tensor(a.data[:, start:stop].copy())
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        _accum(a, full)
-
-    return _record(out, (a,), back)
-
-
 def concat_rows(parts: list[Tensor]) -> Tensor:
     if not parts:
         raise ShapeError("concat_rows needs at least one part")
@@ -327,28 +287,26 @@ def sum_all(a: Tensor) -> Tensor:
     return _record(out, (a,), back)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    size = a.data.size
-    if size == 0:
-        raise ShapeError("mean_all of an empty tensor")
-    out = Tensor(np.sum(a.data) / size)
+# ---------------------------------------------------------------------------
+# fused ops: many array ops, one node
+
+
+def fused(value: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """One tape node for an op whose backward is written by hand: backward_fn(g),
+    g the gradient of the value, returns one gradient per input."""
+    out = Tensor(value)
 
     def back(g):
-        _accum(a, np.broadcast_to(g / size, a.data.shape))
+        for t, d in zip(inputs, backward_fn(g)):
+            _accum(t, d)
 
-    return _record(out, (a,), back)
+    return _record(out, inputs, back)
 
 
 def precomputed(value: float, grads: list[tuple[Tensor, np.ndarray]]) -> Tensor:
     """A scalar, as one tape node, whose gradient in each input came with its value;
     a fused op that holds its gradients keeps none of its intermediates."""
-    out = Tensor(value)
-
-    def back(g):
-        for t, d in grads:
-            _accum(t, g * d)
-
-    return _record(out, tuple(t for t, _ in grads), back)
+    return fused(value, tuple(t for t, _ in grads), lambda g: [g * d for _, d in grads])
 
 
 # ---------------------------------------------------------------------------

@@ -134,10 +134,8 @@ def clip_gradients(params: list[tuple[str, Tensor]], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
 
     Returns the pre-clip norm. A non-finite norm leaves the gradients as they
-    are, for the caller to reject.
+    are, for the caller to reject. max_norm > 0 is TrainConfig.grad_clip's check.
     """
-    if max_norm <= 0:
-        raise ConfigError(f"grad_clip must be > 0, got {max_norm}")
     total = 0.0
     for _, p in params:
         if p.grad is not None:
@@ -184,7 +182,7 @@ def step_loss(model: LmModel, batch: BpttBatch, state: LmState, spec: DistillLos
     loss = distill_loss(spec, out.log_probs, flatten_targets(batch.targets), q)
     rates = model.config.dropout
     if rates.ar_weight > 0 or rates.tar_weight > 0:
-        loss = T.add(loss, activation_reg(out.dropped, out.raw_outputs,
+        loss = T.add(loss, activation_reg(out.dropped, out.raw, batch.inputs.shape[0],
                                           rates.ar_weight, rates.tar_weight))
     return loss, out
 

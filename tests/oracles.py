@@ -1,11 +1,13 @@
-"""Test-only teachers, the per-step head and taped loss the fused head replaced,
-and the per-hypothesis scoring the prefix-trie scorer replaced."""
+"""Test-only teachers; the per-step LSTM cell, head, taped loss and AR/TAR that
+the layer op and the fused ops replaced; and the per-hypothesis scoring the
+prefix-trie scorer replaced."""
 
 import numpy as np
 
 import lmdistill.tensor as T
 from lmdistill.data import UNK
-from lmdistill.model import LmState, flatten_targets, lstm_step, model_forward
+from lmdistill.errors import ShapeError
+from lmdistill.model import LmState, flatten_targets, model_forward
 from lmdistill.regularization import variational_mask
 from lmdistill.tensor import Tensor
 
@@ -24,6 +26,65 @@ class OneHotOracle:
         q = np.zeros((y.shape[0], self.vocab_size))
         q[np.arange(y.shape[0]), y] = 1.0
         return q
+
+
+# ---------------------------------------------------------------------------
+# The LSTM as it ran before lstm_layer: one cell step at a time from small tape
+# ops, about 17 nodes per layer-step. lstm_layer must agree with it on values
+# and gradients.
+
+
+def oracle_sigmoid(a: Tensor) -> Tensor:
+    x = a.data
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])  # split form never exponentiates a positive value
+    y[~pos] = ex / (1.0 + ex)
+    return T._record(Tensor(y), (a,), lambda g: T._accum(a, g * y * (1.0 - y)))
+
+
+def oracle_slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
+    def back(g):
+        full = np.zeros_like(a.data)
+        full[:, start:stop] = g
+        T._accum(a, full)
+
+    return T._record(Tensor(a.data[:, start:stop].copy()), (a,), back)
+
+
+def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
+              ) -> tuple[Tensor, Tensor]:
+    """One LSTM cell step; gate order in the fused matrices is [i, f, g, o].
+
+    i, f, o are sigmoid gates, g is the tanh candidate:
+    c' = f*c + i*g, h' = o*tanh(c').
+    """
+    hid = wh.shape[0]
+    if wx.shape[1] != 4 * hid or wh.shape[1] != 4 * hid or b.shape != (4 * hid,):
+        raise ShapeError(
+            f"inconsistent LSTM weights: wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+    gates = T.add(T.add(T.matmul(x, wx), T.matmul(h, wh)), b)
+    i = oracle_sigmoid(oracle_slice_cols(gates, 0, hid))
+    f = oracle_sigmoid(oracle_slice_cols(gates, hid, 2 * hid))
+    g = T.tanh(oracle_slice_cols(gates, 2 * hid, 3 * hid))
+    o = oracle_sigmoid(oracle_slice_cols(gates, 3 * hid, 4 * hid))
+    c2 = T.add(T.mul(f, c), T.mul(i, g))
+    h2 = T.mul(o, T.tanh(c2))
+    return h2, c2
+
+
+def oracle_activation_reg(dropped: Tensor, raw: list[Tensor],
+                          ar_weight: float, tar_weight: float) -> Tensor:
+    """AR/TAR from tape ops: raw is the list of per-step [batch x H] outputs."""
+    mean = lambda a: T.scale(T.sum_all(a), 1.0 / a.data.size)
+    total = Tensor(0.0)
+    if ar_weight > 0 and dropped.data.size:
+        total = T.add(total, T.scale(mean(T.mul(dropped, dropped)), ar_weight))
+    if tar_weight > 0 and len(raw) > 1:
+        d = T.add(T.concat_rows(raw[1:]), T.scale(T.concat_rows(raw[:-1]), -1.0))
+        total = T.add(total, T.scale(mean(T.mul(d, d)), tar_weight))
+    return total
 
 
 # ---------------------------------------------------------------------------

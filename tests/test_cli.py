@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import lmdistill
+import lmdistill.model as model_module
 import lmdistill.tensor as T
+import lmdistill.training as training_module
 from lmdistill.checkpoint import load_checkpoint
 from lmdistill.cli import CONFIG_KEYS, dispatch, load_config
 from lmdistill.data import Vocabulary, build_vocab, encode
@@ -471,22 +473,29 @@ def test_grad_check_takes_no_options(option, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("op", ["mean_all", "sigmoid"])
-def test_grad_check_catches_scaled_backward(op, monkeypatch, capsys):
-    # negative control: the op's recorded backward is off by 1%
-    original = getattr(T, op)
+@pytest.mark.parametrize("module, op", [(model_module, "lstm_layer"),
+                                        (training_module, "activation_reg")],
+                         ids=["lstm_layer", "activation_reg"])
+def test_grad_check_catches_scaled_backward(module, op, monkeypatch, capsys):
+    # negative control: the fused op's recorded backward is off by 1%
+    original = getattr(module, op)
+    skewed_nodes = []
 
-    def skewed(a):
-        out = original(a)
-        tape = T._active_tape()
-        if tape is not None and tape.nodes and tape.nodes[-1].output is out:
+    def skewed(*args):
+        result = original(*args)
+        out = result[0] if isinstance(result, tuple) else result
+        tape = T._active_tape()  # none while finite differences evaluate the loss
+        if tape is not None:
             node = tape.nodes[-1]
+            assert node.output is out
             back = node.backward_fn
             node.backward_fn = lambda g: back(1.01 * g)
-        return out
+            skewed_nodes.append(node)
+        return result
 
-    monkeypatch.setattr(T, op, skewed)
+    monkeypatch.setattr(module, op, skewed)
     assert dispatch(["grad-check"]) == 1
+    assert skewed_nodes
     assert "FAILURES" in capsys.readouterr().out
 
 

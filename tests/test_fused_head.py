@@ -18,8 +18,8 @@ from lmdistill.data import BpttBatch
 from lmdistill.errors import NumericError
 from lmdistill.losses import LOSS_VARIANTS, DistillLossSpec, distill_loss
 from lmdistill.model import ModelConfig, build_model, flatten_targets, model_forward
-from lmdistill.regularization import DropoutSpec, activation_reg
-from oracles import oracle_distill_loss, oracle_forward
+from lmdistill.regularization import DropoutSpec
+from oracles import oracle_activation_reg, oracle_distill_loss, oracle_forward
 
 RATES = DropoutSpec(input_rate=0.2, output_rate=0.25, hidden_rate=0.3, embed_rate=0.1,
                     other_rate=0.15, ar_weight=2.0, tar_weight=1.0)
@@ -53,8 +53,8 @@ def test_fused_step_matches_per_step_oracle(variant, tied, monkeypatch):
     def oracle(rng):
         log_p, _, raw, dropped = oracle_forward(model, batch.inputs, model.init_state(3), rng)
         loss = oracle_distill_loss(spec, log_p, flatten_targets(batch.targets), q)
-        return T.add(loss, activation_reg(T.concat_rows(dropped), raw,
-                                          RATES.ar_weight, RATES.tar_weight))
+        return T.add(loss, oracle_activation_reg(T.concat_rows(dropped), raw,
+                                                 RATES.ar_weight, RATES.tar_weight))
 
     def run(loss_fn):
         model.zero_grad()

@@ -217,9 +217,10 @@ def test_trust_weights_vectorized_matches_scalar():
 
 
 def test_trust_weight_validation():
+    # trust_weights takes alpha from a trust_reg spec, which admits only alpha > 0
     for alpha in (0.0, -1.0):
-        with pytest.raises(ConfigError):
-            trust_weights(np.array([[0.5, 0.5]]), np.array([0]), alpha)
+        with pytest.raises(ConfigError, match="trust_reg needs alpha > 0"):
+            DistillLossSpec("trust_reg", alpha=alpha)
 
 
 def test_tr_loss_hand_arithmetic():
@@ -339,6 +340,8 @@ def test_spec_validation():
         DistillLossSpec(variant="fixed_interp", alpha=1.5)
     with pytest.raises(ConfigError):
         DistillLossSpec(variant="trust_reg", alpha=0.0)
+    with pytest.raises(ConfigError):
+        DistillLossSpec(variant="trust_reg", alpha=-1.0)
     assert not DistillLossSpec(variant="ce_only").needs_teacher
     for v in ("kl_only", "fixed_interp", "trust_reg"):
         assert DistillLossSpec(variant=v).needs_teacher

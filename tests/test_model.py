@@ -1,4 +1,4 @@
-"""Model architecture: parameter counts, LSTM cell, MoS head, forward pass."""
+"""Model architecture: parameter counts, LSTM layer, MoS head, forward pass."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import lmdistill.tensor as T
 import oracles
 from lmdistill.errors import ConfigError, ShapeError
 from lmdistill.model import (LmModel, ModelConfig, MosRows, build_model, flatten_targets,
-                             lstm_step, model_forward, mos_log_probs, param_count)
+                             lstm_layer, model_forward, mos_log_probs, param_count)
 from lmdistill.regularization import DropoutSpec
 from lmdistill.tensor import Tensor, grad_check_params
 
@@ -125,7 +125,13 @@ def test_canonical_parameter_order():
 
 
 # ---------------------------------------------------------------------------
-# LSTM cell
+# LSTM layer: one step (T=1) by hand, and whole windows against the per-step cell
+
+
+def _step(x, h, c, wx, wh, b):
+    # one step of lstm_layer: (h', c')
+    hs, _, c2 = lstm_layer(x, h, c, wx, wh, b)
+    return hs, c2
 
 
 def test_lstm_step_zero_weights_hand_case():
@@ -137,7 +143,7 @@ def test_lstm_step_zero_weights_hand_case():
     wx = Tensor(np.zeros((1, 4)))
     wh = Tensor(np.zeros((1, 4)))
     b = Tensor(np.zeros(4))
-    h2, c2 = lstm_step(x, h, c, wx, wh, b)
+    h2, c2 = _step(x, h, c, wx, wh, b)
     assert c2.data[0, 0] == 0.5
     assert h2.data[0, 0] == 0.5 * np.tanh(0.5)
 
@@ -161,14 +167,13 @@ def test_lstm_step_matches_numpy_oracle():
     want_c = f * c + i * g
     want_h = o * np.tanh(want_c)
 
-    h2, c2 = lstm_step(Tensor(x), Tensor(h), Tensor(c), Tensor(wx), Tensor(wh),
-                       Tensor(b))
+    h2, c2 = _step(Tensor(x), Tensor(h), Tensor(c), Tensor(wx), Tensor(wh), Tensor(b))
     assert np.allclose(c2.data, want_c, rtol=1e-12, atol=1e-14)
     assert np.allclose(h2.data, want_h, rtol=1e-12, atol=1e-14)
 
 
 def test_lstm_step_gradients_match_finite_differences():
-    # every input of the cell: x, carried h and c, and the three weight tensors
+    # every input of one step: x, carried h and c, and the three weight tensors
     for seed in range(5):
         rng = np.random.default_rng(seed)
         B, E, H = 3, 5, 4
@@ -177,11 +182,10 @@ def test_lstm_step_gradients_match_finite_differences():
         params = [(name, Tensor(rng.standard_normal(shape), requires_grad=True))
                   for name, shape in shapes.items()]
         w_h = Tensor(rng.standard_normal((B, H)))
-        w_c = Tensor(rng.standard_normal((B, H)))
 
         def loss_fn():
-            h2, c2 = lstm_step(*(p for _, p in params))
-            return T.add(T.sum_all(T.mul(h2, w_h)), T.sum_all(T.mul(c2, w_c)))
+            h2, _ = _step(*(p for _, p in params))
+            return T.sum_all(T.mul(h2, w_h))
 
         reports = grad_check_params(loss_fn, params)
         assert list(reports) == list(shapes)
@@ -191,9 +195,13 @@ def test_lstm_step_gradients_match_finite_differences():
 
 def test_lstm_step_weight_shape_error():
     with pytest.raises(ShapeError):
-        lstm_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3))),
-                  Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 12))),
-                  Tensor(np.zeros((3, 12))), Tensor(np.zeros(13)))
+        _step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3))),
+              Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 12))),
+              Tensor(np.zeros((3, 12))), Tensor(np.zeros(13)))
+    with pytest.raises(ShapeError):  # 3 rows do not split into lanes of 2
+        lstm_layer(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 3))),
+                   Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 12))),
+                   Tensor(np.zeros((3, 12))), Tensor(np.zeros(12)))
 
 
 def test_lstm_forget_gate_saturation_preserves_cell():
@@ -205,9 +213,73 @@ def test_lstm_forget_gate_saturation_preserves_cell():
     b[0:H] = -30.0   # input gate shut
     b[H:2 * H] = 30.0  # forget gate open
     c = Tensor(np.array([[0.7, -0.4]]))
-    _, c2 = lstm_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, H))), c,
-                      wx, wh, Tensor(b))
+    _, c2 = _step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, H))), c,
+                  wx, wh, Tensor(b))
     assert np.allclose(c2.data, c.data, atol=1e-12)
+
+
+def test_lstm_layer_extreme_gate_inputs_finite_and_bounded():
+    # every gate sees the same pre-activation per unit: -1000, -20, 0, 20, 1000;
+    # the sigmoid never overflows, and its saturated ends are exact
+    z = np.array([-1000.0, -20.0, 0.0, 20.0, 1000.0])
+    b = Tensor(np.tile(z, 4), requires_grad=True)
+    c0 = Tensor(np.ones((1, 5)))
+    with T.Tape() as tape:
+        hs, _, c = lstm_layer(Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 5))), c0,
+                              Tensor(np.zeros((1, 20))), Tensor(np.zeros((5, 20))), b)
+        T.backward(T.sum_all(hs), tape)
+    assert np.all(np.isfinite(hs.data)) and np.all(np.abs(hs.data) <= 1.0)
+    assert np.all(np.isfinite(b.grad))
+    assert c.data[0, 0] == 0.0 and c.data[0, 2] == 0.5 and c.data[0, 4] == 2.0
+    assert hs.data[0, 2] == 0.5 * np.tanh(0.5) and hs.data[0, 4] == np.tanh(2.0)
+
+
+def _layer_stack_grads(layer_fn, xs, states, weights, masks, w_out):
+    # sum(w_out * last layer's outputs) through stacked layers with DropConnect'd
+    # wh; returns that output and the gradient of every input
+    params = [xs] + [t for pair in states for t in pair] + [t for ws in weights for t in ws]
+    for p in params:
+        p.grad = None
+    with T.Tape() as tape:
+        x = xs
+        for (h0, c0), (wx, wh, b), m in zip(states, weights, masks):
+            x = layer_fn(x, h0, c0, wx, T.mul(wh, m), b)
+        T.backward(T.sum_all(T.mul(x, Tensor(w_out))), tape)
+    return x.data, [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+
+
+def _per_step_layer(lanes):
+    def run(xs, h, c, wx, wh, b):
+        outs = []
+        for t in range(xs.shape[0] // lanes):
+            x = T.embedding_rows(xs, np.arange(t * lanes, (t + 1) * lanes))
+            h, c = oracles.lstm_step(x, h, c, wx, wh, b)
+            outs.append(h)
+        return T.concat_rows(outs) if outs else Tensor(np.zeros((0, h.shape[1])))
+    return run
+
+
+@pytest.mark.parametrize("lanes, steps, widths", [(3, 5, [6]), (1, 4, [6]), (2, 0, [6]),
+                                                  (3, 5, [6, 4])],
+                         ids=["B3", "B1", "T0", "two-layers-narrow-last"])
+def test_lstm_layer_matches_per_step_oracle(lanes, steps, widths):
+    rng = np.random.default_rng(40 + lanes + steps)
+    rnd = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
+    ins = [5] + widths[:-1]
+    xs = rnd(steps * lanes, 5)
+    states = [(rnd(lanes, h), rnd(lanes, h)) for h in widths]
+    weights = [(rnd(i, 4 * h), rnd(h, 4 * h), rnd(4 * h)) for i, h in zip(ins, widths)]
+    masks = [Tensor((rng.random((h, 4 * h)) >= 0.3) / 0.7) for h in widths]
+    w_out = rng.standard_normal((steps * lanes, widths[-1]))
+
+    got, got_grads = _layer_stack_grads(lambda *a: lstm_layer(*a)[0], xs, states, weights,
+                                        masks, w_out)
+    want, want_grads = _layer_stack_grads(_per_step_layer(lanes), xs, states, weights, masks,
+                                          w_out)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+    for k, (g, w) in enumerate(zip(got_grads, want_grads)):
+        err = np.max(np.abs(g - w), initial=0.0)
+        assert err <= 1e-10 * np.max(np.abs(w), initial=0.0), f"input {k}: {err:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +571,9 @@ def test_train_mode_dropout_changes_outputs_and_keeps_distributions():
     assert not np.array_equal(log_p, out_e.log_probs.data)
     p = np.exp(log_p)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
-    # raw final-layer activations are captured per step, dropped as one block
-    assert len(out_t.raw_outputs) == 4
-    assert out_t.dropped.shape == (2 * 4, out_t.raw_outputs[0].shape[1])
-    assert not np.array_equal(out_t.raw_outputs[0].data, out_t.dropped.data[:2])
+    # raw final-layer activations and their dropped copy are time-major blocks
+    assert out_t.raw.shape == out_t.dropped.shape == (2 * 4, 8)
+    assert not np.array_equal(out_t.raw.data, out_t.dropped.data)
 
 
 def _np_log_softmax(z):
@@ -566,8 +637,7 @@ def test_train_forward_matches_numpy_with_masks_in_draw_order(tied):
 
     np.testing.assert_allclose(mos_log_probs(model, out.log_probs.hidden).data,
                                np.concatenate(rows), rtol=0, atol=1e-12)
-    for got, want in zip(out.raw_outputs, raw):
-        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.raw.data, np.concatenate(raw), rtol=0, atol=1e-12)
     np.testing.assert_allclose(out.dropped.data, np.concatenate(dropped), rtol=0, atol=1e-12)
     for (h, c), h_want, c_want in zip(out.state.layers, hs, cs):
         np.testing.assert_allclose(h.data, h_want, rtol=0, atol=1e-12)
@@ -582,8 +652,7 @@ def test_masks_shared_within_call_and_fresh_across_calls():
 
     def step_masks():
         out = model_forward(model, tokens, model.init_state(2), rng)
-        steps = np.split(out.dropped.data, len(out.raw_outputs))
-        return [d / r.data for d, r in zip(steps, out.raw_outputs)]
+        return np.split(out.dropped.data / out.raw.data, 5)
 
     first, second = step_masks(), step_masks()
     for masks in (first, second):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import lmdistill.tensor as T
 from lmdistill.errors import ConfigError
 from lmdistill.losses import DistillLossSpec, distill_loss
 from lmdistill.model import ModelConfig, build_model, model_forward, mos_log_probs
@@ -18,6 +17,8 @@ def test_dropout_spec_validation():
         DropoutSpec(hidden_rate=-0.1)
     with pytest.raises(ConfigError):
         DropoutSpec(ar_weight=-1.0)
+    with pytest.raises(ConfigError):
+        DropoutSpec(tar_weight=-1.0)
 
 
 def test_mask_values_and_scaling():
@@ -110,45 +111,40 @@ def test_embedding_dropout_zeroes_whole_rows():
 def test_activation_reg_hand_case():
     # dropped = raw = h over 2 steps of [[1]], [[3]]:
     # AR = mean(1^2, 3^2) = 5, TAR = (3-1)^2 = 4, total 9
-    h0, h1 = Tensor(np.array([[1.0]])), Tensor(np.array([[3.0]]))
-    total = activation_reg(T.concat_rows([h0, h1]), [h0, h1], ar_weight=1.0, tar_weight=1.0)
+    h = Tensor(np.array([[1.0], [3.0]]))
+    total = activation_reg(h, h, batch=1, ar_weight=1.0, tar_weight=1.0)
     assert total.item() == 9.0
 
 
 def test_activation_reg_ar_only_and_tar_only():
-    h0, h1 = Tensor(np.array([[1.0]])), Tensor(np.array([[3.0]]))
-    block = T.concat_rows([h0, h1])
-    assert activation_reg(block, [h0, h1], 2.0, 0.0).item() == 10.0
-    assert activation_reg(block, [h0, h1], 0.0, 3.0).item() == 12.0
-    assert activation_reg(block, [h0, h1], 0.0, 0.0).item() == 0.0
+    block = Tensor(np.array([[1.0], [3.0]]))
+    assert activation_reg(block, block, 1, 2.0, 0.0).item() == 10.0
+    assert activation_reg(block, block, 1, 0.0, 3.0).item() == 12.0
+    assert activation_reg(block, block, 1, 0.0, 0.0).item() == 0.0
 
 
 def test_activation_reg_single_step_has_no_tar():
     h = Tensor(np.array([[2.0]]))
-    assert activation_reg(h, [h], 0.0, 5.0).item() == 0.0
-    assert activation_reg(h, [h], 1.0, 5.0).item() == 4.0
+    assert activation_reg(h, h, 1, 0.0, 5.0).item() == 0.0
+    assert activation_reg(h, h, 1, 1.0, 5.0).item() == 4.0
+    # two lanes, one step: no row is a step after another
+    two = Tensor(np.array([[1.0], [3.0]]))
+    assert activation_reg(two, two, 2, 0.0, 5.0).item() == 0.0
 
 
 def test_activation_reg_batch_mean():
     # mean over all elements, not per-lane sums
     h = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     want = (1 + 4 + 9 + 16) / 4
-    assert activation_reg(h, [h], 1.0, 0.0).item() == want
-
-
-def test_activation_reg_weight_validation():
-    h = Tensor(np.ones((1, 1)))
-    with pytest.raises(ConfigError):
-        activation_reg(h, [h], -1.0, 0.0)
+    assert activation_reg(h, h, 2, 1.0, 0.0).item() == want
 
 
 def test_activation_reg_gradients():
-    def f(x):
-        a = T.slice_cols(x, 0, 2)
-        b = T.slice_cols(x, 2, 4)
-        return activation_reg(T.concat_rows([a, b]), [a, b], 0.7, 1.3)
-
+    # 2 lanes x 3 steps; TAR pairs rows t*2+b and (t+1)*2+b
     rng = np.random.default_rng(11)
-    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    report = grad_check_params(lambda: f(x), [("x", x)])["x"]
-    assert report.passed, report
+    dropped = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+    raw = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+    reports = grad_check_params(lambda: activation_reg(dropped, raw, 2, 0.7, 1.3),
+                                [("dropped", dropped), ("raw", raw)])
+    assert all(r.passed for r in reports.values()), reports
+
