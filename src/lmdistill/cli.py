@@ -10,6 +10,7 @@ success, 1 user/config error, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 from dataclasses import dataclass
@@ -39,6 +40,13 @@ def _bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return v
+
+
 def _opt_int(text: str) -> int | None:
     # 0 stands for "unset" so optional dims stay expressible in flat keys.
     v = int(text)
@@ -55,29 +63,29 @@ CONFIG_KEYS: dict[str, tuple] = {
     "num_experts": (int, 2),
     "expert_dim": (_opt_int, None),
     "tie_embeddings": (_bool, True),
-    "input_dropout": (float, 0.0),
-    "output_dropout": (float, 0.0),
-    "hidden_dropout": (float, 0.0),
-    "embed_dropout": (float, 0.0),
-    "other_dropout": (float, 0.0),
-    "ar_weight": (float, 0.0),
-    "tar_weight": (float, 0.0),
+    "input_dropout": (_finite, 0.0),
+    "output_dropout": (_finite, 0.0),
+    "hidden_dropout": (_finite, 0.0),
+    "embed_dropout": (_finite, 0.0),
+    "other_dropout": (_finite, 0.0),
+    "ar_weight": (_finite, 0.0),
+    "tar_weight": (_finite, 0.0),
     "loss_variant": (str, "ce_only"),
-    "alpha": (float, 0.1),
-    "lr": (float, 1.0),
-    "grad_clip": (float, 0.25),
+    "alpha": (_finite, 0.1),
+    "lr": (_finite, 1.0),
+    "grad_clip": (_finite, 0.25),
     "epochs": (int, 5),
     "batch_size": (int, 2),
     "bptt_len": (int, 8),
     "seed": (int, 0),
     "asgd_trigger_patience": (int, 0),
-    "lr_decay_on_plateau": (float, 1.0),
+    "lr_decay_on_plateau": (_finite, 1.0),
     "vocab_cap": (int, 10000),
     "rnn_unk_min_count": (int, 0),
-    "lm_weight": (float, 1.0),
-    "word_insertion_penalty": (float, 0.0),
+    "lm_weight": (_finite, 1.0),
+    "word_insertion_penalty": (_finite, 0.0),
     "oov_mode": (str, "rnn_unk"),
-    "oov_penalty": (float, -10.0),
+    "oov_penalty": (_finite, -10.0),
 }
 
 
@@ -322,8 +330,8 @@ def _sweep_grid(args):
     if not args.sweep_lm_weight and not args.sweep_wip:
         return None
     try:
-        lm_ws = [float(x) for x in (args.sweep_lm_weight or "1.0").split(",")]
-        wips = [float(x) for x in (args.sweep_wip or "0.0").split(",")]
+        lm_ws = [_finite(x) for x in (args.sweep_lm_weight or "1.0").split(",")]
+        wips = [_finite(x) for x in (args.sweep_wip or "0.0").split(",")]
     except ValueError as e:
         raise ConfigError(f"bad sweep grid: {e}") from None
     return [(lw, wp) for lw in lm_ws for wp in wips]

@@ -14,8 +14,10 @@ flattened time-major), in natural log:
 
 The soft term is KL(Q || P) plus the constant teacher entropy H(Q), so its
 gradient in P is that of the KL divergence. Q, y and R are fixed data, never
-differentiated through, so dL/dlog P = g = -(s*Q + h*w*onehot(y))/N: over a
-model's train-mode rows (MosRows) the head takes L and g chunk by chunk.
+differentiated through, so dL/dlog P = g = -(s*Q + h*w*onehot(y))/N. One
+per-row objective computes L and g for both inputs distill_loss takes: over a
+model's train-mode rows (MosRows) the head runs it chunk by chunk, and over a
+log-prob Tensor it runs once and the loss is one tape node holding g.
 """
 
 from __future__ import annotations
@@ -76,13 +78,14 @@ def distill_loss(spec: DistillLossSpec, log_p, y: np.ndarray,
                  q: np.ndarray | None = None) -> Tensor:
     """The objective above over log_p, a log-prob Tensor or MosRows; q iff needs_teacher.
 
-    Over a Tensor, a term whose weight is 0 is not built and a weight of 1 is
-    not applied, so fixed_interp at alpha 1 or 0 is ce_only or kl_only bitwise.
+    A term whose weight is 0 is not built, so fixed_interp at alpha 1 or 0 is
+    ce_only or kl_only bitwise, and the hard term reads only log P[i, y_i].
     """
     if spec.needs_teacher and q is None:
         raise ConfigError(f"loss variant {spec.variant!r} needs teacher distributions")
-    if spec.variant == "ce_only" and q is not None:
-        raise ConfigError("ce_only takes no teacher distributions")
+    if not spec.needs_teacher and q is not None:
+        raise ConfigError(f"loss variant {spec.variant!r} at alpha = {spec.alpha:g} "
+                          f"takes no teacher distributions")
     if len(log_p.shape) != 2:
         raise ShapeError(f"distill_loss needs [N x V] log-probs, got shape {log_p.shape}")
     n, v = log_p.shape
@@ -104,23 +107,21 @@ def distill_loss(spec: DistillLossSpec, log_p, y: np.ndarray,
 
     h, s = _WEIGHTS[spec.variant](spec.alpha)
     w = trust_weights(q, y, spec.alpha) if spec.variant == "trust_reg" else np.ones(n)
-    if not isinstance(log_p, Tensor):
-        def objective(lo: int, hi: int, log_p_rows: np.ndarray):
-            g = q[lo:hi] * (-s / n) if s != 0.0 else np.zeros_like(log_p_rows)
-            g[np.arange(hi - lo), y[lo:hi]] -= w[lo:hi] * (h / n)
-            return float(np.sum(g * log_p_rows)), g
 
-        return log_p.loss(objective)
-    terms = []
-    if h != 0.0:
-        hard = T.pick_cols(log_p, y)
-        if spec.variant == "trust_reg":
-            hard = T.mul(hard, Tensor(w))
-        terms.append(_weighted(T.scale(T.sum_all(hard), -1.0 / n), h))
-    if s != 0.0:
-        terms.append(_weighted(T.scale(T.sum_all(T.mul(Tensor(q), log_p)), -1.0 / n), s))
-    return terms[0] if len(terms) == 1 else T.add(*terms)
+    def objective(lo: int, hi: int, log_p_rows: np.ndarray):
+        """L's share from rows lo:hi, and g = dL/dlog P over those rows."""
+        rows, ids, wy = np.arange(hi - lo), y[lo:hi], w[lo:hi]
+        # s/n and h/n are one division each, as training has always rounded them
+        g = q[lo:hi] * (-s / n) if s != 0.0 else np.zeros_like(log_p_rows)
+        g[rows, ids] -= wy * (h / n)
+        value = 0.0
+        if h != 0.0:
+            value = np.sum(log_p_rows[rows, ids] * wy) * (-1.0 / n) * h
+        if s != 0.0:
+            value += np.sum(q[lo:hi] * log_p_rows) * (-1.0 / n) * s
+        return value, g
 
-
-def _weighted(term: Tensor, weight: float) -> Tensor:
-    return term if weight == 1.0 else T.scale(term, weight)
+    if isinstance(log_p, Tensor):
+        value, g = objective(0, n, log_p.data)
+        return T.precomputed(value, [(log_p, g)])
+    return log_p.loss(objective)

@@ -111,9 +111,6 @@ class LmState:
     def batch_size(self) -> int:
         return self.layers[0][0].shape[0]
 
-    def detach(self) -> "LmState":
-        return LmState([(h.detach(), c.detach()) for h, c in self.layers])
-
 
 class LmModel:
     def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):
@@ -217,7 +214,7 @@ def lstm_layer(xs: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Te
     for all T steps runs before the recurrence, which keeps only the gates and
     the cells. hs is one tape node; its backward runs the reverse recurrence
     and ends in one weight-gradient GEMM each for wx and wh. h_T and c_T are
-    constants: a caller carries them into the next window detached.
+    constants, so a window's gradient stops at the state it was handed.
     """
     batch, hid = c0.shape
     if (wx.shape[1] != 4 * hid or wh.shape != (hid, 4 * hid) or b.shape != (4 * hid,)

@@ -14,6 +14,7 @@ through but takes no part in combination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,8 @@ def parse_nbest(lines, source: str = "<nbest>") -> dict[str, list[NbestEntry]]:
             firstpass = float(parts[3])
         except ValueError:
             raise FormatError(f"{source}:{lineno}: bad score field") from None
+        if not (math.isfinite(acoustic) and math.isfinite(firstpass)):
+            raise FormatError(f"{source}:{lineno}: bad score field: not a finite number")
         if (utt, rank) in seen:
             raise FormatError(f"{source}:{lineno}: duplicate rank {rank} for "
                               f"utterance {utt!r}")

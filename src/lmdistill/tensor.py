@@ -18,9 +18,8 @@ from .errors import ContractError, NumericError, ShapeError
 
 __all__ = [
     "Tensor", "Tape", "backward", "grad_check_params",
-    "GradCheckReport", "matmul", "add", "mul", "scale", "tanh",
-    "log_softmax_rows", "embedding_rows", "pick_cols", "concat_rows", "sum_all",
-    "fused", "precomputed",
+    "GradCheckReport", "matmul", "add", "mul", "tanh", "log_softmax_rows",
+    "embedding_rows", "concat_rows", "fused", "precomputed",
 ]
 
 class Tensor:
@@ -42,9 +41,6 @@ class Tensor:
         if self.data.shape != ():
             raise ShapeError(f"item() needs a scalar tensor, got shape {self.data.shape}")
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -167,16 +163,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), back)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c)
-
-    def back(g):
-        _accum(a, g * c)
-
-    return _record(out, (a,), back)
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     out = Tensor(y)
@@ -212,20 +198,16 @@ def log_softmax_rows(a: Tensor) -> Tensor:
 # indexing and stacking
 
 
-def _check_ids(ids: np.ndarray, limit: int, what: str) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
-    bad = np.nonzero((ids < 0) | (ids >= limit))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ShapeError(f"{what} id {int(ids[i])} at position {i} out of range [0, {limit})")
-    return ids
-
-
 def embedding_rows(table: Tensor, ids) -> Tensor:
     """Gather rows of a [V x E] table; backward scatter-adds into the table."""
     if table.data.ndim != 2:
         raise ShapeError(f"embedding table must be a matrix, got shape {table.data.shape}")
-    ids = _check_ids(ids, table.data.shape[0], "embedding")
+    ids = np.asarray(ids, dtype=np.int64)
+    bad = np.nonzero((ids < 0) | (ids >= table.data.shape[0]))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ShapeError(f"embedding id {int(ids[i])} at position {i} "
+                         f"out of range [0, {table.data.shape[0]})")
     out = Tensor(table.data[ids])
 
     def back(g):
@@ -235,25 +217,6 @@ def embedding_rows(table: Tensor, ids) -> Tensor:
             np.add.at(table.grad, ids, g)
 
     return _record(out, (table,), back)
-
-
-def pick_cols(a: Tensor, ids) -> Tensor:
-    """out[i] = a[i, ids[i]] for a [n x m] matrix; returns a length-n vector."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"pick_cols needs a matrix, got shape {a.data.shape}")
-    n = a.data.shape[0]
-    ids = _check_ids(ids, a.data.shape[1], "pick_cols")
-    if ids.shape != (n,):
-        raise ShapeError(f"pick_cols needs {n} ids, got shape {ids.shape}")
-    rows = np.arange(n)
-    out = Tensor(a.data[rows, ids])
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[rows, ids] = g  # row indices are distinct, no collisions
-        _accum(a, full)
-
-    return _record(out, (a,), back)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -272,19 +235,6 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
             _accum(p, g[lo:hi])
 
     return _record(out, tuple(parts), back)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.sum(a.data))
-
-    def back(g):
-        _accum(a, np.broadcast_to(g, a.data.shape))
-
-    return _record(out, (a,), back)
 
 
 # ---------------------------------------------------------------------------

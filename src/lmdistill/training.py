@@ -26,7 +26,7 @@ from .regularization import activation_reg
 from .tensor import Tape, Tensor, backward
 
 __all__ = ["TrainConfig", "EpochLog", "TrainResult", "TeacherEnsemble",
-           "ensemble_predict", "step_loss", "train", "perplexity",
+           "step_loss", "train", "perplexity",
            "clip_gradients"]
 
 
@@ -104,30 +104,20 @@ class TeacherEnsemble:
         self._states = [m.init_state(batch_size) for m in self.members]
 
     def soft_labels(self, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Q rows (time-major) for one batch, carrying member state forward."""
+        """Mean of member next-word distributions for one batch, carrying member state forward.
+
+        Rows are time-major, matching model_forward's log_probs layout. Member
+        order is fixed, so the result is deterministic.
+        """
         if self._states is None or self._states[0].batch_size != inputs.shape[0]:
             self.reset_state(inputs.shape[0])
-        q, self._states = ensemble_predict(self, inputs, self._states)
-        return q
-
-
-def ensemble_predict(ensemble: TeacherEnsemble, tokens: np.ndarray,
-                     states: list[LmState]) -> tuple[np.ndarray, list[LmState]]:
-    """Mean of member next-word distributions, plus each member's new state.
-
-    Rows are time-major, matching model_forward's log_probs layout. Member
-    order is fixed, so the result is deterministic.
-    """
-    if len(states) != len(ensemble.members):
-        raise ConfigError(f"{len(states)} states for {len(ensemble.members)} members")
-    total = None
-    new_states = []
-    for member, state in zip(ensemble.members, states):
-        out = model_forward(member, tokens, state)  # eval mode, no tape
-        p = np.exp(out.log_probs.data)
-        total = p if total is None else total + p
-        new_states.append(out.state)
-    return total / len(ensemble.members), new_states
+        total = None
+        for i, member in enumerate(self.members):
+            out = model_forward(member, inputs, self._states[i])  # eval mode, no tape
+            p = np.exp(out.log_probs.data)
+            total = p if total is None else total + p
+            self._states[i] = out.state
+        return total / len(self.members)
 
 
 def clip_gradients(params: list[tuple[str, Tensor]], max_norm: float) -> float:
@@ -227,7 +217,7 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
                     raise TrainingError(
                         f"non-finite loss {value} at epoch {epoch}, batch {bi}")
                 backward(loss, tape)
-            state = out.state.detach()
+            state = out.state
             norm = clip_gradients(params, cfg.grad_clip)
             if not math.isfinite(norm):
                 raise TrainingError(

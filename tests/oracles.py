@@ -1,6 +1,6 @@
-"""Test-only teachers; the per-step LSTM cell, head, taped loss and AR/TAR that
-the layer op and the fused ops replaced; and the per-hypothesis scoring the
-prefix-trie scorer replaced."""
+"""Test-only teachers; the tape ops, per-step LSTM cell, head, taped loss and
+AR/TAR that the layer op and the fused ops replaced; and the per-hypothesis
+scoring the prefix-trie scorer replaced."""
 
 import numpy as np
 
@@ -26,6 +26,33 @@ class OneHotOracle:
         q = np.zeros((y.shape[0], self.vocab_size))
         q[np.arange(y.shape[0]), y] = 1.0
         return q
+
+
+# ---------------------------------------------------------------------------
+# Tape ops only tests use: the oracles below and the tests' own losses are
+# composed from them.
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    return T._record(Tensor(a.data * c), (a,), lambda g: T._accum(a, g * c))
+
+
+def sum_all(a: Tensor) -> Tensor:
+    return T._record(Tensor(np.sum(a.data)), (a,),
+                     lambda g: T._accum(a, np.broadcast_to(g, a.data.shape)))
+
+
+def pick_cols(a: Tensor, ids) -> Tensor:
+    """out[i] = a[i, ids[i]] for a [n x m] matrix; returns a length-n vector."""
+    rows = np.arange(a.data.shape[0])
+
+    def back(g):
+        full = np.zeros_like(a.data)
+        full[rows, ids] = g  # row indices are distinct, no collisions
+        T._accum(a, full)
+
+    return T._record(Tensor(a.data[rows, ids]), (a,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +104,13 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
 def oracle_activation_reg(dropped: Tensor, raw: list[Tensor],
                           ar_weight: float, tar_weight: float) -> Tensor:
     """AR/TAR from tape ops: raw is the list of per-step [batch x H] outputs."""
-    mean = lambda a: T.scale(T.sum_all(a), 1.0 / a.data.size)
+    mean = lambda a: scale(sum_all(a), 1.0 / a.data.size)
     total = Tensor(0.0)
     if ar_weight > 0 and dropped.data.size:
-        total = T.add(total, T.scale(mean(T.mul(dropped, dropped)), ar_weight))
+        total = T.add(total, scale(mean(T.mul(dropped, dropped)), ar_weight))
     if tar_weight > 0 and len(raw) > 1:
-        d = T.add(T.concat_rows(raw[1:]), T.scale(T.concat_rows(raw[:-1]), -1.0))
-        total = T.add(total, T.scale(mean(T.mul(d, d)), tar_weight))
+        d = T.add(T.concat_rows(raw[1:]), scale(T.concat_rows(raw[:-1]), -1.0))
+        total = T.add(total, scale(mean(T.mul(d, d)), tar_weight))
     return total
 
 
@@ -166,13 +193,13 @@ def oracle_distill_loss(spec, log_p: Tensor, y: np.ndarray, q=None) -> Tensor:
     h, s = {"ce_only": (1.0, 0.0), "kl_only": (0.0, 1.0),
             "fixed_interp": (spec.alpha, 1.0 - spec.alpha),
             "trust_reg": (1.0, 1.0)}[spec.variant]
-    hard = T.pick_cols(log_p, y)
+    hard = pick_cols(log_p, y)
     if spec.variant == "trust_reg":
         qy = np.minimum(q[np.arange(n), y], 1.0 - 1e-8)
         hard = T.mul(hard, Tensor(-spec.alpha * np.log(1.0 - qy)))
-    loss = T.scale(T.sum_all(hard), -h / n)
+    loss = scale(sum_all(hard), -h / n)
     if s != 0.0:
-        loss = T.add(loss, T.scale(T.sum_all(T.mul(Tensor(q), log_p)), -s / n))
+        loss = T.add(loss, scale(sum_all(T.mul(Tensor(q), log_p)), -s / n))
     return loss
 
 

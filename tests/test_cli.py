@@ -95,6 +95,14 @@ def test_config_file_errors(tmp_path):
     path.write_text("just a line\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=r"run\.cfg:1: expected key = value"):
         load_config(path)
+    # every float key must be finite: nan and inf parse as floats but mean nothing here
+    for key in [k for k, (_, default) in CONFIG_KEYS.items() if isinstance(default, float)]:
+        for raw in ("nan", "inf", "-inf"):
+            path.write_text(f"epochs = 1\n{key} = {raw}\n", encoding="utf-8")
+            with pytest.raises(ConfigError, match=rf"run\.cfg:2: bad value for {key}"):
+                load_config(path)
+            with pytest.raises(ConfigError, match=rf"--set {key}: bad value for {key}"):
+                load_config(overrides=[f"{key}={raw}"])
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "absent.cfg")
 
@@ -142,6 +150,15 @@ def test_user_error_exits_1(capsys):
     rc = dispatch(["train-teacher", "--data-dir", "/nonexistent"] + sets())
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_float_setting_exits_1(capsys):
+    # nan would silently turn clipping off (nan > max_norm is False)
+    rc = dispatch(["train-teacher", "--data-dir", "/nonexistent"] + sets("grad_clip=nan"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--set grad_clip: bad value for grad_clip" in err
+    assert "Traceback" not in err
 
 
 def test_internal_error_exits_2(tmp_path, capsys):
@@ -437,6 +454,15 @@ def test_rescore_sweep_needs_refs(tmp_path, rescore_files, capsys):
                    "--nbest", str(nbest), "--sweep-lm-weight", "0,1"])
     assert rc == 1
     assert "--refs" in capsys.readouterr().err
+
+
+def test_rescore_sweep_grid_must_be_finite(tmp_path, rescore_files, capsys):
+    teacher, nbest, refs = rescore_files
+    capsys.readouterr()
+    rc = dispatch(["rescore", "--model", str(teacher / "model.dlm"), "--nbest", str(nbest),
+                   "--refs", str(refs), "--sweep-lm-weight", "1,nan"])
+    assert rc == 1
+    assert "bad sweep grid" in capsys.readouterr().err
 
 
 def test_rescore_bad_oov_mode(tmp_path, rescore_files, capsys):

@@ -185,7 +185,7 @@ def test_lstm_step_gradients_match_finite_differences():
 
         def loss_fn():
             h2, _ = _step(*(p for _, p in params))
-            return T.sum_all(T.mul(h2, w_h))
+            return oracles.sum_all(T.mul(h2, w_h))
 
         reports = grad_check_params(loss_fn, params)
         assert list(reports) == list(shapes)
@@ -227,7 +227,7 @@ def test_lstm_layer_extreme_gate_inputs_finite_and_bounded():
     with T.Tape() as tape:
         hs, _, c = lstm_layer(Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 5))), c0,
                               Tensor(np.zeros((1, 20))), Tensor(np.zeros((5, 20))), b)
-        T.backward(T.sum_all(hs), tape)
+        T.backward(oracles.sum_all(hs), tape)
     assert np.all(np.isfinite(hs.data)) and np.all(np.abs(hs.data) <= 1.0)
     assert np.all(np.isfinite(b.grad))
     assert c.data[0, 0] == 0.0 and c.data[0, 2] == 0.5 and c.data[0, 4] == 2.0
@@ -244,7 +244,7 @@ def _layer_stack_grads(layer_fn, xs, states, weights, masks, w_out):
         x = xs
         for (h0, c0), (wx, wh, b), m in zip(states, weights, masks):
             x = layer_fn(x, h0, c0, wx, T.mul(wh, m), b)
-        T.backward(T.sum_all(T.mul(x, Tensor(w_out))), tape)
+        T.backward(oracles.sum_all(T.mul(x, Tensor(w_out))), tape)
     return x.data, [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
 
 
@@ -380,7 +380,8 @@ def test_mos_stacked_block_matches_per_expert_head(tied, monkeypatch):
     # the fused loss over 2-row chunks (2, 2, 1) against one taped per-expert head
     monkeypatch.setattr(model_module, "CHUNK_ELEMENTS", 2 * 3 * 7)
     got, got_grads = run(lambda: MosRows(model, h).loss(_linear_objective(w)))
-    want, want_grads = run(lambda: T.sum_all(T.mul(_per_expert_mos(model, h), Tensor(w))))
+    want, want_grads = run(
+        lambda: oracles.sum_all(T.mul(_per_expert_mos(model, h), Tensor(w))))
     assert abs(got - want) <= 1e-12 * abs(want)
     assert np.max(np.abs(mos_log_probs(model, h).data
                          - _per_expert_mos(model, h).data)) <= 1e-12
@@ -671,7 +672,7 @@ def test_state_detach_blocks_cross_segment_gradient():
     tokens = rng.integers(0, 10, size=(1, 3))
     with Tape() as tape:
         first = model_forward(model, tokens, model.init_state(1), np.random.default_rng(0))
-        carried = first.state.detach()
+        carried = first.state  # lstm_layer hands h_T and c_T back as constants
         second = model_forward(model, tokens, carried, np.random.default_rng(1))
         loss = distill_loss(DistillLossSpec(), second.log_probs, flatten_targets(tokens))
         backward(loss, tape)

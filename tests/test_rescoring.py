@@ -79,6 +79,12 @@ def test_parse_nbest_bad_score():
         parse_nbest(["u\t1\tacoustic\t-1.0\ta"], source="nb")
     with pytest.raises(FormatError, match=r"nb:1: bad score"):
         parse_nbest(["u\t1\t-1.0\tlm\ta"], source="nb")
+    # an utterance scored all nan would leave combine_and_select nothing to pick
+    for score in ("nan", "inf", "-inf"):
+        with pytest.raises(FormatError, match=r"nb:2: bad score field: not a finite"):
+            parse_nbest(["u\t1\t-1.0\t-1.0\ta", f"u\t2\t{score}\t-1.0\tb"], source="nb")
+        with pytest.raises(FormatError, match=r"nb:1: bad score field: not a finite"):
+            parse_nbest([f"u\t1\t-1.0\t{score}\ta"], source="nb")
 
 
 def test_parse_nbest_duplicate_rank():

@@ -1,4 +1,7 @@
-"""Autodiff core: forward oracles, gradient checks, tape semantics."""
+"""Autodiff core: forward oracles, gradient checks, tape semantics, public surface."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 import lmdistill.tensor as T
 from lmdistill.errors import ContractError, NumericError, ShapeError
 from lmdistill.tensor import Tape, Tensor, backward, grad_check_params
+from oracles import pick_cols, scale, sum_all
 
 
 def rnd(rng, *shape):
@@ -46,7 +50,7 @@ def test_add_bias_broadcast_forward_and_backward():
     a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     b = Tensor(np.array([10.0, 20.0, 30.0]), requires_grad=True)
     with Tape() as tape:
-        out = T.sum_all(T.add(a, b))
+        out = sum_all(T.add(a, b))
     backward(out, tape)
     assert np.array_equal(a.grad, np.ones((2, 3)))
     assert np.array_equal(b.grad, np.full(3, 2.0))  # summed over the 2 rows
@@ -114,7 +118,7 @@ def test_embedding_rows_gather_and_scatter_with_duplicates():
     table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     ids = np.array([0, 1, 0])
     with Tape() as tape:
-        out = T.sum_all(T.embedding_rows(table, ids))
+        out = sum_all(T.embedding_rows(table, ids))
     assert np.array_equal(out.data, np.sum(table.data[ids]))
     backward(out, tape)
     # row 0 gathered twice, row 2 never
@@ -130,8 +134,8 @@ def test_pick_cols_forward_and_backward():
     a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     ids = np.array([2, 0])
     with Tape() as tape:
-        out = T.sum_all(T.pick_cols(a, ids))
-    assert np.array_equal(T.pick_cols(a, ids).data, [2.0, 3.0])
+        out = sum_all(pick_cols(a, ids))
+    assert np.array_equal(pick_cols(a, ids).data, [2.0, 3.0])
     backward(out, tape)
     assert np.array_equal(a.grad, [[0, 0, 1], [1, 0, 0]])
 
@@ -140,8 +144,8 @@ def test_concat_rows_backward_splits():
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones((1, 3)), requires_grad=True)
     with Tape() as tape:
-        out = T.sum_all(T.mul(T.concat_rows([a, b]),
-                              Tensor(np.arange(9.0).reshape(3, 3))))
+        out = sum_all(T.mul(T.concat_rows([a, b]),
+                            Tensor(np.arange(9.0).reshape(3, 3))))
     backward(out, tape)
     assert np.array_equal(a.grad, np.arange(6.0).reshape(2, 3))
     assert np.array_equal(b.grad, [[6.0, 7.0, 8.0]])
@@ -154,28 +158,28 @@ def test_concat_rows_backward_splits():
 def _weighted(rng, shape):
     # reduce through fixed random weights so every element's gradient matters
     w = Tensor(rng.standard_normal(shape))
-    return lambda t: T.sum_all(T.mul(t, w))
+    return lambda t: sum_all(T.mul(t, w))
 
 
 def _op_case(name, rng):
     if name == "matmul_left":
         b, w = rnd(rng, 5, 3), rnd(rng, 4, 3)
-        return lambda x: T.sum_all(T.mul(T.matmul(x, b), w)), rnd(rng, 4, 5)
+        return lambda x: sum_all(T.mul(T.matmul(x, b), w)), rnd(rng, 4, 5)
     if name == "matmul_right":
         a, w = rnd(rng, 4, 5), rnd(rng, 4, 3)
-        return lambda x: T.sum_all(T.mul(T.matmul(a, x), w)), rnd(rng, 5, 3)
+        return lambda x: sum_all(T.mul(T.matmul(a, x), w)), rnd(rng, 5, 3)
     if name == "add":
         b, w = rnd(rng, 3, 4), rnd(rng, 3, 4)
-        return lambda x: T.sum_all(T.mul(T.add(x, b), w)), rnd(rng, 3, 4)
+        return lambda x: sum_all(T.mul(T.add(x, b), w)), rnd(rng, 3, 4)
     if name == "add_bias":
         a, w = rnd(rng, 4, 5), rnd(rng, 4, 5)
-        return lambda x: T.sum_all(T.mul(T.add(a, x), w)), rnd(rng, 5)
+        return lambda x: sum_all(T.mul(T.add(a, x), w)), rnd(rng, 5)
     if name == "mul":
         b, w = rnd(rng, 3, 4), rnd(rng, 3, 4)
-        return lambda x: T.sum_all(T.mul(T.mul(x, b), w)), rnd(rng, 3, 4)
+        return lambda x: sum_all(T.mul(T.mul(x, b), w)), rnd(rng, 3, 4)
     if name == "scale":
         w = _weighted(rng, (3, 4))
-        return lambda x: w(T.scale(x, -2.5)), rnd(rng, 3, 4)
+        return lambda x: w(scale(x, -2.5)), rnd(rng, 3, 4)
     if name == "tanh":
         w = _weighted(rng, (3, 4))
         return lambda x: w(T.tanh(x)), rnd(rng, 3, 4)
@@ -189,13 +193,13 @@ def _op_case(name, rng):
     if name == "pick_cols":
         ids = rng.integers(0, 5, size=4)
         w = _weighted(rng, (4,))
-        return lambda x: w(T.pick_cols(x, ids)), rnd(rng, 4, 5)
+        return lambda x: w(pick_cols(x, ids)), rnd(rng, 4, 5)
     if name == "concat_rows":
         other = rnd(rng, 2, 4)
         w = _weighted(rng, (5, 4))
         return lambda x: w(T.concat_rows([x, other])), rnd(rng, 3, 4)
     if name == "sum_all":
-        return lambda x: T.sum_all(x), rnd(rng, 3, 4)
+        return lambda x: sum_all(x), rnd(rng, 3, 4)
     if name == "fused":
         # sin x, its backward g * cos x written by hand
         w = _weighted(rng, (3, 4))
@@ -203,12 +207,14 @@ def _op_case(name, rng):
             rnd(rng, 3, 4)
     if name == "precomputed":
         # sum(sin x) with its gradient cos x handed over, then scaled downstream
-        return (lambda x: T.scale(T.precomputed(float(np.sin(x.data).sum()),
-                                                [(x, np.cos(x.data))]), -2.5),
+        return (lambda x: scale(T.precomputed(float(np.sin(x.data).sum()),
+                                              [(x, np.cos(x.data))]), -2.5),
                 rnd(rng, 3, 4))
     raise AssertionError(name)
 
 
+# scale, pick_cols and sum_all are the test-local ops from oracles.py, which
+# the loss and AR/TAR oracles are built from
 OP_NAMES = ["matmul_left", "matmul_right", "add", "add_bias", "mul", "scale", "tanh",
             "log_softmax_rows", "embedding_rows", "pick_cols", "concat_rows", "sum_all",
             "fused", "precomputed"]
@@ -229,7 +235,7 @@ def test_grad_check_params_composed():
     b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
 
     def loss_fn():
-        return T.sum_all(T.tanh(T.matmul(a, b)))
+        return sum_all(T.tanh(T.matmul(a, b)))
 
     reports = grad_check_params(loss_fn, [("a", a), ("b", b)])
     assert all(r.passed for r in reports.values())
@@ -248,7 +254,7 @@ def test_grad_check_fails_on_corrupted_backward():
 
     rng = np.random.default_rng(8)
     w = Tensor(rng.standard_normal((3, 3)))
-    f = lambda x: T.sum_all(T.mul(bad_tanh(x), w))
+    f = lambda x: sum_all(T.mul(bad_tanh(x), w))
     x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     report = grad_check_params(lambda: f(x), [("x", x)])["x"]
     assert not report.passed
@@ -258,7 +264,7 @@ def test_grad_check_rejects_non_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ContractError, match="scalar"):
         grad_check_params(lambda: T.mul(x, x), [("x", x)])
-    assert grad_check_params(lambda: T.sum_all(T.mul(x, x)), [("x", x)])["x"].passed
+    assert grad_check_params(lambda: sum_all(T.mul(x, x)), [("x", x)])["x"].passed
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +289,7 @@ def test_backward_is_bitwise_deterministic():
         w = Tensor(wd.copy(), requires_grad=True)
         with Tape() as tape:
             h = T.tanh(T.matmul(x, w))
-            loss = T.sum_all(T.mul(h, h))
+            loss = sum_all(T.mul(h, h))
         backward(loss, tape)
         return x.grad.copy(), w.grad.copy(), float(loss.data)
 
@@ -305,7 +311,7 @@ def test_constants_carry_no_grad():
     x = Tensor(np.ones(3), requires_grad=True)
     c = Tensor(np.full(3, 2.0))
     with Tape() as tape:
-        out = T.sum_all(T.mul(x, c))
+        out = sum_all(T.mul(x, c))
     backward(out, tape)
     assert np.array_equal(x.grad, c.data)
     assert c.grad is None
@@ -314,19 +320,10 @@ def test_constants_carry_no_grad():
 def test_grad_accumulates_across_reuse():
     x = Tensor(np.full(3, 2.0), requires_grad=True)
     with Tape() as tape:
-        out = T.sum_all(T.add(T.mul(x, x), T.mul(x, x)))
+        out = sum_all(T.add(T.mul(x, x), T.mul(x, x)))
     backward(out, tape)
     # d/dx of 2x^2 = 4x
     assert np.array_equal(x.grad, np.full(3, 8.0))
-
-
-def test_detach_blocks_gradient():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with Tape() as tape:
-        y = T.mul(x, x)
-        out = T.sum_all(T.mul(y.detach(), Tensor(np.ones(3))))
-    backward(out, tape)
-    assert x.grad is None
 
 
 def test_precomputed_records_one_node_and_nothing_without_tape():
@@ -344,10 +341,10 @@ def test_precomputed_records_one_node_and_nothing_without_tape():
 def test_nested_tapes_restore_outer():
     x = Tensor(np.ones(()), requires_grad=True)
     with Tape() as outer:
-        _ = T.scale(x, 2.0)
+        _ = scale(x, 2.0)
         with Tape() as inner:
-            _ = T.scale(x, 3.0)
-        y = T.scale(x, 4.0)
+            _ = scale(x, 3.0)
+        y = scale(x, 4.0)
     assert len(inner.nodes) == 1
     assert len(outer.nodes) == 2
     assert y._from_op
@@ -356,3 +353,33 @@ def test_nested_tapes_restore_outer():
 def test_item_requires_scalar():
     with pytest.raises(ShapeError):
         Tensor(np.ones(2)).item()
+
+
+# ---------------------------------------------------------------------------
+# public surface
+
+
+def _tensor_names_read_by(path: Path) -> set[str]:
+    """Names a module reads from lmdistill.tensor: `from .tensor import x` and `T.x`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "tensor":
+                used.update(a.name for a in node.names)
+            elif node.module is None:
+                aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            used.add(node.attr)
+    return used
+
+
+def test_every_public_tensor_name_has_a_caller_in_src():
+    # a re-export from __init__ is not a caller; an op only tests use belongs in oracles.py
+    used = set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        if path.name not in ("tensor.py", "__init__.py"):
+            used |= _tensor_names_read_by(path)
+    assert sorted(set(T.__all__) - used) == []

@@ -16,8 +16,8 @@ from lmdistill.losses import DistillLossSpec, distill_loss
 from lmdistill.model import ModelConfig, build_model, flatten_targets, model_forward
 from lmdistill.regularization import DropoutSpec, activation_reg
 from lmdistill.tensor import Tape, backward
-from lmdistill.training import (EpochLog, TeacherEnsemble, TrainConfig,
-                                clip_gradients, ensemble_predict, perplexity, train)
+from lmdistill.training import (EpochLog, TeacherEnsemble, TrainConfig, clip_gradients,
+                                perplexity, train)
 from oracles import OneHotOracle
 
 
@@ -112,8 +112,7 @@ def test_ensemble_mean_matches_manual():
     m2 = build_model(tiny_config(vocab.size, hidden_dim=10), 2)
     ens = TeacherEnsemble([m1, m2])
     tokens = stream.ids[None, :5]
-    states = [m.init_state(1) for m in (m1, m2)]
-    q, _ = ensemble_predict(ens, tokens, states)
+    q = ens.soft_labels(tokens, None)
     p1 = np.exp(model_forward(m1, tokens, m1.init_state(1)).log_probs.data)
     p2 = np.exp(model_forward(m2, tokens, m2.init_state(1)).log_probs.data)
     assert np.array_equal(q, (p1 + p2) / 2)
@@ -163,8 +162,6 @@ def test_ensemble_validation():
     m2 = build_model(tiny_config(vocab.size + 1), 2)
     with pytest.raises(ConfigError, match="disagree"):
         TeacherEnsemble([m1, m2])
-    with pytest.raises(ConfigError):
-        ensemble_predict(TeacherEnsemble([m1]), np.zeros((1, 2), dtype=np.int64), [])
 
 
 def test_one_hot_oracle_rows():
