@@ -12,7 +12,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .regularization import DropoutSpec, activation_reg, variational_mask
 from .rescore import (NbestEntry, RescoreConfig, WerReport, combine_and_select,
                       parse_nbest, rescore_nbest, wer)
-from .tensor import Tape, Tensor, backward, grad_check_params
+from .tensor import Tensor
 from .training import TeacherEnsemble, TrainConfig, perplexity, step_loss, train
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ import struct
 
 import numpy as np
 
+from .data import atomic_open
 from .errors import DataError, FormatError
 from .model import LmModel, ModelConfig, _param_shapes
 from .regularization import DropoutSpec
@@ -61,7 +62,7 @@ def _config_from_meta(meta: dict[str, str], path) -> ModelConfig:
 
 
 def save_checkpoint(model: LmModel, path) -> None:
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         for line in _meta_lines(model.config):
             f.write(line.encode("utf-8") + b"\n")
@@ -147,7 +148,7 @@ def load_checkpoint(path) -> LmModel:
             count *= d
         payload = reader.take(8 * count, f"{name} payload")
         data = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
-        tensors[name] = Tensor(data, requires_grad=True)
+        tensors[name] = Tensor(data)
     if not reader.done:
         raise FormatError(f"{path}: {len(blob) - reader.pos} trailing bytes "
                           f"after last parameter at offset {reader.pos}")

@@ -4,13 +4,17 @@ Tokenization is whitespace splitting; each line gets an eos appended. The
 vocabulary holds at most `cap` entries *including* the three specials. Words
 ranked below the cap map to unk; retained words rarer than rnn_unk_min_count
 map to rnn_unk at encode time (two-tier mapping: unk is the cap-level token,
-rnn_unk the LM-level one).
+rnn_unk the LM-level one). atomic_open is how every file the toolkit writes
+is written.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +27,22 @@ EOS = "<eos>"
 UNK = "<unk>"
 RNN_UNK = "<rnn_unk>"
 _SPECIALS = (EOS, UNK, RNN_UNK)
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """A file to write in place of path: written beside it as path + ".tmp" and moved
+    over path (os.replace) on a clean exit. On an exception the temp file is removed,
+    so path keeps its previous bytes or stays absent. A process that dies mid-write
+    leaves path whole; there is no fsync, so a power loss may not."""
+    tmp = Path(str(path) + ".tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _first_bad_word(words: list[str]) -> tuple[int, str] | None:
@@ -79,7 +99,7 @@ class Vocabulary:
 
     def save(self, path) -> None:
         """One word<TAB>count line per id, then word<TAB><rnn_unk> per rare word."""
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_open(path) as f:
             for w, c in zip(self.words, self.counts):
                 f.write(f"{w}\t{c}\n")
             for w in sorted(self.rare):

@@ -5,6 +5,8 @@ config, malformed file, shape mismatch) and maps to CLI exit code 1; any other
 exception is an internal error and maps to exit code 2.
 """
 
+import math
+
 
 class UserError(Exception):
     pass
@@ -31,8 +33,16 @@ class NumericError(UserError):
 
 
 class ContractError(UserError):
-    """An API precondition was violated (e.g. non-scalar loss to backward)."""
+    """An API precondition was violated."""
 
 
 class TrainingError(UserError):
     """Training aborted (e.g. non-finite loss); names the failing batch."""
+
+
+def require_finite(owner, *names: str) -> None:
+    """Raise ConfigError for the first of owner's named float fields that is nan or inf."""
+    for name in names:
+        v = getattr(owner, name)
+        if not math.isfinite(v):
+            raise ConfigError(f"{name} must be a finite number, got {v}")

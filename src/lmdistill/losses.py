@@ -15,9 +15,9 @@ flattened time-major), in natural log:
 The soft term is KL(Q || P) plus the constant teacher entropy H(Q), so its
 gradient in P is that of the KL divergence. Q, y and R are fixed data, never
 differentiated through, so dL/dlog P = g = -(s*Q + h*w*onehot(y))/N. One
-per-row objective computes L and g for both inputs distill_loss takes: over a
-model's train-mode rows (MosRows) the head runs it chunk by chunk, and over a
-log-prob Tensor it runs once and the loss is one tape node holding g.
+per-row objective computes L and g, and distill_loss hands it to a model's
+train-mode rows (MosRows), whose head runs it chunk by chunk and carries g on
+into the model's gradients.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
-from .errors import ConfigError, DataError, ShapeError
-from .tensor import Tensor
+from .errors import ConfigError, DataError, ShapeError, require_finite
 
 __all__ = ["DistillLossSpec", "trust_weights", "distill_loss", "LOSS_VARIANTS"]
 
@@ -55,6 +53,7 @@ class DistillLossSpec:
         if self.variant not in LOSS_VARIANTS:
             raise ConfigError(f"unknown loss variant {self.variant!r}; "
                               f"expected one of {', '.join(LOSS_VARIANTS)}")
+        require_finite(self, "alpha")
         if self.variant == "fixed_interp" and not (0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"fixed_interp needs alpha in [0, 1], got {self.alpha}")
         if self.variant == "trust_reg" and not self.alpha > 0.0:
@@ -75,8 +74,10 @@ def trust_weights(q: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def distill_loss(spec: DistillLossSpec, log_p, y: np.ndarray,
-                 q: np.ndarray | None = None) -> Tensor:
-    """The objective above over log_p, a log-prob Tensor or MosRows; q iff needs_teacher.
+                 q: np.ndarray | None = None):
+    """The objective above over log_p, a model's train-mode rows (MosRows); q iff
+    needs_teacher. Returns log_p.loss(objective): the value, with the gradients
+    left in .grad.
 
     A term whose weight is 0 is not built, so fixed_interp at alpha 1 or 0 is
     ce_only or kl_only bitwise, and the hard term reads only log P[i, y_i].
@@ -121,7 +122,4 @@ def distill_loss(spec: DistillLossSpec, log_p, y: np.ndarray,
             value += np.sum(q[lo:hi] * log_p_rows) * (-1.0 / n) * s
         return value, g
 
-    if isinstance(log_p, Tensor):
-        value, g = objective(0, n, log_p.data)
-        return T.precomputed(value, [(log_p, g)])
     return log_p.loss(objective)

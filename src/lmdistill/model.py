@@ -5,22 +5,24 @@ experts mixed by a learned prior. The final LSTM layer's width defaults to
 hidden_dim but may be set separately (reference configs narrow it to the
 bottleneck width, which is how the published parameter counts come out).
 
-model_forward runs layer-major over whole windows: each LSTM layer is one
-tape node over the time-major [T*B x in] block (lstm_layer, its backward a
-hand-written BPTT). The head runs once per window over all B*T rows, in chunks
-of CHUNK_ELEMENTS / (K*V) rows: one output matmul over the K expert contexts
+model_forward runs layer-major over whole windows: each LSTM layer is one op
+over the time-major [T*B x in] block (lstm_layer, its backward a hand-written
+BPTT). The head runs once per window over all B*T rows, in chunks of
+CHUNK_ELEMENTS / (K*V) rows: one output matmul over the K expert contexts
 stacked expert-major, and a log-sum-exp over the experts' log-softmaxes (no log
-of an underflowed entry). Eval mode returns log P untaped; in train mode the
-loss runs head and backward per chunk in one tape node (MosRows).
+of an underflowed entry). Eval mode returns log P. In train mode the loss runs
+the head and its backward per chunk (MosRows), and the result's backward takes
+the gradient on down through the trunk. Every backward is written by hand and
+sums in one fixed order, so a step's gradients are bitwise reproducible.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ConfigError, NumericError, ShapeError
 from .regularization import DropoutSpec, variational_mask
 from .tensor import Tensor
@@ -190,7 +192,7 @@ def build_model(config: ModelConfig, seed: int) -> LmModel:
     tensors: dict[str, Tensor] = {}
     for name, shape in _param_shapes(config):
         lim = EMBED_INIT_RANGE if name == "embedding" else r
-        tensors[name] = Tensor(rng.uniform(-lim, lim, size=shape), requires_grad=True)
+        tensors[name] = Tensor(rng.uniform(-lim, lim, size=shape))
     model = LmModel(config, tensors)
     expected = param_count(config)
     actual = model.param_count
@@ -205,16 +207,17 @@ def _sigmoid(z: np.ndarray) -> None:
     np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=z)
 
 
-def lstm_layer(xs: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor
-               ) -> tuple[Tensor, Tensor, Tensor]:
-    """One LSTM layer over a time-major [T*B x in] block: (hs [T*B x H], h_T, c_T).
+def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
+               wh: np.ndarray, b: np.ndarray):
+    """One LSTM layer over a time-major [T*B x in] block: (hs [T*B x H], h_T, c_T, backward).
 
     Gate order in the fused matrices is [i, f, g, o]; i, f, o are sigmoid gates,
     g is the tanh candidate: c' = f*c + i*g, h' = o*tanh(c'). The input GEMM
     for all T steps runs before the recurrence, which keeps only the gates and
-    the cells. hs is one tape node; its backward runs the reverse recurrence
-    and ends in one weight-gradient GEMM each for wx and wh. h_T and c_T are
-    constants, so a window's gradient stops at the state it was handed.
+    the cells. backward(dL/dhs) runs the reverse recurrence, ends in one
+    weight-gradient GEMM each for wx and wh, and returns the gradients in
+    (xs, h0, c0, wx, wh, b). model_forward carries h_T and c_T on as constants,
+    so a window's gradient stops at the state it was handed.
     """
     batch, hid = c0.shape
     if (wx.shape[1] != 4 * hid or wh.shape != (hid, 4 * hid) or b.shape != (4 * hid,)
@@ -222,13 +225,13 @@ def lstm_layer(xs: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Te
         raise ShapeError(f"inconsistent LSTM layer: xs {xs.shape}, h0 {h0.shape}, "
                          f"c0 {c0.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
     steps = xs.shape[0] // batch
-    gates = (xs.data @ wx.data).reshape(steps, batch, 4 * hid)
+    gates = (xs @ wx).reshape(steps, batch, 4 * hid)
     hs = np.empty((steps + 1, batch, hid))  # hs[0] = h0; hs[t + 1]: step t's output
     cells = np.empty((steps + 1, batch, hid))
-    hs[0], cells[0] = h0.data, c0.data
+    hs[0], cells[0] = h0, c0
     for t, z in enumerate(gates):  # z becomes the gate activations in place
-        z += hs[t] @ wh.data
-        z += b.data
+        z += hs[t] @ wh
+        z += b
         _sigmoid(z[:, :2 * hid])
         np.tanh(z[:, 2 * hid:3 * hid], out=z[:, 2 * hid:3 * hid])
         _sigmoid(z[:, 3 * hid:])
@@ -251,28 +254,56 @@ def lstm_layer(xs: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Te
             dc += dh * dc_from_dh[t]
             dz4[t, :, :3] *= dc[:, None, :]
             dz4[t, :, 3] *= dh
-            dh = dz[t] @ wh.data.T
+            dh = dz[t] @ wh.T
             dc *= f[t]
         dz = dz.reshape(steps * batch, 4 * hid)
-        return (dz @ wx.data.T, dh, dc, xs.data.T @ dz,
+        return (dz @ wx.T, dh, dc, xs.T @ dz,
                 hs[:-1].reshape(steps * batch, hid).T @ dz, dz.sum(axis=0))
 
-    out = T.fused(hs[1:].reshape(steps * batch, hid), (xs, h0, c0, wx, wh, b), backward)
-    return out, Tensor(hs[-1].copy()), Tensor(cells[-1].copy())
+    return hs[1:].reshape(steps * batch, hid), hs[-1].copy(), cells[-1].copy(), backward
 
 
 # A head chunk's [K*rows x V] block holds about this many float64s (16 MB).
 CHUNK_ELEMENTS = 1 << 21
 
 
-def _head_inputs(model: LmModel, hidden: Tensor) -> tuple[Tensor, Tensor]:
-    """log pi [n x K] and the expert contexts tanh(h W_k + b_k), expert-major [K*n x E]."""
-    if hidden.data.ndim != 2 or hidden.shape[1] != model.config.bottleneck_dim:
+def _head_inputs(model: LmModel, hidden: np.ndarray):
+    """log pi [n x K] and the expert contexts tanh(h W_k + b_k), expert-major [K*n x E],
+    from the [n x bottleneck] rows h; and their backward, (dL/dlog pi, dL/dcontexts) ->
+    dL/dh, which leaves the prior's and the experts' gradients in their .grad."""
+    if hidden.ndim != 2 or hidden.shape[1] != model.config.bottleneck_dim:
         raise ShapeError(f"bottleneck input shaped {hidden.shape}, expected "
                          f"(n, {model.config.bottleneck_dim})")
-    log_pi = T.log_softmax_rows(T.add(T.matmul(hidden, model.prior_w), model.prior_b))
-    return log_pi, T.concat_rows([T.tanh(T.add(T.matmul(hidden, w), b))
-                                  for w, b in zip(model.expert_w, model.expert_b)])
+    logits = hidden @ model.prior_w.data + model.prior_b.data
+    if np.isnan(logits).any():
+        raise NumericError("MoS head received NaN input")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_pi = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    ctx = np.concatenate([np.tanh(hidden @ w.data + b.data)
+                          for w, b in zip(model.expert_w, model.expert_b)])
+    n = hidden.shape[0]
+
+    def backward(d_log_pi, d_ctx):
+        # experts last to first, then the prior: the order dL/dh has always summed in
+        d_hidden = np.zeros_like(hidden)
+        for k in reversed(range(len(model.expert_w))):
+            y = ctx[k * n:(k + 1) * n]
+            d = d_ctx[k * n:(k + 1) * n] * (1.0 - y * y)
+            model.expert_b[k].grad = d.sum(axis=0)
+            model.expert_w[k].grad = hidden.T @ d
+            d_hidden += d @ model.expert_w[k].data.T
+        d = d_log_pi - np.exp(log_pi) * d_log_pi.sum(axis=1, keepdims=True)
+        model.prior_b.grad = d.sum(axis=0)
+        model.prior_w.grad = hidden.T @ d
+        d_hidden += d @ model.prior_w.data.T
+        return d_hidden
+
+    return log_pi, ctx, backward
+
+
+def _out_matrix(model: LmModel) -> np.ndarray:
+    """The [E x V] output matrix: the transposed embedding (a view) when tied."""
+    return model.embedding.data.T if model.out_w is None else model.out_w.data
 
 
 def _chunks(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray):
@@ -306,14 +337,46 @@ def _head_chunk(model: LmModel, out_matrix: np.ndarray, log_pi: np.ndarray,
     return stacked, log_p
 
 
+def _head_loss(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray, objective):
+    """Sum over row chunks of objective(lo, hi, log_p) -> (value, g = dL/dlog P), and dL/dlog pi,
+    dL/dcontexts, dL/d(output matrix) and dL/d(output bias).
+
+    With r_k = exp(stacked_k - log P), dL/dlog pi_k = sum_v r_k*g and
+    dL/dlogits_k = r_k*g - softmax_k * dL/dlog pi_k."""
+    out_matrix = _out_matrix(model)
+    d_log_pi, d_ctx = np.zeros_like(log_pi), np.zeros_like(ctx)
+    d_out, d_out_b = np.zeros_like(out_matrix), np.zeros_like(model.out_b.data)
+    n, k = log_pi.shape
+
+    def chunk(lo, hi, log_pi_rows, ctx_rows) -> float:
+        stacked, log_p = _head_chunk(model, out_matrix, log_pi_rows, ctx_rows)
+        value, g = objective(lo, hi, log_p)
+        r = np.empty_like(log_p)
+        for j, z in enumerate(stacked):  # z becomes dL/dlogits_j
+            np.exp(np.subtract(z, log_p, out=r), out=r)
+            r *= g
+            d_log_pi[lo:hi, j] = r.sum(axis=1)
+            z -= log_pi_rows[:, j:j + 1]
+            np.exp(z, out=z)  # softmax_j
+            z *= d_log_pi[lo:hi, j:j + 1]
+            np.subtract(r, z, out=z)
+        d_z = stacked.reshape(len(ctx_rows), -1)
+        d_out_b[:] += d_z.sum(axis=0)
+        d_out[:] += ctx_rows.T @ d_z
+        d_ctx.reshape(k, n, -1)[:, lo:hi] = (d_z @ out_matrix.T).reshape(k, hi - lo, -1)
+        return value
+
+    total = sum(chunk(*rows) for rows in _chunks(model, log_pi, ctx))
+    return total, d_log_pi, d_ctx, d_out, d_out_b
+
+
 def mos_log_probs(model: LmModel, hidden: Tensor) -> Tensor:
     """log P = logsumexp_k(log pi_k + log softmax(tanh(h W_k + b_k) W_out + b_out)),
-    [n x V], chunk by chunk over the rows of hidden; a constant, recorded on no tape."""
-    with T.Tape():  # a throwaway tape: a caller's tape records nothing from eval
-        log_pi, ctx = _head_inputs(model, hidden)
-    out_matrix = model.embedding.data.T if model.out_w is None else model.out_w.data
+    [n x V], chunk by chunk over the rows of hidden."""
+    log_pi, ctx, _ = _head_inputs(model, hidden.data)
+    out_matrix = _out_matrix(model)
     out = np.empty((hidden.shape[0], model.config.vocab_size))
-    for lo, hi, log_pi_rows, ctx_rows in _chunks(model, log_pi.data, ctx.data):
+    for lo, hi, log_pi_rows, ctx_rows in _chunks(model, log_pi, ctx):
         out[lo:hi] = _head_chunk(model, out_matrix, log_pi_rows, ctx_rows)[1]
     return Tensor(out)
 
@@ -329,39 +392,22 @@ class MosRows:
     def shape(self) -> tuple[int, int]:
         return self.hidden.shape[0], self.model.config.vocab_size
 
-    def loss(self, objective) -> Tensor:
+    def loss(self, objective) -> float:
         """Sum over row chunks of objective(lo, hi, log_p) -> (value, g = dL/dlog P).
 
-        All [. x V] work is one tape node: with r_k = exp(stacked_k - log P),
-        dL/dlog pi_k = sum_v r_k*g and dL/dlogits_k = r_k*g - softmax_k * dL/dlog pi_k."""
-        model, tied = self.model, self.model.out_w is None
-        log_pi, ctx = _head_inputs(model, self.hidden)
-        out_matrix = model.embedding.data.T if tied else model.out_w.data  # tied: a view
-        d_log_pi, d_ctx = np.zeros_like(log_pi.data), np.zeros_like(ctx.data)
-        d_out, d_out_b = np.zeros_like(out_matrix), np.zeros_like(model.out_b.data)
-        k, n = log_pi.shape[1], self.shape[0]
-
-        def chunk(lo, hi, log_pi_rows, ctx_rows) -> float:
-            stacked, log_p = _head_chunk(model, out_matrix, log_pi_rows, ctx_rows)
-            value, g = objective(lo, hi, log_p)
-            r = np.empty_like(log_p)
-            for j, z in enumerate(stacked):  # z becomes dL/dlogits_j
-                np.exp(np.subtract(z, log_p, out=r), out=r)
-                r *= g
-                d_log_pi[lo:hi, j] = r.sum(axis=1)
-                z -= log_pi_rows[:, j:j + 1]
-                np.exp(z, out=z)  # softmax_j
-                z *= d_log_pi[lo:hi, j:j + 1]
-                np.subtract(r, z, out=z)
-            d_z = stacked.reshape(len(ctx_rows), -1)
-            d_out_b[:] += d_z.sum(axis=0)
-            d_out[:] += ctx_rows.T @ d_z
-            d_ctx.reshape(k, n, -1)[:, lo:hi] = (d_z @ out_matrix.T).reshape(k, hi - lo, -1)
-            return value
-
-        total = sum(chunk(*rows) for rows in _chunks(model, log_pi.data, ctx.data))
-        return T.precomputed(total, [(log_pi, d_log_pi), (ctx, d_ctx), (model.out_b, d_out_b),
-                                     (model.embedding, d_out.T) if tied else (model.out_w, d_out)])
+        The gradient goes on through the head, the prior log-softmax and the K
+        expert projections into hidden.grad and the .grad of every head parameter."""
+        model = self.model
+        log_pi, ctx, head_inputs_backward = _head_inputs(model, self.hidden.data)
+        total, d_log_pi, d_ctx, d_out, d_out_b = _head_loss(model, log_pi, ctx, objective)
+        model.out_b.grad = d_out_b
+        if model.out_w is None:
+            # C order: clip_gradients sums over it, and a transposed view sums in another order
+            model.embedding.grad = d_out.T.copy()
+        else:
+            model.out_w.grad = d_out
+        self.hidden.grad = head_inputs_backward(d_log_pi, d_ctx)
+        return total
 
 
 @dataclass
@@ -372,13 +418,18 @@ class ForwardResult:
     in train mode they are MosRows, for a loss to evaluate.
     raw is the final LSTM layer's output block [batch*T x H], time-major
     (for TAR); dropped is the same after its output dropout, the block that
-    feeds the bottleneck (for AR).
+    feeds the bottleneck (for AR); with no output dropout they are one Tensor.
+    backward, in train mode, carries the gradients a loss left in
+    log_probs.hidden.grad, dropped.grad and raw.grad on through the bottleneck,
+    the LSTM layers, the masks and the embedding gather into the .grad of every
+    parameter below the head; eval mode has none.
     """
 
     log_probs: Tensor | MosRows
     state: LmState
     raw: Tensor
     dropped: Tensor
+    backward: Callable[[], None] | None = None
 
 
 def flatten_targets(targets: np.ndarray) -> np.ndarray:
@@ -386,13 +437,13 @@ def flatten_targets(targets: np.ndarray) -> np.ndarray:
     return np.asarray(targets, dtype=np.int64).ravel(order="F")
 
 
-def _masked(x: Tensor, mask: Tensor | None) -> Tensor:
-    return x if mask is None else T.mul(x, mask)
+def _masked(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    return x if mask is None else x * mask
 
 
-def _tiled(mask: Tensor | None, steps: int) -> Tensor | None:
+def _tiled(mask: Tensor | None, steps: int) -> np.ndarray | None:
     """A per-lane [batch x n] mask repeated for every step of a time-major block."""
-    return None if mask is None else Tensor(np.tile(mask.data, (steps, 1)))
+    return None if mask is None else np.tile(mask.data, (steps, 1))
 
 
 def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
@@ -424,22 +475,59 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
     embed_mask = variational_mask((cfg.vocab_size, 1), rates.embed_rate, rng)
     wh_masks = [variational_mask(layer.wh.shape, rates.hidden_rate, rng)
                 for layer in model.layers]
-    in_mask = variational_mask((batch, cfg.embed_dim), rates.input_rate, rng)
-    out_masks = [variational_mask((batch, h), rates.output_rate, rng)
+    in_mask = _tiled(variational_mask((batch, cfg.embed_dim), rates.input_rate, rng), steps)
+    out_masks = [_tiled(variational_mask((batch, h), rates.output_rate, rng), steps)
                  for h in cfg.layer_widths]
-    other_mask = variational_mask((batch, cfg.bottleneck_dim), rates.other_rate, rng)
+    other_mask = _tiled(variational_mask((batch, cfg.bottleneck_dim), rates.other_rate, rng),
+                        steps)
 
-    table = model.embedding
+    ids = tokens.ravel(order="F")
+    table = model.embedding.data
     if embed_mask is not None:  # whole word rows
-        table = T.mul(table, Tensor(np.broadcast_to(embed_mask.data, table.shape)))
-    x = _masked(T.embedding_rows(table, tokens.ravel(order="F")), _tiled(in_mask, steps))
-    layers = []
+        row_mask = np.broadcast_to(embed_mask.data, table.shape)
+        table = table * row_mask
+    x = _masked(table[ids], in_mask)
+    layers, backwards = [], []
     for layer, wh_mask, out_mask, (h0, c0) in zip(model.layers, wh_masks, out_masks,
                                                   state.layers):
-        raw, h, c = lstm_layer(x, h0, c0, layer.wx, _masked(layer.wh, wh_mask), layer.b)
-        x = _masked(raw, _tiled(out_mask, steps))
-        layers.append((h, c))
-    hidden = _masked(T.add(T.matmul(x, model.bottleneck_w), model.bottleneck_b),
-                     _tiled(other_mask, steps))
-    log_probs = MosRows(model, hidden) if rng is not None else mos_log_probs(model, hidden)
-    return ForwardResult(log_probs, LmState(layers), raw, x)
+        wh = layer.wh.data if wh_mask is None else layer.wh.data * wh_mask.data
+        raw, h, c, layer_backward = lstm_layer(x, h0.data, c0.data, layer.wx.data, wh,
+                                               layer.b.data)
+        x = _masked(raw, out_mask)
+        layers.append((Tensor(h), Tensor(c)))
+        if rng is not None:
+            backwards.append(layer_backward)
+    raw_t = Tensor(raw)
+    dropped = raw_t if out_masks[-1] is None else Tensor(x)
+    hidden = Tensor(_masked(x @ model.bottleneck_w.data + model.bottleneck_b.data, other_mask))
+    if rng is None:
+        return ForwardResult(mos_log_probs(model, hidden), LmState(layers), raw_t, dropped)
+
+    def backward():
+        d = _masked(hidden.grad, other_mask)
+        model.bottleneck_b.grad = d.sum(axis=0)
+        model.bottleneck_w.grad = dropped.data.T @ d
+        d = d @ model.bottleneck_w.data.T
+        if dropped.grad is not None:  # AR, and TAR when dropped is raw
+            d += dropped.grad
+        for i in reversed(range(len(model.layers))):
+            layer = model.layers[i]
+            if out_masks[i] is not None:
+                d = d * out_masks[i]
+                if raw_t.grad is not None and i == len(model.layers) - 1:  # TAR
+                    d += raw_t.grad
+            d, _, _, layer.wx.grad, d_wh, layer.b.grad = backwards[i](d)
+            layer.wh.grad = d_wh if wh_masks[i] is None else d_wh * wh_masks[i].data
+        d = _masked(d, in_mask)
+        emb = model.embedding
+        if embed_mask is None:  # onto the tied output matrix's gradient, if any
+            if emb.grad is None:
+                emb.grad = np.zeros_like(emb.data)
+            np.add.at(emb.grad, ids, d)
+        else:
+            d_table = np.zeros_like(table)
+            np.add.at(d_table, ids, d)
+            d_table *= row_mask
+            emb.grad = d_table if emb.grad is None else emb.grad + d_table
+
+    return ForwardResult(MosRows(model, hidden), LmState(layers), raw_t, dropped, backward)

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .tensor import Tensor
 
 __all__ = ["DropoutSpec", "variational_mask", "activation_reg"]
@@ -43,6 +42,7 @@ class DropoutSpec:
             v = getattr(self, name)
             if not (0.0 <= v < 1.0):
                 raise ConfigError(f"{name} must be in [0, 1), got {v}")
+        require_finite(self, "ar_weight", "tar_weight")
         for name in ("ar_weight", "tar_weight"):
             v = getattr(self, name)
             if v < 0.0:
@@ -59,7 +59,7 @@ def variational_mask(shape: tuple[int, ...], rate: float,
 
 
 def activation_reg(dropped: Tensor, raw: Tensor, batch: int,
-                   ar_weight: float, tar_weight: float) -> Tensor:
+                   ar_weight: float, tar_weight: float) -> tuple[float, list]:
     """AR/TAR penalty over the final LSTM layer's time-major [batch*T x H]
     blocks: dropped feeds the bottleneck, raw is the same before dropout.
 
@@ -67,8 +67,9 @@ def activation_reg(dropped: Tensor, raw: Tensor, batch: int,
     TAR = tar_weight * mean over all elements of (raw[t+1] - raw[t])^2
     Step t of raw is rows t*batch..(t+1)*batch, so TAR's differences are the
     block less itself shifted by batch rows; a single step has no TAR term.
-    Both terms and their gradients are one tape node (T.precomputed). The
-    weights come from a DropoutSpec, which keeps them >= 0.
+    Returns the penalty and its gradients as (tensor, gradient) pairs, AR's
+    first; a term whose weight is 0 contributes neither. The weights come from
+    a DropoutSpec, which keeps them finite and >= 0.
     """
     total, grads = 0.0, []
     if ar_weight > 0 and dropped.data.size:
@@ -83,4 +84,4 @@ def activation_reg(dropped: Tensor, raw: Tensor, batch: int,
         g[batch:] += diff
         g[:-batch] -= diff
         grads.append((raw, g))
-    return T.precomputed(total, grads)
+    return total, grads

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import UNK, Vocabulary
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, require_finite
 from .model import LmModel, LmState, model_forward
 from .tensor import Tensor
 
@@ -48,6 +48,7 @@ class RescoreConfig:
     oov_penalty: float = -10.0  # log-prob charged per OOV word in penalty mode
 
     def __post_init__(self):
+        require_finite(self, "lm_weight", "word_insertion_penalty", "oov_penalty")
         if self.lm_weight < 0:
             raise ConfigError(f"lm_weight must be >= 0, got {self.lm_weight}")
         if self.oov_mode not in OOV_MODES:

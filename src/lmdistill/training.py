@@ -1,7 +1,8 @@
 """Training loop, the step loss, teacher ensembling, and perplexity evaluation.
 
-step_loss is one step's loss (train-mode forward, distill_loss running the
-MoS head and the loss as one chunked op, AR/TAR), for train() and the
+step_loss is one step's loss and gradient (train-mode forward, distill_loss
+running the MoS head, the loss and their backward as one chunked op, AR/TAR,
+then the forward's backward through the trunk), for train() and the
 grad-check alike. Optimization is plain SGD with global-norm gradient
 clipping, optional plateau LR decay, and optional ASGD-style parameter
 averaging that arms after a configurable number of non-improving validation
@@ -17,13 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .data import BpttBatch, TokenStream, bptt_batches
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, DataError, TrainingError, require_finite
 from .losses import DistillLossSpec, distill_loss
-from .model import ForwardResult, LmModel, LmState, flatten_targets, model_forward
+from .model import LmModel, LmState, flatten_targets, model_forward
 from .regularization import activation_reg
-from .tensor import Tape, Tensor, backward
+from .tensor import Tensor
 
 __all__ = ["TrainConfig", "EpochLog", "TrainResult", "TeacherEnsemble",
            "step_loss", "train", "perplexity",
@@ -43,6 +43,7 @@ class TrainConfig:
     lr_decay_on_plateau: float = 1.0  # multiplier applied when validation stalls
 
     def __post_init__(self):
+        require_finite(self, "lr", "grad_clip")
         if self.lr < 0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
         if self.grad_clip <= 0:
@@ -113,7 +114,7 @@ class TeacherEnsemble:
             self.reset_state(inputs.shape[0])
         total = None
         for i, member in enumerate(self.members):
-            out = model_forward(member, inputs, self._states[i])  # eval mode, no tape
+            out = model_forward(member, inputs, self._states[i])  # eval mode
             p = np.exp(out.log_probs.data)
             total = p if total is None else total + p
             self._states[i] = out.state
@@ -162,19 +163,25 @@ def _restore(params, snap: list[np.ndarray]) -> None:
 
 
 def step_loss(model: LmModel, batch: BpttBatch, state: LmState, spec: DistillLossSpec,
-              q: np.ndarray | None, rng: np.random.Generator) -> tuple[Tensor, ForwardResult]:
+              q: np.ndarray | None, rng: np.random.Generator) -> tuple[float, LmState]:
     """Train-mode forward, distill_loss, plus AR/TAR when either weight is > 0.
 
-    train() and the grad-check both call this, so the check covers the loss
-    that training runs.
+    Returns the loss value and the state to carry on, and leaves every
+    parameter's gradient in its .grad. train() and the grad-check both call
+    this, so the check covers the loss and gradient that training runs.
     """
+    model.zero_grad()
     out = model_forward(model, batch.inputs, state, rng)
-    loss = distill_loss(spec, out.log_probs, flatten_targets(batch.targets), q)
+    value = distill_loss(spec, out.log_probs, flatten_targets(batch.targets), q)
     rates = model.config.dropout
     if rates.ar_weight > 0 or rates.tar_weight > 0:
-        loss = T.add(loss, activation_reg(out.dropped, out.raw, batch.inputs.shape[0],
-                                          rates.ar_weight, rates.tar_weight))
-    return loss, out
+        reg, grads = activation_reg(out.dropped, out.raw, batch.inputs.shape[0],
+                                    rates.ar_weight, rates.tar_weight)
+        value += reg
+        for t, g in grads:  # dropped is raw when the last layer has no output dropout
+            t.grad = g if t.grad is None else t.grad + g
+    out.backward()
+    return float(value), out.state
 
 
 def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
@@ -210,14 +217,9 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
         loss_sum = 0.0
         for bi, batch in enumerate(batches):
             q = teacher.soft_labels(batch.inputs, batch.targets) if teacher is not None else None
-            with Tape() as tape:
-                loss, out = step_loss(model, batch, state, cfg.loss, q, dropout_rng)
-                value = float(loss.data)
-                if not math.isfinite(value):
-                    raise TrainingError(
-                        f"non-finite loss {value} at epoch {epoch}, batch {bi}")
-                backward(loss, tape)
-            state = out.state
+            value, state = step_loss(model, batch, state, cfg.loss, q, dropout_rng)
+            if not math.isfinite(value):
+                raise TrainingError(f"non-finite loss {value} at epoch {epoch}, batch {bi}")
             norm = clip_gradients(params, cfg.grad_clip)
             if not math.isfinite(norm):
                 raise TrainingError(
@@ -225,7 +227,6 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
             for _, p in params:
                 if p.grad is not None:
                     p.data -= lr * p.grad
-            model.zero_grad()
             if averager is not None:
                 averager.update(params)
             loss_sum += value

@@ -1,15 +1,18 @@
 """Test-only teachers; the tape ops, per-step LSTM cell, head, taped loss and
-AR/TAR that the layer op and the fused ops replaced; and the per-hypothesis
-scoring the prefix-trie scorer replaced."""
+AR/TAR that the layer op and the fused ops replaced; the taped training step
+that the hand-written step backward replaced; and the per-hypothesis scoring
+the prefix-trie scorer replaced."""
 
 import numpy as np
 
-import lmdistill.tensor as T
+import tape as T
+from lmdistill import model as model_module
 from lmdistill.data import UNK
 from lmdistill.errors import ShapeError
+from lmdistill.losses import distill_loss
 from lmdistill.model import LmState, flatten_targets, model_forward
-from lmdistill.regularization import variational_mask
-from lmdistill.tensor import Tensor
+from lmdistill.regularization import activation_reg, variational_mask
+from tape import Tensor
 
 
 class OneHotOracle:
@@ -200,6 +203,66 @@ def oracle_distill_loss(spec, log_p: Tensor, y: np.ndarray, q=None) -> Tensor:
     loss = scale(sum_all(hard), -h / n)
     if s != 0.0:
         loss = T.add(loss, scale(sum_all(T.mul(Tensor(q), log_p)), -s / n))
+    return loss
+
+
+# ---------------------------------------------------------------------------
+# The training step as it ran on the tape: the trunk (masks, gather, LSTM
+# layers, bottleneck) and the head's inputs (prior, experts) as tape ops, the
+# LSTM layers, the head and loss, and AR/TAR as one node each. The hand-written
+# step backward must equal it bitwise.
+
+
+class TapedRows:
+    """MosRows as it was: the head, the loss and their backward are one tape node over
+    log pi, the expert contexts and the output matrix and bias."""
+
+    def __init__(self, model, hidden: Tensor):
+        self.model, self.hidden = model, hidden
+        self.shape = (hidden.shape[0], model.config.vocab_size)
+
+    def loss(self, objective) -> Tensor:
+        model = self.model
+        log_pi = T.log_softmax_rows(T.add(T.matmul(self.hidden, model.prior_w), model.prior_b))
+        ctx = T.concat_rows([T.tanh(T.add(T.matmul(self.hidden, w), b))
+                             for w, b in zip(model.expert_w, model.expert_b)])
+        total, d_log_pi, d_ctx, d_out, d_out_b = model_module._head_loss(
+            model, log_pi.data, ctx.data, objective)
+        return T.precomputed(total, [(log_pi, d_log_pi), (ctx, d_ctx), (model.out_b, d_out_b),
+                                     (model.embedding, d_out.T) if model.out_w is None
+                                     else (model.out_w, d_out)])
+
+
+def taped_step_loss(model, batch, state, spec, q, rng) -> Tensor:
+    """training.step_loss's loss as a taped scalar; masks are drawn in model_forward's order."""
+    cfg, rates = model.config, model.config.dropout
+    tokens = batch.inputs
+    lanes, steps = tokens.shape
+    const = lambda m: None if m is None else Tensor(m.data)
+    tiled = lambda m: None if m is None else Tensor(np.tile(m.data, (steps, 1)))
+    embed_mask = const(variational_mask((cfg.vocab_size, 1), rates.embed_rate, rng))
+    wh_masks = [const(variational_mask(layer.wh.shape, rates.hidden_rate, rng))
+                for layer in model.layers]
+    in_mask = tiled(variational_mask((lanes, cfg.embed_dim), rates.input_rate, rng))
+    out_masks = [tiled(variational_mask((lanes, h), rates.output_rate, rng))
+                 for h in cfg.layer_widths]
+    other_mask = tiled(variational_mask((lanes, cfg.bottleneck_dim), rates.other_rate, rng))
+    masked = lambda x, m: x if m is None else T.mul(x, m)
+
+    table = model.embedding
+    if embed_mask is not None:
+        table = T.mul(table, Tensor(np.broadcast_to(embed_mask.data, table.shape)))
+    x = masked(T.embedding_rows(table, tokens.ravel(order="F")), in_mask)
+    for layer, wh_mask, out_mask, (h0, c0) in zip(model.layers, wh_masks, out_masks,
+                                                  state.layers):
+        raw, _, _ = T.lstm_layer(x, const(h0), const(c0), layer.wx, masked(layer.wh, wh_mask),
+                                 layer.b)
+        x = masked(raw, out_mask)
+    hidden = masked(T.add(T.matmul(x, model.bottleneck_w), model.bottleneck_b), other_mask)
+    loss = distill_loss(spec, TapedRows(model, hidden), flatten_targets(batch.targets), q)
+    if rates.ar_weight > 0 or rates.tar_weight > 0:
+        loss = T.add(loss, T.precomputed(*activation_reg(x, raw, lanes, rates.ar_weight,
+                                                          rates.tar_weight)))
     return loss
 
 

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmdistill import tensor as T
 from lmdistill.cli import dispatch, grad_check_rows, load_config
 from lmdistill.data import build_vocab, encode
 from lmdistill.losses import (LOSS_VARIANTS, DistillLossSpec, distill_loss,
@@ -19,9 +18,9 @@ from lmdistill.losses import (LOSS_VARIANTS, DistillLossSpec, distill_loss,
 from lmdistill.model import (ModelConfig, build_model, model_forward,
                              param_count)
 from lmdistill.rescore import edit_ops
-from lmdistill.tensor import Tape, Tensor, backward
 from lmdistill.training import TeacherEnsemble, TrainConfig, perplexity, train
 from oracles import OneHotOracle
+from tape import LogProbRows, Tape, Tensor, backward, log_softmax_rows
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -64,7 +63,7 @@ def test_criterion_2_loss_identities():
     def loss_and_grad(loss_of_log_p):
         x = Tensor(rng.standard_normal((n, v)).copy(), requires_grad=True)
         with Tape() as tape:
-            backward(loss_of_log_p(T.log_softmax_rows(x)), tape)
+            backward(loss_of_log_p(LogProbRows(log_softmax_rows(x))), tape)
         return x
 
     rng = np.random.default_rng(2)  # same logits for every loss below
@@ -74,7 +73,7 @@ def test_criterion_2_loss_identities():
     grads_match = np.array_equal(ce_x.grad, kl_x.grad)
 
     x = Tensor(np.random.default_rng(3).standard_normal((n, v)))
-    log_p = T.log_softmax_rows(x)
+    log_p = LogProbRows(log_softmax_rows(x))
     ce_v = float(distill_loss(ce, log_p, y).data)
     kl_v = float(distill_loss(kl, log_p, y, q_onehot).data)
     values_match = math.isclose(ce_v, kl_v, rel_tol=1e-12)

@@ -18,9 +18,11 @@ import spans  # noqa: E402
 # Sites the tracer skips because the functions are gone (dropout masks have
 # come from variational_mask since the per-call generator replaced them;
 # rescoring scores each utterance as one prefix trie, not per hypothesis;
-# each LSTM layer is one lstm_layer op per window, not a cell per step).
+# each LSTM layer is one lstm_layer op per window, not a cell per step; a
+# training step's backward is written by hand, with no tape to walk).
 KNOWN_ABSENT = {("lmdistill.model", "drop_connect"), ("lmdistill.model", "embedding_dropout"),
-                ("lmdistill.rescore", "score_hypothesis"), ("lmdistill.model", "lstm_step")}
+                ("lmdistill.rescore", "score_hypothesis"), ("lmdistill.model", "lstm_step"),
+                ("lmdistill.training", "backward")}
 
 
 SITES = [site[:2] for site in spans.ENTRY_SITES + spans.CALL_SITES]

@@ -10,7 +10,6 @@ import pytest
 
 import lmdistill
 import lmdistill.model as model_module
-import lmdistill.tensor as T
 import lmdistill.training as training_module
 from lmdistill.checkpoint import load_checkpoint
 from lmdistill.cli import CONFIG_KEYS, dispatch, load_config
@@ -499,29 +498,57 @@ def test_grad_check_takes_no_options(option, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module, op", [(model_module, "lstm_layer"),
-                                        (training_module, "activation_reg")],
-                         ids=["lstm_layer", "activation_reg"])
-def test_grad_check_catches_scaled_backward(module, op, monkeypatch, capsys):
-    # negative control: the fused op's recorded backward is off by 1%
-    original = getattr(module, op)
-    skewed_nodes = []
+def _fed_more(backward, calls):
+    """backward, handed 1% more of every gradient it takes."""
+    def skewed(*grads):
+        calls.append(backward)
+        return backward(*(1.01 * g for g in grads))
+    return skewed
 
-    def skewed(*args):
-        result = original(*args)
-        out = result[0] if isinstance(result, tuple) else result
-        tape = T._active_tape()  # none while finite differences evaluate the loss
-        if tape is not None:
-            node = tape.nodes[-1]
-            assert node.output is out
-            back = node.backward_fn
-            node.backward_fn = lambda g: back(1.01 * g)
-            skewed_nodes.append(node)
-        return result
 
-    monkeypatch.setattr(module, op, skewed)
+def _skew_last(original, calls):
+    # lstm_layer and _head_inputs return their backward last
+    def patched(*args):
+        *outs, backward = original(*args)
+        return (*outs, _fed_more(backward, calls))
+    return patched
+
+
+def _skew_reg(original, calls):
+    def patched(*args):
+        value, grads = original(*args)
+        calls.append(original)
+        return value, [(t, 1.01 * g) for t, g in grads]
+    return patched
+
+
+def _skew_trunk(original, calls):
+    # the trunk (masks, gather, bottleneck, LSTM layers) takes 1% more dL/dhidden
+    def patched(*args):
+        out = original(*args)
+        trunk, hidden = out.backward, out.log_probs.hidden
+
+        def skewed():
+            calls.append(trunk)
+            hidden.grad = 1.01 * hidden.grad
+            trunk()
+
+        out.backward = skewed
+        return out
+    return patched
+
+
+@pytest.mark.parametrize("module, op, skew", [(model_module, "lstm_layer", _skew_last),
+                                              (training_module, "activation_reg", _skew_reg),
+                                              (model_module, "_head_inputs", _skew_last),
+                                              (training_module, "model_forward", _skew_trunk)],
+                         ids=["lstm_layer", "activation_reg", "head_inputs", "trunk"])
+def test_grad_check_catches_scaled_backward(module, op, skew, monkeypatch, capsys):
+    # negative control: one hand-written backward piece is off by 1%
+    calls = []
+    monkeypatch.setattr(module, op, skew(getattr(module, op), calls))
     assert dispatch(["grad-check"]) == 1
-    assert skewed_nodes
+    assert calls
     assert "FAILURES" in capsys.readouterr().out
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmdistill.data import (EOS, RNN_UNK, UNK, BpttBatch, TokenStream,
-                            Vocabulary, bptt_batches, build_vocab, encode)
+                            Vocabulary, atomic_open, bptt_batches, build_vocab, encode)
 from lmdistill.errors import ConfigError, DataError, FormatError
 
 
@@ -135,6 +135,43 @@ def test_vocabulary_save_load_round_trip(tmp_path):
     for w in ("a", "b", "c", "d", "never-seen"):
         assert loaded.lookup(w) == rare.lookup(w), w
     assert loaded.lookup("d") == loaded.rnn_unk_id
+
+
+class _FailingCount(int):
+    # formats as nothing: a write that fails partway through the file
+    def __format__(self, spec):
+        raise OSError("no space left on device")
+
+
+def test_vocabulary_save_failing_midway_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "vocab.txt"
+    build_vocab(["a a b"], cap=10).save(path)
+    before = path.read_bytes()
+    vocab = build_vocab(["c c d e"], cap=10)
+    vocab.counts[-1] = _FailingCount(1)
+    with pytest.raises(OSError, match="no space"):
+        vocab.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["replaces", "creates"])
+def test_atomic_open_moves_into_place_only_on_a_clean_exit(tmp_path, exists):
+    # train.log and resolved.cfg are written through it, as are vocab.txt and model.dlm
+    path = tmp_path / "train.log"
+    if exists:
+        path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(KeyboardInterrupt):
+        with atomic_open(path) as f:
+            f.write("half a ")
+            raise KeyboardInterrupt
+    assert [p.name for p in tmp_path.iterdir()] == (["train.log"] if exists else [])
+    if exists:
+        assert path.read_text(encoding="utf-8") == "old\n"
+    with atomic_open(path) as f:
+        f.write("new\n")
+    assert path.read_text(encoding="utf-8") == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["train.log"]
 
 
 def test_vocabulary_load_errors(tmp_path):

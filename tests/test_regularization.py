@@ -1,13 +1,16 @@
 """Dropout masks, DropConnect, embedding dropout, and AR/TAR penalties."""
 
+import math
+
 import numpy as np
 import pytest
 
+import tape as T
 from lmdistill.errors import ConfigError
 from lmdistill.losses import DistillLossSpec, distill_loss
 from lmdistill.model import ModelConfig, build_model, model_forward, mos_log_probs
 from lmdistill.regularization import DropoutSpec, activation_reg, variational_mask
-from lmdistill.tensor import Tape, Tensor, backward, grad_check_params
+from lmdistill.tensor import Tensor
 
 
 def test_dropout_spec_validation():
@@ -19,6 +22,10 @@ def test_dropout_spec_validation():
         DropoutSpec(ar_weight=-1.0)
     with pytest.raises(ConfigError):
         DropoutSpec(tar_weight=-1.0)
+    for name in ("ar_weight", "tar_weight"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+                DropoutSpec(**{name: bad})
 
 
 def test_mask_values_and_scaling():
@@ -84,10 +91,10 @@ def test_embedding_dropout_eval_identity():
 def test_drop_connect_gradient_only_through_kept_entries():
     rate = 0.5
     model = _only(hidden_rate=rate)
-    with Tape() as tape:
-        out = model_forward(model, TOKENS, model.init_state(2), np.random.default_rng(5))
-        y = np.random.default_rng(6).integers(0, 12, size=TOKENS.size)
-        backward(distill_loss(DistillLossSpec(), out.log_probs, y), tape)
+    out = model_forward(model, TOKENS, model.init_state(2), np.random.default_rng(5))
+    y = np.random.default_rng(6).integers(0, 12, size=TOKENS.size)
+    distill_loss(DistillLossSpec(), out.log_probs, y)
+    out.backward()
     # the recurrent-weight mask is the only draw
     kept = np.random.default_rng(5).random(model.layers[0].wh.shape) >= rate
     grad = model.layers[0].wh.grad
@@ -112,39 +119,40 @@ def test_activation_reg_hand_case():
     # dropped = raw = h over 2 steps of [[1]], [[3]]:
     # AR = mean(1^2, 3^2) = 5, TAR = (3-1)^2 = 4, total 9
     h = Tensor(np.array([[1.0], [3.0]]))
-    total = activation_reg(h, h, batch=1, ar_weight=1.0, tar_weight=1.0)
-    assert total.item() == 9.0
+    total, _ = activation_reg(h, h, batch=1, ar_weight=1.0, tar_weight=1.0)
+    assert total == 9.0
 
 
 def test_activation_reg_ar_only_and_tar_only():
     block = Tensor(np.array([[1.0], [3.0]]))
-    assert activation_reg(block, block, 1, 2.0, 0.0).item() == 10.0
-    assert activation_reg(block, block, 1, 0.0, 3.0).item() == 12.0
-    assert activation_reg(block, block, 1, 0.0, 0.0).item() == 0.0
+    assert activation_reg(block, block, 1, 2.0, 0.0)[0] == 10.0
+    assert activation_reg(block, block, 1, 0.0, 3.0)[0] == 12.0
+    assert activation_reg(block, block, 1, 0.0, 0.0)[0] == 0.0
 
 
 def test_activation_reg_single_step_has_no_tar():
     h = Tensor(np.array([[2.0]]))
-    assert activation_reg(h, h, 1, 0.0, 5.0).item() == 0.0
-    assert activation_reg(h, h, 1, 1.0, 5.0).item() == 4.0
+    assert activation_reg(h, h, 1, 0.0, 5.0)[0] == 0.0
+    assert activation_reg(h, h, 1, 1.0, 5.0)[0] == 4.0
     # two lanes, one step: no row is a step after another
     two = Tensor(np.array([[1.0], [3.0]]))
-    assert activation_reg(two, two, 2, 0.0, 5.0).item() == 0.0
+    assert activation_reg(two, two, 2, 0.0, 5.0)[0] == 0.0
 
 
 def test_activation_reg_batch_mean():
     # mean over all elements, not per-lane sums
     h = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     want = (1 + 4 + 9 + 16) / 4
-    assert activation_reg(h, h, 2, 1.0, 0.0).item() == want
+    assert activation_reg(h, h, 2, 1.0, 0.0)[0] == want
 
 
 def test_activation_reg_gradients():
     # 2 lanes x 3 steps; TAR pairs rows t*2+b and (t+1)*2+b
     rng = np.random.default_rng(11)
-    dropped = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
-    raw = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
-    reports = grad_check_params(lambda: activation_reg(dropped, raw, 2, 0.7, 1.3),
-                                [("dropped", dropped), ("raw", raw)])
+    dropped = Tensor(rng.standard_normal((6, 4)))
+    raw = Tensor(rng.standard_normal((6, 4)))
+    reports = T.grad_check_params(
+        lambda: T.precomputed(*activation_reg(dropped, raw, 2, 0.7, 1.3)),
+        [("dropped", dropped), ("raw", raw)])
     assert all(r.passed for r in reports.values()), reports
 

@@ -258,6 +258,10 @@ def test_rescore_config_validation():
         RescoreConfig(lm_weight=-1.0)
     with pytest.raises(ConfigError):
         RescoreConfig(oov_mode="nope")
+    for name in ("lm_weight", "word_insertion_penalty", "oov_penalty"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+                RescoreConfig(**{name: bad})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Autodiff core: forward oracles, gradient checks, tape semantics, public surface."""
+"""The taped autograd the oracles are built from (tests/tape.py): forward oracles,
+gradient checks, tape semantics; and the package's public surface."""
 
 import ast
 from pathlib import Path
@@ -6,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import lmdistill.tensor as T
+import lmdistill
+import tape as T
 from lmdistill.errors import ContractError, NumericError, ShapeError
-from lmdistill.tensor import Tape, Tensor, backward, grad_check_params
 from oracles import pick_cols, scale, sum_all
+from tape import Tape, Tensor, backward, grad_check_params
 
 
 def rnd(rng, *shape):
@@ -359,27 +361,27 @@ def test_item_requires_scalar():
 # public surface
 
 
-def _tensor_names_read_by(path: Path) -> set[str]:
-    """Names a module reads from lmdistill.tensor: `from .tensor import x` and `T.x`."""
+def _names_read_by(path: Path) -> set[str]:
+    """Every name a module reads: loaded identifiers and attribute names."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    aliases, used = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            if node.module == "tensor":
-                used.update(a.name for a in node.names)
-            elif node.module is None:
-                aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in aliases):
-            used.add(node.attr)
-    return used
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
-def test_every_public_tensor_name_has_a_caller_in_src():
-    # a re-export from __init__ is not a caller; an op only tests use belongs in oracles.py
-    used = set()
-    for path in Path(T.__file__).parent.glob("*.py"):
-        if path.name not in ("tensor.py", "__init__.py"):
-            used |= _tensor_names_read_by(path)
-    assert sorted(set(T.__all__) - used) == []
+def _public_names(path: Path) -> list[str]:
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_every_public_name_has_a_caller_in_src():
+    # a re-export from __init__ is not a caller; code only tests use belongs in tests/
+    modules = [p for p in Path(lmdistill.__file__).parent.glob("*.py")
+               if p.name != "__init__.py"]
+    used = set().union(*(_names_read_by(p) for p in modules))
+    unused = [f"{p.stem}.{name}" for p in modules for name in _public_names(p)
+              if name not in used]
+    assert unused == []

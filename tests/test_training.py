@@ -6,19 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
-from lmdistill import tensor as T
+import tape as T
+import lmdistill.model as model_module
 from lmdistill import training
 from lmdistill.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from lmdistill.data import TokenStream, bptt_batches, build_vocab, encode
 from lmdistill.errors import (ConfigError, DataError, FormatError,
                               NumericError, ShapeError, TrainingError)
-from lmdistill.losses import DistillLossSpec, distill_loss
+from lmdistill.losses import LOSS_VARIANTS, DistillLossSpec, distill_loss
 from lmdistill.model import ModelConfig, build_model, flatten_targets, model_forward
 from lmdistill.regularization import DropoutSpec, activation_reg
-from lmdistill.tensor import Tape, backward
 from lmdistill.training import (EpochLog, TeacherEnsemble, TrainConfig, clip_gradients,
                                 perplexity, train)
-from oracles import OneHotOracle
+from oracles import OneHotOracle, taped_step_loss
 
 
 def tiny_corpus(seed=7, n_lines=8, n_words=6, line_len=8):
@@ -57,6 +57,10 @@ def test_train_config_validation():
         TrainConfig(lr_decay_on_plateau=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(lr_decay_on_plateau=1.5)
+    for name in ("lr", "grad_clip"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+                TrainConfig(**{name: bad})
 
 
 def test_epoch_log_line_format():
@@ -72,7 +76,7 @@ def _fake_params(grads):
     from lmdistill.tensor import Tensor
     out = []
     for i, g in enumerate(grads):
-        t = Tensor(np.zeros_like(np.asarray(g, dtype=float)), requires_grad=True)
+        t = Tensor(np.zeros_like(np.asarray(g, dtype=float)))
         t.grad = np.asarray(g, dtype=float)
         out.append((f"p{i}", t))
     return out
@@ -179,8 +183,49 @@ def test_one_hot_oracle_rows():
 # Training behavior
 
 
+@pytest.mark.parametrize("chunk_rows", [64, 4], ids=["one-chunk", "chunks"])
+@pytest.mark.parametrize("embed_rate", [0.1, 0.0], ids=["embed-mask", "no-embed-mask"])
+@pytest.mark.parametrize("ar, tar", [(2.0, 1.0), (0.0, 0.0)], ids=["ar-tar", "no-ar-tar"])
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+@pytest.mark.parametrize("variant", LOSS_VARIANTS)
+def test_step_loss_equals_the_taped_step_bitwise(variant, tied, ar, tar, embed_rate,
+                                                 chunk_rows, monkeypatch):
+    # The hand-written backward sums in the tape's order, so the value and every
+    # parameter's gradient are the taped step's bit for bit; that is what keeps
+    # trained files byte-identical. Output dropout on and off: off, AR and TAR
+    # land on one block.
+    vocab, stream = tiny_corpus()
+    batch = bptt_batches(stream, 2, 5)[0]
+    spec = DistillLossSpec(variant, alpha=0.3)
+    q = (np.random.default_rng(5).dirichlet(np.ones(vocab.size), size=batch.inputs.size)
+         if spec.needs_teacher else None)
+    for output_rate in (0.25, 0.0):
+        rates = DropoutSpec(input_rate=0.2, output_rate=output_rate, hidden_rate=0.3,
+                            embed_rate=embed_rate, other_rate=0.15, ar_weight=ar,
+                            tar_weight=tar)
+        config = tiny_config(vocab.size, lstm_layers=2, last_hidden_dim=6, num_experts=3,
+                             tie_embeddings=tied, expert_dim=None if tied else 5,
+                             dropout=rates)
+        model = build_model(config, 4)
+        monkeypatch.setattr(model_module, "CHUNK_ELEMENTS",
+                            chunk_rows * config.num_experts * vocab.size)
+
+        def grads():
+            return [p.grad.copy() for _, p in model.parameters()]
+
+        got = training.step_loss(model, batch, model.init_state(2), spec, q,
+                                 np.random.default_rng(9))[0]
+        got_grads = grads()
+        model.zero_grad()
+        want = T.backprop(lambda: taped_step_loss(model, batch, model.init_state(2), spec, q,
+                                                  np.random.default_rng(9)))
+        assert got == want
+        for (name, _), g, w in zip(model.parameters(), got_grads, grads()):
+            assert np.array_equal(g, w), (output_rate, name)
+
+
 @pytest.mark.parametrize("ar, tar", [(0.0, 0.0), (2.0, 1.0)])
-def test_step_loss_is_forward_plus_distill_plus_reg(ar, tar):
+def test_step_loss_is_forward_plus_distill_plus_reg(ar, tar, monkeypatch):
     vocab, stream = tiny_corpus()
     rates = DropoutSpec(input_rate=0.2, output_rate=0.25, hidden_rate=0.3,
                         embed_rate=0.1, other_rate=0.15, ar_weight=ar, tar_weight=tar)
@@ -190,28 +235,36 @@ def test_step_loss_is_forward_plus_distill_plus_reg(ar, tar):
     q = np.random.default_rng(5).dirichlet(np.ones(vocab.size), size=batch.inputs.size)
     spec = DistillLossSpec("trust_reg", alpha=0.3)
 
+    calls = []
+
     def explicit(rng):
+        # the step's pieces in order: forward, loss, AR/TAR, then the trunk's backward
+        model.zero_grad()
         out = model_forward(model, batch.inputs, model.init_state(2), rng)
-        loss = distill_loss(spec, out.log_probs, flatten_targets(batch.targets), q)
+        value = distill_loss(spec, out.log_probs, flatten_targets(batch.targets), q)
         if ar or tar:
-            loss = T.add(loss, activation_reg(out.dropped, out.raw, 2, ar, tar))
-        return loss
+            reg, grads = activation_reg(out.dropped, out.raw, 2, ar, tar)
+            value += reg
+            for t, g in grads:
+                t.grad = g if t.grad is None else t.grad + g
+        out.backward()
+        return value
 
     def run(loss_fn):
-        model.zero_grad()
-        with Tape() as tape:
-            loss = loss_fn(np.random.default_rng(9))
-        backward(loss, tape)
-        grads = [None if p.grad is None else p.grad.copy() for _, p in model.parameters()]
-        return loss.data, grads, len(tape.nodes)
+        value = loss_fn(np.random.default_rng(9))
+        return value, [None if p.grad is None else p.grad.copy() for _, p in model.parameters()]
 
+    def counted(*args):
+        calls.append(args)
+        return activation_reg(*args)
+
+    monkeypatch.setattr(training, "activation_reg", counted)
     got = run(lambda rng: training.step_loss(model, batch, model.init_state(2), spec, q, rng)[0])
     want = run(explicit)
     assert np.array_equal(got[0], want[0])
-    assert all(g is None and w is None or np.array_equal(g, w)
-               for g, w in zip(got[1], want[1]))
-    # with AR/TAR off, not even a zero penalty is added to the tape
-    assert got[2] == want[2]
+    assert all(np.array_equal(g, w) for g, w in zip(got[1], want[1]))
+    # with AR/TAR off, not even a zero penalty is computed
+    assert len(calls) == (1 if ar or tar else 0)
 
 
 def test_train_teacher_presence_contract():
@@ -379,14 +432,15 @@ def test_train_reports_non_finite_gradient_norm_at_its_batch(monkeypatch, bad):
     model = build_model(tiny_config(vocab.size), 3)
     steps = []
 
-    def poisoned_backward(loss, tape):
-        backward(loss, tape)
+    def poisoned_step_loss(*args):
+        result = step_loss(*args)
         steps.append(None)
         if len(steps) == 2:
             model.embedding.grad[0, 0] = bad
+        return result
 
-    backward = training.backward
-    monkeypatch.setattr(training, "backward", poisoned_backward)
+    step_loss = training.step_loss
+    monkeypatch.setattr(training, "step_loss", poisoned_step_loss)
     cfg = TrainConfig(loss=DistillLossSpec("ce_only"), epochs=1, batch_size=2, bptt_len=6)
     with pytest.raises(TrainingError,
                        match=r"non-finite gradient norm (inf|nan) at epoch 1, batch 1"):
@@ -569,6 +623,20 @@ def test_checkpoint_loads_writable_arrays_that_own_their_memory(tmp_path):
         assert got.data.dtype == np.float64 and got.data.shape == want.data.shape
         assert got.data.tobytes() == want.data.tobytes(), name
         got.data += 1.0  # writable in place, as SGD updates it
+
+
+def test_checkpoint_save_failing_midway_keeps_the_previous_file(tmp_path):
+    vocab, _ = tiny_corpus()
+    path = tmp_path / "model.dlm"
+    save_checkpoint(build_model(tiny_config(vocab.size), 0), path)
+    before = path.read_bytes()
+    model = build_model(tiny_config(vocab.size), 1)
+    # the last parameter cannot be written, after every other one was
+    model.out_b.data = np.array([object()] * vocab.size)
+    with pytest.raises(TypeError):
+        save_checkpoint(model, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.dlm"]
 
 
 def test_checkpoint_truncation_names_path_and_offset(tmp_path):
