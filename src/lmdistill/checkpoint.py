@@ -19,7 +19,6 @@ from .data import atomic_open
 from .errors import DataError, FormatError
 from .model import LmModel, ModelConfig, _param_shapes
 from .regularization import DropoutSpec
-from .tensor import Tensor
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
@@ -67,14 +66,14 @@ def save_checkpoint(model: LmModel, path) -> None:
         for line in _meta_lines(model.config):
             f.write(line.encode("utf-8") + b"\n")
         f.write(b"\n")
-        for name, p in model.parameters():
+        for name, p in model.params.items():
             nb = name.encode("utf-8")
             f.write(struct.pack("<Q", len(nb)))
             f.write(nb)
-            f.write(struct.pack("<Q", p.data.ndim))
-            for d in p.data.shape:
+            f.write(struct.pack("<Q", p.ndim))
+            for d in p.shape:
                 f.write(struct.pack("<Q", d))
-            f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
 
 
 class _Reader:
@@ -127,7 +126,7 @@ def load_checkpoint(path) -> LmModel:
     reader = _Reader(blob, path)
     reader.pos = end + 2
     expected = _param_shapes(config)
-    tensors: dict[str, Tensor] = {}
+    params: dict[str, np.ndarray] = {}
     for want_name, want_shape in expected:
         if reader.done:
             raise FormatError(
@@ -147,9 +146,8 @@ def load_checkpoint(path) -> LmModel:
         for d in shape:
             count *= d
         payload = reader.take(8 * count, f"{name} payload")
-        data = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
-        tensors[name] = Tensor(data)
+        params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     if not reader.done:
         raise FormatError(f"{path}: {len(blob) - reader.pos} trailing bytes "
                           f"after last parameter at offset {reader.pos}")
-    return LmModel(config, tensors)
+    return LmModel(config, params)

@@ -25,7 +25,6 @@ from .losses import LOSS_VARIANTS, DistillLossSpec
 from .model import ModelConfig, build_model
 from .regularization import DropoutSpec
 from .rescore import (RescoreConfig, parse_nbest, parse_refs, rescore_nbest, wer)
-from .tensor import Tensor
 from .training import TeacherEnsemble, TrainConfig, perplexity, step_loss, train
 
 # ---------------------------------------------------------------------------
@@ -223,8 +222,27 @@ def _train_streams(cfg: RunConfig, data_dir: Path) -> tuple[Vocabulary, TokenStr
     return vocab, encode(train_lines, vocab), encode(valid_lines, vocab)
 
 
-def _run_training(cfg: RunConfig, model, train_stream, valid_stream, teacher,
-                  out_dir: Path | None, loss: DistillLossSpec) -> None:
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def _train_command(args, setup) -> int:
+    """train-teacher and train-student: setup(cfg) checks the config and returns the
+    loss, the teacher ensemble or None, and a suffix for the vocab=... params=... line."""
+    cfg = load_config(args.config, args.set, args.seed)
+    out_dir = Path(args.out) if args.out else None
+    _echo_config(cfg, out_dir)
+    loss, teacher, suffix = setup(cfg)
+    vocab, train_stream, valid_stream = _train_streams(cfg, Path(args.data_dir))
+    if teacher is not None and vocab.size != teacher.vocab_size:
+        raise ConfigError(f"teacher vocab size {teacher.vocab_size} != "
+                          f"data vocab size {vocab.size}")
+    model = build_model(cfg.model_config(vocab.size), cfg["seed"])
+    print(f"vocab={vocab.size} params={model.param_count}{suffix}")
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        vocab.save(out_dir / "vocab.txt")
+
     log_lines: list[str] = []
 
     def log(line):
@@ -239,51 +257,29 @@ def _run_training(cfg: RunConfig, model, train_stream, valid_stream, teacher,
         with atomic_open(out_dir / "train.log") as f:
             f.write("\n".join(log_lines) + "\n")
         print(f"saved {out_dir / 'model.dlm'}")
-
-
-# ---------------------------------------------------------------------------
-# subcommands
+    return 0
 
 
 def cmd_train_teacher(args) -> int:
-    cfg = load_config(args.config, args.set, args.seed)
-    out_dir = Path(args.out) if args.out else None
-    _echo_config(cfg, out_dir)
-    if cfg["loss_variant"] != "ce_only":
-        raise ConfigError("train-teacher trains with loss_variant = ce_only; "
-                          f"config says {cfg['loss_variant']!r}")
-    vocab, train_stream, valid_stream = _train_streams(cfg, Path(args.data_dir))
-    model = build_model(cfg.model_config(vocab.size), cfg["seed"])
-    print(f"vocab={vocab.size} params={model.param_count}")
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        vocab.save(out_dir / "vocab.txt")
-    _run_training(cfg, model, train_stream, valid_stream, None, out_dir,
-                  cfg.loss_spec("ce_only"))
-    return 0
+    def setup(cfg):
+        if cfg["loss_variant"] != "ce_only":
+            raise ConfigError("train-teacher trains with loss_variant = ce_only; "
+                              f"config says {cfg['loss_variant']!r}")
+        return cfg.loss_spec("ce_only"), None, ""
+
+    return _train_command(args, setup)
 
 
 def cmd_train_student(args) -> int:
-    cfg = load_config(args.config, args.set, args.seed)
-    out_dir = Path(args.out) if args.out else None
-    _echo_config(cfg, out_dir)
-    loss = cfg.loss_spec()
-    if not loss.needs_teacher:
-        raise ConfigError(f"train-student needs a distillation loss; loss_variant = "
-                          f"{loss.variant} at alpha = {loss.alpha:g} reads no teacher")
-    paths = [p for chunk in args.teacher for p in chunk.split(",") if p]
-    teacher = TeacherEnsemble.from_checkpoints(paths)
-    vocab, train_stream, valid_stream = _train_streams(cfg, Path(args.data_dir))
-    if vocab.size != teacher.vocab_size:
-        raise ConfigError(f"teacher vocab size {teacher.vocab_size} != "
-                          f"data vocab size {vocab.size}")
-    model = build_model(cfg.model_config(vocab.size), cfg["seed"])
-    print(f"vocab={vocab.size} params={model.param_count} teachers={len(paths)}")
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        vocab.save(out_dir / "vocab.txt")
-    _run_training(cfg, model, train_stream, valid_stream, teacher, out_dir, loss)
-    return 0
+    def setup(cfg):
+        loss = cfg.loss_spec()
+        if not loss.needs_teacher:
+            raise ConfigError(f"train-student needs a distillation loss; loss_variant = "
+                              f"{loss.variant} at alpha = {loss.alpha:g} reads no teacher")
+        paths = [p for chunk in args.teacher for p in chunk.split(",") if p]
+        return loss, TeacherEnsemble.from_checkpoints(paths), f" teachers={len(paths)}"
+
+    return _train_command(args, setup)
 
 
 def cmd_eval_ppl(args) -> int:
@@ -367,31 +363,26 @@ class GradCheckReport:
 _REL_FLOOR = 1e-4
 
 
-def grad_check_params(loss_fn, params: list[tuple[str, Tensor]],
+def grad_check_params(loss_fn, params: dict[str, np.ndarray],
                       step: float = 1e-5, tol: float = 1e-4) -> dict[str, GradCheckReport]:
     """Hand-written gradient against central finite differences, per named parameter.
 
-    loss_fn() recomputes the scalar loss from the params' current .data and
-    leaves its gradient in their .grad, so finite differences can perturb each
-    parameter in place.
+    loss_fn() recomputes the scalar loss from the params' current values and
+    returns it with its gradients, keyed as params; finite differences perturb
+    each parameter in place.
     """
-    for _, p in params:
-        p.grad = None
-    loss_fn()
-    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
-                for name, p in params}
-
+    analytic = loss_fn()[1]
     reports = {}
-    for name, p in params:
-        numeric = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
+    for name, p in params.items():
+        numeric = np.zeros_like(p)
+        flat = p.reshape(-1)
         nflat = numeric.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            plus = float(loss_fn())
+            plus = float(loss_fn()[0])
             flat[i] = orig - step
-            minus = float(loss_fn())
+            minus = float(loss_fn()[0])
             flat[i] = orig
             nflat[i] = (plus - minus) / (2.0 * step)
         a = analytic[name]
@@ -430,9 +421,9 @@ def grad_check_rows() -> list[tuple[str, GradCheckReport]]:
         def loss_fn():
             # A fresh generator per evaluation draws the same masks every time.
             return step_loss(model, batch, model.init_state(lanes), spec, soft,
-                             np.random.default_rng(seed))[0]
+                             np.random.default_rng(seed))[:2]
 
-        reports = grad_check_params(loss_fn, model.parameters())
+        reports = grad_check_params(loss_fn, model.params)
         worst_name, worst = max(reports.items(), key=lambda kv: kv[1].max_rel_err)
         passed = all(r.passed for r in reports.values())
         rows.append((f"{variant} {'tied' if tied else 'untied'} worst={worst_name}",

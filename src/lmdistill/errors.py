@@ -25,15 +25,11 @@ class FormatError(UserError):
 
 
 class ShapeError(UserError):
-    """Tensor dimension mismatch; messages name both shapes."""
+    """Array dimension mismatch; messages name both shapes."""
 
 
 class NumericError(UserError):
     """Non-finite values where finite ones are required."""
-
-
-class ContractError(UserError):
-    """An API precondition was violated."""
 
 
 class TrainingError(UserError):

@@ -16,8 +16,8 @@ The soft term is KL(Q || P) plus the constant teacher entropy H(Q), so its
 gradient in P is that of the KL divergence. Q, y and R are fixed data, never
 differentiated through, so dL/dlog P = g = -(s*Q + h*w*onehot(y))/N. One
 per-row objective computes L and g, and distill_loss hands it to a model's
-train-mode rows (MosRows), whose head runs it chunk by chunk and carries g on
-into the model's gradients.
+train-mode rows (MosRows), whose head runs it chunk by chunk and returns L with
+g carried on into the head's input rows and parameters.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def trust_weights(q: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
 def distill_loss(spec: DistillLossSpec, log_p, y: np.ndarray,
                  q: np.ndarray | None = None):
     """The objective above over log_p, a model's train-mode rows (MosRows); q iff
-    needs_teacher. Returns log_p.loss(objective): the value, with the gradients
-    left in .grad.
+    needs_teacher. Returns log_p.loss(objective): for MosRows the value,
+    dL/dhidden and the head parameters' gradients by name.
 
     A term whose weight is 0 is not built, so fixed_interp at alpha 1 or 0 is
     ce_only or kl_only bitwise, and the hard term reads only log P[i, y_i].

@@ -12,8 +12,10 @@ CHUNK_ELEMENTS / (K*V) rows: one output matmul over the K expert contexts
 stacked expert-major, and a log-sum-exp over the experts' log-softmaxes (no log
 of an underflowed entry). Eval mode returns log P. In train mode the loss runs
 the head and its backward per chunk (MosRows), and the result's backward takes
-the gradient on down through the trunk. Every backward is written by hand and
-sums in one fixed order, so a step's gradients are bitwise reproducible.
+the gradient on down through the trunk. Parameters are plain float64 arrays in
+one dict in checkpoint order; every backward is written by hand, takes the
+gradients of its outputs as arguments and returns those of its inputs, and sums
+in one fixed order, so a step's gradients are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 from .regularization import DropoutSpec, variational_mask
-from .tensor import Tensor
 
-__all__ = ["ModelConfig", "LmModel", "LmState", "LstmLayer", "ForwardResult", "MosRows",
+__all__ = ["ModelConfig", "LmModel", "LmState", "ForwardResult", "LogProbs", "MosRows",
            "build_model", "param_count", "lstm_layer", "mos_log_probs", "model_forward"]
 
 EMBED_INIT_RANGE = 0.1
@@ -97,70 +98,18 @@ def param_count(config: ModelConfig) -> int:
 
 
 @dataclass
-class LstmLayer:
-    wx: Tensor  # [in x 4H]
-    wh: Tensor  # [H x 4H]
-    b: Tensor   # [4H]
-
-
-@dataclass
 class LmState:
     """Per-layer (h, c) pairs, each [batch x H_layer]."""
 
-    layers: list[tuple[Tensor, Tensor]]
+    layers: list[tuple[np.ndarray, np.ndarray]]
 
     @property
     def batch_size(self) -> int:
         return self.layers[0][0].shape[0]
 
 
-class LmModel:
-    def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):
-        self.config = config
-        self.embedding = tensors["embedding"]
-        self.layers = [
-            LstmLayer(tensors[f"lstm{i}.wx"], tensors[f"lstm{i}.wh"], tensors[f"lstm{i}.b"])
-            for i in range(config.lstm_layers)
-        ]
-        self.bottleneck_w = tensors["bottleneck.w"]
-        self.bottleneck_b = tensors["bottleneck.b"]
-        self.prior_w = tensors["prior.w"]
-        self.prior_b = tensors["prior.b"]
-        self.expert_w = [tensors[f"expert{k}.w"] for k in range(config.num_experts)]
-        self.expert_b = [tensors[f"expert{k}.b"] for k in range(config.num_experts)]
-        self.out_w = tensors.get("out.w")  # None when tied
-        self.out_b = tensors["out.b"]
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        """Named parameters in canonical (checkpoint) order."""
-        out = [("embedding", self.embedding)]
-        for i, layer in enumerate(self.layers):
-            out += [(f"lstm{i}.wx", layer.wx), (f"lstm{i}.wh", layer.wh), (f"lstm{i}.b", layer.b)]
-        out += [("bottleneck.w", self.bottleneck_w), ("bottleneck.b", self.bottleneck_b),
-                ("prior.w", self.prior_w), ("prior.b", self.prior_b)]
-        for k in range(self.config.num_experts):
-            out += [(f"expert{k}.w", self.expert_w[k]), (f"expert{k}.b", self.expert_b[k])]
-        if self.out_w is not None:
-            out.append(("out.w", self.out_w))
-        out.append(("out.b", self.out_b))
-        return out
-
-    @property
-    def param_count(self) -> int:
-        return sum(p.data.size for _, p in self.parameters())
-
-    def init_state(self, batch_size: int) -> LmState:
-        if batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-        return LmState([(Tensor(np.zeros((batch_size, h))), Tensor(np.zeros((batch_size, h))))
-                        for h in self.config.layer_widths])
-
-    def zero_grad(self) -> None:
-        for _, p in self.parameters():
-            p.grad = None
-
-
 def _param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape, in canonical (checkpoint) order."""
     shapes: list[tuple[str, tuple[int, ...]]] = [
         ("embedding", (config.vocab_size, config.embed_dim))]
     for i, (w_in, h) in enumerate(zip(config.layer_input_widths, config.layer_widths)):
@@ -180,6 +129,25 @@ def _param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
+class LmModel:
+    """A config and its parameters: params maps each name to its float64 array, in
+    canonical (checkpoint) order. Training updates the arrays in place."""
+
+    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
+        self.config = config
+        self.params = {name: params[name] for name, _ in _param_shapes(config)}
+
+    @property
+    def param_count(self) -> int:
+        return sum(p.size for p in self.params.values())
+
+    def init_state(self, batch_size: int) -> LmState:
+        if batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+        return LmState([(np.zeros((batch_size, h)), np.zeros((batch_size, h)))
+                        for h in self.config.layer_widths])
+
+
 def build_model(config: ModelConfig, seed: int) -> LmModel:
     """Allocate and initialize a model.
 
@@ -189,11 +157,11 @@ def build_model(config: ModelConfig, seed: int) -> LmModel:
     """
     rng = np.random.default_rng(seed)
     r = 1.0 / np.sqrt(config.hidden_dim)
-    tensors: dict[str, Tensor] = {}
+    params = {}
     for name, shape in _param_shapes(config):
         lim = EMBED_INIT_RANGE if name == "embedding" else r
-        tensors[name] = Tensor(rng.uniform(-lim, lim, size=shape))
-    model = LmModel(config, tensors)
+        params[name] = rng.uniform(-lim, lim, size=shape)
+    model = LmModel(config, params)
     expected = param_count(config)
     actual = model.param_count
     if actual != expected:
@@ -270,40 +238,40 @@ CHUNK_ELEMENTS = 1 << 21
 def _head_inputs(model: LmModel, hidden: np.ndarray):
     """log pi [n x K] and the expert contexts tanh(h W_k + b_k), expert-major [K*n x E],
     from the [n x bottleneck] rows h; and their backward, (dL/dlog pi, dL/dcontexts) ->
-    dL/dh, which leaves the prior's and the experts' gradients in their .grad."""
+    (dL/dh, the prior's and the experts' gradients by parameter name)."""
     if hidden.ndim != 2 or hidden.shape[1] != model.config.bottleneck_dim:
         raise ShapeError(f"bottleneck input shaped {hidden.shape}, expected "
                          f"(n, {model.config.bottleneck_dim})")
-    logits = hidden @ model.prior_w.data + model.prior_b.data
+    p, experts = model.params, range(model.config.num_experts)
+    logits = hidden @ p["prior.w"] + p["prior.b"]
     if np.isnan(logits).any():
         raise NumericError("MoS head received NaN input")
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_pi = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    ctx = np.concatenate([np.tanh(hidden @ w.data + b.data)
-                          for w, b in zip(model.expert_w, model.expert_b)])
+    ctx = np.concatenate([np.tanh(hidden @ p[f"expert{k}.w"] + p[f"expert{k}.b"])
+                          for k in experts])
     n = hidden.shape[0]
 
     def backward(d_log_pi, d_ctx):
         # experts last to first, then the prior: the order dL/dh has always summed in
-        d_hidden = np.zeros_like(hidden)
-        for k in reversed(range(len(model.expert_w))):
+        d_hidden, grads = np.zeros_like(hidden), {}
+        for k in reversed(experts):
             y = ctx[k * n:(k + 1) * n]
             d = d_ctx[k * n:(k + 1) * n] * (1.0 - y * y)
-            model.expert_b[k].grad = d.sum(axis=0)
-            model.expert_w[k].grad = hidden.T @ d
-            d_hidden += d @ model.expert_w[k].data.T
+            grads[f"expert{k}.b"], grads[f"expert{k}.w"] = d.sum(axis=0), hidden.T @ d
+            d_hidden += d @ p[f"expert{k}.w"].T
         d = d_log_pi - np.exp(log_pi) * d_log_pi.sum(axis=1, keepdims=True)
-        model.prior_b.grad = d.sum(axis=0)
-        model.prior_w.grad = hidden.T @ d
-        d_hidden += d @ model.prior_w.data.T
-        return d_hidden
+        grads["prior.b"], grads["prior.w"] = d.sum(axis=0), hidden.T @ d
+        d_hidden += d @ p["prior.w"].T
+        return d_hidden, grads
 
     return log_pi, ctx, backward
 
 
 def _out_matrix(model: LmModel) -> np.ndarray:
     """The [E x V] output matrix: the transposed embedding (a view) when tied."""
-    return model.embedding.data.T if model.out_w is None else model.out_w.data
+    p = model.params
+    return p["embedding"].T if model.config.tie_embeddings else p["out.w"]
 
 
 def _chunks(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray):
@@ -319,7 +287,7 @@ def _head_chunk(model: LmModel, out_matrix: np.ndarray, log_pi: np.ndarray,
                 ctx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """stacked [K x c x V] = log pi_k + log softmax_k, and log P [c x V], using [c x V] temps."""
     stacked = (ctx @ out_matrix).reshape(log_pi.shape[1], log_pi.shape[0], -1)
-    stacked += model.out_b.data
+    stacked += model.params["out.b"]
     for z in stacked:  # log softmax of each expert's rows, in place
         top = z.max(axis=1, keepdims=True)
         if np.isnan(top).any():
@@ -345,7 +313,7 @@ def _head_loss(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray, objective):
     dL/dlogits_k = r_k*g - softmax_k * dL/dlog pi_k."""
     out_matrix = _out_matrix(model)
     d_log_pi, d_ctx = np.zeros_like(log_pi), np.zeros_like(ctx)
-    d_out, d_out_b = np.zeros_like(out_matrix), np.zeros_like(model.out_b.data)
+    d_out, d_out_b = np.zeros_like(out_matrix), np.zeros_like(model.params["out.b"])
     n, k = log_pi.shape
 
     def chunk(lo, hi, log_pi_rows, ctx_rows) -> float:
@@ -370,15 +338,15 @@ def _head_loss(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray, objective):
     return total, d_log_pi, d_ctx, d_out, d_out_b
 
 
-def mos_log_probs(model: LmModel, hidden: Tensor) -> Tensor:
+def mos_log_probs(model: LmModel, hidden: np.ndarray) -> np.ndarray:
     """log P = logsumexp_k(log pi_k + log softmax(tanh(h W_k + b_k) W_out + b_out)),
     [n x V], chunk by chunk over the rows of hidden."""
-    log_pi, ctx, _ = _head_inputs(model, hidden.data)
+    log_pi, ctx, _ = _head_inputs(model, hidden)
     out_matrix = _out_matrix(model)
     out = np.empty((hidden.shape[0], model.config.vocab_size))
     for lo, hi, log_pi_rows, ctx_rows in _chunks(model, log_pi, ctx):
         out[lo:hi] = _head_chunk(model, out_matrix, log_pi_rows, ctx_rows)[1]
-    return Tensor(out)
+    return out
 
 
 @dataclass
@@ -386,28 +354,38 @@ class MosRows:
     """Train mode's head input rows, for distill_loss to run the head and loss over (loss())."""
 
     model: LmModel
-    hidden: Tensor  # [N x bottleneck], time-major
+    hidden: np.ndarray  # [N x bottleneck], time-major
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.hidden.shape[0], self.model.config.vocab_size
 
-    def loss(self, objective) -> float:
+    def loss(self, objective) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
         """Sum over row chunks of objective(lo, hi, log_p) -> (value, g = dL/dlog P).
 
-        The gradient goes on through the head, the prior log-softmax and the K
-        expert projections into hidden.grad and the .grad of every head parameter."""
+        Returns that sum, dL/dhidden, and the gradient of every head parameter by
+        name: g carried on through the head, the prior log-softmax and the K
+        expert projections."""
         model = self.model
-        log_pi, ctx, head_inputs_backward = _head_inputs(model, self.hidden.data)
+        log_pi, ctx, head_inputs_backward = _head_inputs(model, self.hidden)
         total, d_log_pi, d_ctx, d_out, d_out_b = _head_loss(model, log_pi, ctx, objective)
-        model.out_b.grad = d_out_b
-        if model.out_w is None:
+        d_hidden, grads = head_inputs_backward(d_log_pi, d_ctx)
+        grads["out.b"] = d_out_b
+        if model.config.tie_embeddings:
             # C order: clip_gradients sums over it, and a transposed view sums in another order
-            model.embedding.grad = d_out.T.copy()
+            grads["embedding"] = d_out.T.copy()
         else:
-            model.out_w.grad = d_out
-        self.hidden.grad = head_inputs_backward(d_log_pi, d_ctx)
-        return total
+            grads["out.w"] = d_out
+        return total, d_hidden, grads
+
+
+# bench/run.py reads an eval forward's log-probs as `.log_probs.data` and
+# fancy-indexes them; a bare ndarray's .data is a memoryview, which cannot be.
+@dataclass(frozen=True)
+class LogProbs:
+    """Eval mode's log P [n x V]."""
+
+    data: np.ndarray
 
 
 @dataclass
@@ -418,18 +396,19 @@ class ForwardResult:
     in train mode they are MosRows, for a loss to evaluate.
     raw is the final LSTM layer's output block [batch*T x H], time-major
     (for TAR); dropped is the same after its output dropout, the block that
-    feeds the bottleneck (for AR); with no output dropout they are one Tensor.
-    backward, in train mode, carries the gradients a loss left in
-    log_probs.hidden.grad, dropped.grad and raw.grad on through the bottleneck,
-    the LSTM layers, the masks and the embedding gather into the .grad of every
-    parameter below the head; eval mode has none.
+    feeds the bottleneck (for AR); with no output dropout they are one array.
+    backward, in train mode, takes dL/dhidden (the loss's, for log_probs.hidden),
+    dL/ddropped and dL/draw (AR's and TAR's, or None) and the head's gradient in the
+    tied embedding (or None), carries them on through the bottleneck, the LSTM
+    layers, the masks and the embedding gather, and returns the gradient of every
+    parameter below the head by name; eval mode has none.
     """
 
-    log_probs: Tensor | MosRows
+    log_probs: LogProbs | MosRows
     state: LmState
-    raw: Tensor
-    dropped: Tensor
-    backward: Callable[[], None] | None = None
+    raw: np.ndarray
+    dropped: np.ndarray
+    backward: Callable[..., dict[str, np.ndarray]] | None = None
 
 
 def flatten_targets(targets: np.ndarray) -> np.ndarray:
@@ -441,9 +420,13 @@ def _masked(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return x if mask is None else x * mask
 
 
-def _tiled(mask: Tensor | None, steps: int) -> np.ndarray | None:
+def _tiled(mask: np.ndarray | None, steps: int) -> np.ndarray | None:
     """A per-lane [batch x n] mask repeated for every step of a time-major block."""
-    return None if mask is None else np.tile(mask.data, (steps, 1))
+    return None if mask is None else np.tile(mask, (steps, 1))
+
+
+def _plus(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    return b if a is None else a if b is None else a + b
 
 
 def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
@@ -457,7 +440,7 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
     [batch x E], each layer's output [batch x H_i], then the bottleneck
     [batch x bottleneck_dim]; a mask whose rate is 0 is not drawn.
     """
-    cfg = model.config
+    cfg, p = model.config, model.params
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
         raise ShapeError(f"tokens must be [batch x T], got shape {tokens.shape}")
@@ -472,9 +455,10 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
             f"[0, {cfg.vocab_size})")
 
     rates = cfg.dropout
+    layers = range(cfg.lstm_layers)
     embed_mask = variational_mask((cfg.vocab_size, 1), rates.embed_rate, rng)
-    wh_masks = [variational_mask(layer.wh.shape, rates.hidden_rate, rng)
-                for layer in model.layers]
+    wh_masks = [variational_mask(p[f"lstm{i}.wh"].shape, rates.hidden_rate, rng)
+                for i in layers]
     in_mask = _tiled(variational_mask((batch, cfg.embed_dim), rates.input_rate, rng), steps)
     out_masks = [_tiled(variational_mask((batch, h), rates.output_rate, rng), steps)
                  for h in cfg.layer_widths]
@@ -482,52 +466,49 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
                         steps)
 
     ids = tokens.ravel(order="F")
-    table = model.embedding.data
+    table = p["embedding"]
     if embed_mask is not None:  # whole word rows
-        row_mask = np.broadcast_to(embed_mask.data, table.shape)
+        row_mask = np.broadcast_to(embed_mask, table.shape)
         table = table * row_mask
     x = _masked(table[ids], in_mask)
-    layers, backwards = [], []
-    for layer, wh_mask, out_mask, (h0, c0) in zip(model.layers, wh_masks, out_masks,
-                                                  state.layers):
-        wh = layer.wh.data if wh_mask is None else layer.wh.data * wh_mask.data
-        raw, h, c, layer_backward = lstm_layer(x, h0.data, c0.data, layer.wx.data, wh,
-                                               layer.b.data)
+    new_state, backwards = [], []
+    for i, wh_mask, out_mask, (h0, c0) in zip(layers, wh_masks, out_masks, state.layers):
+        raw, h, c, layer_backward = lstm_layer(x, h0, c0, p[f"lstm{i}.wx"],
+                                               _masked(p[f"lstm{i}.wh"], wh_mask),
+                                               p[f"lstm{i}.b"])
         x = _masked(raw, out_mask)
-        layers.append((Tensor(h), Tensor(c)))
+        new_state.append((h, c))
         if rng is not None:
             backwards.append(layer_backward)
-    raw_t = Tensor(raw)
-    dropped = raw_t if out_masks[-1] is None else Tensor(x)
-    hidden = Tensor(_masked(x @ model.bottleneck_w.data + model.bottleneck_b.data, other_mask))
+    hidden = _masked(x @ p["bottleneck.w"] + p["bottleneck.b"], other_mask)
     if rng is None:
-        return ForwardResult(mos_log_probs(model, hidden), LmState(layers), raw_t, dropped)
+        return ForwardResult(LogProbs(mos_log_probs(model, hidden)), LmState(new_state), raw, x)
 
-    def backward():
-        d = _masked(hidden.grad, other_mask)
-        model.bottleneck_b.grad = d.sum(axis=0)
-        model.bottleneck_w.grad = dropped.data.T @ d
-        d = d @ model.bottleneck_w.data.T
-        if dropped.grad is not None:  # AR, and TAR when dropped is raw
-            d += dropped.grad
-        for i in reversed(range(len(model.layers))):
-            layer = model.layers[i]
+    def backward(d_hidden, d_dropped=None, d_raw=None, d_embedding=None):
+        if out_masks[-1] is None:  # dropped is raw: AR's and TAR's gradients, summed first
+            d_dropped, d_raw = _plus(d_dropped, d_raw), None
+        d = _masked(d_hidden, other_mask)
+        grads = {"bottleneck.b": d.sum(axis=0), "bottleneck.w": x.T @ d}
+        d = d @ p["bottleneck.w"].T
+        if d_dropped is not None:
+            d += d_dropped
+        for i in reversed(layers):
             if out_masks[i] is not None:
                 d = d * out_masks[i]
-                if raw_t.grad is not None and i == len(model.layers) - 1:  # TAR
-                    d += raw_t.grad
-            d, _, _, layer.wx.grad, d_wh, layer.b.grad = backwards[i](d)
-            layer.wh.grad = d_wh if wh_masks[i] is None else d_wh * wh_masks[i].data
+                if d_raw is not None and i == layers[-1]:
+                    d += d_raw
+            d, _, _, grads[f"lstm{i}.wx"], d_wh, grads[f"lstm{i}.b"] = backwards[i](d)
+            grads[f"lstm{i}.wh"] = _masked(d_wh, wh_masks[i])
         d = _masked(d, in_mask)
-        emb = model.embedding
         if embed_mask is None:  # onto the tied output matrix's gradient, if any
-            if emb.grad is None:
-                emb.grad = np.zeros_like(emb.data)
-            np.add.at(emb.grad, ids, d)
+            d_table = np.zeros_like(table) if d_embedding is None else d_embedding
+            np.add.at(d_table, ids, d)
         else:
             d_table = np.zeros_like(table)
             np.add.at(d_table, ids, d)
             d_table *= row_mask
-            emb.grad = d_table if emb.grad is None else emb.grad + d_table
+            d_table = _plus(d_embedding, d_table)
+        grads["embedding"] = d_table
+        return grads
 
-    return ForwardResult(MosRows(model, hidden), LmState(layers), raw_t, dropped, backward)
+    return ForwardResult(MosRows(model, hidden), LmState(new_state), raw, x, backward)

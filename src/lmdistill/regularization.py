@@ -3,6 +3,7 @@
 All masks are "variational": drawn once per model_forward call and reused at
 every time step of that call, with inverted scaling 1/(1-rate) so expectations
 match eval mode. Eval mode draws no mask, so every regularizer is an identity.
+Masks and the AR/TAR penalty's gradients are plain float64 arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, require_finite
-from .tensor import Tensor
 
 __all__ = ["DropoutSpec", "variational_mask", "activation_reg"]
 
@@ -50,16 +50,16 @@ class DropoutSpec:
 
 
 def variational_mask(shape: tuple[int, ...], rate: float,
-                     rng: np.random.Generator | None) -> Tensor | None:
+                     rng: np.random.Generator | None) -> np.ndarray | None:
     """Bernoulli keep-mask scaled by 1/(1-rate); None in eval (rng None) or at rate 0."""
     if rng is None or rate == 0.0:
         return None
     keep = (rng.random(shape) >= rate).astype(np.float64)
-    return Tensor(keep / (1.0 - rate))
+    return keep / (1.0 - rate)
 
 
-def activation_reg(dropped: Tensor, raw: Tensor, batch: int,
-                   ar_weight: float, tar_weight: float) -> tuple[float, list]:
+def activation_reg(dropped: np.ndarray, raw: np.ndarray, batch: int, ar_weight: float,
+                   tar_weight: float) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """AR/TAR penalty over the final LSTM layer's time-major [batch*T x H]
     blocks: dropped feeds the bottleneck, raw is the same before dropout.
 
@@ -67,21 +67,19 @@ def activation_reg(dropped: Tensor, raw: Tensor, batch: int,
     TAR = tar_weight * mean over all elements of (raw[t+1] - raw[t])^2
     Step t of raw is rows t*batch..(t+1)*batch, so TAR's differences are the
     block less itself shifted by batch rows; a single step has no TAR term.
-    Returns the penalty and its gradients as (tensor, gradient) pairs, AR's
-    first; a term whose weight is 0 contributes neither. The weights come from
-    a DropoutSpec, which keeps them finite and >= 0.
+    Returns the penalty, its gradient in dropped (AR's) and in raw (TAR's); a
+    term whose weight is 0 contributes 0 and a None gradient. The weights come
+    from a DropoutSpec, which keeps them finite and >= 0.
     """
-    total, grads = 0.0, []
-    if ar_weight > 0 and dropped.data.size:
-        d = dropped.data
-        total += np.sum(d * d) / d.size * ar_weight
-        grads.append((dropped, d * (2.0 * ar_weight / d.size)))
+    total, d_dropped, d_raw = 0.0, None, None
+    if ar_weight > 0 and dropped.size:
+        total += np.sum(dropped * dropped) / dropped.size * ar_weight
+        d_dropped = dropped * (2.0 * ar_weight / dropped.size)
     if tar_weight > 0 and raw.shape[0] > batch:
-        diff = raw.data[batch:] - raw.data[:-batch]
+        diff = raw[batch:] - raw[:-batch]
         total += np.sum(diff * diff) / diff.size * tar_weight
         diff *= 2.0 * tar_weight / diff.size
-        g = np.zeros_like(raw.data)
-        g[batch:] += diff
-        g[:-batch] -= diff
-        grads.append((raw, g))
-    return total, grads
+        d_raw = np.zeros_like(raw)
+        d_raw[batch:] += diff
+        d_raw[:-batch] -= diff
+    return total, d_dropped, d_raw

@@ -22,7 +22,6 @@ import numpy as np
 from .data import UNK, Vocabulary
 from .errors import ConfigError, DataError, FormatError, require_finite
 from .model import LmModel, LmState, model_forward
-from .tensor import Tensor
 
 __all__ = ["NbestEntry", "RescoreConfig", "parse_nbest", "score_utterance",
            "combine_and_select", "rescore_nbest", "WerReport", "wer",
@@ -134,8 +133,7 @@ def score_utterance(model: LmModel, vocab: Vocabulary, hypotheses: list[list[str
     node = [0] * len(targets)  # each hypothesis's row among the current depth's nodes
     inputs, parents, state = [vocab.eos_id], [0], model.init_state(1)
     for depth in range(max(map(len, targets), default=0)):
-        state = LmState([(Tensor(h.data[parents]), Tensor(c.data[parents]))
-                         for h, c in state.layers])
+        state = LmState([(h[parents], c[parents]) for h, c in state.layers])
         out = model_forward(model, np.asarray(inputs)[:, None], state)
         live = [i for i, t in enumerate(targets) if depth < len(t)]
         picked = out.log_probs.data[[node[i] for i in live], [targets[i][depth] for i in live]]

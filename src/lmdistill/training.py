@@ -1,9 +1,10 @@
 """Training loop, the step loss, teacher ensembling, and perplexity evaluation.
 
-step_loss is one step's loss and gradient (train-mode forward, distill_loss
+step_loss is one step's loss and gradients (train-mode forward, distill_loss
 running the MoS head, the loss and their backward as one chunked op, AR/TAR,
 then the forward's backward through the trunk), for train() and the
-grad-check alike. Optimization is plain SGD with global-norm gradient
+grad-check alike; the gradients come back as one array per parameter, keyed
+and ordered as model.params. Optimization is plain SGD with global-norm gradient
 clipping, optional plateau LR decay, and optional ASGD-style parameter
 averaging that arms after a configurable number of non-improving validation
 epochs. Teacher soft labels are computed on the fly per batch; teacher state
@@ -23,7 +24,6 @@ from .errors import ConfigError, DataError, TrainingError, require_finite
 from .losses import DistillLossSpec, distill_loss
 from .model import LmModel, LmState, flatten_targets, model_forward
 from .regularization import activation_reg
-from .tensor import Tensor
 
 __all__ = ["TrainConfig", "EpochLog", "TrainResult", "TeacherEnsemble",
            "step_loss", "train", "perplexity",
@@ -121,67 +121,67 @@ class TeacherEnsemble:
         return total / len(self.members)
 
 
-def clip_gradients(params: list[tuple[str, Tensor]], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm.
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """Scale all gradients in place so their global L2 norm is at most max_norm.
 
+    Sums in the dict's order, canonical parameter order for step_loss's.
     Returns the pre-clip norm. A non-finite norm leaves the gradients as they
     are, for the caller to reject. max_norm > 0 is TrainConfig.grad_clip's check.
     """
     total = 0.0
-    for _, p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+    for g in grads.values():
+        total += float(np.sum(g * g))
     norm = math.sqrt(total)
     if math.isfinite(norm) and norm > max_norm:
         factor = max_norm / norm
-        for _, p in params:
-            if p.grad is not None:
-                p.grad *= factor
+        for g in grads.values():
+            g *= factor
     return norm
 
 
 class _Averager:
     """Running arithmetic mean of parameters, started at the ASGD trigger."""
 
-    def __init__(self, params: list[tuple[str, Tensor]]):
-        self.avg = [p.data.copy() for _, p in params]
+    def __init__(self, params: dict[str, np.ndarray]):
+        self.avg = _snapshot(params)
         self.steps = 1
 
-    def update(self, params: list[tuple[str, Tensor]]) -> None:
+    def update(self, params: dict[str, np.ndarray]) -> None:
         self.steps += 1
-        for acc, (_, p) in zip(self.avg, params):
-            acc += (p.data - acc) / self.steps
+        for name, acc in self.avg.items():
+            acc += (params[name] - acc) / self.steps
 
 
-def _snapshot(params) -> list[np.ndarray]:
-    return [p.data.copy() for _, p in params]
+def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {name: p.copy() for name, p in params.items()}
 
 
-def _restore(params, snap: list[np.ndarray]) -> None:
-    for (_, p), arr in zip(params, snap):
-        p.data = arr.copy()
+def _restore(params: dict[str, np.ndarray], snap: dict[str, np.ndarray]) -> None:
+    # in place: a view of a parameter (the tied output matrix) stays valid
+    for name, p in params.items():
+        np.copyto(p, snap[name])
 
 
 def step_loss(model: LmModel, batch: BpttBatch, state: LmState, spec: DistillLossSpec,
-              q: np.ndarray | None, rng: np.random.Generator) -> tuple[float, LmState]:
+              q: np.ndarray | None, rng: np.random.Generator
+              ) -> tuple[float, dict[str, np.ndarray], LmState]:
     """Train-mode forward, distill_loss, plus AR/TAR when either weight is > 0.
 
-    Returns the loss value and the state to carry on, and leaves every
-    parameter's gradient in its .grad. train() and the grad-check both call
-    this, so the check covers the loss and gradient that training runs.
+    Returns the loss value, every parameter's gradient (keyed and ordered as
+    model.params) and the state to carry on. train() and the grad-check both
+    call this, so the check covers the loss and gradient that training runs.
     """
-    model.zero_grad()
     out = model_forward(model, batch.inputs, state, rng)
-    value = distill_loss(spec, out.log_probs, flatten_targets(batch.targets), q)
+    value, d_hidden, head = distill_loss(spec, out.log_probs, flatten_targets(batch.targets), q)
+    d_dropped = d_raw = None
     rates = model.config.dropout
     if rates.ar_weight > 0 or rates.tar_weight > 0:
-        reg, grads = activation_reg(out.dropped, out.raw, batch.inputs.shape[0],
-                                    rates.ar_weight, rates.tar_weight)
+        reg, d_dropped, d_raw = activation_reg(out.dropped, out.raw, batch.inputs.shape[0],
+                                               rates.ar_weight, rates.tar_weight)
         value += reg
-        for t, g in grads:  # dropped is raw when the last layer has no output dropout
-            t.grad = g if t.grad is None else t.grad + g
-    out.backward()
-    return float(value), out.state
+    # a tied embedding's head gradient is the one the trunk's gather adds onto
+    grads = out.backward(d_hidden, d_dropped, d_raw, head.pop("embedding", None)) | head
+    return float(value), {name: grads[name] for name in model.params}, out.state
 
 
 def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
@@ -199,14 +199,14 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
                           f"reads no teacher distributions; pass no teacher")
 
     batches = bptt_batches(train_stream, cfg.batch_size, cfg.bptt_len)
-    params = model.parameters()
+    params = model.params
     dropout_rng = np.random.default_rng(cfg.seed)
 
     logs: list[EpochLog] = []
     lr = cfg.lr
     best_ppl = math.inf
     best_epoch = 0
-    best_params: list[np.ndarray] | None = None
+    best_params: dict[str, np.ndarray] | None = None
     bad_epochs = 0
     averager: _Averager | None = None
 
@@ -217,16 +217,16 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
         loss_sum = 0.0
         for bi, batch in enumerate(batches):
             q = teacher.soft_labels(batch.inputs, batch.targets) if teacher is not None else None
-            value, state = step_loss(model, batch, state, cfg.loss, q, dropout_rng)
+            value, grads, state = step_loss(model, batch, state, cfg.loss, q, dropout_rng)
             if not math.isfinite(value):
                 raise TrainingError(f"non-finite loss {value} at epoch {epoch}, batch {bi}")
-            norm = clip_gradients(params, cfg.grad_clip)
+            norm = clip_gradients(grads, cfg.grad_clip)
             if not math.isfinite(norm):
                 raise TrainingError(
                     f"non-finite gradient norm {norm} at epoch {epoch}, batch {bi}")
-            for _, p in params:
-                if p.grad is not None:
-                    p.data -= lr * p.grad
+            for name, g in grads.items():
+                params[name] -= lr * g
+            del grads  # not held through the next step's forward and backward
             if averager is not None:
                 averager.update(params)
             loss_sum += value
@@ -248,8 +248,7 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
         if valid_ppl < best_ppl:
             best_ppl = valid_ppl
             best_epoch = epoch
-            best_params = ([a.copy() for a in averager.avg] if averager is not None
-                           else _snapshot(params))
+            best_params = _snapshot(params if averager is None else averager.avg)
             bad_epochs = 0
         else:
             bad_epochs += 1

@@ -144,50 +144,67 @@ def oracle_log_mix(log_pi: Tensor, block: Tensor) -> Tensor:
     return T._record(Tensor(y), (log_pi, block), back)
 
 
-def oracle_mos_log_probs(model, h: Tensor, out_matrix: Tensor) -> Tensor:
-    log_pi = T.log_softmax_rows(T.add(T.matmul(h, model.prior_w), model.prior_b))
+def expert_params(model, params):
+    """Each expert's (w, b) from a model's parameter leaves, in expert order."""
+    return [(params[f"expert{k}.w"], params[f"expert{k}.b"])
+            for k in range(model.config.num_experts)]
+
+
+def out_matrix(model, params) -> Tensor:
+    """The [E x V] output matrix as a tape value: the embedding transposed when tied."""
+    return (oracle_transpose(params["embedding"]) if model.config.tie_embeddings
+            else params["out.w"])
+
+
+def oracle_mos_log_probs(model, params, h: Tensor, out: Tensor) -> Tensor:
+    log_pi = T.log_softmax_rows(T.add(T.matmul(h, params["prior.w"]), params["prior.b"]))
     contexts = T.concat_rows([T.tanh(T.add(T.matmul(h, w), b))
-                              for w, b in zip(model.expert_w, model.expert_b)])
-    logits = T.add(T.matmul(contexts, out_matrix), model.out_b)
+                              for w, b in expert_params(model, params)])
+    logits = T.add(T.matmul(contexts, out), params["out.b"])
     return oracle_log_mix(log_pi, T.log_softmax_rows(logits))
 
 
-def oracle_forward(model, tokens: np.ndarray, state, rng=None):
-    """Taped log-probs [(batch*T) x V] and the new state, the head run per step.
+def oracle_forward(model, params, tokens: np.ndarray, state, rng=None):
+    """Taped log-probs [(batch*T) x V] and the new state, the head run per step, over
+    params, the model's parameters as tape leaves (tape.leaves).
 
     Masks are drawn in model_forward's order, so the same rng gives the same
     masks; returns (log_probs, state, raw_outputs, dropped_outputs).
     """
     cfg, rates = model.config, model.config.dropout
+    layers = range(cfg.lstm_layers)
     batch, steps = tokens.shape
+    const = lambda m: None if m is None else Tensor(m)
     embed_mask = variational_mask((cfg.vocab_size, 1), rates.embed_rate, rng)
-    wh_masks = [variational_mask(layer.wh.shape, rates.hidden_rate, rng)
-                for layer in model.layers]
-    in_mask = variational_mask((batch, cfg.embed_dim), rates.input_rate, rng)
-    out_masks = [variational_mask((batch, h), rates.output_rate, rng)
+    wh_masks = [const(variational_mask(params[f"lstm{i}.wh"].shape, rates.hidden_rate, rng))
+                for i in layers]
+    in_mask = const(variational_mask((batch, cfg.embed_dim), rates.input_rate, rng))
+    out_masks = [const(variational_mask((batch, h), rates.output_rate, rng))
                  for h in cfg.layer_widths]
-    other_mask = variational_mask((batch, cfg.bottleneck_dim), rates.other_rate, rng)
+    other_mask = const(variational_mask((batch, cfg.bottleneck_dim), rates.other_rate, rng))
     masked = lambda x, m: x if m is None else T.mul(x, m)
 
-    table = model.embedding
+    table = params["embedding"]
     if embed_mask is not None:
-        table = T.mul(table, Tensor(np.broadcast_to(embed_mask.data, table.shape)))
-    wh = [masked(layer.wh, m) for layer, m in zip(model.layers, wh_masks)]
-    out_matrix = oracle_transpose(model.embedding) if model.out_w is None else model.out_w
-    hs = [h for h, _ in state.layers]
-    cs = [c for _, c in state.layers]
+        table = T.mul(table, Tensor(np.broadcast_to(embed_mask, table.shape)))
+    wh = [masked(params[f"lstm{i}.wh"], m) for i, m in zip(layers, wh_masks)]
+    out = out_matrix(model, params)
+    hs = [Tensor(h) for h, _ in state.layers]
+    cs = [Tensor(c) for _, c in state.layers]
     raw, dropped, rows = [], [], []
     for t in range(steps):
         x = masked(T.embedding_rows(table, tokens[:, t]), in_mask)
-        for i, layer in enumerate(model.layers):
-            hs[i], cs[i] = lstm_step(x, hs[i], cs[i], layer.wx, wh[i], layer.b)
+        for i in layers:
+            hs[i], cs[i] = lstm_step(x, hs[i], cs[i], params[f"lstm{i}.wx"], wh[i],
+                                     params[f"lstm{i}.b"])
             x = masked(hs[i], out_masks[i])
         raw.append(hs[-1])
         dropped.append(x)
-        bott = masked(T.add(T.matmul(x, model.bottleneck_w), model.bottleneck_b), other_mask)
-        rows.append(oracle_mos_log_probs(model, bott, out_matrix))
+        bott = masked(T.add(T.matmul(x, params["bottleneck.w"]), params["bottleneck.b"]),
+                      other_mask)
+        rows.append(oracle_mos_log_probs(model, params, bott, out))
     log_probs = rows[0] if steps == 1 else T.concat_rows(rows)
-    return log_probs, LmState(list(zip(hs, cs))), raw, dropped
+    return log_probs, LmState([(h.data, c.data) for h, c in zip(hs, cs)]), raw, dropped
 
 
 def oracle_distill_loss(spec, log_p: Tensor, y: np.ndarray, q=None) -> Tensor:
@@ -217,52 +234,56 @@ class TapedRows:
     """MosRows as it was: the head, the loss and their backward are one tape node over
     log pi, the expert contexts and the output matrix and bias."""
 
-    def __init__(self, model, hidden: Tensor):
-        self.model, self.hidden = model, hidden
+    def __init__(self, model, params, hidden: Tensor):
+        self.model, self.params, self.hidden = model, params, hidden
         self.shape = (hidden.shape[0], model.config.vocab_size)
 
     def loss(self, objective) -> Tensor:
-        model = self.model
-        log_pi = T.log_softmax_rows(T.add(T.matmul(self.hidden, model.prior_w), model.prior_b))
+        model, p = self.model, self.params
+        log_pi = T.log_softmax_rows(T.add(T.matmul(self.hidden, p["prior.w"]), p["prior.b"]))
         ctx = T.concat_rows([T.tanh(T.add(T.matmul(self.hidden, w), b))
-                             for w, b in zip(model.expert_w, model.expert_b)])
+                             for w, b in expert_params(model, p)])
         total, d_log_pi, d_ctx, d_out, d_out_b = model_module._head_loss(
             model, log_pi.data, ctx.data, objective)
-        return T.precomputed(total, [(log_pi, d_log_pi), (ctx, d_ctx), (model.out_b, d_out_b),
-                                     (model.embedding, d_out.T) if model.out_w is None
-                                     else (model.out_w, d_out)])
+        return T.precomputed(total, [(log_pi, d_log_pi), (ctx, d_ctx), (p["out.b"], d_out_b),
+                                     (p["embedding"], d_out.T) if model.config.tie_embeddings
+                                     else (p["out.w"], d_out)])
 
 
-def taped_step_loss(model, batch, state, spec, q, rng) -> Tensor:
-    """training.step_loss's loss as a taped scalar; masks are drawn in model_forward's order."""
+def taped_step_loss(model, params, batch, state, spec, q, rng) -> Tensor:
+    """training.step_loss's loss as a taped scalar over params, the model's parameters as
+    tape leaves (tape.leaves); masks are drawn in model_forward's order."""
     cfg, rates = model.config, model.config.dropout
+    layers = range(cfg.lstm_layers)
     tokens = batch.inputs
     lanes, steps = tokens.shape
-    const = lambda m: None if m is None else Tensor(m.data)
-    tiled = lambda m: None if m is None else Tensor(np.tile(m.data, (steps, 1)))
+    const = lambda m: None if m is None else Tensor(m)
+    tiled = lambda m: None if m is None else Tensor(np.tile(m, (steps, 1)))
     embed_mask = const(variational_mask((cfg.vocab_size, 1), rates.embed_rate, rng))
-    wh_masks = [const(variational_mask(layer.wh.shape, rates.hidden_rate, rng))
-                for layer in model.layers]
+    wh_masks = [const(variational_mask(params[f"lstm{i}.wh"].shape, rates.hidden_rate, rng))
+                for i in layers]
     in_mask = tiled(variational_mask((lanes, cfg.embed_dim), rates.input_rate, rng))
     out_masks = [tiled(variational_mask((lanes, h), rates.output_rate, rng))
                  for h in cfg.layer_widths]
     other_mask = tiled(variational_mask((lanes, cfg.bottleneck_dim), rates.other_rate, rng))
     masked = lambda x, m: x if m is None else T.mul(x, m)
 
-    table = model.embedding
+    table = params["embedding"]
     if embed_mask is not None:
         table = T.mul(table, Tensor(np.broadcast_to(embed_mask.data, table.shape)))
     x = masked(T.embedding_rows(table, tokens.ravel(order="F")), in_mask)
-    for layer, wh_mask, out_mask, (h0, c0) in zip(model.layers, wh_masks, out_masks,
-                                                  state.layers):
-        raw, _, _ = T.lstm_layer(x, const(h0), const(c0), layer.wx, masked(layer.wh, wh_mask),
-                                 layer.b)
+    for i, wh_mask, out_mask, (h0, c0) in zip(layers, wh_masks, out_masks, state.layers):
+        raw, _, _ = T.lstm_layer(x, Tensor(h0), Tensor(c0), params[f"lstm{i}.wx"],
+                                 masked(params[f"lstm{i}.wh"], wh_mask), params[f"lstm{i}.b"])
         x = masked(raw, out_mask)
-    hidden = masked(T.add(T.matmul(x, model.bottleneck_w), model.bottleneck_b), other_mask)
-    loss = distill_loss(spec, TapedRows(model, hidden), flatten_targets(batch.targets), q)
+    hidden = masked(T.add(T.matmul(x, params["bottleneck.w"]), params["bottleneck.b"]),
+                    other_mask)
+    loss = distill_loss(spec, TapedRows(model, params, hidden), flatten_targets(batch.targets), q)
     if rates.ar_weight > 0 or rates.tar_weight > 0:
-        loss = T.add(loss, T.precomputed(*activation_reg(x, raw, lanes, rates.ar_weight,
-                                                          rates.tar_weight)))
+        total, d_dropped, d_raw = activation_reg(x.data, raw.data, lanes, rates.ar_weight,
+                                                 rates.tar_weight)
+        loss = T.add(loss, T.precomputed(total, [(t, g) for t, g in ((x, d_dropped), (raw, d_raw))
+                                                 if g is not None]))
     return loss
 
 

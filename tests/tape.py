@@ -6,9 +6,8 @@ are composed from these ops.
 Every operation computes its forward value eagerly and, when a Tape is active
 and gradients can flow to it, records a node holding a backward closure. The
 tape is a flat list in execution order, which is a valid topological order by
-construction; backward() walks it once in reverse. A plain lmdistill Tensor (a
-model parameter) takes gradients; a Tensor made here does only when it
-requires_grad.
+construction; backward() walks it once in reverse into each tracked
+Tensor's .grad. A model's parameters enter as leaves() that share their arrays.
 """
 
 from dataclasses import dataclass
@@ -16,19 +15,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from lmdistill import cli, model as model_module
-from lmdistill.errors import ContractError, NumericError, ShapeError
-from lmdistill.tensor import Tensor as _Record
+from lmdistill.errors import NumericError, ShapeError
 
 
-class Tensor(_Record):
+class Tensor:
     """A float64 array, its gradient, and whether the tape tracks it."""
 
-    __slots__ = ("requires_grad", "_from_op")
+    __slots__ = ("data", "grad", "requires_grad", "_from_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        super().__init__(data)
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._from_op = False
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
 
     def item(self) -> float:
         if self.data.shape != ():
@@ -69,8 +72,15 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+def leaves(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """A model's parameters as tracked tape leaves, each sharing its array: a taped
+    loss's gradients land in their .grad, and a parameter perturbed in place is
+    seen by both the model and the tape."""
+    return {name: Tensor(p, requires_grad=True) for name, p in params.items()}
+
+
 def _tracked(t) -> bool:
-    return getattr(t, "requires_grad", True) or getattr(t, "_from_op", False)
+    return t.requires_grad or t._from_op
 
 
 def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
@@ -97,7 +107,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     grads between steps. Visits each node exactly once, in reverse order.
     """
     if loss.data.shape != ():
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not _tracked(loss):
         return  # constant loss, nothing depends on it
     loss.grad = np.ones(())
@@ -108,19 +118,24 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
 
 def backprop(loss_fn) -> float:
-    """loss_fn()'s value, with its gradients left in .grad: a taped scalar is run
-    backward here; a hand-written loss returns a number and has left them already."""
+    """The value of the taped scalar loss_fn() returns, its gradients left in .grad."""
     with Tape() as tape:
         out = loss_fn()
-    if not isinstance(out, Tensor):
-        return float(out)
     backward(out, tape)
     return float(out.data)
 
 
-def grad_check_params(loss_fn, params, **kw):
-    """lmdistill's finite-difference check over loss_fn, taped or hand-written."""
-    return cli.grad_check_params(lambda: backprop(loss_fn), params, **kw)
+def grad_check_params(loss_fn, params: list[tuple[str, Tensor]], **kw):
+    """lmdistill's finite-difference check of a taped scalar loss_fn() in the named
+    Tensors it reads; one that takes no gradient has a zero one."""
+    def value_and_grads():
+        for _, t in params:
+            t.grad = None
+        value = backprop(loss_fn)
+        return value, {name: np.zeros_like(t.data) if t.grad is None else t.grad
+                       for name, t in params}
+
+    return cli.grad_check_params(value_and_grads, {name: t.data for name, t in params}, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -199,9 +199,8 @@ def test_criterion_5_one_hot_kl_equals_ce_training():
 
     m_ce = run("ce_only", None)
     m_kl = run("kl_only", OneHotOracle(vocab.size))
-    diffs = [name for (name, a), (_, b)
-             in zip(m_ce.parameters(), m_kl.parameters())
-             if not np.array_equal(a.data, b.data)]
+    diffs = [name for name, a in m_ce.params.items()
+             if not np.array_equal(a, m_kl.params[name])]
     report(5, "one-hot distillation equals CE training", not diffs,
            "10 updates, every parameter bitwise equal" if not diffs
            else f"parameters diverged: {diffs}")
@@ -308,7 +307,7 @@ def test_criterion_8_parameter_counts():
     student_cfg = load_config(CONFIGS / "ptb-student.cfg")
     config = student_cfg.model_config(vocab_size=student_cfg["vocab_cap"])
     model = build_model(config, 0)
-    allocated = sum(p.data.size for _, p in model.parameters())
+    allocated = sum(p.size for p in model.params.values())
     ok &= allocated == model.param_count == 7_097_655
     report(8, "parameter budgets", ok,
            "; ".join(details) + f"; allocated={allocated:,}")

@@ -516,9 +516,9 @@ def _skew_last(original, calls):
 
 def _skew_reg(original, calls):
     def patched(*args):
-        value, grads = original(*args)
+        value, *grads = original(*args)
         calls.append(original)
-        return value, [(t, 1.01 * g) for t, g in grads]
+        return value, *(None if g is None else 1.01 * g for g in grads)
     return patched
 
 
@@ -526,12 +526,11 @@ def _skew_trunk(original, calls):
     # the trunk (masks, gather, bottleneck, LSTM layers) takes 1% more dL/dhidden
     def patched(*args):
         out = original(*args)
-        trunk, hidden = out.backward, out.log_probs.hidden
+        trunk = out.backward
 
-        def skewed():
+        def skewed(d_hidden, *rest):
             calls.append(trunk)
-            hidden.grad = 1.01 * hidden.grad
-            trunk()
+            return trunk(1.01 * d_hidden, *rest)
 
         out.backward = skewed
         return out

@@ -50,22 +50,21 @@ def test_fused_step_matches_per_step_oracle(variant, tied, monkeypatch):
     q = rng.dirichlet(np.ones(11), size=15) if spec.needs_teacher else None
     _chunks_of(monkeypatch, config, 4)  # N = 15 rows: chunks of 4, 4, 4, 3
 
-    def oracle(rng):
-        log_p, _, raw, dropped = oracle_forward(model, batch.inputs, model.init_state(3), rng)
+    params = T.leaves(model.params)
+
+    def oracle():
+        log_p, _, raw, dropped = oracle_forward(model, params, batch.inputs, model.init_state(3),
+                                                np.random.default_rng(9))
         loss = oracle_distill_loss(spec, log_p, flatten_targets(batch.targets), q)
         return T.add(loss, oracle_activation_reg(T.concat_rows(dropped), raw,
                                                  RATES.ar_weight, RATES.tar_weight))
 
-    def run(loss_fn):
-        model.zero_grad()
-        loss = T.backprop(lambda: loss_fn(np.random.default_rng(9)))
-        return loss, {name: p.grad.copy() for name, p in model.parameters()}
-
-    got, got_grads = run(lambda rng: training.step_loss(
-        model, batch, model.init_state(3), spec, q, rng)[0])
-    want, want_grads = run(oracle)
+    got, got_grads, _ = training.step_loss(model, batch, model.init_state(3), spec, q,
+                                           np.random.default_rng(9))
+    want = T.backprop(oracle)
     assert abs(got - want) <= 1e-12 * abs(want)
-    for name, g in want_grads.items():
+    for name, p in params.items():
+        g = p.grad
         err = np.max(np.abs(got_grads[name] - g)) / np.max(np.abs(g))
         assert err <= 1e-10, f"{name}: relative error {err:.3e}"
 
@@ -77,7 +76,7 @@ def test_eval_forward_matches_per_step_oracle(tied, monkeypatch):
     tokens = np.random.default_rng(4).integers(0, 11, size=(2, 7))
     _chunks_of(monkeypatch, config, 3)  # N = 14 rows: chunks of 3, ..., 3, 2
     got = model_forward(model, tokens, model.init_state(2))
-    want = oracle_forward(model, tokens, model.init_state(2))[0]
+    want = oracle_forward(model, T.leaves(model.params), tokens, model.init_state(2))[0]
     assert np.max(np.abs(got.log_probs.data - want.data)) <= 1e-12
 
 
@@ -95,9 +94,9 @@ def test_fused_step_peak_memory_is_a_fraction_of_the_expert_block():
     assert block >= 100e6
     tracemalloc.start()
     try:
-        loss, _ = training.step_loss(model, batch, model.init_state(8),
-                                     DistillLossSpec("trust_reg", alpha=0.5), q,
-                                     np.random.default_rng(7))
+        loss, _, _ = training.step_loss(model, batch, model.init_state(8),
+                                        DistillLossSpec("trust_reg", alpha=0.5), q,
+                                        np.random.default_rng(7))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -108,7 +107,7 @@ def test_fused_step_peak_memory_is_a_fraction_of_the_expert_block():
 def test_nan_reaching_the_head_raises_numeric_error():
     config = _config(True, dropout=DropoutSpec())
     model = build_model(config, seed=8)
-    model.out_b.data[3] = np.nan
+    model.params["out.b"][3] = np.nan
     tokens = np.zeros((2, 3), dtype=np.int64)
     with pytest.raises(NumericError, match="MoS head"):
         model_forward(model, tokens, model.init_state(2))

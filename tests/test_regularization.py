@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-import tape as T
+from lmdistill.cli import grad_check_params
 from lmdistill.errors import ConfigError
 from lmdistill.losses import DistillLossSpec, distill_loss
 from lmdistill.model import ModelConfig, build_model, model_forward, mos_log_probs
 from lmdistill.regularization import DropoutSpec, activation_reg, variational_mask
-from lmdistill.tensor import Tensor
 
 
 def test_dropout_spec_validation():
@@ -30,7 +29,7 @@ def test_dropout_spec_validation():
 
 def test_mask_values_and_scaling():
     rate = 0.4
-    m = variational_mask((200, 50), rate, np.random.default_rng(0)).data
+    m = variational_mask((200, 50), rate, np.random.default_rng(0))
     keep = 1.0 / (1.0 - rate)
     vals = np.unique(m)
     assert set(vals) <= {0.0, keep}
@@ -49,12 +48,12 @@ def test_mask_rate_zero_is_none_and_draws_nothing():
 
 
 def test_mask_determinism_under_seed():
-    m1 = variational_mask((6, 6), 0.3, np.random.default_rng(7)).data
-    m2 = variational_mask((6, 6), 0.3, np.random.default_rng(7)).data
+    m1 = variational_mask((6, 6), 0.3, np.random.default_rng(7))
+    m2 = variational_mask((6, 6), 0.3, np.random.default_rng(7))
     assert np.array_equal(m1, m2)
     rng = np.random.default_rng(7)
     variational_mask((6, 6), 0.3, rng)
-    assert not np.array_equal(variational_mask((6, 6), 0.3, rng).data, m1)
+    assert not np.array_equal(variational_mask((6, 6), 0.3, rng), m1)
 
 
 def _only(**rates):
@@ -77,7 +76,7 @@ def _assert_eval_and_rate_zero_are_identities(rate_name):
     assert np.array_equal(_eval_log_probs(_only(**{rate_name: 0.5})), plain)
     off = _only(**{rate_name: 0.0})
     train_off = model_forward(off, TOKENS, off.init_state(2), np.random.default_rng(0))
-    assert np.array_equal(mos_log_probs(off, train_off.log_probs.hidden).data, plain)
+    assert np.array_equal(mos_log_probs(off, train_off.log_probs.hidden), plain)
 
 
 def test_drop_connect_eval_is_identity():
@@ -93,11 +92,10 @@ def test_drop_connect_gradient_only_through_kept_entries():
     model = _only(hidden_rate=rate)
     out = model_forward(model, TOKENS, model.init_state(2), np.random.default_rng(5))
     y = np.random.default_rng(6).integers(0, 12, size=TOKENS.size)
-    distill_loss(DistillLossSpec(), out.log_probs, y)
-    out.backward()
+    _, d_hidden, _ = distill_loss(DistillLossSpec(), out.log_probs, y)
+    grad = out.backward(d_hidden)["lstm0.wh"]
     # the recurrent-weight mask is the only draw
-    kept = np.random.default_rng(5).random(model.layers[0].wh.shape) >= rate
-    grad = model.layers[0].wh.grad
+    kept = np.random.default_rng(5).random(grad.shape) >= rate
     assert 0 < kept.sum() < kept.size
     assert np.all(grad[~kept] == 0.0)
     assert np.all(grad[kept] != 0.0)
@@ -107,41 +105,41 @@ def test_embedding_dropout_zeroes_whole_rows():
     rate = 0.4
     model = _only(embed_rate=rate)
     got = model_forward(model, TOKENS, model.init_state(2), np.random.default_rng(6))
-    got = mos_log_probs(model, got.log_probs.hidden).data
+    got = mos_log_probs(model, got.log_probs.hidden)
     # the embedding-row mask is the only draw; it keeps or drops whole rows
     kept = np.random.default_rng(6).random((12, 1)) >= rate
     assert 0 < kept.sum() < kept.size
-    model.embedding.data = model.embedding.data * (kept / (1.0 - rate))
+    model.params["embedding"] *= kept / (1.0 - rate)
     assert np.array_equal(got, _eval_log_probs(model))
 
 
 def test_activation_reg_hand_case():
     # dropped = raw = h over 2 steps of [[1]], [[3]]:
     # AR = mean(1^2, 3^2) = 5, TAR = (3-1)^2 = 4, total 9
-    h = Tensor(np.array([[1.0], [3.0]]))
-    total, _ = activation_reg(h, h, batch=1, ar_weight=1.0, tar_weight=1.0)
+    h = np.array([[1.0], [3.0]])
+    total, _, _ = activation_reg(h, h, batch=1, ar_weight=1.0, tar_weight=1.0)
     assert total == 9.0
 
 
 def test_activation_reg_ar_only_and_tar_only():
-    block = Tensor(np.array([[1.0], [3.0]]))
+    block = np.array([[1.0], [3.0]])
     assert activation_reg(block, block, 1, 2.0, 0.0)[0] == 10.0
     assert activation_reg(block, block, 1, 0.0, 3.0)[0] == 12.0
     assert activation_reg(block, block, 1, 0.0, 0.0)[0] == 0.0
 
 
 def test_activation_reg_single_step_has_no_tar():
-    h = Tensor(np.array([[2.0]]))
+    h = np.array([[2.0]])
     assert activation_reg(h, h, 1, 0.0, 5.0)[0] == 0.0
     assert activation_reg(h, h, 1, 1.0, 5.0)[0] == 4.0
     # two lanes, one step: no row is a step after another
-    two = Tensor(np.array([[1.0], [3.0]]))
+    two = np.array([[1.0], [3.0]])
     assert activation_reg(two, two, 2, 0.0, 5.0)[0] == 0.0
 
 
 def test_activation_reg_batch_mean():
     # mean over all elements, not per-lane sums
-    h = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    h = np.array([[1.0, 2.0], [3.0, 4.0]])
     want = (1 + 4 + 9 + 16) / 4
     assert activation_reg(h, h, 2, 1.0, 0.0)[0] == want
 
@@ -149,10 +147,12 @@ def test_activation_reg_batch_mean():
 def test_activation_reg_gradients():
     # 2 lanes x 3 steps; TAR pairs rows t*2+b and (t+1)*2+b
     rng = np.random.default_rng(11)
-    dropped = Tensor(rng.standard_normal((6, 4)))
-    raw = Tensor(rng.standard_normal((6, 4)))
-    reports = T.grad_check_params(
-        lambda: T.precomputed(*activation_reg(dropped, raw, 2, 0.7, 1.3)),
-        [("dropped", dropped), ("raw", raw)])
+    params = {"dropped": rng.standard_normal((6, 4)), "raw": rng.standard_normal((6, 4))}
+
+    def loss_fn():
+        total, d_dropped, d_raw = activation_reg(params["dropped"], params["raw"], 2, 0.7, 1.3)
+        return total, {"dropped": d_dropped, "raw": d_raw}
+
+    reports = grad_check_params(loss_fn, params)
     assert all(r.passed for r in reports.values()), reports
 

@@ -27,8 +27,8 @@ def uniform_model(vocab_size):
     model = build_model(ModelConfig(vocab_size=vocab_size, embed_dim=6,
                                     lstm_layers=1, hidden_dim=8,
                                     bottleneck_dim=6, num_experts=2), 0)
-    for _, p in model.parameters():
-        p.data[:] = 0.0
+    for p in model.params.values():
+        p[:] = 0.0
     return model
 
 

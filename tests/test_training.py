@@ -37,7 +37,7 @@ def tiny_config(vocab_size, **kw):
 
 
 def params_of(model):
-    return [p.data.copy() for _, p in model.parameters()]
+    return [p.copy() for p in model.params.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -72,38 +72,22 @@ def test_epoch_log_line_format():
 # Gradient clipping
 
 
-def _fake_params(grads):
-    from lmdistill.tensor import Tensor
-    out = []
-    for i, g in enumerate(grads):
-        t = Tensor(np.zeros_like(np.asarray(g, dtype=float)))
-        t.grad = np.asarray(g, dtype=float)
-        out.append((f"p{i}", t))
-    return out
-
-
 def test_clip_returns_preclip_norm_and_caps():
-    params = _fake_params([[3.0], [4.0]])  # global norm 5
-    norm = clip_gradients(params, 1.0)
+    grads = {"a": np.array([3.0]), "b": np.array([4.0])}  # global norm 5
+    norm = clip_gradients(grads, 1.0)
     assert norm == 5.0
-    assert params[0][1].grad[0] == pytest.approx(0.6)
-    assert params[1][1].grad[0] == pytest.approx(0.8)
-    clipped = math.sqrt(sum(float(np.sum(p.grad ** 2)) for _, p in params))
+    assert grads["a"][0] == pytest.approx(0.6)
+    assert grads["b"][0] == pytest.approx(0.8)
+    clipped = math.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
     assert clipped == pytest.approx(1.0)
 
 
 def test_clip_below_limit_is_untouched():
-    params = _fake_params([[0.3], [0.4]])  # norm 0.5
-    norm = clip_gradients(params, 1.0)
+    grads = {"a": np.array([0.3]), "b": np.array([0.4])}  # norm 0.5
+    norm = clip_gradients(grads, 1.0)
     assert norm == 0.5
-    assert params[0][1].grad[0] == 0.3  # bitwise, no rescale applied
-    assert params[1][1].grad[0] == 0.4
-
-
-def test_clip_skips_missing_grads_and_validates():
-    params = _fake_params([[3.0, 4.0]])
-    params[0][1].grad = None
-    assert clip_gradients(params, 1.0) == 0.0
+    assert grads["a"][0] == 0.3  # bitwise, no rescale applied
+    assert grads["b"][0] == 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +194,36 @@ def test_step_loss_equals_the_taped_step_bitwise(variant, tied, ar, tar, embed_r
         monkeypatch.setattr(model_module, "CHUNK_ELEMENTS",
                             chunk_rows * config.num_experts * vocab.size)
 
-        def grads():
-            return [p.grad.copy() for _, p in model.parameters()]
-
-        got = training.step_loss(model, batch, model.init_state(2), spec, q,
-                                 np.random.default_rng(9))[0]
-        got_grads = grads()
-        model.zero_grad()
-        want = T.backprop(lambda: taped_step_loss(model, batch, model.init_state(2), spec, q,
-                                                  np.random.default_rng(9)))
+        got, got_grads, _ = training.step_loss(model, batch, model.init_state(2), spec, q,
+                                               np.random.default_rng(9))
+        params = T.leaves(model.params)
+        want = T.backprop(lambda: taped_step_loss(model, params, batch, model.init_state(2),
+                                                  spec, q, np.random.default_rng(9)))
         assert got == want
-        for (name, _), g, w in zip(model.parameters(), got_grads, grads()):
-            assert np.array_equal(g, w), (output_rate, name)
+        assert list(got_grads) == list(model.params)
+        assert all(g.shape == model.params[name].shape for name, g in got_grads.items())
+        for name, g in got_grads.items():
+            assert np.array_equal(g, params[name].grad), (output_rate, name)
+
+
+def test_step_loss_gradients_do_not_carry_over_between_calls():
+    # nothing of one call's gradients reaches the next: two calls with the same masks
+    # return equal gradients
+    vocab, stream = tiny_corpus()
+    rates = DropoutSpec(input_rate=0.2, output_rate=0.25, hidden_rate=0.3, embed_rate=0.1,
+                        other_rate=0.15, ar_weight=2.0, tar_weight=1.0)
+    model = build_model(tiny_config(vocab.size, lstm_layers=2, last_hidden_dim=6,
+                                    dropout=rates), 4)
+    batch = bptt_batches(stream, 2, 5)[0]
+
+    def grads():
+        return training.step_loss(model, batch, model.init_state(2), DistillLossSpec(), None,
+                                  np.random.default_rng(9))[1]
+
+    first, second = grads(), grads()
+    assert list(first) == list(second) == list(model.params)
+    for name in model.params:
+        assert np.array_equal(first[name], second[name]), name
 
 
 @pytest.mark.parametrize("ar, tar", [(0.0, 0.0), (2.0, 1.0)])
@@ -239,30 +241,27 @@ def test_step_loss_is_forward_plus_distill_plus_reg(ar, tar, monkeypatch):
 
     def explicit(rng):
         # the step's pieces in order: forward, loss, AR/TAR, then the trunk's backward
-        model.zero_grad()
         out = model_forward(model, batch.inputs, model.init_state(2), rng)
-        value = distill_loss(spec, out.log_probs, flatten_targets(batch.targets), q)
+        value, d_hidden, head = distill_loss(spec, out.log_probs,
+                                             flatten_targets(batch.targets), q)
+        d_dropped = d_raw = None
         if ar or tar:
-            reg, grads = activation_reg(out.dropped, out.raw, 2, ar, tar)
+            reg, d_dropped, d_raw = activation_reg(out.dropped, out.raw, 2, ar, tar)
             value += reg
-            for t, g in grads:
-                t.grad = g if t.grad is None else t.grad + g
-        out.backward()
-        return value
-
-    def run(loss_fn):
-        value = loss_fn(np.random.default_rng(9))
-        return value, [None if p.grad is None else p.grad.copy() for _, p in model.parameters()]
+        trunk = out.backward(d_hidden, d_dropped, d_raw, head.pop("embedding", None))
+        return value, trunk | head
 
     def counted(*args):
         calls.append(args)
         return activation_reg(*args)
 
     monkeypatch.setattr(training, "activation_reg", counted)
-    got = run(lambda rng: training.step_loss(model, batch, model.init_state(2), spec, q, rng)[0])
-    want = run(explicit)
+    got = training.step_loss(model, batch, model.init_state(2), spec, q,
+                             np.random.default_rng(9))
+    want = explicit(np.random.default_rng(9))
     assert np.array_equal(got[0], want[0])
-    assert all(np.array_equal(g, w) for g, w in zip(got[1], want[1]))
+    assert got[1].keys() == want[1].keys()
+    assert all(np.array_equal(g, want[1][name]) for name, g in got[1].items())
     # with AR/TAR off, not even a zero penalty is computed
     assert len(calls) == (1 if ar or tar else 0)
 
@@ -294,8 +293,7 @@ def test_fixed_interp_at_alpha_one_runs_without_teacher():
     train(a, stream, stream, cfg)
     train(b, stream, stream, TrainConfig(loss=DistillLossSpec("ce_only"), epochs=1,
                                          batch_size=2, bptt_len=6))
-    assert all(np.array_equal(p.data, r.data)
-               for (_, p), (_, r) in zip(a.parameters(), b.parameters()))
+    assert all(np.array_equal(p, b.params[name]) for name, p in a.params.items())
 
 
 def test_train_zero_lr_leaves_params_bitwise():
@@ -304,8 +302,8 @@ def test_train_zero_lr_leaves_params_bitwise():
     before = params_of(model)
     result = train(model, stream, stream,
                    TrainConfig(loss=DistillLossSpec("ce_only"), lr=0.0, epochs=3))
-    for arr, (_, p) in zip(before, model.parameters()):
-        assert np.array_equal(arr, p.data)
+    for arr, p in zip(before, model.params.values()):
+        assert np.array_equal(arr, p)
     # identical params every epoch -> identical validation every epoch
     ppls = [l.valid_ppl for l in result.logs]
     assert ppls[0] == ppls[1] == ppls[2]
@@ -433,11 +431,11 @@ def test_train_reports_non_finite_gradient_norm_at_its_batch(monkeypatch, bad):
     steps = []
 
     def poisoned_step_loss(*args):
-        result = step_loss(*args)
+        value, grads, state = step_loss(*args)
         steps.append(None)
         if len(steps) == 2:
-            model.embedding.grad[0, 0] = bad
-        return result
+            grads["embedding"][0, 0] = bad
+        return value, grads, state
 
     step_loss = training.step_loss
     monkeypatch.setattr(training, "step_loss", poisoned_step_loss)
@@ -446,7 +444,7 @@ def test_train_reports_non_finite_gradient_norm_at_its_batch(monkeypatch, bad):
                        match=r"non-finite gradient norm (inf|nan) at epoch 1, batch 1"):
         train(model, stream, stream, cfg)
     # the bad gradient was never applied
-    assert all(np.all(np.isfinite(p.data)) for _, p in model.parameters())
+    assert all(np.all(np.isfinite(p)) for p in model.params.values())
 
 
 def test_train_rejects_corrupt_teacher_rows():
@@ -478,7 +476,7 @@ def test_train_rejects_corrupt_teacher_rows():
 def test_nan_parameter_surfaces_as_numeric_error():
     vocab, stream = tiny_corpus()
     model = build_model(tiny_config(vocab.size), 0)
-    model.embedding.data[0, 0] = math.nan
+    model.params["embedding"][0, 0] = math.nan
     with pytest.raises(NumericError):
         train(model, stream, stream,
               TrainConfig(loss=DistillLossSpec("ce_only"), epochs=1,
@@ -570,8 +568,8 @@ def test_perplexity_rejects_tiny_streams():
 def test_perplexity_of_uniform_model_is_vocab_size():
     vocab, stream = tiny_corpus()
     model = build_model(tiny_config(vocab.size), 4)
-    for _, p in model.parameters():
-        p.data[:] = 0.0
+    for p in model.params.values():
+        p[:] = 0.0
     assert perplexity(model, stream) == pytest.approx(vocab.size, rel=1e-12)
 
 
@@ -594,9 +592,9 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     assert loaded.config == model.config
-    for (name_a, a), (name_b, b) in zip(model.parameters(), loaded.parameters()):
-        assert name_a == name_b
-        assert np.array_equal(a.data, b.data)
+    assert list(loaded.params) == list(model.params)
+    for name, p in model.params.items():
+        assert np.array_equal(p, loaded.params[name])
     tokens = stream.ids[None, :6]
     out_a = model_forward(model, tokens, model.init_state(1))
     out_b = model_forward(loaded, tokens, loaded.init_state(1))
@@ -617,12 +615,13 @@ def test_checkpoint_loads_writable_arrays_that_own_their_memory(tmp_path):
     path = tmp_path / "m.dlm"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    for (name, got), (_, want) in zip(loaded.parameters(), model.parameters()):
-        flags = got.data.flags
+    for name, got in loaded.params.items():
+        want = model.params[name]
+        flags = got.flags
         assert flags.owndata and flags.writeable and flags.c_contiguous, name
-        assert got.data.dtype == np.float64 and got.data.shape == want.data.shape
-        assert got.data.tobytes() == want.data.tobytes(), name
-        got.data += 1.0  # writable in place, as SGD updates it
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+        got += 1.0  # writable in place, as SGD updates it
 
 
 def test_checkpoint_save_failing_midway_keeps_the_previous_file(tmp_path):
@@ -632,7 +631,7 @@ def test_checkpoint_save_failing_midway_keeps_the_previous_file(tmp_path):
     before = path.read_bytes()
     model = build_model(tiny_config(vocab.size), 1)
     # the last parameter cannot be written, after every other one was
-    model.out_b.data = np.array([object()] * vocab.size)
+    model.params["out.b"] = np.array([object()] * vocab.size)
     with pytest.raises(TypeError):
         save_checkpoint(model, path)
     assert path.read_bytes() == before
