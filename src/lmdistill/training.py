@@ -7,15 +7,28 @@ grad-check alike; the gradients come back as one array per parameter, keyed
 and ordered as model.params. Optimization is plain SGD with global-norm gradient
 clipping, optional plateau LR decay, and optional ASGD-style parameter
 averaging that arms after a configurable number of non-improving validation
-epochs. Teacher soft labels are computed on the fly per batch; teacher state
-is carried across the same token lanes the student sees. Everything is
-deterministic per (config, seed).
+epochs. Everything is deterministic per (config, seed).
+
+Teacher soft labels come from one forked worker process (POSIX fork), one
+batch ahead of the student. It runs the teacher over the same batches in the
+same order, from reset_state(batch_size) each epoch, so teacher state is
+carried across the same token lanes the student sees and Q is bitwise what an
+in-process call would give. It writes batch i's Q into slot i % 2 of a shared
+two-slot [2 x B*T x V] buffer; train() runs step_loss on a view of that slot
+and hands the slot back when step_loss returns. The worker waits for slot
+i % 2 to come back (batch i - 2's step is done) before it computes batch i,
+so it never overwrites a Q still in use.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import multiprocessing
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
+from multiprocessing.pool import ExceptionWithTraceback
 
 import numpy as np
 
@@ -115,10 +128,14 @@ class TeacherEnsemble:
         total = None
         for i, member in enumerate(self.members):
             out = model_forward(member, inputs, self._states[i])  # eval mode
-            p = np.exp(out.log_probs.data)
-            total = p if total is None else total + p
+            p = np.exp(out.log_probs.data, out=out.log_probs.data)
+            if total is None:
+                total = p
+            else:
+                total += p
             self._states[i] = out.state
-        return total / len(self.members)
+        total /= len(self.members)
+        return total
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -184,13 +201,92 @@ def step_loss(model: LmModel, batch: BpttBatch, state: LmState, spec: DistillLos
     return float(value), {name: grads[name] for name in model.params}, out.state
 
 
+def _soft_label_worker(conn, parent_end, teacher, batches: list[BpttBatch], batch_size: int,
+                       epochs: int, slots: np.ndarray) -> None:
+    """The worker process: teacher's Q for every batch of every epoch, in train()'s order.
+
+    Sends None once batch i's Q is in slot i % 2; a Q the slot cannot hold
+    (wrong shape) goes whole, for distill_loss to reject; an exception goes
+    as itself, with the worker's traceback as its cause, for train() to raise.
+    """
+    parent_end.close()
+    try:
+        i = 0
+        for _ in range(epochs):
+            teacher.reset_state(batch_size)
+            for batch in batches:
+                if i >= 2:
+                    conn.recv()  # slot i % 2 handed back: batch i - 2's step is done
+                q = np.asarray(teacher.soft_labels(batch.inputs, batch.targets),
+                               dtype=np.float64)
+                if q.shape == slots.shape[1:]:
+                    slots[i % 2] = q
+                    q = None
+                conn.send(q)
+                i += 1
+    except Exception as exc:
+        conn.send(ExceptionWithTraceback(exc, exc.__traceback__))
+
+
+class _SoftLabelWorker:
+    """Forks the worker above and hands its Q to train(), batch by batch."""
+
+    def __init__(self, teacher, batches: list[BpttBatch], batch_size: int, epochs: int,
+                 vocab_size: int):
+        n = batches[0].inputs.size
+        # anonymous and shared with the fork: no name to unlink, no pickle per batch
+        buf = mmap.mmap(-1, 2 * n * vocab_size * 8)
+        self._slots = np.frombuffer(buf, dtype=np.float64).reshape(2, n, vocab_size)
+        self._per_epoch = len(batches)
+        self._total = epochs * len(batches)
+        self._received = 0
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self._proc = ctx.Process(target=_soft_label_worker,
+                                 args=(child_end, self._conn, teacher, batches, batch_size,
+                                       epochs, self._slots))
+        self._proc.start()
+        child_end.close()
+
+    def next_q(self) -> np.ndarray:
+        """The next batch's Q: a view of its slot, to be handed back after its step_loss."""
+        try:
+            if self._conn not in wait([self._conn, self._proc.sentinel]):
+                raise EOFError
+            msg = self._conn.recv()
+        except (EOFError, OSError):  # closed, or reset with a hand-back unread
+            self._proc.join()
+            epoch, bi = divmod(self._received, self._per_epoch)
+            raise RuntimeError(f"teacher worker exited with code {self._proc.exitcode} "
+                               f"before epoch {epoch + 1}, batch {bi}'s soft labels") from None
+        if isinstance(msg, Exception):
+            raise msg
+        i = self._received
+        self._received += 1
+        return self._slots[i % 2] if msg is None else msg
+
+    def hand_back(self) -> None:
+        """Frees the last Q's slot for batch i + 2, if there is one."""
+        if self._received + 1 < self._total:
+            with contextlib.suppress(OSError):  # a dead worker is reported by next_q
+                self._conn.send(None)
+
+    def close(self) -> None:
+        self._proc.terminate()
+        self._proc.join()
+        self._proc.close()
+        self._conn.close()
+
+
 def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
           cfg: TrainConfig, teacher=None, log_fn=None) -> TrainResult:
     """Train the model in place; on return it holds the best-validation params.
 
     teacher must be present exactly when the loss reads soft labels
-    (cfg.loss.needs_teacher). Raises TrainingError naming the batch if the loss
-    or the gradient norm goes non-finite.
+    (cfg.loss.needs_teacher); it runs in a forked worker (module docstring).
+    Raises TrainingError naming the batch if the loss or the gradient norm
+    goes non-finite, the teacher's own exception if it raises, and
+    RuntimeError naming the exit code if the worker dies.
     """
     if cfg.loss.needs_teacher and teacher is None:
         raise ConfigError(f"loss variant {cfg.loss.variant!r} needs a teacher")
@@ -210,53 +306,61 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
     bad_epochs = 0
     averager: _Averager | None = None
 
-    for epoch in range(1, cfg.epochs + 1):
-        state = model.init_state(cfg.batch_size)
-        if teacher is not None:
-            teacher.reset_state(cfg.batch_size)
-        loss_sum = 0.0
-        for bi, batch in enumerate(batches):
-            q = teacher.soft_labels(batch.inputs, batch.targets) if teacher is not None else None
-            value, grads, state = step_loss(model, batch, state, cfg.loss, q, dropout_rng)
-            if not math.isfinite(value):
-                raise TrainingError(f"non-finite loss {value} at epoch {epoch}, batch {bi}")
-            norm = clip_gradients(grads, cfg.grad_clip)
-            if not math.isfinite(norm):
-                raise TrainingError(
-                    f"non-finite gradient norm {norm} at epoch {epoch}, batch {bi}")
-            for name, g in grads.items():
-                params[name] -= lr * g
-            del grads  # not held through the next step's forward and backward
-            if averager is not None:
-                averager.update(params)
-            loss_sum += value
+    # forked here, not earlier: set-up ends at train()'s entry
+    worker = (None if teacher is None else
+              _SoftLabelWorker(teacher, batches, cfg.batch_size, cfg.epochs,
+                               model.config.vocab_size))
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            state = model.init_state(cfg.batch_size)
+            loss_sum = 0.0
+            for bi, batch in enumerate(batches):
+                q = worker.next_q() if worker is not None else None
+                value, grads, state = step_loss(model, batch, state, cfg.loss, q, dropout_rng)
+                if worker is not None:
+                    worker.hand_back()
+                if not math.isfinite(value):
+                    raise TrainingError(f"non-finite loss {value} at epoch {epoch}, batch {bi}")
+                norm = clip_gradients(grads, cfg.grad_clip)
+                if not math.isfinite(norm):
+                    raise TrainingError(
+                        f"non-finite gradient norm {norm} at epoch {epoch}, batch {bi}")
+                for name, g in grads.items():
+                    params[name] -= lr * g
+                del grads  # not held through the next step's forward and backward
+                if averager is not None:
+                    averager.update(params)
+                loss_sum += value
 
-        train_loss = loss_sum / len(batches)
-        if averager is None:
-            valid_ppl = perplexity(model, valid_stream)
-        else:
-            raw = _snapshot(params)
-            _restore(params, averager.avg)
-            valid_ppl = perplexity(model, valid_stream)
-            _restore(params, raw)
+            train_loss = loss_sum / len(batches)
+            if averager is None:
+                valid_ppl = perplexity(model, valid_stream)
+            else:
+                raw = _snapshot(params)
+                _restore(params, averager.avg)
+                valid_ppl = perplexity(model, valid_stream)
+                _restore(params, raw)
 
-        entry = EpochLog(epoch, train_loss, valid_ppl, lr)
-        logs.append(entry)
-        if log_fn is not None:
-            log_fn(entry.line())
+            entry = EpochLog(epoch, train_loss, valid_ppl, lr)
+            logs.append(entry)
+            if log_fn is not None:
+                log_fn(entry.line())
 
-        if valid_ppl < best_ppl:
-            best_ppl = valid_ppl
-            best_epoch = epoch
-            best_params = _snapshot(params if averager is None else averager.avg)
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if cfg.lr_decay_on_plateau < 1.0:
-                lr *= cfg.lr_decay_on_plateau
-            if (cfg.asgd_trigger_patience > 0 and averager is None
-                    and bad_epochs >= cfg.asgd_trigger_patience):
-                averager = _Averager(params)
+            if valid_ppl < best_ppl:
+                best_ppl = valid_ppl
+                best_epoch = epoch
+                best_params = _snapshot(params if averager is None else averager.avg)
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if cfg.lr_decay_on_plateau < 1.0:
+                    lr *= cfg.lr_decay_on_plateau
+                if (cfg.asgd_trigger_patience > 0 and averager is None
+                        and bad_epochs >= cfg.asgd_trigger_patience):
+                    averager = _Averager(params)
+    finally:
+        if worker is not None:
+            worker.close()
 
     if best_params is not None:
         _restore(params, best_params)

@@ -1,12 +1,16 @@
 """Test-only teachers; the tape ops, per-step LSTM cell, head, taped loss and
 AR/TAR that the layer op and the fused ops replaced; the taped training step
-that the hand-written step backward replaced; and the per-hypothesis scoring
-the prefix-trie scorer replaced."""
+that the hand-written step backward replaced; the per-hypothesis scoring
+the prefix-trie scorer replaced; and the in-process training loop the
+soft-label worker replaced."""
+
+import math
 
 import numpy as np
 
 import tape as T
 from lmdistill import model as model_module
+from lmdistill import training
 from lmdistill.data import UNK
 from lmdistill.errors import ShapeError
 from lmdistill.losses import distill_loss
@@ -305,3 +309,48 @@ def oracle_hypothesis_score(model, vocab, words, oov_mode="rnn_unk", oov_penalty
         return float(logp.sum())
     penalty = oov_penalty if oov_mode == "penalty" else 0.0
     return float(logp[~oov].sum()) + float(oov.sum()) * penalty
+
+
+# ---------------------------------------------------------------------------
+# train() as it ran before the soft-label worker: the teacher's Q computed in
+# process, right before each step. train() must equal it bitwise.
+
+
+def in_process_train(model, train_stream, valid_stream, cfg, teacher):
+    """Trains model in place, as train() does; returns the epoch logs."""
+    batches = training.bptt_batches(train_stream, cfg.batch_size, cfg.bptt_len)
+    params = model.params
+    rng = np.random.default_rng(cfg.seed)
+    logs, lr, best_ppl, best_params, bad_epochs, averager = [], cfg.lr, math.inf, None, 0, None
+    for epoch in range(1, cfg.epochs + 1):
+        state = model.init_state(cfg.batch_size)
+        teacher.reset_state(cfg.batch_size)
+        loss_sum = 0.0
+        for batch in batches:
+            q = teacher.soft_labels(batch.inputs, batch.targets)
+            value, grads, state = training.step_loss(model, batch, state, cfg.loss, q, rng)
+            training.clip_gradients(grads, cfg.grad_clip)
+            for name, g in grads.items():
+                params[name] -= lr * g
+            if averager is not None:
+                averager.update(params)
+            loss_sum += value
+        if averager is None:
+            valid_ppl = training.perplexity(model, valid_stream)
+        else:
+            raw = training._snapshot(params)
+            training._restore(params, averager.avg)
+            valid_ppl = training.perplexity(model, valid_stream)
+            training._restore(params, raw)
+        logs.append(training.EpochLog(epoch, loss_sum / len(batches), valid_ppl, lr))
+        if valid_ppl < best_ppl:
+            best_ppl, bad_epochs = valid_ppl, 0
+            best_params = training._snapshot(params if averager is None else averager.avg)
+        else:
+            bad_epochs += 1
+            lr *= cfg.lr_decay_on_plateau
+            if (cfg.asgd_trigger_patience > 0 and averager is None
+                    and bad_epochs >= cfg.asgd_trigger_patience):
+                averager = training._Averager(params)
+    training._restore(params, best_params)
+    return logs

@@ -1,5 +1,6 @@
 """Command-line behavior: config resolution, subcommands, exit codes."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -296,6 +297,27 @@ def test_train_student_vocab_mismatch(tmp_path, data_dir, capsys):
                   + sets("loss_variant=kl_only", "vocab_cap=6"))
     assert rc == 1
     assert "vocab size" in capsys.readouterr().err
+
+
+def test_train_student_exits_2_when_teacher_worker_dies(tmp_path, data_dir, capsys,
+                                                        monkeypatch):
+    teacher = train_teacher(tmp_path, data_dir)
+    capsys.readouterr()
+    calls = []
+
+    def dying(self, inputs, targets):
+        calls.append(None)
+        if len(calls) == 2:
+            os._exit(3)
+        return soft_labels(self, inputs, targets)
+
+    soft_labels = training_module.TeacherEnsemble.soft_labels
+    monkeypatch.setattr(training_module.TeacherEnsemble, "soft_labels", dying)
+    rc = dispatch(["train-student", "--data-dir", str(data_dir),
+                   "--teacher", str(teacher / "model.dlm")] + sets("loss_variant=kl_only"))
+    assert rc == 2
+    assert "teacher worker exited with code 3" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_train_student_requires_teacher_flag(data_dir, capsys):

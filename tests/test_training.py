@@ -1,6 +1,9 @@
 """Training loop, teacher ensembles, perplexity, and checkpoints."""
 
 import math
+import multiprocessing
+import os
+import time
 import warnings
 
 import numpy as np
@@ -18,7 +21,7 @@ from lmdistill.model import ModelConfig, build_model, flatten_targets, model_for
 from lmdistill.regularization import DropoutSpec, activation_reg
 from lmdistill.training import (EpochLog, TeacherEnsemble, TrainConfig, clip_gradients,
                                 perplexity, train)
-from oracles import OneHotOracle, taped_step_loss
+from oracles import OneHotOracle, in_process_train, taped_step_loss
 
 
 def tiny_corpus(seed=7, n_lines=8, n_words=6, line_len=8):
@@ -38,6 +41,13 @@ def tiny_config(vocab_size, **kw):
 
 def params_of(model):
     return [p.copy() for p in model.params.values()]
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_running():
+    # train() joins its soft-label worker on every exit path, raising or not
+    yield
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -754,3 +764,86 @@ def test_ensemble_from_checkpoints_vocab_mismatch(tmp_path):
     save_checkpoint(m2, tmp_path / "b.dlm")
     with pytest.raises(ConfigError, match="disagree"):
         TeacherEnsemble.from_checkpoints([tmp_path / "a.dlm", tmp_path / "b.dlm"])
+
+
+# ---------------------------------------------------------------------------
+# The soft-label worker
+
+
+def two_teachers(vocab):
+    return TeacherEnsemble([build_model(tiny_config(vocab.size), 1),
+                            build_model(tiny_config(vocab.size, hidden_dim=10), 2)])
+
+
+def test_worker_trains_bitwise_as_the_in_process_teacher():
+    vocab, stream = tiny_corpus()
+    cfg = TrainConfig(loss=DistillLossSpec("trust_reg", alpha=0.5), lr=20.0, epochs=4,
+                      batch_size=2, bptt_len=6, seed=3, asgd_trigger_patience=1,
+                      lr_decay_on_plateau=0.5)
+    # an odd count: batch 0 of epoch 2 takes the slot epoch 1's batch 0 did not
+    assert len(bptt_batches(stream, cfg.batch_size, cfg.bptt_len)) % 2 == 1
+    a = build_model(tiny_config(vocab.size), 0)
+    b = build_model(tiny_config(vocab.size), 0)
+    res = train(a, stream, stream, cfg, teacher=two_teachers(vocab))
+    want = in_process_train(b, stream, stream, cfg, two_teachers(vocab))
+    # a plateau after epoch 2: lr decayed and ASGD averaged through epochs 3 and 4
+    assert res.logs[-2].lr < cfg.lr
+    assert res.logs == want
+    assert all(np.array_equal(p, b.params[name]) for name, p in a.params.items())
+
+
+def test_worker_never_overwrites_a_q_in_use(monkeypatch):
+    vocab, stream = tiny_corpus()
+    oracle = OneHotOracle(vocab.size)
+    seen = []
+
+    def slow_step_loss(model, batch, state, spec, q, rng):
+        before = q.copy()
+        time.sleep(0.05)  # the teacher is far faster; a freed-early slot is rewritten now
+        out = step_loss(model, batch, state, spec, q, rng)
+        seen.append(np.array_equal(q, before)
+                    and np.array_equal(q, oracle.soft_labels(None, batch.targets)))
+        return out
+
+    step_loss = training.step_loss
+    monkeypatch.setattr(training, "step_loss", slow_step_loss)
+    cfg = TrainConfig(loss=DistillLossSpec("kl_only"), epochs=2, batch_size=2, bptt_len=6)
+    train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg, teacher=oracle)
+    assert seen == [True] * 10
+
+
+def test_teacher_error_in_worker_is_raised_by_train():
+    vocab, stream = tiny_corpus()
+
+    class FailingTeacher(OneHotOracle):
+        calls = 0
+
+        def soft_labels(self, inputs, targets):
+            self.calls += 1
+            if self.calls == 3:
+                raise NumericError("teacher log-probs are nan at call 3")
+            return super().soft_labels(inputs, targets)
+
+    cfg = TrainConfig(loss=DistillLossSpec("kl_only"), epochs=1, batch_size=2, bptt_len=6)
+    with pytest.raises(NumericError, match=r"^teacher log-probs are nan at call 3$"):
+        train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg,
+              teacher=FailingTeacher(vocab.size))
+
+
+def test_worker_death_is_raised_naming_its_exit_code(monkeypatch):
+    vocab, stream = tiny_corpus()
+    teacher = OneHotOracle(vocab.size)
+    calls = []
+
+    def dying(inputs, targets):
+        calls.append(None)
+        if len(calls) == 3:
+            os._exit(3)
+        return OneHotOracle.soft_labels(teacher, inputs, targets)
+
+    monkeypatch.setattr(teacher, "soft_labels", dying)
+    cfg = TrainConfig(loss=DistillLossSpec("kl_only"), epochs=1, batch_size=2, bptt_len=6)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"exited with code 3 before epoch 1, batch 2"):
+        train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg, teacher=teacher)
+    assert time.monotonic() - start < 10
