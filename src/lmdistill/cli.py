@@ -243,19 +243,13 @@ def _train_command(args, setup) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         vocab.save(out_dir / "vocab.txt")
 
-    log_lines: list[str] = []
-
-    def log(line):
-        log_lines.append(line)
-        print(line)
-
     result = train(model, train_stream, valid_stream, cfg.train_config(loss),
-                   teacher=teacher, log_fn=log)
+                   teacher=teacher, log_fn=print)
     print(f"best_valid_ppl={result.best_valid_ppl:.6f} best_epoch={result.best_epoch}")
     if out_dir is not None:
         save_checkpoint(model, out_dir / "model.dlm")
         with atomic_open(out_dir / "train.log") as f:
-            f.write("\n".join(log_lines) + "\n")
+            f.write("".join(f"{e.line()}\n" for e in result.logs))
         print(f"saved {out_dir / 'model.dlm'}")
     return 0
 

@@ -15,14 +15,15 @@ same order, from reset_state(batch_size) each epoch, so teacher state is
 carried across the same token lanes the student sees and Q is bitwise what an
 in-process call would give. It writes batch i's Q into slot i % 2 of a shared
 two-slot [2 x B*T x V] buffer; train() runs step_loss on a view of that slot
-and hands the slot back when step_loss returns. The worker waits for slot
-i % 2 to come back (batch i - 2's step is done) before it computes batch i,
-so it never overwrites a Q still in use.
+and hands the slot back when it asks for the next batch's Q. The worker waits
+for slot i % 2 to come back (batch i - 2's step is done) before it computes
+batch i, so it never overwrites a Q still in use.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import mmap
 import multiprocessing
@@ -201,81 +202,74 @@ def step_loss(model: LmModel, batch: BpttBatch, state: LmState, spec: DistillLos
     return float(value), {name: grads[name] for name in model.params}, out.state
 
 
-def _soft_label_worker(conn, parent_end, teacher, batches: list[BpttBatch], batch_size: int,
-                       epochs: int, slots: np.ndarray) -> None:
-    """The worker process: teacher's Q for every batch of every epoch, in train()'s order.
-
-    Sends None once batch i's Q is in slot i % 2; a Q the slot cannot hold
-    (wrong shape) goes whole, for distill_loss to reject; an exception goes
-    as itself, with the worker's traceback as its cause, for train() to raise.
-    """
-    parent_end.close()
+def _await_q(conn, proc, epoch: int, batch: int) -> np.ndarray | None:
+    """The worker's message for one batch: None once its Q is in its slot, or the Q
+    itself. Raises the teacher's own exception, or RuntimeError if the worker died."""
     try:
-        i = 0
-        for _ in range(epochs):
-            teacher.reset_state(batch_size)
-            for batch in batches:
+        if conn not in wait([conn, proc.sentinel]):
+            raise EOFError
+        msg = conn.recv()
+    except (EOFError, OSError):  # closed, or reset with a hand-back unread
+        proc.join()
+        raise RuntimeError(f"teacher worker exited with code {proc.exitcode} "
+                           f"before epoch {epoch}, batch {batch}'s soft labels") from None
+    if isinstance(msg, Exception):
+        raise msg
+    return msg
+
+
+def _soft_labels(teacher, batches: list[BpttBatch], batch_size: int, epochs: int,
+                 vocab_size: int):
+    """Teacher Q for every batch of every epoch, in train()'s order; None with no teacher.
+
+    Forks the worker at the first next(). Batch i's Q is a view of slot i % 2;
+    the next next() hands that slot back before it waits. A Q the slot cannot
+    hold (wrong shape) comes whole, for distill_loss to reject.
+    """
+    if teacher is None:
+        yield from itertools.repeat(None)  # endless: train() takes what it needs
+    n = batches[0].inputs.size
+    # anonymous and shared with the fork: no name to unlink, no pickle per batch
+    buf = mmap.mmap(-1, 2 * n * vocab_size * 8)
+    slots = np.frombuffer(buf, dtype=np.float64).reshape(2, n, vocab_size)
+    total = epochs * len(batches)
+
+    def worker(child_end):
+        conn.close()  # the main process's end: its death then reads as EOF here
+        try:
+            for i in range(total):
+                if i % len(batches) == 0:
+                    teacher.reset_state(batch_size)
                 if i >= 2:
-                    conn.recv()  # slot i % 2 handed back: batch i - 2's step is done
+                    child_end.recv()  # slot i % 2 handed back: batch i - 2's step is done
+                batch = batches[i % len(batches)]
                 q = np.asarray(teacher.soft_labels(batch.inputs, batch.targets),
                                dtype=np.float64)
                 if q.shape == slots.shape[1:]:
                     slots[i % 2] = q
                     q = None
-                conn.send(q)
-                i += 1
-    except Exception as exc:
-        conn.send(ExceptionWithTraceback(exc, exc.__traceback__))
+                child_end.send(q)
+        except Exception as exc:
+            child_end.send(ExceptionWithTraceback(exc, exc.__traceback__))
 
-
-class _SoftLabelWorker:
-    """Forks the worker above and hands its Q to train(), batch by batch."""
-
-    def __init__(self, teacher, batches: list[BpttBatch], batch_size: int, epochs: int,
-                 vocab_size: int):
-        n = batches[0].inputs.size
-        # anonymous and shared with the fork: no name to unlink, no pickle per batch
-        buf = mmap.mmap(-1, 2 * n * vocab_size * 8)
-        self._slots = np.frombuffer(buf, dtype=np.float64).reshape(2, n, vocab_size)
-        self._per_epoch = len(batches)
-        self._total = epochs * len(batches)
-        self._received = 0
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_end = ctx.Pipe()
-        self._proc = ctx.Process(target=_soft_label_worker,
-                                 args=(child_end, self._conn, teacher, batches, batch_size,
-                                       epochs, self._slots))
-        self._proc.start()
-        child_end.close()
-
-    def next_q(self) -> np.ndarray:
-        """The next batch's Q: a view of its slot, to be handed back after its step_loss."""
-        try:
-            if self._conn not in wait([self._conn, self._proc.sentinel]):
-                raise EOFError
-            msg = self._conn.recv()
-        except (EOFError, OSError):  # closed, or reset with a hand-back unread
-            self._proc.join()
-            epoch, bi = divmod(self._received, self._per_epoch)
-            raise RuntimeError(f"teacher worker exited with code {self._proc.exitcode} "
-                               f"before epoch {epoch + 1}, batch {bi}'s soft labels") from None
-        if isinstance(msg, Exception):
-            raise msg
-        i = self._received
-        self._received += 1
-        return self._slots[i % 2] if msg is None else msg
-
-    def hand_back(self) -> None:
-        """Frees the last Q's slot for batch i + 2, if there is one."""
-        if self._received + 1 < self._total:
-            with contextlib.suppress(OSError):  # a dead worker is reported by next_q
-                self._conn.send(None)
-
-    def close(self) -> None:
-        self._proc.terminate()
-        self._proc.join()
-        self._proc.close()
-        self._conn.close()
+    ctx = multiprocessing.get_context("fork")
+    conn, child_end = ctx.Pipe()
+    proc = ctx.Process(target=worker, args=(child_end,))
+    proc.start()
+    child_end.close()
+    try:
+        for i in range(total):
+            if 0 < i < total - 1:  # batch i - 1's step is done: its slot takes batch i + 1
+                with contextlib.suppress(OSError):  # a dead worker is reported by _await_q
+                    conn.send(None)
+            epoch, bi = divmod(i, len(batches))
+            msg = _await_q(conn, proc, epoch + 1, bi)
+            yield slots[i % 2] if msg is None else msg
+    finally:
+        proc.terminate()
+        proc.join()
+        proc.close()
+        conn.close()
 
 
 def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
@@ -283,7 +277,8 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
     """Train the model in place; on return it holds the best-validation params.
 
     teacher must be present exactly when the loss reads soft labels
-    (cfg.loss.needs_teacher); it runs in a forked worker (module docstring).
+    (cfg.loss.needs_teacher); it runs in a forked worker (module docstring), and
+    each batch's Q slot is handed back when train() asks for the next batch's Q.
     Raises TrainingError naming the batch if the loss or the gradient norm
     goes non-finite, the teacher's own exception if it raises, and
     RuntimeError naming the exit code if the worker dies.
@@ -306,19 +301,15 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
     bad_epochs = 0
     averager: _Averager | None = None
 
-    # forked here, not earlier: set-up ends at train()'s entry
-    worker = (None if teacher is None else
-              _SoftLabelWorker(teacher, batches, cfg.batch_size, cfg.epochs,
-                               model.config.vocab_size))
+    # forks at its first next(), not earlier: set-up ends at train()'s entry
+    labels = _soft_labels(teacher, batches, cfg.batch_size, cfg.epochs, model.config.vocab_size)
     try:
         for epoch in range(1, cfg.epochs + 1):
             state = model.init_state(cfg.batch_size)
             loss_sum = 0.0
             for bi, batch in enumerate(batches):
-                q = worker.next_q() if worker is not None else None
-                value, grads, state = step_loss(model, batch, state, cfg.loss, q, dropout_rng)
-                if worker is not None:
-                    worker.hand_back()
+                value, grads, state = step_loss(model, batch, state, cfg.loss, next(labels),
+                                                dropout_rng)
                 if not math.isfinite(value):
                     raise TrainingError(f"non-finite loss {value} at epoch {epoch}, batch {bi}")
                 norm = clip_gradients(grads, cfg.grad_clip)
@@ -333,13 +324,8 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
                 loss_sum += value
 
             train_loss = loss_sum / len(batches)
-            if averager is None:
-                valid_ppl = perplexity(model, valid_stream)
-            else:
-                raw = _snapshot(params)
-                _restore(params, averager.avg)
-                valid_ppl = perplexity(model, valid_stream)
-                _restore(params, raw)
+            scored = model if averager is None else LmModel(model.config, averager.avg)
+            valid_ppl = perplexity(scored, valid_stream)
 
             entry = EpochLog(epoch, train_loss, valid_ppl, lr)
             logs.append(entry)
@@ -359,8 +345,7 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
                         and bad_epochs >= cfg.asgd_trigger_patience):
                     averager = _Averager(params)
     finally:
-        if worker is not None:
-            worker.close()
+        labels.close()
 
     if best_params is not None:
         _restore(params, best_params)

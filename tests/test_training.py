@@ -847,3 +847,51 @@ def test_worker_death_is_raised_naming_its_exit_code(monkeypatch):
     with pytest.raises(RuntimeError, match=r"exited with code 3 before epoch 1, batch 2"):
         train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg, teacher=teacher)
     assert time.monotonic() - start < 10
+
+
+def test_error_mid_run_stops_the_worker_promptly(monkeypatch):
+    vocab, stream = tiny_corpus()
+    calls = []
+
+    def stopping_step_loss(*args):
+        calls.append(None)
+        if len(calls) == 7:  # epoch 2, batch 1: hand-backs in flight, the worker maybe in recv
+            raise TrainingError("stop at step 7")
+        return step_loss(*args)
+
+    step_loss = training.step_loss
+    monkeypatch.setattr(training, "step_loss", stopping_step_loss)
+    cfg = TrainConfig(loss=DistillLossSpec("kl_only"), epochs=3, batch_size=2, bptt_len=6)
+    assert len(bptt_batches(stream, cfg.batch_size, cfg.bptt_len)) == 5
+    start = time.monotonic()
+    with pytest.raises(TrainingError, match=r"^stop at step 7$"):
+        train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg,
+              teacher=OneHotOracle(vocab.size))
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
+
+
+def test_soft_labels_fork_at_the_first_next_only():
+    vocab, stream = tiny_corpus()
+    batches = bptt_batches(stream, 2, 6)
+    labels = training._soft_labels(OneHotOracle(vocab.size), batches, 2, 1, vocab.size)
+    assert multiprocessing.active_children() == []
+    np.testing.assert_array_equal(next(labels),
+                                  OneHotOracle(vocab.size).soft_labels(None, batches[0].targets))
+    assert len(multiprocessing.active_children()) == 1
+    labels.close()
+    assert multiprocessing.active_children() == []
+
+    unstarted = training._soft_labels(OneHotOracle(vocab.size), batches, 2, 1, vocab.size)
+    unstarted.close()
+    assert multiprocessing.active_children() == []
+    with pytest.raises(StopIteration):
+        next(unstarted)
+
+
+def test_soft_labels_without_a_teacher_are_none_and_fork_nothing():
+    vocab, stream = tiny_corpus()
+    labels = training._soft_labels(None, bptt_batches(stream, 2, 6), 2, 2, vocab.size)
+    assert [next(labels) for _ in range(10)] == [None] * 10
+    assert multiprocessing.active_children() == []
+    labels.close()
