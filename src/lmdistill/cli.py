@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -345,7 +345,6 @@ class GradCheckReport:
     max_rel_err: float
     passed: bool
     tol: float
-    step: float
 
     def __str__(self) -> str:
         verdict = "ok" if self.passed else "FAIL"
@@ -382,7 +381,7 @@ def grad_check_params(loss_fn, params: dict[str, np.ndarray],
         a = analytic[name]
         denom = np.maximum(np.abs(a) + np.abs(numeric), _REL_FLOOR)
         max_rel = float(np.max(np.abs(a - numeric) / denom)) if flat.size else 0.0
-        reports[name] = GradCheckReport(max_rel, max_rel <= tol, tol, step)
+        reports[name] = GradCheckReport(max_rel, max_rel <= tol, tol)
     return reports
 
 
@@ -421,7 +420,7 @@ def grad_check_rows() -> list[tuple[str, GradCheckReport]]:
         worst_name, worst = max(reports.items(), key=lambda kv: kv[1].max_rel_err)
         passed = all(r.passed for r in reports.values())
         rows.append((f"{variant} {'tied' if tied else 'untied'} worst={worst_name}",
-                     GradCheckReport(worst.max_rel_err, passed, worst.tol, worst.step)))
+                     GradCheckReport(worst.max_rel_err, passed, worst.tol)))
     return rows
 
 
@@ -436,9 +435,7 @@ def cmd_ablate(args) -> int:
     dropout = cfg.dropout_spec()
     plain = DropoutSpec()
     reg_only = DropoutSpec(ar_weight=dropout.ar_weight, tar_weight=dropout.tar_weight)
-    drop_only = DropoutSpec(input_rate=dropout.input_rate, output_rate=dropout.output_rate,
-                            hidden_rate=dropout.hidden_rate, embed_rate=dropout.embed_rate,
-                            other_rate=dropout.other_rate)
+    drop_only = replace(dropout, ar_weight=0.0, tar_weight=0.0)
     alpha = cfg["alpha"]
     rows = [
         ("student+tr", "trust_reg", plain),

@@ -64,6 +64,7 @@ class Vocabulary:
     words: list[str]  # id -> word, dense, specials first
     counts: list[int]  # id -> training-corpus frequency
     rare: set[str] = field(default_factory=set)  # listed-rank words remapped to rnn_unk
+    eos_id, unk_id, rnn_unk_id = range(len(_SPECIALS))  # specials first, in _SPECIALS order
 
     def __post_init__(self):
         bad = _first_bad_word(self.words)
@@ -76,18 +77,6 @@ class Vocabulary:
     @property
     def size(self) -> int:
         return len(self.words)
-
-    @property
-    def eos_id(self) -> int:
-        return 0
-
-    @property
-    def unk_id(self) -> int:
-        return 1
-
-    @property
-    def rnn_unk_id(self) -> int:
-        return 2
 
     def lookup(self, word: str) -> int:
         got = self._ids.get(word)

@@ -20,6 +20,7 @@ in one fixed order, so a step's gradients are bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -78,23 +79,8 @@ class ModelConfig:
 
 
 def param_count(config: ModelConfig) -> int:
-    """Analytic parameter count; closed form over the config, no allocation."""
-    widths = config.layer_widths
-    ins = config.layer_input_widths
-    n = config.vocab_size * config.embed_dim  # embedding
-    for w_in, h in zip(ins, widths):
-        n += w_in * 4 * h + h * 4 * h + 4 * h  # input weights, recurrent weights, bias
-    last = widths[-1]
-    b = config.bottleneck_dim
-    e = config.expert_width
-    k = config.num_experts
-    n += last * b + b  # bottleneck projection
-    n += b * k + k  # mixture prior
-    n += k * (b * e + e)  # per-expert context projections
-    if not config.tie_embeddings:
-        n += e * config.vocab_size  # free output matrix
-    n += config.vocab_size  # output bias
-    return n
+    """Parameter count from the shapes alone, no allocation."""
+    return sum(math.prod(shape) for _, shape in _param_shapes(config))
 
 
 @dataclass
@@ -161,12 +147,7 @@ def build_model(config: ModelConfig, seed: int) -> LmModel:
     for name, shape in _param_shapes(config):
         lim = EMBED_INIT_RANGE if name == "embedding" else r
         params[name] = rng.uniform(-lim, lim, size=shape)
-    model = LmModel(config, params)
-    expected = param_count(config)
-    actual = model.param_count
-    if actual != expected:
-        raise AssertionError(f"allocated {actual} params but formula gives {expected}")
-    return model
+    return LmModel(config, params)
 
 
 def _sigmoid(z: np.ndarray) -> None:
@@ -235,6 +216,16 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
 CHUNK_ELEMENTS = 1 << 21
 
 
+def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Each row of z replaced by its log softmax, in place; returns z."""
+    top = z.max(axis=1, keepdims=True)
+    if np.isnan(top).any():  # max propagates a NaN anywhere in its row
+        raise NumericError("MoS head received NaN input")
+    z -= top
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return z
+
+
 def _head_inputs(model: LmModel, hidden: np.ndarray):
     """log pi [n x K] and the expert contexts tanh(h W_k + b_k), expert-major [K*n x E],
     from the [n x bottleneck] rows h; and their backward, (dL/dlog pi, dL/dcontexts) ->
@@ -243,11 +234,7 @@ def _head_inputs(model: LmModel, hidden: np.ndarray):
         raise ShapeError(f"bottleneck input shaped {hidden.shape}, expected "
                          f"(n, {model.config.bottleneck_dim})")
     p, experts = model.params, range(model.config.num_experts)
-    logits = hidden @ p["prior.w"] + p["prior.b"]
-    if np.isnan(logits).any():
-        raise NumericError("MoS head received NaN input")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_pi = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_pi = _log_softmax_rows(hidden @ p["prior.w"] + p["prior.b"])
     ctx = np.concatenate([np.tanh(hidden @ p[f"expert{k}.w"] + p[f"expert{k}.b"])
                           for k in experts])
     n = hidden.shape[0]
@@ -288,12 +275,8 @@ def _head_chunk(model: LmModel, out_matrix: np.ndarray, log_pi: np.ndarray,
     """stacked [K x c x V] = log pi_k + log softmax_k, and log P [c x V], using [c x V] temps."""
     stacked = (ctx @ out_matrix).reshape(log_pi.shape[1], log_pi.shape[0], -1)
     stacked += model.params["out.b"]
-    for z in stacked:  # log softmax of each expert's rows, in place
-        top = z.max(axis=1, keepdims=True)
-        if np.isnan(top).any():
-            raise NumericError("MoS head received NaN input")
-        z -= top
-        z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    for z in stacked:
+        _log_softmax_rows(z)
     stacked += log_pi.T[:, :, None]
     top = stacked.max(axis=0)
     total, e = np.zeros_like(top), np.empty_like(top)

@@ -9,23 +9,19 @@ clipping, optional plateau LR decay, and optional ASGD-style parameter
 averaging that arms after a configurable number of non-improving validation
 epochs. Everything is deterministic per (config, seed).
 
-Teacher soft labels come from one forked worker process (POSIX fork), one
-batch ahead of the student. It runs the teacher over the same batches in the
-same order, from reset_state(batch_size) each epoch, so teacher state is
-carried across the same token lanes the student sees and Q is bitwise what an
-in-process call would give. It writes batch i's Q into slot i % 2 of a shared
-two-slot [2 x B*T x V] buffer; train() runs step_loss on a view of that slot
-and hands the slot back when it asks for the next batch's Q. The worker waits
-for slot i % 2 to come back (batch i - 2's step is done) before it computes
-batch i, so it never overwrites a Q still in use.
+Teacher soft labels come from one forked worker process (POSIX fork), ahead
+of the student. It runs the teacher over the same batches in the same order,
+from reset_state(batch_size) each epoch, so teacher state is carried across
+the same token lanes the student sees and Q is bitwise what an in-process call
+would give. It sends each Q whole through its pipe; the send blocks once the
+pipe's buffer is full, so the worker holds at most one Q beyond what the
+buffer holds, and each Q train() receives is its own array.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
-import mmap
 import multiprocessing
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
@@ -202,14 +198,14 @@ def step_loss(model: LmModel, batch: BpttBatch, state: LmState, spec: DistillLos
     return float(value), {name: grads[name] for name in model.params}, out.state
 
 
-def _await_q(conn, proc, epoch: int, batch: int) -> np.ndarray | None:
-    """The worker's message for one batch: None once its Q is in its slot, or the Q
-    itself. Raises the teacher's own exception, or RuntimeError if the worker died."""
+def _await_q(conn, proc, epoch: int, batch: int) -> np.ndarray:
+    """The worker's Q for one batch, read whole from the pipe. Raises the
+    teacher's own exception, or RuntimeError if the worker died."""
     try:
         if conn not in wait([conn, proc.sentinel]):
             raise EOFError
         msg = conn.recv()
-    except (EOFError, OSError):  # closed, or reset with a hand-back unread
+    except (EOFError, OSError):  # closed, or reset mid-message
         proc.join()
         raise RuntimeError(f"teacher worker exited with code {proc.exitcode} "
                            f"before epoch {epoch}, batch {batch}'s soft labels") from None
@@ -218,37 +214,24 @@ def _await_q(conn, proc, epoch: int, batch: int) -> np.ndarray | None:
     return msg
 
 
-def _soft_labels(teacher, batches: list[BpttBatch], batch_size: int, epochs: int,
-                 vocab_size: int):
+def _soft_labels(teacher, batches: list[BpttBatch], batch_size: int, epochs: int):
     """Teacher Q for every batch of every epoch, in train()'s order; None with no teacher.
 
-    Forks the worker at the first next(). Batch i's Q is a view of slot i % 2;
-    the next next() hands that slot back before it waits. A Q the slot cannot
-    hold (wrong shape) comes whole, for distill_loss to reject.
+    Forks the worker at the first next(); each next() reads one Q whole from
+    the worker's pipe.
     """
     if teacher is None:
         yield from itertools.repeat(None)  # endless: train() takes what it needs
-    n = batches[0].inputs.size
-    # anonymous and shared with the fork: no name to unlink, no pickle per batch
-    buf = mmap.mmap(-1, 2 * n * vocab_size * 8)
-    slots = np.frombuffer(buf, dtype=np.float64).reshape(2, n, vocab_size)
     total = epochs * len(batches)
 
     def worker(child_end):
-        conn.close()  # the main process's end: its death then reads as EOF here
+        conn.close()  # the main process's end: its death then fails the send here
         try:
             for i in range(total):
                 if i % len(batches) == 0:
                     teacher.reset_state(batch_size)
-                if i >= 2:
-                    child_end.recv()  # slot i % 2 handed back: batch i - 2's step is done
                 batch = batches[i % len(batches)]
-                q = np.asarray(teacher.soft_labels(batch.inputs, batch.targets),
-                               dtype=np.float64)
-                if q.shape == slots.shape[1:]:
-                    slots[i % 2] = q
-                    q = None
-                child_end.send(q)
+                child_end.send(teacher.soft_labels(batch.inputs, batch.targets))
         except Exception as exc:
             child_end.send(ExceptionWithTraceback(exc, exc.__traceback__))
 
@@ -259,12 +242,8 @@ def _soft_labels(teacher, batches: list[BpttBatch], batch_size: int, epochs: int
     child_end.close()
     try:
         for i in range(total):
-            if 0 < i < total - 1:  # batch i - 1's step is done: its slot takes batch i + 1
-                with contextlib.suppress(OSError):  # a dead worker is reported by _await_q
-                    conn.send(None)
             epoch, bi = divmod(i, len(batches))
-            msg = _await_q(conn, proc, epoch + 1, bi)
-            yield slots[i % 2] if msg is None else msg
+            yield _await_q(conn, proc, epoch + 1, bi)
     finally:
         proc.terminate()
         proc.join()
@@ -277,8 +256,8 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
     """Train the model in place; on return it holds the best-validation params.
 
     teacher must be present exactly when the loss reads soft labels
-    (cfg.loss.needs_teacher); it runs in a forked worker (module docstring), and
-    each batch's Q slot is handed back when train() asks for the next batch's Q.
+    (cfg.loss.needs_teacher); it runs in a forked worker (module docstring) that
+    sends each batch's Q through a pipe.
     Raises TrainingError naming the batch if the loss or the gradient norm
     goes non-finite, the teacher's own exception if it raises, and
     RuntimeError naming the exit code if the worker dies.
@@ -302,7 +281,7 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
     averager: _Averager | None = None
 
     # forks at its first next(), not earlier: set-up ends at train()'s entry
-    labels = _soft_labels(teacher, batches, cfg.batch_size, cfg.epochs, model.config.vocab_size)
+    labels = _soft_labels(teacher, batches, cfg.batch_size, cfg.epochs)
     try:
         for epoch in range(1, cfg.epochs + 1):
             state = model.init_state(cfg.batch_size)

@@ -871,10 +871,26 @@ def test_error_mid_run_stops_the_worker_promptly(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_error_while_the_worker_is_blocked_in_send_stops_it_promptly():
+    vocab, stream = tiny_corpus()
+
+    class BigWrongShapeTeacher(OneHotOracle):
+        def soft_labels(self, inputs, targets):
+            return np.ones((400, 400))  # 1.28 MB: more than the pipe's buffer holds
+
+    cfg = TrainConfig(loss=DistillLossSpec("kl_only"), epochs=2, batch_size=2, bptt_len=6)
+    start = time.monotonic()
+    with pytest.raises(ShapeError):
+        train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg,
+              teacher=BigWrongShapeTeacher(vocab.size))
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
+
+
 def test_soft_labels_fork_at_the_first_next_only():
     vocab, stream = tiny_corpus()
     batches = bptt_batches(stream, 2, 6)
-    labels = training._soft_labels(OneHotOracle(vocab.size), batches, 2, 1, vocab.size)
+    labels = training._soft_labels(OneHotOracle(vocab.size), batches, 2, 1)
     assert multiprocessing.active_children() == []
     np.testing.assert_array_equal(next(labels),
                                   OneHotOracle(vocab.size).soft_labels(None, batches[0].targets))
@@ -882,7 +898,7 @@ def test_soft_labels_fork_at_the_first_next_only():
     labels.close()
     assert multiprocessing.active_children() == []
 
-    unstarted = training._soft_labels(OneHotOracle(vocab.size), batches, 2, 1, vocab.size)
+    unstarted = training._soft_labels(OneHotOracle(vocab.size), batches, 2, 1)
     unstarted.close()
     assert multiprocessing.active_children() == []
     with pytest.raises(StopIteration):
@@ -891,7 +907,7 @@ def test_soft_labels_fork_at_the_first_next_only():
 
 def test_soft_labels_without_a_teacher_are_none_and_fork_nothing():
     vocab, stream = tiny_corpus()
-    labels = training._soft_labels(None, bptt_batches(stream, 2, 6), 2, 2, vocab.size)
+    labels = training._soft_labels(None, bptt_batches(stream, 2, 6), 2, 2)
     assert [next(labels) for _ in range(10)] == [None] * 10
     assert multiprocessing.active_children() == []
     labels.close()
