@@ -8,11 +8,16 @@ bottleneck width, which is how the published parameter counts come out).
 model_forward runs layer-major over whole windows: each LSTM layer is one op
 over the time-major [T*B x in] block (lstm_layer, its backward a hand-written
 BPTT). The head runs once per window over all B*T rows, in chunks of
-CHUNK_ELEMENTS / (K*V) rows: one output matmul over the K expert contexts
-stacked expert-major, and a log-sum-exp over the experts' log-softmaxes (no log
-of an underflowed entry). Eval mode returns log P. In train mode the loss runs
-the head and its backward per chunk (MosRows), and the result's backward takes
-the gradient on down through the trunk. Parameters are plain float64 arrays in
+CHUNK_ELEMENTS / (K*V) rows, through one [K*c x V] workspace per call laid out
+(row, expert)-major: one output matmul over the K expert contexts, one exp per
+expert, and the mixture in P space, S = sum_k a_k e_k as a batched matmul, with
+P = S e^M for a per-row shift M. A chunk where an entry of S falls below the
+smallest normal float64 runs in log space instead (a log-sum-exp over the
+experts' log-softmaxes), so no log is taken of an underflowed entry. Eval mode
+returns log P = log S + M; add_probs gives teachers P itself, with no log and
+exp. In train mode the loss runs the head and its backward per chunk (MosRows),
+reusing the forward's exps, and the result's backward takes the gradient on
+down through the trunk. Parameters are plain float64 arrays in
 one dict in checkpoint order; every backward is written by hand, takes the
 gradients of its outputs as arguments and returns those of its inputs, and sums
 in one fixed order, so a step's gradients are bitwise reproducible.
@@ -30,7 +35,8 @@ from .errors import ConfigError, NumericError, ShapeError
 from .regularization import DropoutSpec, variational_mask
 
 __all__ = ["ModelConfig", "LmModel", "LmState", "ForwardResult", "LogProbs", "MosRows",
-           "build_model", "param_count", "lstm_layer", "mos_log_probs", "model_forward"]
+           "build_model", "param_count", "lstm_layer", "mos_log_probs", "model_forward",
+           "add_probs"]
 
 EMBED_INIT_RANGE = 0.1
 
@@ -214,14 +220,20 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
 
 # A head chunk's [K*rows x V] block holds about this many float64s (16 MB).
 CHUNK_ELEMENTS = 1 << 21
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
+
+
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """z's maximum over its last axis, kept as an axis of 1."""
+    top = z.max(axis=-1, keepdims=True)
+    if np.isnan(top).any():  # max propagates a NaN anywhere in its row
+        raise NumericError("MoS head received NaN input")
+    return top
 
 
 def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
     """Each row of z replaced by its log softmax, in place; returns z."""
-    top = z.max(axis=1, keepdims=True)
-    if np.isnan(top).any():  # max propagates a NaN anywhere in its row
-        raise NumericError("MoS head received NaN input")
-    z -= top
+    z -= _row_max(z)
     z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
     return z
 
@@ -261,75 +273,143 @@ def _out_matrix(model: LmModel) -> np.ndarray:
     return p["embedding"].T if model.config.tie_embeddings else p["out.w"]
 
 
-def _chunks(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray):
-    """(lo, hi, log pi rows, their contexts [K*c x E]) per chunk of the n rows."""
+def _chunks(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray, buffers: int):
+    """(lo, hi, log pi rows, their contexts (row, expert)-major [c*K x E], workspace) per
+    chunk of the n rows. The workspace, a [K*c x V] block and `buffers` [c x V] arrays, is
+    allocated once per call and sliced to each chunk's c rows."""
     n, k = log_pi.shape
-    rows = max(1, CHUNK_ELEMENTS // (k * model.config.vocab_size))
+    v = model.config.vocab_size
+    rows = max(1, min(n, CHUNK_ELEMENTS // (k * v)))
+    block, row_buffers = np.empty((rows * k, v)), [np.empty((rows, v)) for _ in range(buffers)]
+    by_row = ctx.reshape(k, n, ctx.shape[1]).swapaxes(0, 1)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        yield lo, hi, log_pi[lo:hi], ctx.reshape(k, n, -1)[:, lo:hi].reshape(k * (hi - lo), -1)
+        c = hi - lo
+        yield (lo, hi, log_pi[lo:hi], by_row[lo:hi].reshape(c * k, -1),
+               [block[:c * k]] + [b[:c] for b in row_buffers])
 
 
-def _head_chunk(model: LmModel, out_matrix: np.ndarray, log_pi: np.ndarray,
-                ctx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """stacked [K x c x V] = log pi_k + log softmax_k, and log P [c x V], using [c x V] temps."""
-    stacked = (ctx @ out_matrix).reshape(log_pi.shape[1], log_pi.shape[0], -1)
-    stacked += model.params["out.b"]
-    for z in stacked:
-        _log_softmax_rows(z)
-    stacked += log_pi.T[:, :, None]
-    top = stacked.max(axis=0)
-    total, e = np.zeros_like(top), np.empty_like(top)
-    for z in stacked:  # the same order as a sum over the expert axis
-        np.exp(np.subtract(z, top, out=e), out=e)
-        total += e
-    log_p = np.log(total, out=total)
+def _logits(model: LmModel, out_matrix: np.ndarray, ctx: np.ndarray,
+            block: np.ndarray) -> np.ndarray:
+    """The experts' logits ctx W_out + b_out, in block."""
+    z = np.matmul(ctx, out_matrix, out=block)
+    z += model.params["out.b"]
+    return z
+
+
+def _mix(model: LmModel, out_matrix: np.ndarray, log_pi: np.ndarray, ctx: np.ndarray,
+         block: np.ndarray, big_s: np.ndarray):
+    """One chunk's head forward in P space, one exp per expert.
+
+    block gets e_k = exp(z_k - max_v z_k) [c x K x V] and big_s S = sum_k a_k e_k [c x V],
+    with s_k = sum_v e_k [c x K] and a_k = exp(log pi_k - log s_k - M), M [c x 1] the row
+    shift that makes max_k a_k 1: P = S e^M. Returns (e, s, a, M); None when an entry of S
+    is below the smallest normal float64, where S has lost digits (the chunk then runs in
+    log space, _mix_log)."""
+    c, k = log_pi.shape
+    e = _logits(model, out_matrix, ctx, block).reshape(c, k, -1)
+    e -= _row_max(e)
+    np.exp(e, out=e)
+    s = e.sum(axis=2)
+    a = log_pi - np.log(s)
+    shift = a.max(axis=1, keepdims=True)
+    a -= shift
+    np.exp(a, out=a)
+    np.matmul(a.reshape(c, 1, k), e, out=big_s.reshape(c, 1, -1))
+    return None if big_s.min() < _SMALLEST_NORMAL else (e, s, a, shift)
+
+
+def _mix_log(model: LmModel, out_matrix: np.ndarray, log_pi: np.ndarray, ctx: np.ndarray,
+             block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk's head forward in log space: block gets w_k = log pi_k + log softmax_k
+    [c x K x V]; returns w and log P = logsumexp_k w_k [c x V], which never takes the log of
+    an underflowed entry."""
+    c, k = log_pi.shape
+    w = _log_softmax_rows(_logits(model, out_matrix, ctx, block)).reshape(c, k, -1)
+    w += log_pi[:, :, None]
+    top = w.max(axis=1)
+    log_p = np.log(np.exp(w - top[:, None]).sum(axis=1))
     log_p += top
-    return stacked, log_p
+    return w, log_p
 
 
 def _head_loss(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray, objective):
     """Sum over row chunks of objective(lo, hi, log_p) -> (value, g = dL/dlog P), and dL/dlog pi,
     dL/dcontexts, dL/d(output matrix) and dL/d(output bias).
 
-    With r_k = exp(stacked_k - log P), dL/dlog pi_k = sum_v r_k*g and
-    dL/dlogits_k = r_k*g - softmax_k * dL/dlog pi_k."""
+    With r_k = pi_k softmax_k / P, expert k's share of P: dL/dlog pi_k = sum_v r_k*g and
+    dL/dlogits_k = r_k*g - softmax_k * dL/dlog pi_k. In P space r_k = a_k e_k / S (_mix), so
+    with t_k = sum_v e_k*g/S: dL/dlog pi_k = a_k t_k, dL/dlogits_k = a_k e_k (g/S - t_k/s_k),
+    and the forward's e_k is the backward's only per-expert exp. The block keeps
+    e_k (g/S - t_k/s_k); a_k scales the [c*K x E] contexts and dL/dcontexts instead, and the
+    bias gradient sums the block's rows weighted by a. g is never written to."""
     out_matrix = _out_matrix(model)
     d_log_pi, d_ctx = np.zeros_like(log_pi), np.zeros_like(ctx)
     d_out, d_out_b = np.zeros_like(out_matrix), np.zeros_like(model.params["out.b"])
     n, k = log_pi.shape
+    d_ctx_by_row = d_ctx.reshape(k, n, ctx.shape[1]).swapaxes(0, 1)
 
-    def chunk(lo, hi, log_pi_rows, ctx_rows) -> float:
-        stacked, log_p = _head_chunk(model, out_matrix, log_pi_rows, ctx_rows)
-        value, g = objective(lo, hi, log_p)
-        r = np.empty_like(log_p)
-        for j, z in enumerate(stacked):  # z becomes dL/dlogits_j
-            np.exp(np.subtract(z, log_p, out=r), out=r)
-            r *= g
-            d_log_pi[lo:hi, j] = r.sum(axis=1)
-            z -= log_pi_rows[:, j:j + 1]
-            np.exp(z, out=z)  # softmax_j
-            z *= d_log_pi[lo:hi, j:j + 1]
-            np.subtract(r, z, out=z)
-        d_z = stacked.reshape(len(ctx_rows), -1)
-        d_out_b[:] += d_z.sum(axis=0)
-        d_out[:] += ctx_rows.T @ d_z
-        d_ctx.reshape(k, n, -1)[:, lo:hi] = (d_z @ out_matrix.T).reshape(k, hi - lo, -1)
+    def chunk(lo, hi, log_pi_rows, ctx_rows, work) -> float:
+        block, big_s, log_p = work
+        mixed = _mix(model, out_matrix, log_pi_rows, ctx_rows, block, big_s)
+        if mixed is None:
+            w, log_p = _mix_log(model, out_matrix, log_pi_rows, ctx_rows, block)
+            value, g = objective(lo, hi, log_p)
+            r = np.exp(w - log_p[:, None])
+            r *= g[:, None]
+            d_log_pi[lo:hi] = r.sum(axis=2)
+            w -= log_pi_rows[:, :, None]
+            np.exp(w, out=w)  # softmax_k
+            w *= d_log_pi[lo:hi, :, None]
+            np.subtract(r, w, out=w)
+            scale = np.ones((len(ctx_rows), 1))
+        else:
+            e, s, a, shift = mixed
+            np.log(big_s, out=log_p)
+            log_p += shift
+            value, g = objective(lo, hi, log_p)
+            g_s = np.divide(g, big_s, out=big_s)  # log_p and g are read for the last time
+            t = np.matmul(e, g_s.reshape(hi - lo, -1, 1)).reshape(hi - lo, k)
+            np.multiply(a, t, out=d_log_pi[lo:hi])
+            t /= s
+            for j in range(k):  # e becomes dL/dlogits_j / a_j
+                np.subtract(g_s, t[:, j:j + 1], out=log_p)
+                e[:, j] *= log_p
+            scale = a.reshape(-1, 1)
+        d_out_b[:] += (scale.T @ block)[0]
+        d_out[:] += (ctx_rows * scale).T @ block
+        d_ctx_by_row[lo:hi] = ((block @ out_matrix.T) * scale).reshape(hi - lo, k, -1)
         return value
 
-    total = sum(chunk(*rows) for rows in _chunks(model, log_pi, ctx))
+    total = sum(chunk(*rows) for rows in _chunks(model, log_pi, ctx, 2))
     return total, d_log_pi, d_ctx, d_out, d_out_b
 
 
-def mos_log_probs(model: LmModel, hidden: np.ndarray) -> np.ndarray:
-    """log P = logsumexp_k(log pi_k + log softmax(tanh(h W_k + b_k) W_out + b_out)),
-    [n x V], chunk by chunk over the rows of hidden."""
+def _eval_head(model: LmModel, hidden: np.ndarray, out: np.ndarray, log: bool) -> np.ndarray:
+    """The head over the rows of hidden, chunk by chunk: log P [n x V] written into out
+    (log), or P added into it; returns out."""
     log_pi, ctx, _ = _head_inputs(model, hidden)
     out_matrix = _out_matrix(model)
-    out = np.empty((hidden.shape[0], model.config.vocab_size))
-    for lo, hi, log_pi_rows, ctx_rows in _chunks(model, log_pi, ctx):
-        out[lo:hi] = _head_chunk(model, out_matrix, log_pi_rows, ctx_rows)[1]
+    for lo, hi, log_pi_rows, ctx_rows, (block, big_s) in _chunks(model, log_pi, ctx, 1):
+        rows = out[lo:hi]
+        mixed = _mix(model, out_matrix, log_pi_rows, ctx_rows, block, big_s)
+        if mixed is None:
+            log_p = _mix_log(model, out_matrix, log_pi_rows, ctx_rows, block)[1]
+            rows[:] = log_p if log else rows + np.exp(log_p)
+        elif log:
+            np.log(big_s, out=rows)
+            rows += mixed[3]
+        else:
+            big_s *= np.exp(mixed[3])
+            rows += big_s
     return out
+
+
+def mos_log_probs(model: LmModel, hidden: np.ndarray) -> np.ndarray:
+    """log P = log sum_k pi_k softmax(tanh(h W_k + b_k) W_out + b_out), [n x V], chunk by
+    chunk over the rows of hidden."""
+    return _eval_head(model, hidden, np.empty((hidden.shape[0], model.config.vocab_size)),
+                      log=True)
 
 
 @dataclass
@@ -423,6 +503,25 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
     [batch x E], each layer's output [batch x H_i], then the bottleneck
     [batch x bottleneck_dim]; a mask whose rate is 0 is not drawn.
     """
+    hidden, new_state, raw, dropped, backward = _trunk(model, tokens, state, rng)
+    if rng is None:
+        return ForwardResult(LogProbs(mos_log_probs(model, hidden)), new_state, raw, dropped)
+    return ForwardResult(MosRows(model, hidden), new_state, raw, dropped, backward)
+
+
+def add_probs(model: LmModel, tokens: np.ndarray, state: LmState, out: np.ndarray) -> LmState:
+    """Add eval mode's next-word P for tokens [batch x T] into out [batch*T x V], rows as
+    model_forward's, and return the state to carry on. The head stops at P: no log P, and no
+    [batch*T x V] array but out."""
+    hidden, new_state, *_ = _trunk(model, tokens, state, None)
+    _eval_head(model, hidden, out, log=False)
+    return new_state
+
+
+def _trunk(model: LmModel, tokens: np.ndarray, state: LmState,
+           rng: np.random.Generator | None):
+    """model_forward below the head: (the head's input rows, the new state, raw, dropped,
+    the trunk's backward or None in eval mode)."""
     cfg, p = model.config, model.params
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
@@ -465,7 +564,7 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
             backwards.append(layer_backward)
     hidden = _masked(x @ p["bottleneck.w"] + p["bottleneck.b"], other_mask)
     if rng is None:
-        return ForwardResult(LogProbs(mos_log_probs(model, hidden)), LmState(new_state), raw, x)
+        return hidden, LmState(new_state), raw, x, None
 
     def backward(d_hidden, d_dropped=None, d_raw=None, d_embedding=None):
         if out_masks[-1] is None:  # dropped is raw: AR's and TAR's gradients, summed first
@@ -494,4 +593,4 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
         grads["embedding"] = d_table
         return grads
 
-    return ForwardResult(MosRows(model, hidden), LmState(new_state), raw, x, backward)
+    return hidden, LmState(new_state), raw, x, backward

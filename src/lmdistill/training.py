@@ -13,9 +13,12 @@ Teacher soft labels come from one forked worker process (POSIX fork), ahead
 of the student. It runs the teacher over the same batches in the same order,
 from reset_state(batch_size) each epoch, so teacher state is carried across
 the same token lanes the student sees and Q is bitwise what an in-process call
-would give. It sends each Q whole through its pipe; the send blocks once the
-pipe's buffer is full, so the worker holds at most one Q beyond what the
-buffer holds, and each Q train() receives is its own array.
+would give. It writes each Q to a socket as a shape header and its raw
+float64 bytes; the send blocks once the socket's buffer is full, so the worker
+holds at most one Q beyond what the buffer holds. train() reads each Q
+straight into the array the previous one was read into (no pickle, no
+per-batch allocation), so a Q is valid until the next one is read. A teacher's
+exception comes back through a pipe beside the socket.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import socket
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait
 from multiprocessing.pool import ExceptionWithTraceback
 
 import numpy as np
@@ -32,7 +35,7 @@ import numpy as np
 from .data import BpttBatch, TokenStream, bptt_batches
 from .errors import ConfigError, DataError, TrainingError, require_finite
 from .losses import DistillLossSpec, distill_loss
-from .model import LmModel, LmState, flatten_targets, model_forward
+from .model import LmModel, LmState, add_probs, flatten_targets, model_forward
 from .regularization import activation_reg
 
 __all__ = ["TrainConfig", "EpochLog", "TrainResult", "TeacherEnsemble",
@@ -117,20 +120,15 @@ class TeacherEnsemble:
     def soft_labels(self, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Mean of member next-word distributions for one batch, carrying member state forward.
 
-        Rows are time-major, matching model_forward's log_probs layout. Member
-        order is fixed, so the result is deterministic.
+        Rows are time-major, matching model_forward's log_probs layout. Each
+        member's P is added into the result chunk by chunk (add_probs), in a
+        fixed member order, so the result is deterministic.
         """
         if self._states is None or self._states[0].batch_size != inputs.shape[0]:
             self.reset_state(inputs.shape[0])
-        total = None
+        total = np.zeros((np.size(inputs), self.vocab_size))
         for i, member in enumerate(self.members):
-            out = model_forward(member, inputs, self._states[i])  # eval mode
-            p = np.exp(out.log_probs.data, out=out.log_probs.data)
-            if total is None:
-                total = p
-            else:
-                total += p
-            self._states[i] = out.state
+            self._states[i] = add_probs(member, inputs, self._states[i], total)
         total /= len(self.members)
         return total
 
@@ -198,57 +196,83 @@ def step_loss(model: LmModel, batch: BpttBatch, state: LmState, spec: DistillLos
     return float(value), {name: grads[name] for name in model.params}, out.state
 
 
-def _await_q(conn, proc, epoch: int, batch: int) -> np.ndarray:
-    """The worker's Q for one batch, read whole from the pipe. Raises the
-    teacher's own exception, or RuntimeError if the worker died."""
-    try:
-        if conn not in wait([conn, proc.sentinel]):
+def _recv_into(sock: socket.socket, array: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous array with the next array.nbytes bytes from sock; returns it.
+    Raises EOFError if the stream ends first."""
+    view = memoryview(array.reshape(-1).view(np.uint8))
+    while view:
+        got = sock.recv_into(view)
+        if not got:
             raise EOFError
-        msg = conn.recv()
-    except (EOFError, OSError):  # closed, or reset mid-message
+        view = view[got:]
+    return array
+
+
+def _await_q(sock, conn, proc, q: np.ndarray, epoch: int, batch: int) -> np.ndarray:
+    """The worker's Q for one batch: a shape header, then the float64 bytes, read into q's
+    memory when the sizes match (else into a new array). Raises the teacher's own
+    exception, or RuntimeError if the worker died."""
+    try:
+        ndim = int(_recv_into(sock, np.empty(1, np.int64))[0])
+        shape = tuple(_recv_into(sock, np.empty(ndim, np.int64)).tolist())
+        return _recv_into(sock, q.reshape(shape) if q.size == math.prod(shape)
+                          else np.empty(shape))
+    except (EOFError, OSError):  # the worker ended, or reset mid-Q
+        pass
+    try:
+        exc = conn.recv()  # the teacher's exception, if it sent one before it ended
+    except (EOFError, OSError):
         proc.join()
         raise RuntimeError(f"teacher worker exited with code {proc.exitcode} "
                            f"before epoch {epoch}, batch {batch}'s soft labels") from None
-    if isinstance(msg, Exception):
-        raise msg
-    return msg
+    raise exc
 
 
 def _soft_labels(teacher, batches: list[BpttBatch], batch_size: int, epochs: int):
     """Teacher Q for every batch of every epoch, in train()'s order; None with no teacher.
 
-    Forks the worker at the first next(); each next() reads one Q whole from
-    the worker's pipe.
+    Forks the worker at the first next(); each next() reads one Q from the
+    worker's socket into the array the previous one was read into, so a Q is
+    valid until the next next().
     """
     if teacher is None:
         yield from itertools.repeat(None)  # endless: train() takes what it needs
     total = epochs * len(batches)
 
-    def worker(child_end):
-        conn.close()  # the main process's end: its death then fails the send here
+    def worker(child_end, child_sock):
+        conn.close()  # the main process's ends: its death then fails the send here
+        sock.close()
         try:
             for i in range(total):
                 if i % len(batches) == 0:
                     teacher.reset_state(batch_size)
                 batch = batches[i % len(batches)]
-                child_end.send(teacher.soft_labels(batch.inputs, batch.targets))
+                q = np.ascontiguousarray(teacher.soft_labels(batch.inputs, batch.targets),
+                                         dtype=np.float64)
+                child_sock.sendall(np.array([q.ndim, *q.shape], np.int64))
+                child_sock.sendall(q)
         except Exception as exc:
             child_end.send(ExceptionWithTraceback(exc, exc.__traceback__))
 
     ctx = multiprocessing.get_context("fork")
     conn, child_end = ctx.Pipe()
-    proc = ctx.Process(target=worker, args=(child_end,))
+    sock, child_sock = socket.socketpair()
+    proc = ctx.Process(target=worker, args=(child_end, child_sock))
     proc.start()
     child_end.close()
+    child_sock.close()
     try:
+        q = np.empty(0)
         for i in range(total):
             epoch, bi = divmod(i, len(batches))
-            yield _await_q(conn, proc, epoch + 1, bi)
+            q = _await_q(sock, conn, proc, q, epoch + 1, bi)
+            yield q
     finally:
         proc.terminate()
         proc.join()
         proc.close()
         conn.close()
+        sock.close()
 
 
 def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
@@ -257,7 +281,7 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
 
     teacher must be present exactly when the loss reads soft labels
     (cfg.loss.needs_teacher); it runs in a forked worker (module docstring) that
-    sends each batch's Q through a pipe.
+    sends each batch's Q through a socket.
     Raises TrainingError naming the batch if the loss or the gradient norm
     goes non-finite, the teacher's own exception if it raises, and
     RuntimeError naming the exit code if the worker dies.

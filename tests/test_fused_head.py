@@ -39,11 +39,20 @@ def _chunks_of(monkeypatch, config, rows):
                         rows * config.num_experts * config.vocab_size)
 
 
+def _underflow(model):
+    # word 3's logit 2000 below the rest in every expert: its P (about e^-2000) underflows
+    # float64, so the head takes its log-space path
+    model.params["out.b"][3] = -2000.0
+
+
+@pytest.mark.parametrize("underflow", [False, True], ids=["", "underflow"])
 @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
 @pytest.mark.parametrize("variant", LOSS_VARIANTS)
-def test_fused_step_matches_per_step_oracle(variant, tied, monkeypatch):
+def test_fused_step_matches_per_step_oracle(variant, tied, underflow, monkeypatch):
     config = _config(tied)
     model = build_model(config, seed=1)
+    if underflow:
+        _underflow(model)
     rng = np.random.default_rng(2)
     batch = BpttBatch(rng.integers(0, 11, size=(3, 5)), rng.integers(0, 11, size=(3, 5)))
     spec = DistillLossSpec(variant, alpha=0.3)
@@ -69,15 +78,19 @@ def test_fused_step_matches_per_step_oracle(variant, tied, monkeypatch):
         assert err <= 1e-10, f"{name}: relative error {err:.3e}"
 
 
+@pytest.mark.parametrize("underflow", [False, True], ids=["", "underflow"])
 @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
-def test_eval_forward_matches_per_step_oracle(tied, monkeypatch):
+def test_eval_forward_matches_per_step_oracle(tied, underflow, monkeypatch):
     config = _config(tied)
     model = build_model(config, seed=3)
+    if underflow:
+        _underflow(model)
     tokens = np.random.default_rng(4).integers(0, 11, size=(2, 7))
     _chunks_of(monkeypatch, config, 3)  # N = 14 rows: chunks of 3, ..., 3, 2
     got = model_forward(model, tokens, model.init_state(2))
     want = oracle_forward(model, T.leaves(model.params), tokens, model.init_state(2))[0]
     assert np.max(np.abs(got.log_probs.data - want.data)) <= 1e-12
+    assert np.all(got.log_probs.data[:, 3] < -1900) == underflow
 
 
 def test_fused_step_peak_memory_is_a_fraction_of_the_expert_block():
@@ -102,6 +115,25 @@ def test_fused_step_peak_memory_is_a_fraction_of_the_expert_block():
         tracemalloc.stop()
     assert np.isfinite(loss)
     assert peak < block / 4, f"peak {peak / 1e6:.1f} MB against a {block / 1e6:.1f} MB block"
+
+
+def test_soft_labels_peak_memory_is_the_output_and_one_chunk_workspace(monkeypatch):
+    # n = 400 rows in 25 chunks of 16; each member's P is added into the output chunk by
+    # chunk, so no member holds an [n x V] array of its own
+    config = ModelConfig(vocab_size=1000, embed_dim=8, lstm_layers=1, hidden_dim=8,
+                         bottleneck_dim=8, num_experts=3)
+    _chunks_of(monkeypatch, config, 16)
+    ensemble = training.TeacherEnsemble([build_model(config, seed=s) for s in (1, 2)])
+    tokens = np.random.default_rng(3).integers(0, 1000, size=(4, 100))
+    out, block, rows = 400 * 1000 * 8, 3 * 16 * 1000 * 8, 16 * 1000 * 8
+    tracemalloc.start()
+    try:
+        q = ensemble.soft_labels(tokens, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q.shape == (400, 1000)
+    assert peak < out + block + 4 * rows, f"peak {peak / 1e6:.2f} MB, output {out / 1e6} MB"
 
 
 def test_nan_reaching_the_head_raises_numeric_error():

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -104,6 +105,27 @@ def test_clip_below_limit_is_untouched():
 # Teacher ensembles
 
 
+def eval_probs(model, tokens, state):
+    """Eval mode's P for tokens, the head's own (no log P), and the state to carry on."""
+    p = np.zeros((tokens.size, model.config.vocab_size))
+    return p, model_module.add_probs(model, tokens, state, p)
+
+
+@pytest.mark.parametrize("underflow", [False, True], ids=["", "underflow"])
+def test_eval_probs_are_exp_of_eval_log_probs(underflow):
+    vocab, stream = tiny_corpus()
+    model = build_model(tiny_config(vocab.size, num_experts=3), 1)
+    if underflow:  # word 3's P, about e^-2000, is 0 in float64: the log-space path
+        model.params["out.b"][3] = -2000.0
+    tokens = np.stack([stream.ids[0:6], stream.ids[8:14]])
+    p, state = eval_probs(model, tokens, model.init_state(2))
+    out = model_forward(model, tokens, model.init_state(2))
+    np.testing.assert_allclose(p, np.exp(out.log_probs.data), rtol=1e-14, atol=0)
+    assert np.all(p[:, 3] == 0) == underflow
+    assert all(np.array_equal(a, b) for pair, out_pair in zip(state.layers, out.state.layers)
+               for a, b in zip(pair, out_pair))
+
+
 def test_ensemble_mean_matches_manual():
     vocab, stream = tiny_corpus()
     m1 = build_model(tiny_config(vocab.size), 1)
@@ -111,8 +133,8 @@ def test_ensemble_mean_matches_manual():
     ens = TeacherEnsemble([m1, m2])
     tokens = stream.ids[None, :5]
     q = ens.soft_labels(tokens, None)
-    p1 = np.exp(model_forward(m1, tokens, m1.init_state(1)).log_probs.data)
-    p2 = np.exp(model_forward(m2, tokens, m2.init_state(1)).log_probs.data)
+    p1 = eval_probs(m1, tokens, m1.init_state(1))[0]
+    p2 = eval_probs(m2, tokens, m2.init_state(1))[0]
     assert np.array_equal(q, (p1 + p2) / 2)
     assert q.shape == (5, vocab.size)
     # rows are distributions
@@ -132,9 +154,8 @@ def test_ensemble_carries_member_state_across_batches():
 
     total1 = total2 = None
     for m in (m1, m2):
-        out1 = model_forward(m, b1, m.init_state(2))
-        out2 = model_forward(m, b2, out1.state)
-        p1, p2 = np.exp(out1.log_probs.data), np.exp(out2.log_probs.data)
+        p1, state = eval_probs(m, b1, m.init_state(2))
+        p2, _ = eval_probs(m, b2, state)
         total1 = p1 if total1 is None else total1 + p1
         total2 = p2 if total2 is None else total2 + p2
     assert np.array_equal(q1, total1 / 2)
@@ -780,7 +801,7 @@ def test_worker_trains_bitwise_as_the_in_process_teacher():
     cfg = TrainConfig(loss=DistillLossSpec("trust_reg", alpha=0.5), lr=20.0, epochs=4,
                       batch_size=2, bptt_len=6, seed=3, asgd_trigger_patience=1,
                       lr_decay_on_plateau=0.5)
-    # an odd count: batch 0 of epoch 2 takes the slot epoch 1's batch 0 did not
+    # an odd count: epoch 2's batch 0 overwrites epoch 1's last Q in the receive array
     assert len(bptt_batches(stream, cfg.batch_size, cfg.bptt_len)) % 2 == 1
     a = build_model(tiny_config(vocab.size), 0)
     b = build_model(tiny_config(vocab.size), 0)
@@ -799,7 +820,7 @@ def test_worker_never_overwrites_a_q_in_use(monkeypatch):
 
     def slow_step_loss(model, batch, state, spec, q, rng):
         before = q.copy()
-        time.sleep(0.05)  # the teacher is far faster; a freed-early slot is rewritten now
+        time.sleep(0.05)  # the teacher is far faster; a Q received early would land here now
         out = step_loss(model, batch, state, spec, q, rng)
         seen.append(np.array_equal(q, before)
                     and np.array_equal(q, oracle.soft_labels(None, batch.targets)))
@@ -855,7 +876,7 @@ def test_error_mid_run_stops_the_worker_promptly(monkeypatch):
 
     def stopping_step_loss(*args):
         calls.append(None)
-        if len(calls) == 7:  # epoch 2, batch 1: hand-backs in flight, the worker maybe in recv
+        if len(calls) == 7:  # epoch 2, batch 1: the worker maybe blocked sending the next Q
             raise TrainingError("stop at step 7")
         return step_loss(*args)
 
@@ -903,6 +924,25 @@ def test_soft_labels_fork_at_the_first_next_only():
     assert multiprocessing.active_children() == []
     with pytest.raises(StopIteration):
         next(unstarted)
+
+
+def test_receiving_q_allocates_nothing_per_batch():
+    # each Q is read into the array the previous one was read into
+    vocab, stream = tiny_corpus()
+    batches = bptt_batches(stream, 2, 6)
+    labels = training._soft_labels(OneHotOracle(50_000), batches, 2, 2)
+    first = next(labels)  # 12 x 50,000: 4.8 MB
+    tracemalloc.start()
+    try:
+        for i in range(1, 2 * len(batches)):
+            q = next(labels)
+            y = flatten_targets(batches[i % len(batches)].targets)
+            assert np.shares_memory(q, first) and q[np.arange(12), y].sum() == q.sum() == 12
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        labels.close()
+    assert peak < first.nbytes / 100, f"peak {peak} B against a {first.nbytes} B Q"
 
 
 def test_soft_labels_without_a_teacher_are_none_and_fork_nothing():
