@@ -22,7 +22,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import BpttBatch, TokenStream, Vocabulary, atomic_open, build_vocab, encode
 from .errors import ConfigError, DataError, UserError
 from .losses import LOSS_VARIANTS, DistillLossSpec
-from .model import ModelConfig, build_model
+from .model import ModelConfig, build_model, param_count
 from .regularization import DropoutSpec
 from .rescore import (RescoreConfig, parse_nbest, parse_refs, rescore_nbest, wer)
 from .training import TeacherEnsemble, TrainConfig, perplexity, step_loss, train
@@ -238,7 +238,7 @@ def _train_command(args, setup) -> int:
         raise ConfigError(f"teacher vocab size {teacher.vocab_size} != "
                           f"data vocab size {vocab.size}")
     model = build_model(cfg.model_config(vocab.size), cfg["seed"])
-    print(f"vocab={vocab.size} params={model.param_count}{suffix}")
+    print(f"vocab={vocab.size} params={param_count(model.config)}{suffix}")
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         vocab.save(out_dir / "vocab.txt")
@@ -271,7 +271,8 @@ def cmd_train_student(args) -> int:
             raise ConfigError(f"train-student needs a distillation loss; loss_variant = "
                               f"{loss.variant} at alpha = {loss.alpha:g} reads no teacher")
         paths = [p for chunk in args.teacher for p in chunk.split(",") if p]
-        return loss, TeacherEnsemble.from_checkpoints(paths), f" teachers={len(paths)}"
+        teachers = TeacherEnsemble([load_checkpoint(p) for p in paths])
+        return loss, teachers, f" teachers={len(paths)}"
 
     return _train_command(args, setup)
 
@@ -340,24 +341,25 @@ def cmd_grad_check(args) -> int:
     return 0 if ok else 1
 
 
+# The central-difference step, the largest relative error that passes, and the error's
+# denominator floor, which absorbs the differences' noise where the true gradient is ~0.
+_STEP, _TOL, _REL_FLOOR = 1e-5, 1e-4, 1e-4
+
+
 @dataclass
 class GradCheckReport:
     max_rel_err: float
-    passed: bool
-    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_err <= _TOL  # False for NaN
 
     def __str__(self) -> str:
         verdict = "ok" if self.passed else "FAIL"
-        return f"max_rel_err={self.max_rel_err:.3e} tol={self.tol:g} [{verdict}]"
+        return f"max_rel_err={self.max_rel_err:.3e} tol={_TOL:g} [{verdict}]"
 
 
-# Relative-error denominator floor: absorbs central-difference noise when the
-# true gradient is ~0 while still flagging real backward bugs at tol 1e-4.
-_REL_FLOOR = 1e-4
-
-
-def grad_check_params(loss_fn, params: dict[str, np.ndarray],
-                      step: float = 1e-5, tol: float = 1e-4) -> dict[str, GradCheckReport]:
+def grad_check_params(loss_fn, params: dict[str, np.ndarray]) -> dict[str, GradCheckReport]:
     """Hand-written gradient against central finite differences, per named parameter.
 
     loss_fn() recomputes the scalar loss from the params' current values and
@@ -372,16 +374,16 @@ def grad_check_params(loss_fn, params: dict[str, np.ndarray],
         nflat = numeric.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + _STEP
             plus = float(loss_fn()[0])
-            flat[i] = orig - step
+            flat[i] = orig - _STEP
             minus = float(loss_fn()[0])
             flat[i] = orig
-            nflat[i] = (plus - minus) / (2.0 * step)
+            nflat[i] = (plus - minus) / (2.0 * _STEP)
         a = analytic[name]
         denom = np.maximum(np.abs(a) + np.abs(numeric), _REL_FLOOR)
         max_rel = float(np.max(np.abs(a - numeric) / denom)) if flat.size else 0.0
-        reports[name] = GradCheckReport(max_rel, max_rel <= tol, tol)
+        reports[name] = GradCheckReport(max_rel)
     return reports
 
 
@@ -417,10 +419,10 @@ def grad_check_rows() -> list[tuple[str, GradCheckReport]]:
                              np.random.default_rng(seed))[:2]
 
         reports = grad_check_params(loss_fn, model.params)
-        worst_name, worst = max(reports.items(), key=lambda kv: kv[1].max_rel_err)
-        passed = all(r.passed for r in reports.values())
-        rows.append((f"{variant} {'tied' if tied else 'untied'} worst={worst_name}",
-                     GradCheckReport(worst.max_rel_err, passed, worst.tol)))
+        # a failed report (NaN included) outranks every passed one
+        worst_name, worst = max(reports.items(),
+                                key=lambda kv: (not kv[1].passed, kv[1].max_rel_err))
+        rows.append((f"{variant} {'tied' if tied else 'untied'} worst={worst_name}", worst))
     return rows
 
 
@@ -487,7 +489,7 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="lmdistill", description=__doc__)
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, data_dir=False, out=False):
+    def common(sp, data_dir=False):
         sp.add_argument("--config", help="key = value config file")
         sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
@@ -495,16 +497,13 @@ def _build_parser() -> _Parser:
         if data_dir:
             sp.add_argument("--data-dir", required=True,
                             help="directory with train.txt and valid.txt")
-        if out:
-            sp.add_argument("--out", help="output directory")
-        else:
-            sp.add_argument("--out", help="directory for resolved.cfg")
+        sp.add_argument("--out", help="directory for resolved.cfg and a trained model's files")
 
     sp = sub.add_parser("train-teacher", help="train one teacher with CE loss")
-    common(sp, data_dir=True, out=True)
+    common(sp, data_dir=True)
 
     sp = sub.add_parser("train-student", help="distill a student from teachers")
-    common(sp, data_dir=True, out=True)
+    common(sp, data_dir=True)
     sp.add_argument("--teacher", action="append", required=True, metavar="CKPT[,CKPT...]",
                     help="teacher checkpoint(s); repeatable or comma-separated")
 
@@ -529,7 +528,7 @@ def _build_parser() -> _Parser:
                         help="finite-difference check of the full training loss")
 
     sp = sub.add_parser("ablate", help="loss/regularizer switch matrix over 3 seeds")
-    common(sp, data_dir=True, out=True)
+    common(sp, data_dir=True)
 
     return p
 

@@ -129,10 +129,6 @@ class LmModel:
         self.config = config
         self.params = {name: params[name] for name, _ in _param_shapes(config)}
 
-    @property
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def init_state(self, batch_size: int) -> LmState:
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -239,24 +235,24 @@ def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def _head_inputs(model: LmModel, hidden: np.ndarray):
-    """log pi [n x K] and the expert contexts tanh(h W_k + b_k), expert-major [K*n x E],
-    from the [n x bottleneck] rows h; and their backward, (dL/dlog pi, dL/dcontexts) ->
-    (dL/dh, the prior's and the experts' gradients by parameter name)."""
+    """log pi [n x K] and the expert contexts tanh(h W_k + b_k), (row, expert)-major
+    [n*K x E], from the [n x bottleneck] rows h; and their backward, (dL/dlog pi,
+    dL/dcontexts) -> (dL/dh, the prior's and the experts' gradients by parameter name)."""
     if hidden.ndim != 2 or hidden.shape[1] != model.config.bottleneck_dim:
         raise ShapeError(f"bottleneck input shaped {hidden.shape}, expected "
                          f"(n, {model.config.bottleneck_dim})")
     p, experts = model.params, range(model.config.num_experts)
     log_pi = _log_softmax_rows(hidden @ p["prior.w"] + p["prior.b"])
-    ctx = np.concatenate([np.tanh(hidden @ p[f"expert{k}.w"] + p[f"expert{k}.b"])
-                          for k in experts])
-    n = hidden.shape[0]
+    ctx = np.stack([np.tanh(hidden @ p[f"expert{k}.w"] + p[f"expert{k}.b"])
+                    for k in experts], axis=1)  # [n x K x E]
 
     def backward(d_log_pi, d_ctx):
         # experts last to first, then the prior: the order dL/dh has always summed in
         d_hidden, grads = np.zeros_like(hidden), {}
+        d_ctx = d_ctx.reshape(ctx.shape)
         for k in reversed(experts):
-            y = ctx[k * n:(k + 1) * n]
-            d = d_ctx[k * n:(k + 1) * n] * (1.0 - y * y)
+            y = ctx[:, k]
+            d = d_ctx[:, k] * (1.0 - y * y)
             grads[f"expert{k}.b"], grads[f"expert{k}.w"] = d.sum(axis=0), hidden.T @ d
             d_hidden += d @ p[f"expert{k}.w"].T
         d = d_log_pi - np.exp(log_pi) * d_log_pi.sum(axis=1, keepdims=True)
@@ -264,7 +260,7 @@ def _head_inputs(model: LmModel, hidden: np.ndarray):
         d_hidden += d @ p["prior.w"].T
         return d_hidden, grads
 
-    return log_pi, ctx, backward
+    return log_pi, ctx.reshape(-1, ctx.shape[2]), backward
 
 
 def _out_matrix(model: LmModel) -> np.ndarray:
@@ -274,19 +270,17 @@ def _out_matrix(model: LmModel) -> np.ndarray:
 
 
 def _chunks(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray, buffers: int):
-    """(lo, hi, log pi rows, their contexts (row, expert)-major [c*K x E], workspace) per
-    chunk of the n rows. The workspace, a [K*c x V] block and `buffers` [c x V] arrays, is
-    allocated once per call and sliced to each chunk's c rows."""
+    """(lo, hi, log pi rows, their contexts [c*K x E], workspace) per chunk of the n rows.
+    The workspace, a [K*c x V] block and `buffers` [c x V] arrays, is allocated once per
+    call and sliced to each chunk's c rows."""
     n, k = log_pi.shape
     v = model.config.vocab_size
     rows = max(1, min(n, CHUNK_ELEMENTS // (k * v)))
     block, row_buffers = np.empty((rows * k, v)), [np.empty((rows, v)) for _ in range(buffers)]
-    by_row = ctx.reshape(k, n, ctx.shape[1]).swapaxes(0, 1)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        c = hi - lo
-        yield (lo, hi, log_pi[lo:hi], by_row[lo:hi].reshape(c * k, -1),
-               [block[:c * k]] + [b[:c] for b in row_buffers])
+        yield (lo, hi, log_pi[lo:hi], ctx[lo * k:hi * k],
+               [block[:(hi - lo) * k]] + [b[:hi - lo] for b in row_buffers])
 
 
 def _logits(model: LmModel, out_matrix: np.ndarray, ctx: np.ndarray,
@@ -346,8 +340,7 @@ def _head_loss(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray, objective):
     out_matrix = _out_matrix(model)
     d_log_pi, d_ctx = np.zeros_like(log_pi), np.zeros_like(ctx)
     d_out, d_out_b = np.zeros_like(out_matrix), np.zeros_like(model.params["out.b"])
-    n, k = log_pi.shape
-    d_ctx_by_row = d_ctx.reshape(k, n, ctx.shape[1]).swapaxes(0, 1)
+    k = log_pi.shape[1]
 
     def chunk(lo, hi, log_pi_rows, ctx_rows, work) -> float:
         block, big_s, log_p = work
@@ -378,7 +371,7 @@ def _head_loss(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray, objective):
             scale = a.reshape(-1, 1)
         d_out_b[:] += (scale.T @ block)[0]
         d_out[:] += (ctx_rows * scale).T @ block
-        d_ctx_by_row[lo:hi] = ((block @ out_matrix.T) * scale).reshape(hi - lo, k, -1)
+        d_ctx[lo * k:hi * k] = (block @ out_matrix.T) * scale
         return value
 
     total = sum(chunk(*rows) for rows in _chunks(model, log_pi, ctx, 2))

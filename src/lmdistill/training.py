@@ -109,11 +109,6 @@ class TeacherEnsemble:
     def vocab_size(self) -> int:
         return self.members[0].config.vocab_size
 
-    @classmethod
-    def from_checkpoints(cls, paths) -> "TeacherEnsemble":
-        from .checkpoint import load_checkpoint
-        return cls([load_checkpoint(p) for p in paths])
-
     def reset_state(self, batch_size: int) -> None:
         self._states = [m.init_state(batch_size) for m in self.members]
 
@@ -228,7 +223,7 @@ def _await_q(sock, conn, proc, q: np.ndarray, epoch: int, batch: int) -> np.ndar
     raise exc
 
 
-def _soft_labels(teacher, batches: list[BpttBatch], batch_size: int, epochs: int):
+def _soft_labels(teacher, batches: list[BpttBatch], epochs: int):
     """Teacher Q for every batch of every epoch, in train()'s order; None with no teacher.
 
     Forks the worker at the first next(); each next() reads one Q from the
@@ -245,7 +240,7 @@ def _soft_labels(teacher, batches: list[BpttBatch], batch_size: int, epochs: int
         try:
             for i in range(total):
                 if i % len(batches) == 0:
-                    teacher.reset_state(batch_size)
+                    teacher.reset_state(batches[0].inputs.shape[0])
                 batch = batches[i % len(batches)]
                 q = np.ascontiguousarray(teacher.soft_labels(batch.inputs, batch.targets),
                                          dtype=np.float64)
@@ -305,7 +300,7 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
     averager: _Averager | None = None
 
     # forks at its first next(), not earlier: set-up ends at train()'s entry
-    labels = _soft_labels(teacher, batches, cfg.batch_size, cfg.epochs)
+    labels = _soft_labels(teacher, batches, cfg.epochs)
     try:
         for epoch in range(1, cfg.epochs + 1):
             state = model.init_state(cfg.batch_size)

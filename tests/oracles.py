@@ -247,8 +247,13 @@ class TapedRows:
         log_pi = T.log_softmax_rows(T.add(T.matmul(self.hidden, p["prior.w"]), p["prior.b"]))
         ctx = T.concat_rows([T.tanh(T.add(T.matmul(self.hidden, w), b))
                              for w, b in expert_params(model, p)])
+        # _head_loss takes the contexts and gives their gradient (row, expert)-major; the
+        # tape's are expert-major. swap(a, m) reads [m*r x E] as [m x r x E], swaps m and r.
+        swap = lambda a, m: a.reshape(m, -1, a.shape[1]).swapaxes(0, 1).reshape(a.shape)
+        n, k = log_pi.shape
         total, d_log_pi, d_ctx, d_out, d_out_b = model_module._head_loss(
-            model, log_pi.data, ctx.data, objective)
+            model, log_pi.data, swap(ctx.data, k), objective)
+        d_ctx = swap(d_ctx, n)
         return T.precomputed(total, [(log_pi, d_log_pi), (ctx, d_ctx), (p["out.b"], d_out_b),
                                      (p["embedding"], d_out.T) if model.config.tie_embeddings
                                      else (p["out.w"], d_out)])

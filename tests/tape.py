@@ -125,7 +125,7 @@ def backprop(loss_fn) -> float:
     return float(out.data)
 
 
-def grad_check_params(loss_fn, params: list[tuple[str, Tensor]], **kw):
+def grad_check_params(loss_fn, params: list[tuple[str, Tensor]]):
     """lmdistill's finite-difference check of a taped scalar loss_fn() in the named
     Tensors it reads; one that takes no gradient has a zero one."""
     def value_and_grads():
@@ -135,7 +135,7 @@ def grad_check_params(loss_fn, params: list[tuple[str, Tensor]], **kw):
         return value, {name: np.zeros_like(t.data) if t.grad is None else t.grad
                        for name, t in params}
 
-    return cli.grad_check_params(value_and_grads, {name: t.data for name, t in params}, **kw)
+    return cli.grad_check_params(value_and_grads, {name: t.data for name, t in params})
 
 
 # ---------------------------------------------------------------------------

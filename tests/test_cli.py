@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import lmdistill
+import lmdistill.cli as cli_module
 import lmdistill.model as model_module
 import lmdistill.training as training_module
 from lmdistill.checkpoint import load_checkpoint
-from lmdistill.cli import CONFIG_KEYS, dispatch, load_config
+from lmdistill.cli import CONFIG_KEYS, GradCheckReport, dispatch, grad_check_rows, load_config
 from lmdistill.data import Vocabulary, build_vocab, encode
 from lmdistill.errors import ConfigError
 from lmdistill.losses import LOSS_VARIANTS
@@ -223,7 +224,7 @@ def test_train_teacher_end_to_end(tmp_path, data_dir, capsys):
     assert cfg["epochs"] == 2 and cfg["hidden_dim"] == 10
     # the checkpoint is loadable and matches the echoed param count
     model = load_checkpoint(out / "model.dlm")
-    assert f"params={model.param_count}" in stdout
+    assert f"params={sum(p.size for p in model.params.values())}" in stdout
 
 
 def test_train_teacher_requires_ce_only(data_dir, capsys):
@@ -518,6 +519,15 @@ def test_grad_check_command(capsys):
 def test_grad_check_takes_no_options(option, capsys):
     assert dispatch(["grad-check"] + option) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_grad_check_row_fails_on_a_nan_error(monkeypatch):
+    # the largest finite error (c) passes, and max by error alone passes over the NaN
+    reports = {"a": GradCheckReport(1e-7), "b": GradCheckReport(float("nan")),
+               "c": GradCheckReport(1e-6)}
+    monkeypatch.setattr(cli_module, "grad_check_params", lambda loss_fn, params: reports)
+    for name, report in grad_check_rows():
+        assert name.endswith("worst=b") and not report.passed
 
 
 def _fed_more(backward, calls):

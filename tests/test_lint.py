@@ -108,3 +108,49 @@ def test_unread_private_name_check_catches_what_it_should():
     assert unread_private_names({"a.py": a, "b.py": b}) == [
         "a.py line 3: _DEAD", "a.py line 3: _ALSO_DEAD", "a.py line 8: _dead",
         "a.py line 9: _DeadClass", "b.py line 4: _stored"]
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Module-level public functions and classes that no module reads.
+
+    A name is read where any module has it as an ast.Name load or as an
+    imported name (`from .m import f`). The sources passed exclude
+    `__init__.py`, whose re-exports are not a use; an attribute (`m.f`) is not
+    a read, so a name that only tests or `lmdistill.f` reach is reported.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                read.update(alias.name for alias in node.names)
+    return [f"{module} line {node.lineno}: {node.name}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_package_reads_every_public_module_name():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_public_names(sources) == []
+
+
+def test_unread_public_name_check_catches_what_it_should():
+    a = ("def used(): pass\n"
+         "def imported(): pass\n"
+         "def by_attribute(): pass\n"
+         "def dead(): pass\n"
+         "class Dead: pass\n"
+         "def _private(): pass\n"
+         "def f():\n"
+         "    return used()\n")
+    b = ("from .a import imported\n"
+         "from . import a\n"
+         "a.by_attribute()\n"
+         "class Used: pass\n"
+         "x: Used = None\n")
+    assert unread_public_names({"a.py": a, "b.py": b}) == [
+        "a.py line 3: by_attribute", "a.py line 4: dead", "a.py line 5: Dead",
+        "a.py line 7: f"]

@@ -768,7 +768,7 @@ def test_ensemble_from_checkpoints(tmp_path):
     m2 = build_model(tiny_config(vocab.size, hidden_dim=10), 2)
     for m, name in ((m1, "a.dlm"), (m2, "b.dlm")):
         save_checkpoint(m, tmp_path / name)
-    ens = TeacherEnsemble.from_checkpoints([tmp_path / "a.dlm", tmp_path / "b.dlm"])
+    ens = TeacherEnsemble([load_checkpoint(tmp_path / n) for n in ("a.dlm", "b.dlm")])
     assert len(ens.members) == 2
     live = TeacherEnsemble([m1, m2])
     batch = stream.ids[None, :5]
@@ -784,7 +784,7 @@ def test_ensemble_from_checkpoints_vocab_mismatch(tmp_path):
     save_checkpoint(m1, tmp_path / "a.dlm")
     save_checkpoint(m2, tmp_path / "b.dlm")
     with pytest.raises(ConfigError, match="disagree"):
-        TeacherEnsemble.from_checkpoints([tmp_path / "a.dlm", tmp_path / "b.dlm"])
+        TeacherEnsemble([load_checkpoint(tmp_path / n) for n in ("a.dlm", "b.dlm")])
 
 
 # ---------------------------------------------------------------------------
@@ -911,7 +911,7 @@ def test_error_while_the_worker_is_blocked_in_send_stops_it_promptly():
 def test_soft_labels_fork_at_the_first_next_only():
     vocab, stream = tiny_corpus()
     batches = bptt_batches(stream, 2, 6)
-    labels = training._soft_labels(OneHotOracle(vocab.size), batches, 2, 1)
+    labels = training._soft_labels(OneHotOracle(vocab.size), batches, 1)
     assert multiprocessing.active_children() == []
     np.testing.assert_array_equal(next(labels),
                                   OneHotOracle(vocab.size).soft_labels(None, batches[0].targets))
@@ -919,7 +919,7 @@ def test_soft_labels_fork_at_the_first_next_only():
     labels.close()
     assert multiprocessing.active_children() == []
 
-    unstarted = training._soft_labels(OneHotOracle(vocab.size), batches, 2, 1)
+    unstarted = training._soft_labels(OneHotOracle(vocab.size), batches, 1)
     unstarted.close()
     assert multiprocessing.active_children() == []
     with pytest.raises(StopIteration):
@@ -930,7 +930,7 @@ def test_receiving_q_allocates_nothing_per_batch():
     # each Q is read into the array the previous one was read into
     vocab, stream = tiny_corpus()
     batches = bptt_batches(stream, 2, 6)
-    labels = training._soft_labels(OneHotOracle(50_000), batches, 2, 2)
+    labels = training._soft_labels(OneHotOracle(50_000), batches, 2)
     first = next(labels)  # 12 x 50,000: 4.8 MB
     tracemalloc.start()
     try:
@@ -947,7 +947,7 @@ def test_receiving_q_allocates_nothing_per_batch():
 
 def test_soft_labels_without_a_teacher_are_none_and_fork_nothing():
     vocab, stream = tiny_corpus()
-    labels = training._soft_labels(None, bptt_batches(stream, 2, 6), 2, 2)
+    labels = training._soft_labels(None, bptt_batches(stream, 2, 6), 2)
     assert [next(labels) for _ in range(10)] == [None] * 10
     assert multiprocessing.active_children() == []
     labels.close()
