@@ -7,17 +7,17 @@ bottleneck width, which is how the published parameter counts come out).
 
 model_forward runs layer-major over whole windows: each LSTM layer is one op
 over the time-major [T*B x in] block (lstm_layer, its backward a hand-written
-BPTT). The head runs once per window over all B*T rows, in chunks of
-CHUNK_ELEMENTS / (K*V) rows, through one [K*c x V] workspace per call laid out
-(row, expert)-major: one output matmul over the K expert contexts, one exp per
-expert, and the mixture in P space, S = sum_k a_k e_k as a batched matmul, with
-P = S e^M for a per-row shift M. A chunk where an entry of S falls below the
-smallest normal float64 runs in log space instead (a log-sum-exp over the
-experts' log-softmaxes), so no log is taken of an underflowed entry. Eval mode
-returns log P = log S + M; add_probs gives teachers P itself, with no log and
-exp. In train mode the loss runs the head and its backward per chunk (MosRows),
-reusing the forward's exps, and the result's backward takes the gradient on
-down through the trunk. Parameters are plain float64 arrays in
+BPTT), and stops at the head's B*T input rows (MosRows). The full head runs in
+chunks of CHUNK_ELEMENTS / (K*V) rows, through one [K*c x V] workspace per call
+laid out (row, expert)-major: one output matmul over the K expert contexts, one
+exp per expert, and the mixture in P space, S = sum_k a_k e_k as a batched
+matmul, with P = S e^M for a per-row shift M. A chunk where an entry of S falls
+below the smallest normal float64 runs in log space instead (a log-sum-exp over
+the experts' log-softmaxes), so no log is taken of an underflowed entry. The
+train-mode loss runs it and its backward per chunk, reusing the forward's exps;
+add_probs gives teachers P itself. Eval (perplexity, rescoring) reads only each
+target's log P, over two threads, with nothing [n x V] formed (mos_log_probs with
+picks). Parameters are plain float64 arrays in
 one dict in checkpoint order; every backward is written by hand, takes the
 gradients of its outputs as arguments and returns those of its inputs, and sums
 in one fixed order, so a step's gradients are bitwise reproducible.
@@ -26,6 +26,7 @@ in one fixed order, so a step's gradients are bitwise reproducible.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -34,9 +35,8 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 from .regularization import DropoutSpec, variational_mask
 
-__all__ = ["ModelConfig", "LmModel", "LmState", "ForwardResult", "LogProbs", "MosRows",
-           "build_model", "param_count", "lstm_layer", "mos_log_probs", "model_forward",
-           "add_probs"]
+__all__ = ["ModelConfig", "LmModel", "LmState", "ForwardResult", "MosRows", "build_model",
+           "param_count", "lstm_layer", "mos_log_probs", "model_forward", "add_probs"]
 
 EMBED_INIT_RANGE = 0.1
 
@@ -216,6 +216,7 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
 
 # A head chunk's [K*rows x V] block holds about this many float64s (16 MB).
 CHUNK_ELEMENTS = 1 << 21
+_PICK_ROWS = 8  # rows per chunk of a target-only head (mos_log_probs with picks)
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
@@ -398,16 +399,62 @@ def _eval_head(model: LmModel, hidden: np.ndarray, out: np.ndarray, log: bool) -
     return out
 
 
-def mos_log_probs(model: LmModel, hidden: np.ndarray) -> np.ndarray:
+def _pick_rows(model: LmModel, hidden: np.ndarray, rows, ids, out: np.ndarray) -> None:
+    """out[j] = log P[rows[j], ids[j]] for picks sorted by row, in chunks of _PICK_ROWS rows of
+    hidden: each expert's target logit less its log normaliser (row max + log sum exp), then
+    a K-way logsumexp against log pi. No mixture over V and no log of an underflowed entry."""
+    out_matrix, k = _out_matrix(model), model.config.num_experts
+    block = np.empty((min(len(hidden), _PICK_ROWS) * k, model.config.vocab_size))
+    for lo in range(0, len(hidden), _PICK_ROWS):
+        hi = min(lo + _PICK_ROWS, len(hidden))
+        a, b = np.searchsorted(rows, [lo, hi])
+        log_pi, ctx, _ = _head_inputs(model, hidden[lo:hi])
+        z = _logits(model, out_matrix, ctx, block[:(hi - lo) * k])
+        top = _row_max(z)
+        at = (rows[a:b, None] - lo) * k + np.arange(k)  # each pick's K rows of the block
+        w = z[at, ids[a:b, None]] - top[at, 0]
+        np.exp(np.subtract(z, top, out=z), out=z)
+        w -= np.log(z.sum(axis=1))[at]
+        w += log_pi[rows[a:b] - lo]
+        m = w.max(axis=1)
+        out[a:b] = np.log(np.exp(w - m[:, None]).sum(axis=1)) + m
+
+
+def mos_log_probs(model: LmModel, hidden: np.ndarray, picks=None) -> np.ndarray:
     """log P = log sum_k pi_k softmax(tanh(h W_k + b_k) W_out + b_out), [n x V], chunk by
-    chunk over the rows of hidden."""
-    return _eval_head(model, hidden, np.empty((hidden.shape[0], model.config.vocab_size)),
-                      log=True)
+    chunk over the rows of hidden. Given picks = (rows, ids), only log P[rows[j], ids[j]],
+    by _pick_rows over two halves of whole chunks, the second on a helper thread."""
+    n, v = len(hidden), model.config.vocab_size
+    if picks is None:
+        return _eval_head(model, hidden, np.empty((n, v)), log=True)
+    rows, ids = (np.asarray(a, dtype=np.int64) for a in picks)
+    if rows.shape != ids.shape or ((rows < 0) | (rows >= n) | (ids < 0) | (ids >= v)).any():
+        raise ShapeError(f"picks must pair rows in [0, {n}) with ids in [0, {v}) one to one")
+    order = np.argsort(rows, kind="stable")
+    rows, ids, out = rows[order], ids[order], np.empty(len(rows))
+    half = -(-n // (2 * _PICK_ROWS)) * _PICK_ROWS  # whole chunks: the bits of one pass
+    cut, errors = int(np.searchsorted(rows, half)), []
+
+    def second():
+        try:
+            _pick_rows(model, hidden[half:], rows[cut:] - half, ids[cut:], out[cut:])
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    helper = threading.Thread(target=second)
+    helper.start()
+    try:
+        _pick_rows(model, hidden[:half], rows[:cut], ids[:cut], out[:cut])
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return out[np.argsort(order)]  # back in the picks' order
 
 
 @dataclass
 class MosRows:
-    """Train mode's head input rows, for distill_loss to run the head and loss over (loss())."""
+    """The head's input rows, for a train-mode loss (loss()) or eval's targets (picked())."""
 
     model: LmModel
     hidden: np.ndarray  # [N x bottleneck], time-major
@@ -415,6 +462,16 @@ class MosRows:
     @property
     def shape(self) -> tuple[int, int]:
         return self.hidden.shape[0], self.model.config.vocab_size
+
+    # The whole log P [N x V]: bench/run.py fancy-indexes an eval forward's
+    # `.log_probs.data`, and tests compare whole rows.
+    @property
+    def data(self) -> np.ndarray:
+        return mos_log_probs(self.model, self.hidden)
+
+    def picked(self, rows, ids) -> np.ndarray:
+        """log P[rows[j], ids[j]] for each j, with no [N x V] array."""
+        return mos_log_probs(self.model, self.hidden, (rows, ids))
 
     def loss(self, objective) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
         """Sum over row chunks of objective(lo, hi, log_p) -> (value, g = dL/dlog P).
@@ -435,21 +492,12 @@ class MosRows:
         return total, d_hidden, grads
 
 
-# bench/run.py reads an eval forward's log-probs as `.log_probs.data` and
-# fancy-indexes them; a bare ndarray's .data is a memoryview, which cannot be.
-@dataclass(frozen=True)
-class LogProbs:
-    """Eval mode's log P [n x V]."""
-
-    data: np.ndarray
-
-
 @dataclass
 class ForwardResult:
     """Output of one forward pass over a [batch x T] id block.
 
-    log_probs rows are time-major: row t*batch + b is position t of lane b;
-    in train mode they are MosRows, for a loss to evaluate.
+    log_probs holds the head's input rows (MosRows), time-major: row t*batch + b
+    is position t of lane b; no head has run over them yet.
     raw is the final LSTM layer's output block [batch*T x H], time-major
     (for TAR); dropped is the same after its output dropout, the block that
     feeds the bottleneck (for AR); with no output dropout they are one array.
@@ -460,7 +508,7 @@ class ForwardResult:
     parameter below the head by name; eval mode has none.
     """
 
-    log_probs: LogProbs | MosRows
+    log_probs: MosRows
     state: LmState
     raw: np.ndarray
     dropped: np.ndarray
@@ -497,8 +545,6 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
     [batch x bottleneck_dim]; a mask whose rate is 0 is not drawn.
     """
     hidden, new_state, raw, dropped, backward = _trunk(model, tokens, state, rng)
-    if rng is None:
-        return ForwardResult(LogProbs(mos_log_probs(model, hidden)), new_state, raw, dropped)
     return ForwardResult(MosRows(model, hidden), new_state, raw, dropped, backward)
 
 

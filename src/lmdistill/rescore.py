@@ -5,7 +5,8 @@ the hypothesis words in one space-separated field (possibly empty). Each
 hypothesis is scored from a zero LM state: inputs are [eos, w1..wn] and
 targets [w1..wn, eos], so an n-word hypothesis contributes n+1 log-prob terms.
 An utterance's hypotheses are scored together as one prefix trie over their
-inputs, one model_forward per trie depth, so a prefix they share is run once.
+inputs, one model_forward per trie depth, so a prefix they share is run once,
+then one target-only head call per utterance over the whole trie.
 LM scores do not depend on lm_weight or wip, so a sweep scores each utterance
 once and combines at every grid point. The combined score is acoustic +
 lm_weight * lm_logprob + wip * word_count; the first-pass LM column is carried
@@ -21,7 +22,7 @@ import numpy as np
 
 from .data import UNK, Vocabulary
 from .errors import ConfigError, DataError, FormatError, require_finite
-from .model import LmModel, LmState, model_forward
+from .model import LmModel, LmState, MosRows, model_forward
 
 __all__ = ["NbestEntry", "RescoreConfig", "parse_nbest", "score_utterance",
            "combine_and_select", "rescore_nbest", "WerReport", "wer",
@@ -117,7 +118,8 @@ def score_utterance(model: LmModel, vocab: Vocabulary, hypotheses: list[list[str
 
     The hypotheses' inputs form a prefix trie, walked depth by depth: one eval
     model_forward per depth runs every node at that depth from its parent's
-    (h, c), so a shared prefix is run once. Only the targets' log-probs are kept.
+    (h, c), so a shared prefix is run once; one head call over every node then
+    reads only the targets' log-probs (MosRows.picked).
     OOV words (those the vocabulary can only map to unk) are fed as rnn_unk and
     handled per cfg.oov_mode: scored as rnn_unk, skipped (context only), or
     charged cfg.oov_penalty.
@@ -129,21 +131,25 @@ def score_utterance(model: LmModel, vocab: Vocabulary, hypotheses: list[list[str
         targets.append([vocab.rnn_unk_id if f else i for i, f in zip(found, flags)]
                        + [vocab.eos_id])
         oov.append(np.asarray(flags + [False]))
-    logp = [np.empty(len(t)) for t in targets]
+    if not targets:
+        return []
     node = [0] * len(targets)  # each hypothesis's row among the current depth's nodes
     inputs, parents, state = [vocab.eos_id], [0], model.init_state(1)
-    for depth in range(max(map(len, targets), default=0)):
+    hidden, base, at = [], 0, [[] for _ in targets]  # at: each hypothesis's row per depth
+    for depth in range(max(map(len, targets))):
         state = LmState([(h[parents], c[parents]) for h, c in state.layers])
         out = model_forward(model, np.asarray(inputs)[:, None], state)
-        live = [i for i, t in enumerate(targets) if depth < len(t)]
-        picked = out.log_probs.data[[node[i] for i in live], [targets[i][depth] for i in live]]
+        hidden.append(out.log_probs.hidden)
         children: dict[tuple[int, int], int] = {}  # (parent row, input id) -> row
-        for i, lp in zip(live, picked):
-            logp[i][depth] = lp
-            if depth + 1 < len(targets[i]):
-                node[i] = children.setdefault((node[i], targets[i][depth]), len(children))
+        for i, t in enumerate(targets):
+            if depth < len(t):
+                at[i].append(base + node[i])
+            if depth + 1 < len(t):
+                node[i] = children.setdefault((node[i], t[depth]), len(children))
+        base += len(inputs)
         parents, inputs, state = [p for p, _ in children], [w for _, w in children], out.state
-        del out  # only the picked log-probs outlive their depth's forward
+    picked = MosRows(model, np.concatenate(hidden)).picked(np.hstack(at), np.hstack(targets))
+    logp = np.split(picked, np.cumsum([len(t) for t in targets[:-1]]))
     if cfg.oov_mode == "rnn_unk":
         return [float(lp.sum()) for lp in logp]
     penalty = cfg.oov_penalty if cfg.oov_mode == "penalty" else 0.0  # skip charges nothing

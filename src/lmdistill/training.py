@@ -35,7 +35,8 @@ import numpy as np
 from .data import BpttBatch, TokenStream, bptt_batches
 from .errors import ConfigError, DataError, TrainingError, require_finite
 from .losses import DistillLossSpec, distill_loss
-from .model import LmModel, LmState, add_probs, flatten_targets, model_forward
+from .model import (CHUNK_ELEMENTS, LmModel, LmState, MosRows, add_probs, flatten_targets,
+                    model_forward)
 from .regularization import activation_reg
 
 __all__ = ["TrainConfig", "EpochLog", "TrainResult", "TeacherEnsemble",
@@ -356,7 +357,8 @@ def perplexity(model: LmModel, stream: TokenStream, batch_size: int = 1,
 
     The stream is cut into batch_size contiguous lanes, as for training; the
     last window of a lane may be shorter than bptt_len, so no target is
-    dropped. Tokens past the last whole lane are not scored.
+    dropped. Tokens past the last whole lane are not scored. Windows are scored by
+    one target-only head call (MosRows.picked) per CHUNK_ELEMENTS / bottleneck rows.
     """
     if bptt_len < 1:
         raise ConfigError(f"bptt_len must be >= 1, got {bptt_len}")
@@ -366,11 +368,17 @@ def perplexity(model: LmModel, stream: TokenStream, batch_size: int = 1,
                         f"{batch_size} evaluation lanes")
     lanes = stream.ids[: lane_len * batch_size].reshape(batch_size, lane_len)
     state = model.init_state(batch_size)
-    total = 0.0
+    total, hidden, targets = 0.0, [], []
     for lo in range(0, lane_len - 1, bptt_len):
         hi = min(lo + bptt_len, lane_len - 1)
         out = model_forward(model, lanes[:, lo:hi], state)
-        y = flatten_targets(lanes[:, lo + 1:hi + 1])
-        total += float(-out.log_probs.data[np.arange(y.shape[0]), y].sum())
+        hidden.append(out.log_probs.hidden)
+        targets.append(flatten_targets(lanes[:, lo + 1:hi + 1]))
         state = out.state
+        if hi == lane_len - 1 or sum(map(len, hidden)) * hidden[0].shape[1] >= CHUNK_ELEMENTS:
+            y = np.concatenate(targets)
+            picked = MosRows(model, np.concatenate(hidden)).picked(np.arange(len(y)), y)
+            for window in np.split(picked, np.cumsum([len(t) for t in targets[:-1]])):
+                total += float(-window.sum())
+            hidden, targets = [], []
     return math.exp(total / (batch_size * (lane_len - 1)))

@@ -9,7 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from lmdistill import rescore, training
+from lmdistill.data import TokenStream, build_vocab
+from lmdistill.model import ModelConfig, build_model
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -41,3 +46,24 @@ def test_bench_smoke_passes():
     lines = proc.stdout.strip().splitlines()
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert lines and lines[-1] == "smoke: ok", proc.stdout[-2000:]
+
+
+def test_traced_eval_spans_nest(monkeypatch):
+    # --smoke traces only tiny shapes, whose eval heads never reach the helper thread;
+    # here both halves of each head call walk two or more chunks
+    sites = spans.ENTRY_SITES + spans.CALL_SITES
+    for owner_name, attr, *_ in sites:
+        owner = spans._resolve(owner_name)
+        if attr in vars(owner):
+            monkeypatch.setattr(owner, attr, getattr(owner, attr))  # undone after the test
+    tracer = spans.Tracer()
+    tracer.install(sites)
+    model = build_model(ModelConfig(vocab_size=40, embed_dim=8, lstm_layers=1, hidden_dim=8,
+                                    bottleneck_dim=8, num_experts=2), seed=1)
+    training.perplexity(model, TokenStream(np.random.default_rng(2).integers(0, 40, size=65)))
+    words = [f"w{i}" for i in range(20)]
+    vocab = build_vocab([" ".join(words)], cap=40)
+    hypotheses = [words[i:i + 7] for i in range(0, 14, 2)]  # 50 trie nodes
+    rescore.score_utterance(model, vocab, hypotheses, rescore.RescoreConfig())
+    metrics = spans.summarize(tracer.take(), 0, 0.0)
+    assert metrics["model.mos_head_calls"] >= 1

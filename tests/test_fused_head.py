@@ -6,6 +6,7 @@ same chunks. tests/oracles.py keeps the per-step taped head and the taped loss
 as they ran before.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,11 +15,13 @@ import pytest
 import lmdistill.model as model_module
 import tape as T
 from lmdistill import training
-from lmdistill.data import BpttBatch
+from lmdistill.data import BpttBatch, TokenStream, build_vocab
 from lmdistill.errors import NumericError
 from lmdistill.losses import LOSS_VARIANTS, DistillLossSpec, distill_loss
-from lmdistill.model import ModelConfig, build_model, flatten_targets, model_forward
+from lmdistill.model import (ModelConfig, build_model, flatten_targets, model_forward,
+                             mos_log_probs)
 from lmdistill.regularization import DropoutSpec
+from lmdistill.rescore import RescoreConfig, score_utterance
 from oracles import oracle_activation_reg, oracle_distill_loss, oracle_forward
 
 RATES = DropoutSpec(input_rate=0.2, output_rate=0.25, hidden_rate=0.3, embed_rate=0.1,
@@ -144,7 +147,80 @@ def test_nan_reaching_the_head_raises_numeric_error():
     model.params["out.b"][3] = np.nan
     tokens = np.zeros((2, 3), dtype=np.int64)
     with pytest.raises(NumericError, match="MoS head"):
-        model_forward(model, tokens, model.init_state(2))
+        model_forward(model, tokens, model.init_state(2)).log_probs.data
     rows = model_forward(model, tokens, model.init_state(2), np.random.default_rng(0)).log_probs
     with pytest.raises(NumericError, match="MoS head"):
         distill_loss(DistillLossSpec(), rows, np.zeros(6, dtype=np.int64))
+
+
+def _picks(n, v, rng):
+    # every row once, most of them again with another id (a trie node's several
+    # targets), the picks out of row order
+    rows = np.concatenate([np.arange(n), rng.integers(0, n, size=n)])
+    ids = rng.integers(0, v, size=rows.size)
+    order = rng.permutation(rows.size)
+    return rows[order], ids[order]
+
+
+@pytest.mark.parametrize("n, experts, underflow", [(1, 3, False), (5, 3, False), (5, 1, False),
+                                                   (40, 3, False), (40, 3, True)],
+                         ids=["n1", "one-chunk", "K1", "multi-chunk", "underflow"])
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+def test_target_only_head_matches_the_full_head(tied, n, experts, underflow, monkeypatch):
+    config = _config(tied, num_experts=experts)
+    model = build_model(config, seed=12)
+    if underflow:
+        _underflow(model)
+    rng = np.random.default_rng(13)
+    hidden = rng.normal(size=(n, config.bottleneck_dim))
+    rows, ids = _picks(n, config.vocab_size, rng)
+    ids[::2] = 3  # the word whose P underflows under _underflow
+    _chunks_of(monkeypatch, config, 3)  # the full head in chunks of 3 rows
+    want = mos_log_probs(model, hidden)[rows, ids]
+    got = mos_log_probs(model, hidden, (rows, ids))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert np.all(got[ids == 3] < -1900) == underflow
+
+
+@pytest.mark.parametrize("experts", [3, 1], ids=["K3", "K1"])
+def test_target_only_halves_equal_one_pass_bitwise(experts):
+    # 41 rows: halves of 24 and 17 rows, chunks of 8, 8, 8 and 8, 8, 1. BLAS may round a
+    # row differently in a block of another height (a one-row block is a matrix-vector
+    # product), so a split off the chunk grid can change bits; every (row, id) is
+    # picked, so a logit that moves shows
+    config = _config(True, num_experts=experts, vocab_size=300, embed_dim=32, bottleneck_dim=16)
+    model = build_model(config, seed=14)
+    rng = np.random.default_rng(15)
+    hidden = rng.normal(size=(41, config.bottleneck_dim))
+    every = rng.permutation(41 * config.vocab_size)
+    rows, ids = every // config.vocab_size, every % config.vocab_size
+    order = np.argsort(rows, kind="stable")
+    one_pass = np.empty(rows.size)
+    model_module._pick_rows(model, hidden, rows[order], ids[order], one_pass)
+    assert np.array_equal(mos_log_probs(model, hidden, (rows, ids))[order], one_pass)
+
+
+@pytest.mark.parametrize("row", [0, 39], ids=["first-half", "second-half"])
+def test_nan_in_either_half_raises_numeric_error(row):
+    config = _config(True)
+    model = build_model(config, seed=16)
+    hidden = np.random.default_rng(17).normal(size=(40, config.bottleneck_dim))
+    hidden[row, 2] = np.nan
+    before = threading.active_count()
+    with pytest.raises(NumericError, match="MoS head"):
+        mos_log_probs(model, hidden, (np.arange(40), np.zeros(40, dtype=np.int64)))
+    assert threading.active_count() == before
+
+
+def test_eval_leaves_no_thread_behind():
+    config = _config(True, dropout=DropoutSpec())
+    model = build_model(config, seed=18)
+    stream = TokenStream(np.random.default_rng(19).integers(0, 11, size=70))
+    vocab = build_vocab(["a b c d e f g h"], cap=11)
+    hypotheses = [["a", "b", "c", "d", "e"], ["a", "c", "e", "g"], ["b", "d", "f", "h", "a"],
+                  ["h", "g", "f", "e", "d", "c"], []]
+    before = threading.active_count()
+    assert np.isfinite(training.perplexity(model, stream))
+    assert threading.active_count() == before
+    assert all(np.isfinite(score_utterance(model, vocab, hypotheses, RescoreConfig())))
+    assert threading.active_count() == before

@@ -176,9 +176,11 @@ def test_trie_scores_match_manual_forward():
 def test_empty_hypothesis_scores_eos_only():
     vocab = make_vocab()
     model = random_model(vocab.size)
-    # the trie's root is always one batch-1 forward of eos, so the bits agree
+    # the trie's root is one batch-1 forward of eos; the target-only head rounds
+    # differently from the full head's mixture in P space
     out = model_forward(model, np.asarray([[vocab.eos_id]]), model.init_state(1))
-    assert score(model, vocab, []) == out.log_probs.data[0, vocab.eos_id]
+    assert score(model, vocab, []) == pytest.approx(out.log_probs.data[0, vocab.eos_id],
+                                                    rel=1e-12)
 
 
 @pytest.mark.parametrize("oov_mode", OOV_MODES)
