@@ -294,23 +294,23 @@ def cmd_rescore(args) -> int:
     nbest = parse_nbest(_read_lines(Path(args.nbest)), args.nbest)
     refs = parse_refs(_read_lines(Path(args.refs)), args.refs) if args.refs else None
 
-    sweeps = _sweep_grid(args)
+    base = cfg.rescore_config()
+    sweeps = _sweep_grid(args, base)
     if sweeps is not None:
         if refs is None:
             raise ConfigError("--sweep-lm-weight/--sweep-wip need --refs to score against")
         best, lm_scores = None, {}  # the first sweep point scores; the rest reuse
-        for lm_w, wip in sweeps:
-            rc = RescoreConfig(lm_weight=lm_w, word_insertion_penalty=wip,
-                               oov_mode=cfg["oov_mode"], oov_penalty=cfg["oov_penalty"])
+        for rc in sweeps:
             selected = rescore_nbest(model, vocab, nbest, rc, lm_scores)
             report = wer(refs, {u: e.words for u, e in selected.items()})
-            print(f"lm_weight={lm_w:g} wip={wip:g} {report.line()}")
+            point = f"lm_weight={rc.lm_weight:g} wip={rc.word_insertion_penalty:g}"
+            print(f"{point} {report.line()}")
             if best is None or report.wer_percent < best[0]:
-                best = (report.wer_percent, lm_w, wip)
-        print(f"best: lm_weight={best[1]:g} wip={best[2]:g} WER={best[0]:.2f}%")
+                best = (report.wer_percent, point)
+        print(f"best: {best[1]} WER={best[0]:.2f}%")
         return 0
 
-    selected = rescore_nbest(model, vocab, nbest, cfg.rescore_config())
+    selected = rescore_nbest(model, vocab, nbest, base)
     for utt in sorted(selected):
         print(f"{utt}\t{' '.join(selected[utt].words)}")
     if refs is not None:
@@ -319,15 +319,18 @@ def cmd_rescore(args) -> int:
     return 0
 
 
-def _sweep_grid(args):
+def _sweep_grid(args, base: RescoreConfig) -> list[RescoreConfig] | None:
+    """The sweep's grid points, lm weight major; an axis not swept keeps base's value."""
     if not args.sweep_lm_weight and not args.sweep_wip:
         return None
     try:
-        lm_ws = [_finite(x) for x in (args.sweep_lm_weight or "1.0").split(",")]
-        wips = [_finite(x) for x in (args.sweep_wip or "0.0").split(",")]
+        lm_ws = ([_finite(x) for x in args.sweep_lm_weight.split(",")]
+                 if args.sweep_lm_weight else [base.lm_weight])
+        wips = ([_finite(x) for x in args.sweep_wip.split(",")]
+                if args.sweep_wip else [base.word_insertion_penalty])
     except ValueError as e:
         raise ConfigError(f"bad sweep grid: {e}") from None
-    return [(lw, wp) for lw in lm_ws for wp in wips]
+    return [replace(base, lm_weight=lw, word_insertion_penalty=wp) for lw in lm_ws for wp in wips]
 
 
 def cmd_grad_check(args) -> int:

@@ -7,17 +7,16 @@ bottleneck width, which is how the published parameter counts come out).
 
 model_forward runs layer-major over whole windows: each LSTM layer is one op
 over the time-major [T*B x in] block (lstm_layer, its backward a hand-written
-BPTT), and stops at the head's B*T input rows (MosRows). The full head runs in
-chunks of CHUNK_ELEMENTS / (K*V) rows, through one [K*c x V] workspace per call
-laid out (row, expert)-major: one output matmul over the K expert contexts, one
-exp per expert, and the mixture in P space, S = sum_k a_k e_k as a batched
-matmul, with P = S e^M for a per-row shift M. A chunk where an entry of S falls
-below the smallest normal float64 runs in log space instead (a log-sum-exp over
-the experts' log-softmaxes), so no log is taken of an underflowed entry. The
-train-mode loss runs it and its backward per chunk, reusing the forward's exps;
-add_probs gives teachers P itself. Eval (perplexity, rescoring) reads only each
-target's log P, over two threads, with nothing [n x V] formed (mos_log_probs with
-picks). Parameters are plain float64 arrays in
+BPTT), and stops at the head's B*T input rows (MosRows). Eval (perplexity,
+rescoring) reads only each target's log P, over two threads, with nothing [n x V]
+formed (mos_log_probs with picks; with none, the same arithmetic scores every
+(row, id)). Teachers' P (add_probs) and the train-mode loss run in chunks of
+CHUNK_ELEMENTS / (K*V) rows, through one [K*c x V] workspace per call laid out
+(row, expert)-major: one output matmul over the K expert contexts, one exp per
+expert, and the mixture in P space, S = sum_k a_k e_k as a batched matmul, with
+P = S e^M for a per-row shift M. Only the loss takes log S: it runs a chunk where
+an entry of S falls below the smallest normal float64 in log space instead, and
+its backward reuses the forward's exps. Parameters are plain float64 arrays in
 one dict in checkpoint order; every backward is written by hand, takes the
 gradients of its outputs as arguments and returns those of its inputs, and sums
 in one fixed order, so a step's gradients are bitwise reproducible.
@@ -298,9 +297,9 @@ def _mix(model: LmModel, out_matrix: np.ndarray, log_pi: np.ndarray, ctx: np.nda
 
     block gets e_k = exp(z_k - max_v z_k) [c x K x V] and big_s S = sum_k a_k e_k [c x V],
     with s_k = sum_v e_k [c x K] and a_k = exp(log pi_k - log s_k - M), M [c x 1] the row
-    shift that makes max_k a_k 1: P = S e^M. Returns (e, s, a, M); None when an entry of S
-    is below the smallest normal float64, where S has lost digits (the chunk then runs in
-    log space, _mix_log)."""
+    shift that makes max_k a_k 1: P = S e^M. Returns (e, s, a, M). An entry of S below the
+    smallest normal float64 has lost digits; _head_loss, the one caller that takes log S,
+    checks for it."""
     c, k = log_pi.shape
     e = _logits(model, out_matrix, ctx, block).reshape(c, k, -1)
     e -= _row_max(e)
@@ -311,7 +310,7 @@ def _mix(model: LmModel, out_matrix: np.ndarray, log_pi: np.ndarray, ctx: np.nda
     a -= shift
     np.exp(a, out=a)
     np.matmul(a.reshape(c, 1, k), e, out=big_s.reshape(c, 1, -1))
-    return None if big_s.min() < _SMALLEST_NORMAL else (e, s, a, shift)
+    return e, s, a, shift
 
 
 def _mix_log(model: LmModel, out_matrix: np.ndarray, log_pi: np.ndarray, ctx: np.ndarray,
@@ -345,8 +344,8 @@ def _head_loss(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray, objective):
 
     def chunk(lo, hi, log_pi_rows, ctx_rows, work) -> float:
         block, big_s, log_p = work
-        mixed = _mix(model, out_matrix, log_pi_rows, ctx_rows, block, big_s)
-        if mixed is None:
+        e, s, a, shift = _mix(model, out_matrix, log_pi_rows, ctx_rows, block, big_s)
+        if big_s.min() < _SMALLEST_NORMAL:  # S lost digits: no log of it, log space instead
             w, log_p = _mix_log(model, out_matrix, log_pi_rows, ctx_rows, block)
             value, g = objective(lo, hi, log_p)
             r = np.exp(w - log_p[:, None])
@@ -358,7 +357,6 @@ def _head_loss(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray, objective):
             np.subtract(r, w, out=w)
             scale = np.ones((len(ctx_rows), 1))
         else:
-            e, s, a, shift = mixed
             np.log(big_s, out=log_p)
             log_p += shift
             value, g = objective(lo, hi, log_p)
@@ -377,26 +375,6 @@ def _head_loss(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray, objective):
 
     total = sum(chunk(*rows) for rows in _chunks(model, log_pi, ctx, 2))
     return total, d_log_pi, d_ctx, d_out, d_out_b
-
-
-def _eval_head(model: LmModel, hidden: np.ndarray, out: np.ndarray, log: bool) -> np.ndarray:
-    """The head over the rows of hidden, chunk by chunk: log P [n x V] written into out
-    (log), or P added into it; returns out."""
-    log_pi, ctx, _ = _head_inputs(model, hidden)
-    out_matrix = _out_matrix(model)
-    for lo, hi, log_pi_rows, ctx_rows, (block, big_s) in _chunks(model, log_pi, ctx, 1):
-        rows = out[lo:hi]
-        mixed = _mix(model, out_matrix, log_pi_rows, ctx_rows, block, big_s)
-        if mixed is None:
-            log_p = _mix_log(model, out_matrix, log_pi_rows, ctx_rows, block)[1]
-            rows[:] = log_p if log else rows + np.exp(log_p)
-        elif log:
-            np.log(big_s, out=rows)
-            rows += mixed[3]
-        else:
-            big_s *= np.exp(mixed[3])
-            rows += big_s
-    return out
 
 
 def _pick_rows(model: LmModel, hidden: np.ndarray, rows, ids, out: np.ndarray) -> None:
@@ -421,15 +399,17 @@ def _pick_rows(model: LmModel, hidden: np.ndarray, rows, ids, out: np.ndarray) -
 
 
 def mos_log_probs(model: LmModel, hidden: np.ndarray, picks=None) -> np.ndarray:
-    """log P = log sum_k pi_k softmax(tanh(h W_k + b_k) W_out + b_out), [n x V], chunk by
-    chunk over the rows of hidden. Given picks = (rows, ids), only log P[rows[j], ids[j]],
-    by _pick_rows over two halves of whole chunks, the second on a helper thread."""
+    """log P[rows, ids] for picks = (rows, ids), shaped as rows, where log P = log sum_k pi_k
+    softmax(tanh(h W_k + b_k) W_out + b_out) over the rows h of hidden; with no picks, every
+    (row, id): the whole log P [n x V]. By _pick_rows over two halves of whole chunks, the
+    second on a helper thread."""
     n, v = len(hidden), model.config.vocab_size
     if picks is None:
-        return _eval_head(model, hidden, np.empty((n, v)), log=True)
+        picks = np.indices((n, v))
     rows, ids = (np.asarray(a, dtype=np.int64) for a in picks)
     if rows.shape != ids.shape or ((rows < 0) | (rows >= n) | (ids < 0) | (ids >= v)).any():
         raise ShapeError(f"picks must pair rows in [0, {n}) with ids in [0, {v}) one to one")
+    shape, rows, ids = rows.shape, rows.ravel(), ids.ravel()
     order = np.argsort(rows, kind="stable")
     rows, ids, out = rows[order], ids[order], np.empty(len(rows))
     half = -(-n // (2 * _PICK_ROWS)) * _PICK_ROWS  # whole chunks: the bits of one pass
@@ -449,7 +429,7 @@ def mos_log_probs(model: LmModel, hidden: np.ndarray, picks=None) -> np.ndarray:
         helper.join()
     if errors:
         raise errors[0]
-    return out[np.argsort(order)]  # back in the picks' order
+    return out[np.argsort(order)].reshape(shape)  # back in the picks' order
 
 
 @dataclass
@@ -463,8 +443,8 @@ class MosRows:
     def shape(self) -> tuple[int, int]:
         return self.hidden.shape[0], self.model.config.vocab_size
 
-    # The whole log P [N x V]: bench/run.py fancy-indexes an eval forward's
-    # `.log_probs.data`, and tests compare whole rows.
+    # The whole log P [N x V], every (row, id) picked: bench/run.py fancy-indexes an eval
+    # forward's `.log_probs.data`, and tests compare whole rows.
     @property
     def data(self) -> np.ndarray:
         return mos_log_probs(self.model, self.hidden)
@@ -550,10 +530,17 @@ def model_forward(model: LmModel, tokens: np.ndarray, state: LmState,
 
 def add_probs(model: LmModel, tokens: np.ndarray, state: LmState, out: np.ndarray) -> LmState:
     """Add eval mode's next-word P for tokens [batch x T] into out [batch*T x V], rows as
-    model_forward's, and return the state to carry on. The head stops at P: no log P, and no
-    [batch*T x V] array but out."""
+    model_forward's, and return the state to carry on. Each chunk's P = S e^M (_mix) is added
+    in P space: no log is taken, and there is no [batch*T x V] array but out. No chunk needs
+    log space here: with M <= 0, an entry of S below the smallest normal float64 moves P by at
+    most about (K+1) 2^-1074, absolute, far inside a teacher row's 1e-6 sum check."""
     hidden, new_state, *_ = _trunk(model, tokens, state, None)
-    _eval_head(model, hidden, out, log=False)
+    log_pi, ctx, _ = _head_inputs(model, hidden)
+    out_matrix = _out_matrix(model)
+    for lo, hi, log_pi_rows, ctx_rows, (block, big_s) in _chunks(model, log_pi, ctx, 1):
+        shift = _mix(model, out_matrix, log_pi_rows, ctx_rows, block, big_s)[3]
+        big_s *= np.exp(shift)
+        out[lo:hi] += big_s
     return new_state
 
 

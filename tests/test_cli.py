@@ -469,6 +469,29 @@ def test_rescore_sweep_grid(tmp_path, rescore_files, capsys):
     assert f"WER={min(wers):.2f}%" in best[0]
 
 
+@pytest.mark.parametrize("setting, sweep, points", [
+    ("lm_weight=0.25", ["--sweep-wip", "0,-0.5"],
+     ["lm_weight=0.25 wip=0", "lm_weight=0.25 wip=-0.5"]),
+    ("word_insertion_penalty=-1", ["--sweep-lm-weight", "0,2"],
+     ["lm_weight=0 wip=-1", "lm_weight=2 wip=-1"]),
+], ids=["lm-weight", "wip"])
+def test_rescore_sweep_keeps_the_configs_unswept_axis(rescore_files, capsys, setting, sweep,
+                                                      points):
+    teacher, nbest, refs = rescore_files
+    argv = ["rescore", "--model", str(teacher / "model.dlm"), "--nbest", str(nbest),
+             "--refs", str(refs)]
+    capsys.readouterr()
+    assert dispatch(argv + ["--set", setting] + sweep) == 0
+    grid = [l for l in capsys.readouterr().out.splitlines() if l.startswith("lm_weight=")]
+    assert [l.split(" WER=")[0] for l in grid] == points
+    # each point's WER line is the plain rescore's at that point's weights
+    lm_weight, wip = (x.split("=")[1] for x in points[1].split())
+    assert dispatch(argv + ["--set", f"lm_weight={lm_weight}",
+                             "--set", f"word_insertion_penalty={wip}"]) == 0
+    plain = [l for l in capsys.readouterr().out.splitlines() if l.startswith("WER=")]
+    assert grid[1].split(" ", 2)[2] == plain[0]
+
+
 def test_rescore_sweep_needs_refs(tmp_path, rescore_files, capsys):
     teacher, nbest, _ = rescore_files
     capsys.readouterr()

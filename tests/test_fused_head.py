@@ -1,9 +1,10 @@
 """The chunked, fused MoS head against the per-step head and taped loss it replaced.
 
 train-mode model_forward hands the head's input rows to distill_loss, which
-runs the head, the loss and their backward chunk by chunk; eval mode walks the
-same chunks. tests/oracles.py keeps the per-step taped head and the taped loss
-as they ran before.
+runs the head, the loss and their backward chunk by chunk; eval mode reads each
+target's log P from the target-only head (every (row, id) of it for the whole
+log P). tests/oracles.py keeps the per-step taped head and the taped loss as
+they ran before.
 """
 
 import threading
@@ -22,7 +23,8 @@ from lmdistill.model import (ModelConfig, build_model, flatten_targets, model_fo
                              mos_log_probs)
 from lmdistill.regularization import DropoutSpec
 from lmdistill.rescore import RescoreConfig, score_utterance
-from oracles import oracle_activation_reg, oracle_distill_loss, oracle_forward
+from oracles import (oracle_activation_reg, oracle_distill_loss, oracle_forward,
+                     oracle_mos_log_probs, out_matrix)
 
 RATES = DropoutSpec(input_rate=0.2, output_rate=0.25, hidden_rate=0.3, embed_rate=0.1,
                     other_rate=0.15, ar_weight=2.0, tar_weight=1.0)
@@ -44,7 +46,7 @@ def _chunks_of(monkeypatch, config, rows):
 
 def _underflow(model):
     # word 3's logit 2000 below the rest in every expert: its P (about e^-2000) underflows
-    # float64, so the head takes its log-space path
+    # float64, so S does too, and the loss takes log space for that chunk
     model.params["out.b"][3] = -2000.0
 
 
@@ -85,13 +87,12 @@ def test_fused_step_matches_per_step_oracle(variant, tied, underflow, experts, m
 
 @pytest.mark.parametrize("underflow", [False, True], ids=["", "underflow"])
 @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
-def test_eval_forward_matches_per_step_oracle(tied, underflow, monkeypatch):
+def test_eval_forward_matches_per_step_oracle(tied, underflow):
     config = _config(tied)
     model = build_model(config, seed=3)
     if underflow:
         _underflow(model)
-    tokens = np.random.default_rng(4).integers(0, 11, size=(2, 7))
-    _chunks_of(monkeypatch, config, 3)  # N = 14 rows: chunks of 3, ..., 3, 2
+    tokens = np.random.default_rng(4).integers(0, 11, size=(2, 7))  # N = 14 rows, halves 8, 6
     got = model_forward(model, tokens, model.init_state(2))
     want = oracle_forward(model, T.leaves(model.params), tokens, model.init_state(2))[0]
     assert np.max(np.abs(got.log_probs.data - want.data)) <= 1e-12
@@ -166,7 +167,7 @@ def _picks(n, v, rng):
                                                    (40, 3, False), (40, 3, True)],
                          ids=["n1", "one-chunk", "K1", "multi-chunk", "underflow"])
 @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
-def test_target_only_head_matches_the_full_head(tied, n, experts, underflow, monkeypatch):
+def test_target_only_head_matches_the_full_head(tied, n, experts, underflow):
     config = _config(tied, num_experts=experts)
     model = build_model(config, seed=12)
     if underflow:
@@ -175,8 +176,9 @@ def test_target_only_head_matches_the_full_head(tied, n, experts, underflow, mon
     hidden = rng.normal(size=(n, config.bottleneck_dim))
     rows, ids = _picks(n, config.vocab_size, rng)
     ids[::2] = 3  # the word whose P underflows under _underflow
-    _chunks_of(monkeypatch, config, 3)  # the full head in chunks of 3 rows
-    want = mos_log_probs(model, hidden)[rows, ids]
+    params = T.leaves(model.params)
+    want = oracle_mos_log_probs(model, params, T.Tensor(hidden),
+                                out_matrix(model, params)).data[rows, ids]
     got = mos_log_probs(model, hidden, (rows, ids))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
     assert np.all(got[ids == 3] < -1900) == underflow

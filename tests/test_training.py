@@ -115,13 +115,15 @@ def eval_probs(model, tokens, state):
 def test_eval_probs_are_exp_of_eval_log_probs(underflow):
     vocab, stream = tiny_corpus()
     model = build_model(tiny_config(vocab.size, num_experts=3), 1)
-    if underflow:  # word 3's P, about e^-2000, is 0 in float64: the log-space path
+    if underflow:  # word 3's P, about e^-2000, underflows S: P space still gives its rows
         model.params["out.b"][3] = -2000.0
     tokens = np.stack([stream.ids[0:6], stream.ids[8:14]])
     p, state = eval_probs(model, tokens, model.init_state(2))
     out = model_forward(model, tokens, model.init_state(2))
     np.testing.assert_allclose(p, np.exp(out.log_probs.data), rtol=1e-14, atol=0)
     assert np.all(p[:, 3] == 0) == underflow
+    assert np.all(np.isfinite(p)) and np.all(p >= 0)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert all(np.array_equal(a, b) for pair, out_pair in zip(state.layers, out.state.layers)
                for a, b in zip(pair, out_pair))
 
