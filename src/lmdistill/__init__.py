@@ -2,6 +2,12 @@
 knowledge distillation with trust-regularized loss weighting, plus N-best
 rescoring of speech hypotheses."""
 
+import os
+
+# One BLAS thread, pinned before numpy loads: its count changes GEMM bits and oversubscribes
+# the package's own threads. Overwritten, not defaulted: a value the user sets is a knob.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
 from .data import BpttBatch, TokenStream, Vocabulary, bptt_batches, build_vocab, encode
 from .errors import (ConfigError, DataError, FormatError, NumericError, ShapeError,
                      TrainingError, UserError)

@@ -79,7 +79,7 @@ def save_checkpoint(model: LmModel, path) -> None:
 class _Reader:
     def __init__(self, blob: bytes, path):
         self.blob = memoryview(blob)  # slices are views: a payload is copied once, by astype
-        self.pos = 0
+        self.pos = len(MAGIC)  # the caller checks the magic
         self.path = path
 
     def take(self, n: int, what: str) -> memoryview:
@@ -90,6 +90,13 @@ class _Reader:
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
         return out
+
+    def text(self, n: int, what: str) -> str:
+        try:
+            return str(self.take(n, what), "utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{self.path}: {what} is not UTF-8 text at offset "
+                              f"{self.pos - n + e.start}") from None
 
     def u64(self, what: str) -> int:
         return struct.unpack("<Q", self.take(8, what))[0]
@@ -104,15 +111,16 @@ def load_checkpoint(path) -> LmModel:
     try:
         with open(path, "rb") as f:
             blob = f.read()
-    except FileNotFoundError:
-        raise DataError(f"no checkpoint at {path}") from None
+    except OSError as e:
+        raise DataError(f"cannot read checkpoint {path}: {e.strerror}") from None
     if not blob.startswith(MAGIC):
         raise FormatError(f"{path}: not a model checkpoint (bad magic)")
     # Metadata runs to the first empty line.
     end = blob.find(b"\n\n", len(MAGIC) - 1)
     if end < 0:
         raise FormatError(f"{path}: unterminated metadata block")
-    meta_text = blob[len(MAGIC):end + 1].decode("utf-8")
+    reader = _Reader(blob, path)
+    meta_text = reader.text(end + 1 - len(MAGIC), "metadata")
     meta: dict[str, str] = {}
     for lineno, line in enumerate(meta_text.splitlines(), 2):
         if not line:
@@ -123,7 +131,6 @@ def load_checkpoint(path) -> LmModel:
         meta[key] = value
     config = _config_from_meta(meta, path)
 
-    reader = _Reader(blob, path)
     reader.pos = end + 2
     expected = _param_shapes(config)
     params: dict[str, np.ndarray] = {}
@@ -133,7 +140,7 @@ def load_checkpoint(path) -> LmModel:
                 f"{path}: truncated checkpoint: missing parameter {want_name!r} "
                 f"at offset {reader.pos}")
         name_len = reader.u64("name length")
-        name = str(reader.take(name_len, "name"), "utf-8")
+        name = reader.text(name_len, "parameter name")
         if name != want_name:
             raise FormatError(f"{path}: expected parameter {want_name!r}, found {name!r} "
                               f"at offset {reader.pos}")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import BpttBatch, TokenStream, Vocabulary, atomic_open, build_vocab, encode
+from .data import BpttBatch, TokenStream, Vocabulary, atomic_open, build_vocab, encode, read_lines
 from .errors import ConfigError, DataError, UserError
 from .losses import LOSS_VARIANTS, DistillLossSpec
 from .model import ModelConfig, build_model, param_count
@@ -157,11 +157,7 @@ def load_config(path=None, overrides: list[str] = (), seed: int | None = None) -
     """Defaults, then the config file, then --set overrides, then --seed."""
     values = {k: d for k, (_, d) in CONFIG_KEYS.items()}
     if path is not None:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as e:
-            raise ConfigError(f"cannot read config {path}: {e}") from None
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(read_lines(path, ConfigError), 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
@@ -196,12 +192,6 @@ def _echo_config(cfg: RunConfig, out_dir: Path | None) -> None:
 # shared helpers
 
 
-def _read_lines(path: Path) -> list[str]:
-    if not path.is_file():
-        raise DataError(f"missing data file {path}")
-    return path.read_text(encoding="utf-8").splitlines()
-
-
 def _load_model_and_vocab(args):
     """The --model checkpoint and its vocabulary (--vocab, or vocab.txt beside it)."""
     model = load_checkpoint(args.model)
@@ -216,8 +206,8 @@ def _load_model_and_vocab(args):
 
 
 def _train_streams(cfg: RunConfig, data_dir: Path) -> tuple[Vocabulary, TokenStream, TokenStream]:
-    train_lines = _read_lines(data_dir / "train.txt")
-    valid_lines = _read_lines(data_dir / "valid.txt")
+    train_lines = read_lines(data_dir / "train.txt")
+    valid_lines = read_lines(data_dir / "valid.txt")
     vocab = build_vocab(train_lines, cfg["vocab_cap"], cfg["rnn_unk_min_count"])
     return vocab, encode(train_lines, vocab), encode(valid_lines, vocab)
 
@@ -281,7 +271,7 @@ def cmd_eval_ppl(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
     _echo_config(cfg, Path(args.out) if args.out else None)
     model, vocab = _load_model_and_vocab(args)
-    stream = encode(_read_lines(Path(args.data)), vocab)
+    stream = encode(read_lines(args.data), vocab)
     ppl = perplexity(model, stream)
     print(f"ppl={ppl:.6f}")
     return 0
@@ -291,8 +281,8 @@ def cmd_rescore(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
     _echo_config(cfg, Path(args.out) if args.out else None)
     model, vocab = _load_model_and_vocab(args)
-    nbest = parse_nbest(_read_lines(Path(args.nbest)), args.nbest)
-    refs = parse_refs(_read_lines(Path(args.refs)), args.refs) if args.refs else None
+    nbest = parse_nbest(read_lines(args.nbest), args.nbest)
+    refs = parse_refs(read_lines(args.refs), args.refs) if args.refs else None
 
     base = cfg.rescore_config()
     sweeps = _sweep_grid(args, base)
@@ -435,7 +425,7 @@ def cmd_ablate(args) -> int:
     data_dir = Path(args.data_dir)
     vocab, train_stream, valid_stream = _train_streams(cfg, data_dir)
     test_path = data_dir / "test.txt"
-    test_stream = encode(_read_lines(test_path), vocab) if test_path.is_file() else None
+    test_stream = encode(read_lines(test_path), vocab) if test_path.is_file() else None
 
     dropout = cfg.dropout_spec()
     plain = DropoutSpec()

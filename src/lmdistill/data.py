@@ -5,7 +5,7 @@ vocabulary holds at most `cap` entries *including* the three specials. Words
 ranked below the cap map to unk; retained words rarer than rnn_unk_min_count
 map to rnn_unk at encode time (two-tier mapping: unk is the cap-level token,
 rnn_unk the LM-level one). atomic_open is how every file the toolkit writes
-is written.
+is written, and read_lines how every text file a user hands it is read.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, UserError
 
 __all__ = ["EOS", "UNK", "RNN_UNK", "Vocabulary", "build_vocab", "encode",
            "TokenStream", "BpttBatch", "bptt_batches"]
@@ -43,6 +43,19 @@ def atomic_open(path, mode: str = "w"):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_lines(path, error: type[UserError] = DataError) -> list[str]:
+    """The UTF-8 text file at path, split into lines. A file that cannot be read, or a
+    byte that is not UTF-8, raises error naming the path (and the byte's 1-based line)."""
+    try:
+        raw = Path(path).read_bytes()
+        return raw.decode("utf-8").splitlines()
+    except OSError as e:
+        raise error(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        lineno = raw.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}:{lineno}: not UTF-8 text") from None
 
 
 def _first_bad_word(words: list[str]) -> tuple[int, str] | None:
@@ -97,23 +110,21 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         words, counts, linenos, rare = [], [], [], set()
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise FormatError(f"{path}:{lineno}: expected word<TAB>count")
-                try:
-                    counts.append(int(parts[1]))
-                except ValueError:
-                    if parts[1] != RNN_UNK:
-                        raise FormatError(f"{path}:{lineno}: bad count {parts[1]!r}") from None
-                    rare.add(parts[0])  # a rare word: maps to rnn_unk, has no id
-                    continue
-                words.append(parts[0])
-                linenos.append(lineno)
+        for lineno, line in enumerate(read_lines(path, FormatError), 1):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise FormatError(f"{path}:{lineno}: expected word<TAB>count")
+            try:
+                counts.append(int(parts[1]))
+            except ValueError:
+                if parts[1] != RNN_UNK:
+                    raise FormatError(f"{path}:{lineno}: bad count {parts[1]!r}") from None
+                rare.add(parts[0])  # a rare word: maps to rnn_unk, has no id
+                continue
+            words.append(parts[0])
+            linenos.append(lineno)
         if not words:
             raise FormatError(f"{path}: empty vocabulary file")
         bad = _first_bad_word(words)

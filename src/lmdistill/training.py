@@ -43,6 +43,8 @@ __all__ = ["TrainConfig", "EpochLog", "TrainResult", "TeacherEnsemble",
            "step_loss", "train", "perplexity",
            "clip_gradients"]
 
+EVAL_WINDOW = 32  # perplexity()'s window length, in steps
+
 
 @dataclass
 class TrainConfig:
@@ -351,34 +353,28 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
     return TrainResult(logs, best_ppl, best_epoch)
 
 
-def perplexity(model: LmModel, stream: TokenStream, batch_size: int = 1,
-               bptt_len: int = 32) -> float:
+def perplexity(model: LmModel, stream: TokenStream) -> float:
     """exp of the mean natural-log NLL over every target token (eos included).
 
-    The stream is cut into batch_size contiguous lanes, as for training; the
-    last window of a lane may be shorter than bptt_len, so no target is
-    dropped. Tokens past the last whole lane are not scored. Windows are scored by
-    one target-only head call (MosRows.picked) per CHUNK_ELEMENTS / bottleneck rows.
+    One lane in EVAL_WINDOW-step windows, state carried; the last window may be
+    shorter, so no target is dropped. Windows are scored by one target-only head
+    call (MosRows.picked) per CHUNK_ELEMENTS / bottleneck rows.
     """
-    if bptt_len < 1:
-        raise ConfigError(f"bptt_len must be >= 1, got {bptt_len}")
-    lane_len = len(stream) // batch_size
-    if lane_len < 2:
-        raise DataError(f"stream of {len(stream)} tokens too short for "
-                        f"{batch_size} evaluation lanes")
-    lanes = stream.ids[: lane_len * batch_size].reshape(batch_size, lane_len)
-    state = model.init_state(batch_size)
+    n = len(stream)
+    if n < 2:
+        raise DataError(f"stream of {n} tokens too short to evaluate")
+    state = model.init_state(1)
     total, hidden, targets = 0.0, [], []
-    for lo in range(0, lane_len - 1, bptt_len):
-        hi = min(lo + bptt_len, lane_len - 1)
-        out = model_forward(model, lanes[:, lo:hi], state)
+    for lo in range(0, n - 1, EVAL_WINDOW):
+        hi = min(lo + EVAL_WINDOW, n - 1)
+        out = model_forward(model, stream.ids[None, lo:hi], state)
         hidden.append(out.log_probs.hidden)
-        targets.append(flatten_targets(lanes[:, lo + 1:hi + 1]))
+        targets.append(stream.ids[lo + 1:hi + 1])
         state = out.state
-        if hi == lane_len - 1 or sum(map(len, hidden)) * hidden[0].shape[1] >= CHUNK_ELEMENTS:
+        if hi == n - 1 or sum(map(len, hidden)) * hidden[0].shape[1] >= CHUNK_ELEMENTS:
             y = np.concatenate(targets)
             picked = MosRows(model, np.concatenate(hidden)).picked(np.arange(len(y)), y)
             for window in np.split(picked, np.cumsum([len(t) for t in targets[:-1]])):
                 total += float(-window.sum())
             hidden, targets = [], []
-    return math.exp(total / (batch_size * (lane_len - 1)))
+    return math.exp(total / (n - 1))

@@ -1,5 +1,6 @@
 """Command-line behavior: config resolution, subcommands, exit codes."""
 
+import hashlib
 import multiprocessing
 import os
 import subprocess
@@ -104,7 +105,7 @@ def test_config_file_errors(tmp_path):
                 load_config(path)
             with pytest.raises(ConfigError, match=rf"--set {key}: bad value for {key}"):
                 load_config(overrides=[f"{key}={raw}"])
-    with pytest.raises(ConfigError, match="cannot read config"):
+    with pytest.raises(ConfigError, match=r"cannot read .*absent\.cfg: No such file"):
         load_config(tmp_path / "absent.cfg")
 
 
@@ -162,10 +163,13 @@ def test_non_finite_float_setting_exits_1(capsys):
     assert "Traceback" not in err
 
 
-def test_internal_error_exits_2(tmp_path, capsys):
-    # a directory where a checkpoint file should be is not a UserError
-    rc = dispatch(["eval-ppl", "--model", str(tmp_path),
-                   "--data", str(tmp_path / "x.txt")])
+def test_internal_error_exits_2(monkeypatch, capsys):
+    # an exception that is not a UserError is a bug: a traceback and exit 2
+    def broken(*args):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(cli_module, "load_config", broken)
+    rc = dispatch(["eval-ppl", "--model", "model.dlm", "--data", "test.txt"])
     assert rc == 2
     assert "Traceback" in capsys.readouterr().err
 
@@ -187,16 +191,54 @@ def test_missing_checkpoint_exits_1_naming_path(tmp_path, data_dir, command, cap
     assert "Traceback" not in err
 
 
-def test_console_entry_point_smoke():
-    # the child imports the same package as this process, installed or not
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def child_env(**blas):
+    """os.environ with no BLAS thread variable but those given, and a PYTHONPATH that
+    finds the package this process imported, installed or not."""
     src = str(Path(lmdistill.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**env, **blas}
+
+
+def test_console_entry_point_smoke():
     proc = subprocess.run([sys.executable, "-m", "lmdistill"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     # no command: usage on stderr, exit 1
     assert proc.returncode == 1
     assert "usage" in proc.stderr
+
+
+def test_blas_thread_variable_cannot_change_trained_bits(tmp_path):
+    # At 2x128 LSTM, K=4 and V=300, OpenBLAS threads its GEMMs, and a second thread
+    # changes model.dlm unless the package pins one before numpy loads.
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(400)]
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, n in (("train.txt", 40), ("valid.txt", 10)):
+        lines = [" ".join(rng.choice(words, size=10)) for _ in range(n)]
+        (data / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    shape = sets("vocab_cap=300", "lstm_layers=2", "hidden_dim=128", "embed_dim=64",
+                 "bottleneck_dim=64", "num_experts=4", "batch_size=4", "bptt_len=10",
+                 "epochs=1")
+    digests = {}
+    for threads in ("1", "2", None):
+        out = tmp_path / f"threads-{threads}"
+        env = child_env(**({} if threads is None else {"OPENBLAS_NUM_THREADS": threads}))
+        subprocess.run([sys.executable, "-m", "lmdistill", "train-teacher", "--data-dir",
+                        str(data), "--out", str(out)] + shape,
+                       capture_output=True, check=True, env=env)
+        digests[threads] = hashlib.sha256((out / "model.dlm").read_bytes()).hexdigest()
+    assert digests["2"] == digests["1"]
+    assert digests[None] == digests["1"]
+
+    probe = subprocess.run(
+        [sys.executable, "-c", "import os, lmdistill; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, check=True, env=child_env(OPENBLAS_NUM_THREADS="2"))
+    assert probe.stdout == "1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +450,55 @@ def rescore_files(tmp_path, data_dir):
     refs = tmp_path / "refs.tsv"
     refs.write_text("u1\tw1 w3\nu2\tw4\n", encoding="utf-8")
     return teacher, nbest, refs
+
+
+BAD_TEXT = b"fine\n\xff is not UTF-8\n"  # the bad byte is on line 2
+
+
+def _corrupt_checkpoint_byte(path, where):
+    """Put a 0xff byte in a checkpoint's metadata or in its first parameter name, which
+    starts 10 bytes into the empty line that ends the metadata, after its u64 length."""
+    blob = bytearray(path.read_bytes())
+    at = blob.index(b"vocab_size=") if where == "metadata" else blob.index(b"\n\n") + 10
+    blob[at] = 0xFF
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("kind", ["--config", "train.txt", "valid.txt", "--data", "--nbest",
+                                  "--refs", "--vocab", "vocab.txt", "checkpoint metadata",
+                                  "checkpoint name", "--model directory"])
+def test_unreadable_input_exits_1_naming_path(tmp_path, data_dir, rescore_files, kind, capsys):
+    teacher, nbest, refs = rescore_files
+    model, test_txt = teacher / "model.dlm", data_dir / "test.txt"
+    eval_ppl = ["eval-ppl", "--model", str(model), "--data", str(test_txt)]
+    rescore = ["rescore", "--model", str(model), "--nbest", str(nbest)]
+    train = ["train-teacher", "--data-dir", str(data_dir)] + sets()
+    path, argv = {
+        "--config": (tmp_path / "run.cfg", eval_ppl + ["--config", str(tmp_path / "run.cfg")]),
+        "train.txt": (data_dir / "train.txt", train),
+        "valid.txt": (data_dir / "valid.txt", train),
+        "--data": (test_txt, eval_ppl),
+        "--nbest": (nbest, rescore),
+        "--refs": (refs, rescore + ["--refs", str(refs)]),
+        "--vocab": (tmp_path / "words.txt", eval_ppl + ["--vocab", str(tmp_path / "words.txt")]),
+        "vocab.txt": (teacher / "vocab.txt", eval_ppl),
+        "checkpoint metadata": (model, eval_ppl),
+        "checkpoint name": (model, eval_ppl),
+        "--model directory": (tmp_path, ["eval-ppl", "--model", str(tmp_path),
+                                         "--data", str(test_txt)]),
+    }[kind]
+    is_text = path.suffix in (".txt", ".cfg", ".tsv")
+    if is_text:
+        path.write_bytes(BAD_TEXT)
+    elif kind.startswith("checkpoint"):
+        _corrupt_checkpoint_byte(model, kind.split()[1])
+    capsys.readouterr()
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    if is_text:
+        assert f"{path}:2:" in err
+    assert "Traceback" not in err
 
 
 def test_rescore_selection_lines(tmp_path, rescore_files, capsys):

@@ -538,39 +538,26 @@ def test_distillation_with_real_teacher_runs_and_improves():
 def test_perplexity_matches_manual_mean_nll():
     vocab, stream = tiny_corpus()
     model = build_model(tiny_config(vocab.size), 4)
-    ppl = perplexity(model, stream, batch_size=1, bptt_len=len(stream) - 1)
-    out = model_forward(model, stream.ids[None, :-1], model.init_state(1))
-    y = stream.ids[1:]
-    nll = -out.log_probs.data[np.arange(len(y)), y].mean()
-    assert ppl == pytest.approx(math.exp(nll), rel=1e-12)
+    # 71 targets: 32-step windows of 32, 32 and 7, the state carried across them
+    state, nll = model.init_state(1), 0.0
+    for lo in range(0, len(stream) - 1, 32):
+        hi = min(lo + 32, len(stream) - 1)
+        out = model_forward(model, stream.ids[None, lo:hi], state)
+        y = stream.ids[lo + 1:hi + 1]
+        nll -= out.log_probs.data[np.arange(len(y)), y].sum()
+        state = out.state
+    assert perplexity(model, stream) == pytest.approx(math.exp(nll / (len(stream) - 1)),
+                                                      rel=1e-12)
 
 
 def test_perplexity_window_clamps_to_short_streams():
     vocab, stream = tiny_corpus()
     model = build_model(tiny_config(vocab.size), 4)
     short = TokenStream(stream.ids[:12])
-    # default bptt_len=32 exceeds the lane; the clamp must cover all 11 targets
+    # the 32-step window exceeds the stream; the clamp must cover all 11 targets
     ppl = perplexity(model, short)
     out = model_forward(model, short.ids[None, :-1], model.init_state(1))
     y = short.ids[1:]
-    nll = -out.log_probs.data[np.arange(len(y)), y].mean()
-    assert ppl == pytest.approx(math.exp(nll), rel=1e-12)
-
-
-def test_perplexity_batched_lanes():
-    vocab, stream = tiny_corpus()
-    model = build_model(tiny_config(vocab.size), 4)
-    n = (len(stream) // 2) * 2
-    lane = n // 2
-    # bptt covers the whole lane in one window, so the oracle below sees
-    # exactly the same targets
-    ppl = perplexity(model, TokenStream(stream.ids[:n]), batch_size=2,
-                     bptt_len=lane - 1)
-    inputs = np.stack([stream.ids[0:lane - 1], stream.ids[lane:2 * lane - 1]])
-    targets = np.stack([stream.ids[1:lane], stream.ids[lane + 1:2 * lane]])
-    out = model_forward(model, inputs, model.init_state(2))
-    from lmdistill.model import flatten_targets
-    y = flatten_targets(targets)
     nll = -out.log_probs.data[np.arange(len(y)), y].mean()
     assert ppl == pytest.approx(math.exp(nll), rel=1e-12)
 
@@ -593,9 +580,7 @@ def test_perplexity_rejects_tiny_streams():
     vocab, _ = tiny_corpus()
     model = build_model(tiny_config(vocab.size), 4)
     with pytest.raises(DataError):
-        perplexity(model, TokenStream(np.array([1])), batch_size=1)
-    with pytest.raises(DataError):
-        perplexity(model, TokenStream(np.array([1, 2, 3])), batch_size=2)
+        perplexity(model, TokenStream(np.array([1])))
 
 
 def test_perplexity_of_uniform_model_is_vocab_size():
