@@ -195,8 +195,8 @@ def _echo_config(cfg: RunConfig, out_dir: Path | None) -> None:
 def _load_model_and_vocab(args):
     """The --model checkpoint and its vocabulary (--vocab, or vocab.txt beside it)."""
     model = load_checkpoint(args.model)
-    path = Path(args.vocab) if args.vocab else Path(args.model).parent / "vocab.txt"
-    if not path.is_file():
+    path = Path(args.vocab or Path(args.model).parent / "vocab.txt")
+    if not args.vocab and not path.is_file():  # an explicit --vocab's reader names the OS reason
         raise DataError(f"no vocabulary at {path}; pass --vocab")
     vocab = Vocabulary.load(path)
     if vocab.size != model.config.vocab_size:
@@ -458,9 +458,9 @@ def cmd_ablate(args) -> int:
             model = build_model(cfg.model_config(vocab.size, dropout=spec), seed)
             run_cfg = cfg.train_config(loss)
             run_cfg.seed = seed
-            train(model, train_stream, valid_stream, run_cfg,
-                  teacher=teachers[seed] if loss.needs_teacher else None)
-            vppls.append(perplexity(model, valid_stream))
+            result = train(model, train_stream, valid_stream, run_cfg,
+                           teacher=teachers[seed] if loss.needs_teacher else None)
+            vppls.append(result.best_valid_ppl)  # the restored params' score; inf if none
             if test_stream is not None:
                 tppls.append(perplexity(model, test_stream))
         vmean = sum(vppls) / len(vppls)

@@ -152,7 +152,8 @@ def build_model(config: ModelConfig, seed: int) -> LmModel:
 
 
 def _sigmoid(z: np.ndarray) -> None:
-    """Logistic function in place; the split form never exponentiates a positive value."""
+    """Logistic function in place; the split form never exponentiates a positive value.
+    An lstm_layer step runs it once over all four gate blocks, the tanh block included."""
     e = np.exp(-np.abs(z))
     np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=z)
 
@@ -164,10 +165,11 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
     Gate order in the fused matrices is [i, f, g, o]; i, f, o are sigmoid gates,
     g is the tanh candidate: c' = f*c + i*g, h' = o*tanh(c'). The input GEMM
     for all T steps runs before the recurrence, which keeps only the gates and
-    the cells. backward(dL/dhs) runs the reverse recurrence, ends in one
-    weight-gradient GEMM each for wx and wh, and returns the gradients in
-    (xs, h0, c0, wx, wh, b). model_forward carries h_T and c_T on as constants,
-    so a window's gradient stops at the state it was handed.
+    the cells. A step holds the tanh candidate aside, makes one logistic pass over
+    all four gate blocks and writes the candidate back into g. backward(dL/dhs)
+    runs the reverse recurrence, ends in one weight-gradient GEMM each for wx and
+    wh, and returns the gradients in (xs, h0, c0, wx, wh, b). model_forward carries
+    h_T and c_T on as constants, so a window's gradient stops at the state it was handed.
     """
     batch, hid = c0.shape
     if (wx.shape[1] != 4 * hid or wh.shape != (hid, 4 * hid) or b.shape != (4 * hid,)
@@ -179,19 +181,19 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
     hs = np.empty((steps + 1, batch, hid))  # hs[0] = h0; hs[t + 1]: step t's output
     cells = np.empty((steps + 1, batch, hid))
     hs[0], cells[0] = h0, c0
+    i, f, g, o = (gates[:, :, j * hid:(j + 1) * hid] for j in range(4))
+    cand = np.empty((batch, hid))  # step t's tanh candidate, held aside from the logistic pass
     for t, z in enumerate(gates):  # z becomes the gate activations in place
         z += hs[t] @ wh
         z += b
-        _sigmoid(z[:, :2 * hid])
-        np.tanh(z[:, 2 * hid:3 * hid], out=z[:, 2 * hid:3 * hid])
-        _sigmoid(z[:, 3 * hid:])
-        i, f, g, o = np.split(z, 4, axis=1)
-        np.multiply(f, cells[t], out=cells[t + 1])
-        cells[t + 1] += i * g
-        np.multiply(o, np.tanh(cells[t + 1]), out=hs[t + 1])
+        np.tanh(g[t], out=cand)
+        _sigmoid(z)
+        g[t] = cand
+        np.multiply(f[t], cells[t], out=cells[t + 1])
+        cells[t + 1] += i[t] * cand
+        np.multiply(o[t], np.tanh(cells[t + 1]), out=hs[t + 1])
 
     def backward(d_hs):
-        i, f, g, o = np.split(gates, 4, axis=2)
         tanh_c = np.tanh(cells[1:])
         dc_from_dh = o * (1.0 - tanh_c * tanh_c)
         # dz = [dc*g*i(1-i), dc*c_prev*f(1-f), dc*i*(1-g^2), dh*tanh(c)*o(1-o)]

@@ -1,5 +1,6 @@
 """Test-only teachers; the tape ops, per-step LSTM cell, head, taped loss and
-AR/TAR that the layer op and the fused ops replaced; the taped training step
+AR/TAR that the layer op and the fused ops replaced; the layer op's split-gate
+recurrence that its one-logistic-pass step replaced; the taped training step
 that the hand-written step backward replaced; the per-hypothesis scoring
 the prefix-trie scorer replaced; and the in-process training loop the
 soft-label worker replaced."""
@@ -106,6 +107,53 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor, b: Tensor
     c2 = T.add(T.mul(f, c), T.mul(i, g))
     h2 = T.mul(o, T.tanh(c2))
     return h2, c2
+
+
+def _split_sigmoid(z: np.ndarray) -> None:
+    e = np.exp(-np.abs(z))
+    np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=z)
+
+
+def oracle_lstm_layer(xs, h0, c0, wx, wh, b):
+    """lstm_layer as it ran with a per-step np.split and three activation passes
+    (logistic on [i, f], tanh on g, logistic on o); the new step must match it bitwise."""
+    batch, hid = c0.shape
+    steps = xs.shape[0] // batch
+    gates = (xs @ wx).reshape(steps, batch, 4 * hid)
+    hs = np.empty((steps + 1, batch, hid))
+    cells = np.empty((steps + 1, batch, hid))
+    hs[0], cells[0] = h0, c0
+    for t, z in enumerate(gates):
+        z += hs[t] @ wh
+        z += b
+        _split_sigmoid(z[:, :2 * hid])
+        np.tanh(z[:, 2 * hid:3 * hid], out=z[:, 2 * hid:3 * hid])
+        _split_sigmoid(z[:, 3 * hid:])
+        i, f, g, o = np.split(z, 4, axis=1)
+        np.multiply(f, cells[t], out=cells[t + 1])
+        cells[t + 1] += i * g
+        np.multiply(o, np.tanh(cells[t + 1]), out=hs[t + 1])
+
+    def backward(d_hs):
+        i, f, g, o = np.split(gates, 4, axis=2)
+        tanh_c = np.tanh(cells[1:])
+        dc_from_dh = o * (1.0 - tanh_c * tanh_c)
+        dz = np.concatenate([g * i * (1.0 - i), cells[:-1] * f * (1.0 - f),
+                             i * (1.0 - g * g), tanh_c * o * (1.0 - o)], axis=2)
+        d_hs, dz4 = d_hs.reshape(steps, batch, hid), dz.reshape(steps, batch, 4, hid)
+        dh, dc = np.zeros((batch, hid)), np.zeros((batch, hid))
+        for t in reversed(range(steps)):
+            dh += d_hs[t]
+            dc += dh * dc_from_dh[t]
+            dz4[t, :, :3] *= dc[:, None, :]
+            dz4[t, :, 3] *= dh
+            dh = dz[t] @ wh.T
+            dc *= f[t]
+        dz = dz.reshape(steps * batch, 4 * hid)
+        return (dz @ wx.T, dh, dc, xs.T @ dz,
+                hs[:-1].reshape(steps * batch, hid).T @ dz, dz.sum(axis=0))
+
+    return hs[1:].reshape(steps * batch, hid), hs[-1].copy(), cells[-1].copy(), backward
 
 
 def oracle_activation_reg(dropped: Tensor, raw: list[Tensor],

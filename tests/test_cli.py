@@ -422,6 +422,21 @@ def test_eval_ppl_needs_vocab(tmp_path, data_dir, capsys):
     assert "no vocabulary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_eval_ppl_explicit_vocab_unreadable_names_path(tmp_path, data_dir, where, capsys):
+    # an explicit --vocab is read as given: the reader names the path and the
+    # OS reason, and the default file's "pass --vocab" hint does not apply
+    teacher = train_teacher(tmp_path, data_dir)
+    path = tmp_path / "nonexistent" / "v.txt" if where == "missing" else tmp_path
+    capsys.readouterr()
+    rc = dispatch(["eval-ppl", "--model", str(teacher / "model.dlm"), "--vocab", str(path),
+                   "--data", str(data_dir / "valid.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "pass --vocab" not in err and "Traceback" not in err
+
+
 def test_eval_ppl_vocab_size_mismatch(tmp_path, data_dir, capsys):
     teacher = train_teacher(tmp_path, data_dir)
     other = train_teacher(tmp_path, data_dir, "other", "vocab_cap=6")
@@ -697,12 +712,35 @@ def test_grad_check_catches_scaled_backward(module, op, skew, monkeypatch, capsy
     assert "FAILURES" in capsys.readouterr().out
 
 
-def test_ablate_prints_all_rows(tmp_path, data_dir, capsys):
+def test_ablate_prints_all_rows(tmp_path, data_dir, monkeypatch, capsys):
+    # each row's valid_ppl is train()'s best_valid_ppl, which scored exactly the
+    # params train() restores, so the table is what rescoring the model printed
+    real_ppl, real_train = training_module.perplexity, cli_module.train
+    calls, runs = [], []
+
+    def counted(*args):
+        calls.append(1)
+        return real_ppl(*args)
+
+    def checked(model, train_stream, valid_stream, cfg, **kw):
+        result = real_train(model, train_stream, valid_stream, cfg, **kw)
+        runs.append(1)
+        assert result.best_valid_ppl == real_ppl(model, valid_stream)
+        return result
+
+    monkeypatch.setattr(training_module, "perplexity", counted)
+    monkeypatch.setattr(cli_module, "perplexity", counted)
+    monkeypatch.setattr(cli_module, "train", checked)
+    epochs = 2
     rc = dispatch(["ablate", "--data-dir", str(data_dir)]
-                  + sets("epochs=1", "alpha=0.1"))
+                  + sets(f"epochs={epochs}", "alpha=0.1"))
     assert rc == 0
     stdout = capsys.readouterr().out
     for row in ("student+tr", "-ce(kl_only)", "-tr(fixed_weight)",
                 "+dropout", "+act_reg", "-kd(ce_only)"):
         assert row in stdout, row
     assert "(mean over seeds" in stdout
+    seeds, rows = 3, 6
+    assert len(runs) == seeds + rows * seeds  # the teachers, then every row's students
+    # one validation per epoch per run, and one test pass per student: no rescoring
+    assert len(calls) == len(runs) * epochs + rows * seeds

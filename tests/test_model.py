@@ -285,6 +285,38 @@ def test_lstm_layer_matches_per_step_oracle(lanes, steps, widths):
         assert err <= 1e-10 * np.max(np.abs(w), initial=0.0), f"input {k}: {err:.3e}"
 
 
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("hid", [1, 7, 32])
+@pytest.mark.parametrize("steps", [1, 5])
+def test_lstm_layer_bits_match_split_gate_oracle(lanes, hid, steps):
+    # Gate columns cycle through exact zeros (no weight reaches them), the
+    # sigmoid's saturation at +-40 and +-800, and plain draws of either sign.
+    # Every block, g included, passes through the one logistic pass, so its
+    # extremes must raise no warning and the held-aside tanh must be the one kept.
+    rng = np.random.default_rng(hid * 10 + lanes + steps)
+    cols = 4 * hid
+    xs = rng.standard_normal((steps * lanes, 5))
+    h0, c0 = rng.standard_normal((lanes, hid)), 3.0 * rng.standard_normal((lanes, hid))
+    wx, wh, b = rng.standard_normal((5, cols)), rng.standard_normal((hid, cols)), np.zeros(cols)
+    kinds = [0.0, -0.0, 40.0, -40.0, 800.0, -800.0, None, None]
+    for j in range(cols):
+        kind = kinds[j % len(kinds)]
+        if kind is None:
+            b[j] = rng.standard_normal()
+        elif kind == 0.0:
+            wx[:, j], wh[:, j], b[j] = 0.0, 0.0, kind
+        else:
+            b[j] = kind
+    d_hs = rng.standard_normal((steps * lanes, hid))
+
+    got = model_module.lstm_layer(xs, h0, c0, wx, wh, b)
+    want = oracles.oracle_lstm_layer(xs, h0, c0, wx, wh, b)
+    for k in range(3):
+        assert np.array_equal(got[k], want[k]), f"forward output {k}"
+    for k, (g, w) in enumerate(zip(got[3](d_hs), want[3](d_hs))):
+        assert np.array_equal(g, w), f"backward output {k}"
+
+
 # ---------------------------------------------------------------------------
 # mixture-of-softmaxes head
 
