@@ -10,6 +10,7 @@ success, 1 user/config error, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import traceback
@@ -450,8 +451,8 @@ def cmd_ablate(args) -> int:
         train(tm, train_stream, valid_stream, tcfg)
         teachers[seed] = TeacherEnsemble([tm])
 
-    print(f"{'row':<20} {'valid_ppl':>10} {'test_ppl':>10}   (mean over seeds {seeds})")
-    for name, variant, spec in rows:
+    @functools.cache  # a row whose (variant, dropout) an earlier row ran reuses its students
+    def columns(variant: str, spec: DropoutSpec) -> str:
         loss = DistillLossSpec(variant=variant, alpha=alpha)
         vppls, tppls = [], []
         for seed in seeds:
@@ -463,9 +464,12 @@ def cmd_ablate(args) -> int:
             vppls.append(result.best_valid_ppl)  # the restored params' score; inf if none
             if test_stream is not None:
                 tppls.append(perplexity(model, test_stream))
-        vmean = sum(vppls) / len(vppls)
         tmean = f"{sum(tppls) / len(tppls):10.3f}" if tppls else f"{'-':>10}"
-        print(f"{name:<20} {vmean:10.3f} {tmean}")
+        return f"{sum(vppls) / len(vppls):10.3f} {tmean}"
+
+    print(f"{'row':<20} {'valid_ppl':>10} {'test_ppl':>10}   (mean over seeds {seeds})")
+    for name, variant, spec in rows:
+        print(f"{name:<20} {columns(variant, spec)}")
     return 0
 
 

@@ -5,21 +5,21 @@ experts mixed by a learned prior. The final LSTM layer's width defaults to
 hidden_dim but may be set separately (reference configs narrow it to the
 bottleneck width, which is how the published parameter counts come out).
 
-model_forward runs layer-major over whole windows: each LSTM layer is one op
-over the time-major [T*B x in] block (lstm_layer, its backward a hand-written
-BPTT), and stops at the head's B*T input rows (MosRows). Eval (perplexity,
-rescoring) reads only each target's log P, over two threads, with nothing [n x V]
-formed (mos_log_probs with picks; with none, the same arithmetic scores every
-(row, id)). Teachers' P (add_probs) and the train-mode loss run in chunks of
-CHUNK_ELEMENTS / (K*V) rows, through one [K*c x V] workspace per call laid out
-(row, expert)-major: one output matmul over the K expert contexts, one exp per
-expert, and the mixture in P space, S = sum_k a_k e_k as a batched matmul, with
-P = S e^M for a per-row shift M. Only the loss takes log S: it runs a chunk where
-an entry of S falls below the smallest normal float64 in log space instead, and
-its backward reuses the forward's exps. Parameters are plain float64 arrays in
-one dict in checkpoint order; every backward is written by hand, takes the
-gradients of its outputs as arguments and returns those of its inputs, and sums
-in one fixed order, so a step's gradients are bitwise reproducible.
+model_forward runs layer-major over whole windows: each LSTM layer is one op over the
+time-major [T*B x in] block (lstm_layer, its backward a hand-written BPTT), and stops at
+the head's B*T input rows (MosRows). Eval (perplexity, rescoring) reads only each
+target's log P, over two threads, in chunks of _PICK_ELEMENTS / (K*V) rows (1 MB, at
+least 8 rows) against a C-ordered copy of the output matrix, with nothing [n x V] formed
+(mos_log_probs with picks; with none, the same arithmetic scores every (row, id)).
+Teachers' P (add_probs) and the train-mode loss run in chunks of CHUNK_ELEMENTS / (K*V)
+rows, through one [K*c x V] workspace per call laid out (row, expert)-major: one output
+matmul over the K expert contexts, one exp per expert, and the mixture in P space, S =
+sum_k a_k e_k as a batched matmul, with P = S e^M for a per-row shift M. Only the loss
+takes log S: it runs a chunk where an entry of S falls below the smallest normal float64
+in log space instead, and its backward reuses the forward's exps. Parameters are plain
+float64 arrays in one dict in checkpoint order; every backward is written by hand, takes
+the gradients of its outputs as arguments and returns those of its inputs, and sums in
+one fixed order, so a step's gradients are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -151,11 +151,15 @@ def build_model(config: ModelConfig, seed: int) -> LmModel:
     return LmModel(config, params)
 
 
-def _sigmoid(z: np.ndarray) -> None:
-    """Logistic function in place; the split form never exponentiates a positive value.
-    An lstm_layer step runs it once over all four gate blocks, the tanh block included."""
-    e = np.exp(-np.abs(z))
-    np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=z)
+def _sigmoid(z: np.ndarray, e: np.ndarray, den: np.ndarray, pos: np.ndarray) -> None:
+    """Logistic function in place, through buffers e, den (float) and pos (bool) shaped as z.
+    The split form never exponentiates a positive value; as e = exp(-|z|) <= 1, its numerator
+    max(e, z >= 0) is np.where(z >= 0, 1, e) bit for bit. An lstm_layer step runs it once
+    over all four gate blocks, the tanh block included."""
+    np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    np.add(e, 1.0, out=den)
+    np.maximum(e, np.greater_equal(z, 0.0, out=pos), out=e)
+    np.divide(e, den, out=z)
 
 
 def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
@@ -166,7 +170,8 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
     g is the tanh candidate: c' = f*c + i*g, h' = o*tanh(c'). The input GEMM
     for all T steps runs before the recurrence, which keeps only the gates and
     the cells. A step holds the tanh candidate aside, makes one logistic pass over
-    all four gate blocks and writes the candidate back into g. backward(dL/dhs)
+    all four gate blocks and writes the candidate back into g; its other intermediates,
+    and the reverse recurrence's, go into buffers allocated once per call. backward(dL/dhs)
     runs the reverse recurrence, ends in one weight-gradient GEMM each for wx and
     wh, and returns the gradients in (xs, h0, c0, wx, wh, b). model_forward carries
     h_T and c_T on as constants, so a window's gradient stops at the state it was handed.
@@ -183,15 +188,18 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
     hs[0], cells[0] = h0, c0
     i, f, g, o = (gates[:, :, j * hid:(j + 1) * hid] for j in range(4))
     cand = np.empty((batch, hid))  # step t's tanh candidate, held aside from the logistic pass
+    tmp = np.empty((batch, hid))  # i*g, then tanh(c); dh*dc_from_dh in the backward
+    zh, e, den = (np.empty((batch, 4 * hid)) for _ in range(3))  # h @ wh; the logistic's
+    pos = np.empty((batch, 4 * hid), dtype=bool)
     for t, z in enumerate(gates):  # z becomes the gate activations in place
-        z += hs[t] @ wh
+        z += np.matmul(hs[t], wh, out=zh)
         z += b
         np.tanh(g[t], out=cand)
-        _sigmoid(z)
+        _sigmoid(z, e, den, pos)
         g[t] = cand
         np.multiply(f[t], cells[t], out=cells[t + 1])
-        cells[t + 1] += i[t] * cand
-        np.multiply(o[t], np.tanh(cells[t + 1]), out=hs[t + 1])
+        cells[t + 1] += np.multiply(i[t], cand, out=tmp)
+        np.multiply(o[t], np.tanh(cells[t + 1], out=tmp), out=hs[t + 1])
 
     def backward(d_hs):
         tanh_c = np.tanh(cells[1:])
@@ -203,10 +211,10 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
         dh, dc = np.zeros((batch, hid)), np.zeros((batch, hid))
         for t in reversed(range(steps)):  # dh, dc: the gradients in h_t, c_t
             dh += d_hs[t]
-            dc += dh * dc_from_dh[t]
+            dc += np.multiply(dh, dc_from_dh[t], out=tmp)
             dz4[t, :, :3] *= dc[:, None, :]
             dz4[t, :, 3] *= dh
-            dh = dz[t] @ wh.T
+            np.matmul(dz[t], wh.T, out=dh)
             dc *= f[t]
         dz = dz.reshape(steps * batch, 4 * hid)
         return (dz @ wx.T, dh, dc, xs.T @ dz,
@@ -217,7 +225,7 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
 
 # A head chunk's [K*rows x V] block holds about this many float64s (16 MB).
 CHUNK_ELEMENTS = 1 << 21
-_PICK_ROWS = 8  # rows per chunk of a target-only head (mos_log_probs with picks)
+_PICK_ELEMENTS = 1 << 17  # the same for a target-only head (mos_log_probs): 1 MB, L2-sized
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
@@ -341,7 +349,7 @@ def _head_loss(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray, objective):
     bias gradient sums the block's rows weighted by a. g is never written to."""
     out_matrix = _out_matrix(model)
     d_log_pi, d_ctx = np.zeros_like(log_pi), np.zeros_like(ctx)
-    d_out, d_out_b = np.zeros_like(out_matrix), np.zeros_like(model.params["out.b"])
+    d_out, d_out_b = np.zeros(out_matrix.shape), np.zeros_like(model.params["out.b"])  # C order
     k = log_pi.shape[1]
 
     def chunk(lo, hi, log_pi_rows, ctx_rows, work) -> float:
@@ -379,14 +387,21 @@ def _head_loss(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray, objective):
     return total, d_log_pi, d_ctx, d_out, d_out_b
 
 
-def _pick_rows(model: LmModel, hidden: np.ndarray, rows, ids, out: np.ndarray) -> None:
-    """out[j] = log P[rows[j], ids[j]] for picks sorted by row, in chunks of _PICK_ROWS rows of
-    hidden: each expert's target logit less its log normaliser (row max + log sum exp), then
-    a K-way logsumexp against log pi. No mixture over V and no log of an underflowed entry."""
-    out_matrix, k = _out_matrix(model), model.config.num_experts
-    block = np.empty((min(len(hidden), _PICK_ROWS) * k, model.config.vocab_size))
-    for lo in range(0, len(hidden), _PICK_ROWS):
-        hi = min(lo + _PICK_ROWS, len(hidden))
+def _pick_chunk(model: LmModel) -> int:
+    """Rows per chunk of a target-only head: _PICK_ELEMENTS / (K*V), at least 8."""
+    return max(8, _PICK_ELEMENTS // (model.config.num_experts * model.config.vocab_size))
+
+
+def _pick_rows(model: LmModel, out_matrix: np.ndarray, hidden: np.ndarray, rows, ids,
+               out: np.ndarray) -> None:
+    """out[j] = log P[rows[j], ids[j]] for picks sorted by row, in chunks of _pick_chunk rows
+    of hidden: each expert's target logit less its log normaliser (row max + log sum exp),
+    then a K-way logsumexp against log pi. No mixture over V and no log of an underflowed
+    entry. out_matrix is _out_matrix's, C-ordered, so BLAS does not repack it per chunk."""
+    k, step = model.config.num_experts, _pick_chunk(model)
+    block = np.empty((min(len(hidden), step) * k, model.config.vocab_size))
+    for lo in range(0, len(hidden), step):
+        hi = min(lo + step, len(hidden))
         a, b = np.searchsorted(rows, [lo, hi])
         log_pi, ctx, _ = _head_inputs(model, hidden[lo:hi])
         z = _logits(model, out_matrix, ctx, block[:(hi - lo) * k])
@@ -404,7 +419,8 @@ def mos_log_probs(model: LmModel, hidden: np.ndarray, picks=None) -> np.ndarray:
     """log P[rows, ids] for picks = (rows, ids), shaped as rows, where log P = log sum_k pi_k
     softmax(tanh(h W_k + b_k) W_out + b_out) over the rows h of hidden; with no picks, every
     (row, id): the whole log P [n x V]. By _pick_rows over two halves of whole chunks, the
-    second on a helper thread."""
+    second on a helper thread (none if a half is one chunk or less), both reading one
+    C-ordered copy of the output matrix made per call (1 MB at V=2000, E=64)."""
     n, v = len(hidden), model.config.vocab_size
     if picks is None:
         picks = np.indices((n, v))
@@ -414,21 +430,25 @@ def mos_log_probs(model: LmModel, hidden: np.ndarray, picks=None) -> np.ndarray:
     shape, rows, ids = rows.shape, rows.ravel(), ids.ravel()
     order = np.argsort(rows, kind="stable")
     rows, ids, out = rows[order], ids[order], np.empty(len(rows))
-    half = -(-n // (2 * _PICK_ROWS)) * _PICK_ROWS  # whole chunks: the bits of one pass
+    out_matrix, step = np.ascontiguousarray(_out_matrix(model)), _pick_chunk(model)
+    half = -(-n // (2 * step)) * step  # whole chunks: the bits of one pass
     cut, errors = int(np.searchsorted(rows, half)), []
+    split = half < n  # else every row is in the first half: no helper thread
 
     def second():
         try:
-            _pick_rows(model, hidden[half:], rows[cut:] - half, ids[cut:], out[cut:])
+            _pick_rows(model, out_matrix, hidden[half:], rows[cut:] - half, ids[cut:], out[cut:])
         except BaseException as exc:  # raised again on the calling thread
             errors.append(exc)
 
     helper = threading.Thread(target=second)
-    helper.start()
+    if split:
+        helper.start()
     try:
-        _pick_rows(model, hidden[:half], rows[:cut], ids[:cut], out[:cut])
+        _pick_rows(model, out_matrix, hidden[:half], rows[:cut], ids[:cut], out[:cut])
     finally:
-        helper.join()
+        if split:
+            helper.join()
     if errors:
         raise errors[0]
     return out[np.argsort(order)].reshape(shape)  # back in the picks' order

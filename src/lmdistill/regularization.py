@@ -17,9 +17,9 @@ from .errors import ConfigError, require_finite
 __all__ = ["DropoutSpec", "variational_mask", "activation_reg"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DropoutSpec:
-    """Dropout rates and activation-regularizer weights.
+    """Dropout rates and activation-regularizer weights; a hashable value.
 
     input_rate / output_rate: variational masks on LSTM layer inputs/outputs.
     hidden_rate: DropConnect on the recurrent (hidden-to-hidden) weights.

@@ -7,11 +7,13 @@ and the output checks, never timings; it writes only under bench/work and bench/
 
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lmdistill.model as model_module
 from lmdistill import rescore, training
 from lmdistill.data import TokenStream, build_vocab
 from lmdistill.model import ModelConfig, build_model
@@ -50,7 +52,15 @@ def test_bench_smoke_passes():
 
 def test_traced_eval_spans_nest(monkeypatch):
     # --smoke traces only tiny shapes, whose eval heads never reach the helper thread;
-    # here both halves of each head call walk two or more chunks
+    # here, with head chunks of 8 rows, both halves of each head call walk two chunks or more
+    monkeypatch.setattr(model_module, "_PICK_ELEMENTS", 8 * 2 * 40)
+    halves, pick_rows = [], model_module._pick_rows
+
+    def counted(model, out_matrix, hidden, *rest):
+        halves.append((threading.current_thread() is threading.main_thread(), len(hidden)))
+        return pick_rows(model, out_matrix, hidden, *rest)
+
+    monkeypatch.setattr(model_module, "_pick_rows", counted)
     sites = spans.ENTRY_SITES + spans.CALL_SITES
     for owner_name, attr, *_ in sites:
         owner = spans._resolve(owner_name)
@@ -67,3 +77,5 @@ def test_traced_eval_spans_nest(monkeypatch):
     rescore.score_utterance(model, vocab, hypotheses, rescore.RescoreConfig())
     metrics = spans.summarize(tracer.take(), 0, 0.0)
     assert metrics["model.mos_head_calls"] >= 1
+    assert halves and min(rows for _, rows in halves) >= 2 * 8
+    assert sorted({main for main, _ in halves}) == [False, True]  # the helper thread got rows

@@ -732,8 +732,10 @@ def test_ablate_prints_all_rows(tmp_path, data_dir, monkeypatch, capsys):
     monkeypatch.setattr(cli_module, "perplexity", counted)
     monkeypatch.setattr(cli_module, "train", checked)
     epochs = 2
+    # an output dropout and an AR weight make all six rows' (variant, dropout) pairs distinct
     rc = dispatch(["ablate", "--data-dir", str(data_dir)]
-                  + sets(f"epochs={epochs}", "alpha=0.1"))
+                  + sets(f"epochs={epochs}", "alpha=0.1", "output_dropout=0.1",
+                         "ar_weight=1.0"))
     assert rc == 0
     stdout = capsys.readouterr().out
     for row in ("student+tr", "-ce(kl_only)", "-tr(fixed_weight)",
@@ -744,3 +746,23 @@ def test_ablate_prints_all_rows(tmp_path, data_dir, monkeypatch, capsys):
     assert len(runs) == seeds + rows * seeds  # the teachers, then every row's students
     # one validation per epoch per run, and one test pass per student: no rescoring
     assert len(calls) == len(runs) * epochs + rows * seeds
+
+
+def test_ablate_trains_each_distinct_row_once(data_dir, monkeypatch, capsys):
+    # tiny-student.cfg sets no dropout and no AR/TAR, so +dropout and +act_reg are
+    # student+tr's (trust_reg, no regularizer) students: their rows reuse its results
+    real_train, runs = cli_module.train, []
+
+    def counted(*args, **kw):
+        runs.append(1)
+        return real_train(*args, **kw)
+
+    monkeypatch.setattr(cli_module, "train", counted)
+    config = Path(__file__).resolve().parent.parent / "configs" / "tiny-student.cfg"
+    assert dispatch(["ablate", "--data-dir", str(data_dir), "--config", str(config),
+                     "--set", "epochs=1"]) == 0
+    seeds, distinct_rows = 3, 4
+    assert len(runs) == seeds + distinct_rows * seeds
+    table = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines()
+                 if line.startswith(("student+tr", "+dropout", "+act_reg")))
+    assert table["student+tr"] == table["+dropout"] == table["+act_reg"]

@@ -44,6 +44,21 @@ def _chunks_of(monkeypatch, config, rows):
                         rows * config.num_experts * config.vocab_size)
 
 
+def _pick_chunks_of(monkeypatch, config, rows):
+    """Target-only head chunks of `rows` rows (8 at least); returns a list that gets the row
+    count of each _pick_rows call, so a test can see that both halves got rows."""
+    monkeypatch.setattr(model_module, "_PICK_ELEMENTS",
+                        rows * config.num_experts * config.vocab_size)
+    calls, real = [], model_module._pick_rows
+
+    def counted(model, out_matrix, hidden, *rest):
+        calls.append(len(hidden))
+        return real(model, out_matrix, hidden, *rest)
+
+    monkeypatch.setattr(model_module, "_pick_rows", counted)
+    return calls
+
+
 def _underflow(model):
     # word 3's logit 2000 below the rest in every expert: its P (about e^-2000) underflows
     # float64, so S does too, and the loss takes log space for that chunk
@@ -185,8 +200,8 @@ def test_target_only_head_matches_the_full_head(tied, n, experts, underflow):
 
 
 @pytest.mark.parametrize("experts", [3, 1], ids=["K3", "K1"])
-def test_target_only_halves_equal_one_pass_bitwise(experts):
-    # 41 rows: halves of 24 and 17 rows, chunks of 8, 8, 8 and 8, 8, 1. BLAS may round a
+def test_target_only_halves_equal_one_pass_bitwise(experts, monkeypatch):
+    # 41 rows: halves of 30 and 11 rows, chunks of 10, 10, 10 and 10, 1. BLAS may round a
     # row differently in a block of another height (a one-row block is a matrix-vector
     # product), so a split off the chunk grid can change bits; every (row, id) is
     # picked, so a logit that moves shows
@@ -198,20 +213,26 @@ def test_target_only_halves_equal_one_pass_bitwise(experts):
     rows, ids = every // config.vocab_size, every % config.vocab_size
     order = np.argsort(rows, kind="stable")
     one_pass = np.empty(rows.size)
-    model_module._pick_rows(model, hidden, rows[order], ids[order], one_pass)
+    calls = _pick_chunks_of(monkeypatch, config, 10)
+    out_w = np.ascontiguousarray(model_module._out_matrix(model))
+    model_module._pick_rows(model, out_w, hidden, rows[order], ids[order], one_pass)
+    assert calls.pop() == 41
     assert np.array_equal(mos_log_probs(model, hidden, (rows, ids))[order], one_pass)
+    assert sorted(calls) == [11, 30]
 
 
 @pytest.mark.parametrize("row", [0, 39], ids=["first-half", "second-half"])
-def test_nan_in_either_half_raises_numeric_error(row):
+def test_nan_in_either_half_raises_numeric_error(row, monkeypatch):
     config = _config(True)
     model = build_model(config, seed=16)
     hidden = np.random.default_rng(17).normal(size=(40, config.bottleneck_dim))
     hidden[row, 2] = np.nan
+    calls = _pick_chunks_of(monkeypatch, config, 8)  # halves of 24 and 16 rows
     before = threading.active_count()
     with pytest.raises(NumericError, match="MoS head"):
         mos_log_probs(model, hidden, (np.arange(40), np.zeros(40, dtype=np.int64)))
     assert threading.active_count() == before
+    assert sorted(calls) == [16, 24]
 
 
 def test_eval_leaves_no_thread_behind():

@@ -285,8 +285,23 @@ def test_lstm_layer_matches_per_step_oracle(lanes, steps, widths):
         assert err <= 1e-10 * np.max(np.abs(w), initial=0.0), f"input {k}: {err:.3e}"
 
 
+def test_sigmoid_bits_match_split_where_form():
+    # max(e, z >= 0) for the numerator must be np.where(z >= 0, 1, e) bit for bit, at the
+    # signed zeros, subnormals, saturation, underflow of exp, the infinities and NaN
+    tiny = np.finfo(np.float64).tiny
+    special = [0.0, -0.0, 5e-324, -5e-324, tiny / 4, -tiny / 4, 40.0, -40.0, 745.0, -745.0,
+               800.0, -800.0, np.inf, -np.inf, np.nan]
+    z = np.concatenate([special, np.random.default_rng(3).standard_normal(17)]).reshape(4, 8)
+    want = z.copy()
+    oracles._split_sigmoid(want)
+    got = z.copy()
+    model_module._sigmoid(got, np.empty_like(z), np.empty_like(z), np.empty(z.shape, dtype=bool))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("lanes", [1, 3])
-@pytest.mark.parametrize("hid", [1, 7, 32])
+@pytest.mark.parametrize("hid", [1, 7, 32, 128])
 @pytest.mark.parametrize("steps", [1, 5])
 def test_lstm_layer_bits_match_split_gate_oracle(lanes, hid, steps):
     # Gate columns cycle through exact zeros (no weight reaches them), the
