@@ -269,7 +269,7 @@ def cmd_train_student(args) -> int:
 
 
 def cmd_eval_ppl(args) -> int:
-    cfg = load_config(args.config, args.set, args.seed)
+    cfg = load_config(args.config, args.set)
     _echo_config(cfg, Path(args.out) if args.out else None)
     model, vocab = _load_model_and_vocab(args)
     stream = encode(read_lines(args.data), vocab)
@@ -279,7 +279,7 @@ def cmd_eval_ppl(args) -> int:
 
 
 def cmd_rescore(args) -> int:
-    cfg = load_config(args.config, args.set, args.seed)
+    cfg = load_config(args.config, args.set)
     _echo_config(cfg, Path(args.out) if args.out else None)
     model, vocab = _load_model_and_vocab(args)
     nbest = parse_nbest(read_lines(args.nbest), args.nbest)
@@ -490,8 +490,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--config", help="key = value config file")
         sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
-        sp.add_argument("--seed", type=int, help="override the seed key")
         if data_dir:
+            sp.add_argument("--seed", type=int, help="override the seed key")
             sp.add_argument("--data-dir", required=True,
                             help="directory with train.txt and valid.txt")
         sp.add_argument("--out", help="directory for resolved.cfg and a trained model's files")

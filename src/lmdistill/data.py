@@ -147,10 +147,8 @@ def build_vocab(lines: list[str], cap: int, rnn_unk_min_count: int = 0) -> Vocab
     if not lines:
         raise DataError("empty corpus: no lines to build a vocabulary from")
     counts: Counter[str] = Counter()
-    n_lines = 0
     special_hits = Counter()
     for line in lines:
-        n_lines += 1
         for tok in line.split():
             if tok in _SPECIALS:
                 special_hits[tok] += 1
@@ -162,7 +160,7 @@ def build_vocab(lines: list[str], cap: int, rnn_unk_min_count: int = 0) -> Vocab
     rare = {w for w, c in kept if c < rnn_unk_min_count} if rnn_unk_min_count > 0 else set()
 
     words = list(_SPECIALS) + [w for w, _ in kept if w not in rare]
-    eos_count = n_lines + special_hits[EOS]
+    eos_count = len(lines) + special_hits[EOS]
     unk_count = sum(c for _, c in dropped) + special_hits[UNK]
     rnn_unk_count = sum(c for w, c in kept if w in rare) + special_hits[RNN_UNK]
     count_of = dict(kept)

@@ -8,9 +8,10 @@ bottleneck width, which is how the published parameter counts come out).
 model_forward runs layer-major over whole windows: each LSTM layer is one op over the
 time-major [T*B x in] block (lstm_layer, its backward a hand-written BPTT), and stops at
 the head's B*T input rows (MosRows). Eval (perplexity, rescoring) reads only each
-target's log P, over two threads, in chunks of _PICK_ELEMENTS / (K*V) rows (1 MB, at
-least 8 rows) against a C-ordered copy of the output matrix, with nothing [n x V] formed
-(mos_log_probs with picks; with none, the same arithmetic scores every (row, id)).
+target's log P, in chunks of _PICK_ELEMENTS / (K*V) rows (1 MB, at least 8 rows) that
+alternate between the calling thread and one helper thread, against a C-ordered copy of
+the output matrix, with nothing [n x V] formed (mos_log_probs with picks; with none, the
+same arithmetic scores every (row, id)).
 Teachers' P (add_probs) and the train-mode loss run in chunks of CHUNK_ELEMENTS / (K*V)
 rows, through one [K*c x V] workspace per call laid out (row, expert)-major: one output
 matmul over the K expert contexts, one exp per expert, and the mixture in P space, S =
@@ -25,8 +26,8 @@ one fixed order, so a step's gradients are bitwise reproducible.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -393,14 +394,15 @@ def _pick_chunk(model: LmModel) -> int:
 
 
 def _pick_rows(model: LmModel, out_matrix: np.ndarray, hidden: np.ndarray, rows, ids,
-               out: np.ndarray) -> None:
-    """out[j] = log P[rows[j], ids[j]] for picks sorted by row, in chunks of _pick_chunk rows
-    of hidden: each expert's target logit less its log normaliser (row max + log sum exp),
-    then a K-way logsumexp against log pi. No mixture over V and no log of an underflowed
-    entry. out_matrix is _out_matrix's, C-ordered, so BLAS does not repack it per chunk."""
+               out: np.ndarray, first: int) -> None:
+    """out[j] = log P[rows[j], ids[j]] for picks sorted by row, over every other chunk of
+    _pick_chunk rows of hidden from chunk `first` (0 or 1): each expert's target logit less its
+    log normaliser (row max + log sum exp), then a K-way logsumexp against log pi. No mixture
+    over V and no log of an underflowed entry. out_matrix is _out_matrix's, C-ordered, so BLAS
+    does not repack it per chunk."""
     k, step = model.config.num_experts, _pick_chunk(model)
     block = np.empty((min(len(hidden), step) * k, model.config.vocab_size))
-    for lo in range(0, len(hidden), step):
+    for lo in range(first * step, len(hidden), 2 * step):
         hi = min(lo + step, len(hidden))
         a, b = np.searchsorted(rows, [lo, hi])
         log_pi, ctx, _ = _head_inputs(model, hidden[lo:hi])
@@ -418,8 +420,8 @@ def _pick_rows(model: LmModel, out_matrix: np.ndarray, hidden: np.ndarray, rows,
 def mos_log_probs(model: LmModel, hidden: np.ndarray, picks=None) -> np.ndarray:
     """log P[rows, ids] for picks = (rows, ids), shaped as rows, where log P = log sum_k pi_k
     softmax(tanh(h W_k + b_k) W_out + b_out) over the rows h of hidden; with no picks, every
-    (row, id): the whole log P [n x V]. By _pick_rows over two halves of whole chunks, the
-    second on a helper thread (none if a half is one chunk or less), both reading one
+    (row, id): the whole log P [n x V]. By _pick_rows, the even chunks on the calling thread
+    and the odd ones on a helper thread (none if n is one chunk or less), both reading one
     C-ordered copy of the output matrix made per call (1 MB at V=2000, E=64)."""
     n, v = len(hidden), model.config.vocab_size
     if picks is None:
@@ -430,27 +432,12 @@ def mos_log_probs(model: LmModel, hidden: np.ndarray, picks=None) -> np.ndarray:
     shape, rows, ids = rows.shape, rows.ravel(), ids.ravel()
     order = np.argsort(rows, kind="stable")
     rows, ids, out = rows[order], ids[order], np.empty(len(rows))
-    out_matrix, step = np.ascontiguousarray(_out_matrix(model)), _pick_chunk(model)
-    half = -(-n // (2 * step)) * step  # whole chunks: the bits of one pass
-    cut, errors = int(np.searchsorted(rows, half)), []
-    split = half < n  # else every row is in the first half: no helper thread
-
-    def second():
-        try:
-            _pick_rows(model, out_matrix, hidden[half:], rows[cut:] - half, ids[cut:], out[cut:])
-        except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    helper = threading.Thread(target=second)
-    if split:
-        helper.start()
-    try:
-        _pick_rows(model, out_matrix, hidden[:half], rows[:cut], ids[:cut], out[:cut])
-    finally:
-        if split:
-            helper.join()
-    if errors:
-        raise errors[0]
+    args = (model, np.ascontiguousarray(_out_matrix(model)), hidden, rows, ids, out)
+    with ThreadPoolExecutor(1) as pool:  # joined on exit; result() raises the helper's error here
+        second = pool.submit(_pick_rows, *args, 1) if n > _pick_chunk(model) else None
+        _pick_rows(*args, 0)
+        if second is not None:
+            second.result()
     return out[np.argsort(order)].reshape(shape)  # back in the picks' order
 
 
@@ -523,12 +510,9 @@ def flatten_targets(targets: np.ndarray) -> np.ndarray:
 
 
 def _masked(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    return x if mask is None else x * mask
-
-
-def _tiled(mask: np.ndarray | None, steps: int) -> np.ndarray | None:
-    """A per-lane [batch x n] mask repeated for every step of a time-major block."""
-    return None if mask is None else np.tile(mask, (steps, 1))
+    """x * mask, the mask repeated down x's rows: a per-lane [batch x n] mask at every step
+    of a time-major block, or a weight mask of x's own shape."""
+    return x if mask is None else (x.reshape(-1, *mask.shape) * mask).reshape(x.shape)
 
 
 def _plus(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
@@ -574,7 +558,7 @@ def _trunk(model: LmModel, tokens: np.ndarray, state: LmState,
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
         raise ShapeError(f"tokens must be [batch x T], got shape {tokens.shape}")
-    batch, steps = tokens.shape
+    batch = tokens.shape[0]
     if state.batch_size != batch:
         raise ShapeError(f"state batch {state.batch_size} != tokens batch {batch}")
     bad = np.nonzero((tokens < 0) | (tokens >= cfg.vocab_size))
@@ -589,11 +573,9 @@ def _trunk(model: LmModel, tokens: np.ndarray, state: LmState,
     embed_mask = variational_mask((cfg.vocab_size, 1), rates.embed_rate, rng)
     wh_masks = [variational_mask(p[f"lstm{i}.wh"].shape, rates.hidden_rate, rng)
                 for i in layers]
-    in_mask = _tiled(variational_mask((batch, cfg.embed_dim), rates.input_rate, rng), steps)
-    out_masks = [_tiled(variational_mask((batch, h), rates.output_rate, rng), steps)
-                 for h in cfg.layer_widths]
-    other_mask = _tiled(variational_mask((batch, cfg.bottleneck_dim), rates.other_rate, rng),
-                        steps)
+    in_mask = variational_mask((batch, cfg.embed_dim), rates.input_rate, rng)
+    out_masks = [variational_mask((batch, h), rates.output_rate, rng) for h in cfg.layer_widths]
+    other_mask = variational_mask((batch, cfg.bottleneck_dim), rates.other_rate, rng)
 
     ids = tokens.ravel(order="F")
     table = p["embedding"]
@@ -624,7 +606,7 @@ def _trunk(model: LmModel, tokens: np.ndarray, state: LmState,
             d += d_dropped
         for i in reversed(layers):
             if out_masks[i] is not None:
-                d = d * out_masks[i]
+                d = _masked(d, out_masks[i])
                 if d_raw is not None and i == layers[-1]:
                     d += d_raw
             d, _, _, grads[f"lstm{i}.wx"], d_wh, grads[f"lstm{i}.b"] = backwards[i](d)

@@ -650,6 +650,14 @@ def test_grad_check_takes_no_options(option, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["eval-ppl", "--model", "m.dlm", "--data", "test.txt"],
+                                  ["rescore", "--model", "m.dlm", "--nbest", "nbest.tsv"]],
+                         ids=["eval-ppl", "rescore"])
+def test_seed_is_refused_where_nothing_is_seeded(argv, capsys):
+    assert dispatch(argv + ["--seed", "3"]) == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_grad_check_row_fails_on_a_nan_error(monkeypatch):
     # the largest finite error (c) passes, and max by error alone passes over the NaN
     reports = {"a": GradCheckReport(1e-7), "b": GradCheckReport(float("nan")),

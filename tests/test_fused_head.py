@@ -45,18 +45,19 @@ def _chunks_of(monkeypatch, config, rows):
 
 
 def _pick_chunks_of(monkeypatch, config, rows):
-    """Target-only head chunks of `rows` rows (8 at least); returns a list that gets the row
-    count of each _pick_rows call, so a test can see that both halves got rows."""
+    """Target-only head chunks of `rows` rows (8 at least); returns a list that gets, for each
+    chunk _pick_rows walks, whether the calling thread walked it and the chunk's hidden rows,
+    so a test can see which chunks the helper thread got."""
     monkeypatch.setattr(model_module, "_PICK_ELEMENTS",
                         rows * config.num_experts * config.vocab_size)
-    calls, real = [], model_module._pick_rows
+    chunks, real = [], model_module._head_inputs
 
-    def counted(model, out_matrix, hidden, *rest):
-        calls.append(len(hidden))
-        return real(model, out_matrix, hidden, *rest)
+    def counted(model, hidden):
+        chunks.append((threading.current_thread() is threading.main_thread(), hidden))
+        return real(model, hidden)
 
-    monkeypatch.setattr(model_module, "_pick_rows", counted)
-    return calls
+    monkeypatch.setattr(model_module, "_head_inputs", counted)
+    return chunks
 
 
 def _underflow(model):
@@ -107,7 +108,7 @@ def test_eval_forward_matches_per_step_oracle(tied, underflow):
     model = build_model(config, seed=3)
     if underflow:
         _underflow(model)
-    tokens = np.random.default_rng(4).integers(0, 11, size=(2, 7))  # N = 14 rows, halves 8, 6
+    tokens = np.random.default_rng(4).integers(0, 11, size=(2, 7))  # N = 14 rows
     got = model_forward(model, tokens, model.init_state(2))
     want = oracle_forward(model, T.leaves(model.params), tokens, model.init_state(2))[0]
     assert np.max(np.abs(got.log_probs.data - want.data)) <= 1e-12
@@ -200,11 +201,11 @@ def test_target_only_head_matches_the_full_head(tied, n, experts, underflow):
 
 
 @pytest.mark.parametrize("experts", [3, 1], ids=["K3", "K1"])
-def test_target_only_halves_equal_one_pass_bitwise(experts, monkeypatch):
-    # 41 rows: halves of 30 and 11 rows, chunks of 10, 10, 10 and 10, 1. BLAS may round a
-    # row differently in a block of another height (a one-row block is a matrix-vector
-    # product), so a split off the chunk grid can change bits; every (row, id) is
-    # picked, so a logit that moves shows
+def test_target_only_alternating_chunks_equal_one_thread_bitwise(experts, monkeypatch):
+    # 41 rows in chunks of 10, 10, 10, 10, 1: the caller walks chunks 0, 2 and 4, the
+    # helper thread 1 and 3. BLAS may round a row differently in a block of another height
+    # (a one-row block is a matrix-vector product), so a chunk off the grid can change bits;
+    # every (row, id) is picked, so a logit that moves shows
     config = _config(True, num_experts=experts, vocab_size=300, embed_dim=32, bottleneck_dim=16)
     model = build_model(config, seed=14)
     rng = np.random.default_rng(15)
@@ -212,27 +213,34 @@ def test_target_only_halves_equal_one_pass_bitwise(experts, monkeypatch):
     every = rng.permutation(41 * config.vocab_size)
     rows, ids = every // config.vocab_size, every % config.vocab_size
     order = np.argsort(rows, kind="stable")
-    one_pass = np.empty(rows.size)
-    calls = _pick_chunks_of(monkeypatch, config, 10)
-    out_w = np.ascontiguousarray(model_module._out_matrix(model))
-    model_module._pick_rows(model, out_w, hidden, rows[order], ids[order], one_pass)
-    assert calls.pop() == 41
-    assert np.array_equal(mos_log_probs(model, hidden, (rows, ids))[order], one_pass)
-    assert sorted(calls) == [11, 30]
+    one_thread = np.empty(rows.size)
+    chunks = _pick_chunks_of(monkeypatch, config, 10)
+    args = (model, np.ascontiguousarray(model_module._out_matrix(model)), hidden, rows[order],
+            ids[order], one_thread)
+    model_module._pick_rows(*args, 0)
+    model_module._pick_rows(*args, 1)
+    assert [len(h) for _, h in chunks] == [10, 10, 1, 10, 10]
+    chunks.clear()
+    assert np.array_equal(mos_log_probs(model, hidden, (rows, ids))[order], one_thread)
+    assert sorted(len(h) for caller, h in chunks if caller) == [1, 10, 10]
+    assert sorted(len(h) for caller, h in chunks if not caller) == [10, 10]
 
 
-@pytest.mark.parametrize("row", [0, 39], ids=["first-half", "second-half"])
-def test_nan_in_either_half_raises_numeric_error(row, monkeypatch):
+@pytest.mark.parametrize("row", [0, 12], ids=["caller-chunk", "helper-chunk"])
+def test_nan_in_either_thread_raises_numeric_error(row, monkeypatch):
+    # 40 rows in chunks of 8: the caller walks chunks 0, 2 and 4 (rows 0-7, 16-23, 32-39),
+    # the helper thread 1 and 3 (rows 8-15, 24-31)
     config = _config(True)
     model = build_model(config, seed=16)
     hidden = np.random.default_rng(17).normal(size=(40, config.bottleneck_dim))
     hidden[row, 2] = np.nan
-    calls = _pick_chunks_of(monkeypatch, config, 8)  # halves of 24 and 16 rows
+    chunks = _pick_chunks_of(monkeypatch, config, 8)
     before = threading.active_count()
     with pytest.raises(NumericError, match="MoS head"):
         mos_log_probs(model, hidden, (np.arange(40), np.zeros(40, dtype=np.int64)))
     assert threading.active_count() == before
-    assert sorted(calls) == [16, 24]
+    assert [caller for caller, h in chunks if np.isnan(h).any()] == [row == 0]
+    assert {caller for caller, _ in chunks} == {False, True}
 
 
 def test_eval_leaves_no_thread_behind():
