@@ -11,7 +11,9 @@ the head's B*T input rows (MosRows). Eval (perplexity, rescoring) reads only eac
 target's log P, in chunks of _PICK_ELEMENTS / (K*V) rows (1 MB, at least 8 rows) that
 alternate between the calling thread and one helper thread, against a C-ordered copy of
 the output matrix, with nothing [n x V] formed (mos_log_probs with picks; with none, the
-same arithmetic scores every (row, id)).
+same arithmetic scores every (row, id)). perplexity runs the batch-1 trunk as eval_stages'
+two stages over contiguous layers, the upper one a window behind on a second thread when
+the layers are wide enough (_PIPELINE_ELEMENTS) for that to pay.
 Teachers' P (add_probs) and the train-mode loss run in chunks of CHUNK_ELEMENTS / (K*V)
 rows, through one [K*c x V] workspace per call laid out (row, expert)-major: one output
 matmul over the K expert contexts, one exp per expert, and the mixture in P space, S =
@@ -36,7 +38,8 @@ from .errors import ConfigError, NumericError, ShapeError
 from .regularization import DropoutSpec, variational_mask
 
 __all__ = ["ModelConfig", "LmModel", "LmState", "ForwardResult", "MosRows", "build_model",
-           "param_count", "lstm_layer", "mos_log_probs", "model_forward", "add_probs"]
+           "param_count", "lstm_layer", "mos_log_probs", "model_forward", "add_probs",
+           "eval_stages"]
 
 EMBED_INIT_RANGE = 0.1
 
@@ -171,8 +174,9 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
     g is the tanh candidate: c' = f*c + i*g, h' = o*tanh(c'). The input GEMM
     for all T steps runs before the recurrence, which keeps only the gates and
     the cells. A step holds the tanh candidate aside, makes one logistic pass over
-    all four gate blocks and writes the candidate back into g; its other intermediates,
-    and the reverse recurrence's, go into buffers allocated once per call. backward(dL/dhs)
+    all four gate blocks and writes the candidate back into g; its tanh(c) is kept for the
+    backward, and its other intermediates, and the reverse recurrence's, go into buffers
+    allocated once per call. backward(dL/dhs)
     runs the reverse recurrence, ends in one weight-gradient GEMM each for wx and
     wh, and returns the gradients in (xs, h0, c0, wx, wh, b). model_forward carries
     h_T and c_T on as constants, so a window's gradient stops at the state it was handed.
@@ -188,8 +192,9 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
     cells = np.empty((steps + 1, batch, hid))
     hs[0], cells[0] = h0, c0
     i, f, g, o = (gates[:, :, j * hid:(j + 1) * hid] for j in range(4))
+    tanh_c = np.empty((steps, batch, hid))  # tanh(c) of each step, for h and the backward
     cand = np.empty((batch, hid))  # step t's tanh candidate, held aside from the logistic pass
-    tmp = np.empty((batch, hid))  # i*g, then tanh(c); dh*dc_from_dh in the backward
+    tmp = np.empty((batch, hid))  # i*g; dh*dc_from_dh in the backward
     zh, e, den = (np.empty((batch, 4 * hid)) for _ in range(3))  # h @ wh; the logistic's
     pos = np.empty((batch, 4 * hid), dtype=bool)
     for t, z in enumerate(gates):  # z becomes the gate activations in place
@@ -200,14 +205,22 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
         g[t] = cand
         np.multiply(f[t], cells[t], out=cells[t + 1])
         cells[t + 1] += np.multiply(i[t], cand, out=tmp)
-        np.multiply(o[t], np.tanh(cells[t + 1], out=tmp), out=hs[t + 1])
+        np.multiply(o[t], np.tanh(cells[t + 1], out=tanh_c[t]), out=hs[t + 1])
 
     def backward(d_hs):
-        tanh_c = np.tanh(cells[1:])
-        dc_from_dh = o * (1.0 - tanh_c * tanh_c)
-        # dz = [dc*g*i(1-i), dc*c_prev*f(1-f), dc*i*(1-g^2), dh*tanh(c)*o(1-o)]
-        dz = np.concatenate([g * i * (1.0 - i), cells[:-1] * f * (1.0 - f),
-                             i * (1.0 - g * g), tanh_c * o * (1.0 - o)], axis=2)
+        # dz = [dc*g*i(1-i), dc*c_prev*f(1-f), dc*i*(1-g^2), dh*tanh(c)*o(1-o)], each block
+        # written in place by the ops, in the order, of the expression it spells out
+        dz = np.empty((steps, batch, 4 * hid))
+        dz_i, dz_f, dz_g, dz_o = (dz[:, :, j * hid:(j + 1) * hid] for j in range(4))
+        dc_from_dh = np.empty((steps, batch, hid))  # scratch until its own value, last
+        np.multiply(np.multiply(g, i, out=dz_i), np.subtract(1.0, i, out=dc_from_dh), out=dz_i)
+        np.multiply(np.multiply(cells[:-1], f, out=dz_f), np.subtract(1.0, f, out=dc_from_dh),
+                    out=dz_f)
+        np.multiply(i, np.subtract(1.0, np.multiply(g, g, out=dz_g), out=dz_g), out=dz_g)
+        np.multiply(np.multiply(tanh_c, o, out=dz_o), np.subtract(1.0, o, out=dc_from_dh),
+                    out=dz_o)
+        np.multiply(o, np.subtract(1.0, np.multiply(tanh_c, tanh_c, out=dc_from_dh),
+                                   out=dc_from_dh), out=dc_from_dh)  # o*(1 - tanh(c)^2)
         d_hs, dz4 = d_hs.reshape(steps, batch, hid), dz.reshape(steps, batch, 4, hid)
         dh, dc = np.zeros((batch, hid)), np.zeros((batch, hid))
         for t in reversed(range(steps)):  # dh, dc: the gradients in h_t, c_t
@@ -227,6 +240,11 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
 # A head chunk's [K*rows x V] block holds about this many float64s (16 MB).
 CHUNK_ELEMENTS = 1 << 21
 _PICK_ELEMENTS = 1 << 17  # the same for a target-only head (mos_log_probs): 1 MB, L2-sized
+# eval_stages' pipeline pays once its lighter stage's recurrent matrices hold this many
+# float64s, a 224-wide layer's 1.6 MB wh: perplexity ran 1.18-1.60x faster at 2 x 224, and
+# 0.94-1.14x at 2 x 192. A narrower batch-1 step is mostly numpy call overhead under the GIL,
+# and two threads slow each other down.
+_PIPELINE_ELEMENTS = 4 * 224 * 224
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
@@ -550,24 +568,29 @@ def add_probs(model: LmModel, tokens: np.ndarray, state: LmState, out: np.ndarra
     return new_state
 
 
+def _checked_ids(model: LmModel, tokens, batch: int) -> np.ndarray:
+    """tokens as an int64 [batch x T] array; ShapeError naming the first id out of range."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim != 2:
+        raise ShapeError(f"tokens must be [batch x T], got shape {tokens.shape}")
+    if tokens.shape[0] != batch:
+        raise ShapeError(f"state batch {batch} != tokens batch {tokens.shape[0]}")
+    bad = np.nonzero((tokens < 0) | (tokens >= model.config.vocab_size))
+    if bad[0].size:
+        b, t = int(bad[0][0]), int(bad[1][0])
+        raise ShapeError(
+            f"token id {int(tokens[b, t])} at (lane {b}, step {t}) out of range "
+            f"[0, {model.config.vocab_size})")
+    return tokens
+
+
 def _trunk(model: LmModel, tokens: np.ndarray, state: LmState,
            rng: np.random.Generator | None):
     """model_forward below the head: (the head's input rows, the new state, raw, dropped,
     the trunk's backward or None in eval mode)."""
     cfg, p = model.config, model.params
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 2:
-        raise ShapeError(f"tokens must be [batch x T], got shape {tokens.shape}")
+    tokens = _checked_ids(model, tokens, state.batch_size)
     batch = tokens.shape[0]
-    if state.batch_size != batch:
-        raise ShapeError(f"state batch {state.batch_size} != tokens batch {batch}")
-    bad = np.nonzero((tokens < 0) | (tokens >= cfg.vocab_size))
-    if bad[0].size:
-        b, t = int(bad[0][0]), int(bad[1][0])
-        raise ShapeError(
-            f"token id {int(tokens[b, t])} at (lane {b}, step {t}) out of range "
-            f"[0, {cfg.vocab_size})")
-
     rates = cfg.dropout
     layers = range(cfg.lstm_layers)
     embed_mask = variational_mask((cfg.vocab_size, 1), rates.embed_rate, rng)
@@ -624,3 +647,38 @@ def _trunk(model: LmModel, tokens: np.ndarray, state: LmState,
         return grads
 
     return hidden, LmState(new_state), raw, x, backward
+
+
+def eval_stages(model: LmModel, state: LmState):
+    """Eval mode's trunk as two stages over contiguous layers: (stage_a, stage_b, pipelined).
+
+    stage_a(tokens [batch x T]) gathers the embedding rows and runs layers [0, cut); stage_b
+    of its result runs layers [cut, L) and the bottleneck and returns the head's input rows,
+    model_forward's bit for bit. Each stage carries its own layers' (h, c) from state across
+    its calls, so stage_b of one window can run on another thread beside stage_a of the next;
+    stage_b calls nothing but lstm_layer and numpy. cut balances the stages' per-step GEMV
+    bytes (their recurrent matrices' sizes); a tie goes to stage_b, as the caller of stage_a
+    also scores the head. pipelined is whether that pays: at least two layers, and the
+    lighter stage's recurrent matrices hold _PIPELINE_ELEMENTS float64s or more.
+    """
+    p, n = model.params, model.config.lstm_layers
+    weights = [(p[f"lstm{i}.wx"], p[f"lstm{i}.wh"], p[f"lstm{i}.b"]) for i in range(n)]
+    gemv = [wh.size for _, wh, _ in weights]
+    cut = min(range(1, max(2, n)), key=lambda c: max(sum(gemv[:c]), sum(gemv[c:])))
+    carried = list(state.layers)
+
+    def run(x, first, last):
+        for i in range(first, last):
+            x, h, c, _ = lstm_layer(x, *carried[i], *weights[i])
+            carried[i] = (h, c)
+        return x
+
+    def stage_a(tokens):
+        ids = _checked_ids(model, tokens, state.batch_size).ravel(order="F")
+        return run(p["embedding"][ids], 0, cut)
+
+    def stage_b(x):
+        return run(x, cut, n) @ p["bottleneck.w"] + p["bottleneck.b"]
+
+    pipelined = n > 1 and min(sum(gemv[:cut]), sum(gemv[cut:])) >= _PIPELINE_ELEMENTS
+    return stage_a, stage_b, pipelined

@@ -27,6 +27,7 @@ import itertools
 import math
 import multiprocessing
 import socket
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing.pool import ExceptionWithTraceback
 
@@ -35,8 +36,8 @@ import numpy as np
 from .data import BpttBatch, TokenStream, bptt_batches
 from .errors import ConfigError, DataError, TrainingError, require_finite
 from .losses import DistillLossSpec, distill_loss
-from .model import (CHUNK_ELEMENTS, LmModel, LmState, MosRows, add_probs, flatten_targets,
-                    model_forward)
+from .model import (CHUNK_ELEMENTS, LmModel, LmState, MosRows, add_probs, eval_stages,
+                    flatten_targets, model_forward)
 from .regularization import activation_reg
 
 __all__ = ["TrainConfig", "EpochLog", "TrainResult", "TeacherEnsemble",
@@ -357,24 +358,42 @@ def perplexity(model: LmModel, stream: TokenStream) -> float:
     """exp of the mean natural-log NLL over every target token (eos included).
 
     One lane in EVAL_WINDOW-step windows, state carried; the last window may be
-    shorter, so no target is dropped. Windows are scored by one target-only head
-    call (MosRows.picked) per CHUNK_ELEMENTS / bottleneck rows.
+    shorter, so no target is dropped. The trunk runs as eval_stages' two stages:
+    while the caller runs stage A (embedding, lower layers) of a window and scores
+    earlier rows, one pool thread runs stage B (upper layers, bottleneck) of the window
+    before. Where that would not pay (eval_stages' pipelined) the caller runs stage B
+    itself, in the same loop, and no thread starts. Rows are scored by one target-only
+    head call (MosRows.picked) per CHUNK_ELEMENTS / bottleneck rows, so the result does
+    not depend on which thread ran stage B.
     """
     n = len(stream)
     if n < 2:
         raise DataError(f"stream of {n} tokens too short to evaluate")
-    state = model.init_state(1)
+    stage_a, stage_b, pipelined = eval_stages(model, model.init_state(1))
     total, hidden, targets = 0.0, [], []
-    for lo in range(0, n - 1, EVAL_WINDOW):
-        hi = min(lo + EVAL_WINDOW, n - 1)
-        out = model_forward(model, stream.ids[None, lo:hi], state)
-        hidden.append(out.log_probs.hidden)
+
+    def score(lo, hi, rows):
+        nonlocal total
+        hidden.append(rows.result() if pipelined else rows)
         targets.append(stream.ids[lo + 1:hi + 1])
-        state = out.state
         if hi == n - 1 or sum(map(len, hidden)) * hidden[0].shape[1] >= CHUNK_ELEMENTS:
             y = np.concatenate(targets)
             picked = MosRows(model, np.concatenate(hidden)).picked(np.arange(len(y)), y)
             for window in np.split(picked, np.cumsum([len(t) for t in targets[:-1]])):
                 total += float(-window.sum())
-            hidden, targets = [], []
+            hidden.clear()
+            targets.clear()
+
+    # joined on exit, and a stage B error is raised here by result(); a pool that is
+    # never submitted to starts no thread
+    with ThreadPoolExecutor(1) as pool:
+        behind = None  # the previous window's (lo, hi, rows or their future)
+        for lo in range(0, n - 1, EVAL_WINDOW):
+            hi = min(lo + EVAL_WINDOW, n - 1)
+            x = stage_a(stream.ids[None, lo:hi])
+            window = (lo, hi, pool.submit(stage_b, x) if pipelined else stage_b(x))
+            if behind is not None:
+                score(*behind)
+            behind = window
+        score(*behind)
     return math.exp(total / (n - 1))

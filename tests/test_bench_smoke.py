@@ -50,6 +50,17 @@ def test_bench_smoke_passes():
     assert lines and lines[-1] == "smoke: ok", proc.stdout[-2000:]
 
 
+def _install_tracer(monkeypatch):
+    sites = spans.ENTRY_SITES + spans.CALL_SITES
+    for owner_name, attr, *_ in sites:
+        owner = spans._resolve(owner_name)
+        if attr in vars(owner):
+            monkeypatch.setattr(owner, attr, getattr(owner, attr))  # undone after the test
+    tracer = spans.Tracer()
+    tracer.install(sites)
+    return tracer
+
+
 def test_traced_eval_spans_nest(monkeypatch):
     # --smoke traces only tiny shapes, whose eval heads never reach the helper thread;
     # here, with head chunks of 8 rows, each head call has four chunks or more, so the
@@ -62,13 +73,7 @@ def test_traced_eval_spans_nest(monkeypatch):
         return pick_rows(model, out_matrix, hidden, *rest)
 
     monkeypatch.setattr(model_module, "_pick_rows", counted)
-    sites = spans.ENTRY_SITES + spans.CALL_SITES
-    for owner_name, attr, *_ in sites:
-        owner = spans._resolve(owner_name)
-        if attr in vars(owner):
-            monkeypatch.setattr(owner, attr, getattr(owner, attr))  # undone after the test
-    tracer = spans.Tracer()
-    tracer.install(sites)
+    tracer = _install_tracer(monkeypatch)
     model = build_model(ModelConfig(vocab_size=40, embed_dim=8, lstm_layers=1, hidden_dim=8,
                                     bottleneck_dim=8, num_experts=2), seed=1)
     training.perplexity(model, TokenStream(np.random.default_rng(2).integers(0, 40, size=65)))
@@ -80,3 +85,23 @@ def test_traced_eval_spans_nest(monkeypatch):
     assert metrics["model.mos_head_calls"] >= 1
     assert calls and min(rows for _, rows in calls) > 3 * 8
     assert sorted({main for main, _ in calls}) == [False, True]  # the helper thread got rows
+
+
+def test_traced_eval_spans_nest_with_stage_b_on_the_pool(monkeypatch):
+    # a 2-layer model with perplexity's pipeline forced on: layer 1 and the bottleneck run on
+    # the pool thread, and call nothing the tracer wraps
+    monkeypatch.setattr(model_module, "_PIPELINE_ELEMENTS", 0)
+    calls, layer = [], model_module.lstm_layer
+
+    def counted(xs, h0, c0, wx, wh, b):
+        calls.append((threading.current_thread() is threading.main_thread(), wh.shape[0]))
+        return layer(xs, h0, c0, wx, wh, b)
+
+    monkeypatch.setattr(model_module, "lstm_layer", counted)
+    tracer = _install_tracer(monkeypatch)
+    model = build_model(ModelConfig(vocab_size=40, embed_dim=8, lstm_layers=2, hidden_dim=8,
+                                    last_hidden_dim=6, bottleneck_dim=8, num_experts=2), seed=1)
+    ppl = training.perplexity(model, TokenStream(np.random.default_rng(2).integers(0, 40, 129)))
+    metrics = spans.summarize(tracer.take(), 0, 0.0)  # raises if spans break nesting
+    assert np.isfinite(ppl) and metrics["model.mos_head_calls"] == 1
+    assert sorted(set(calls)) == [(False, 6), (True, 8)]  # layer 1 on the pool, layer 0 not

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import threading
 import time
 import tracemalloc
 import warnings
@@ -589,6 +590,76 @@ def test_perplexity_of_uniform_model_is_vocab_size():
     for p in model.params.values():
         p[:] = 0.0
     assert perplexity(model, stream) == pytest.approx(vocab.size, rel=1e-12)
+
+
+def _layer_threads(monkeypatch, model, fail=None):
+    """Record (layer index, ran on the main thread) per lstm_layer call, in call order; the
+    call for which fail(layer, calls so far) is true raises NumericError instead."""
+    calls, layer = [], model_module.lstm_layer
+    index = {id(model.params[f"lstm{i}.wh"]): i for i in range(model.config.lstm_layers)}
+
+    def recorded(xs, h0, c0, wx, wh, b):
+        i = index[id(wh)]
+        calls.append((i, threading.current_thread() is threading.main_thread()))
+        if fail is not None and fail(i, len(calls)):
+            raise NumericError(f"layer {i}")
+        return layer(xs, h0, c0, wx, wh, b)
+
+    monkeypatch.setattr(model_module, "lstm_layer", recorded)
+    return calls
+
+
+def _stack(layers, tied=True):
+    # a last layer narrower than the others, as in the reference configs; 3 layers split as
+    # layer 0 against layers 1-2
+    return build_model(ModelConfig(vocab_size=30, embed_dim=6, lstm_layers=layers,
+                                   hidden_dim=10, last_hidden_dim=8, bottleneck_dim=5,
+                                   num_experts=3, tie_embeddings=tied,
+                                   expert_dim=None if tied else 4), seed=layers)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("tied", [True, False])
+def test_perplexity_pipelined_and_inline_match_windowed_model_forward(layers, tied,
+                                                                      monkeypatch):
+    model = _stack(layers, tied)
+    # 75 tokens: 74 targets in windows of 32, 32 and a short 10
+    stream = TokenStream(np.random.default_rng(layers).integers(0, 30, size=75))
+    # the loop perplexity ran before its stages: model_forward per window, one head call
+    state, rows, total = model.init_state(1), [], 0.0
+    for lo in range(0, 74, 32):
+        out = model_forward(model, stream.ids[None, lo:min(lo + 32, 74)], state)
+        rows.append(out.log_probs.hidden)
+        state = out.state
+    picked = model_module.MosRows(model, np.concatenate(rows)).picked(np.arange(74),
+                                                                      stream.ids[1:])
+    for window in np.split(picked, [32, 64]):
+        total += float(-window.sum())
+    want = math.exp(total / 74)
+
+    calls = _layer_threads(monkeypatch, model)
+    for pipelined, elements in ((True, 0), (False, 10 ** 12)):
+        monkeypatch.setattr(model_module, "_PIPELINE_ELEMENTS", elements)
+        calls.clear()
+        assert perplexity(model, stream) == want
+        assert len(calls) == 3 * layers
+        on_pool = {i for i, main in calls if not main}
+        assert on_pool == (set(range(1, layers)) if pipelined else set())
+
+
+@pytest.mark.parametrize("stage", ["a", "b"])
+def test_perplexity_stage_error_reaches_caller(stage, monkeypatch):
+    # two layers: layer 0 is stage A on the caller, layer 1 stage B on the pool thread; the
+    # failing layer raises at its first call after the first two lstm_layer calls
+    model = _stack(2)
+    monkeypatch.setattr(model_module, "_PIPELINE_ELEMENTS", 0)
+    failing = {"a": 0, "b": 1}[stage]
+    calls = _layer_threads(monkeypatch, model, lambda i, n: i == failing and n > 2)
+    before = threading.active_count()
+    with pytest.raises(NumericError, match=f"layer {failing}"):
+        perplexity(model, TokenStream(np.random.default_rng(4).integers(0, 30, size=129)))
+    assert threading.active_count() == before
+    assert (failing, stage == "a") in calls[2:]  # it ran, and failed, on its stage's thread
 
 
 # ---------------------------------------------------------------------------
