@@ -11,6 +11,7 @@ Floats in the metadata use repr, so a save/load round trip is bitwise exact.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -149,10 +150,7 @@ def load_checkpoint(path) -> LmModel:
         if shape != want_shape:
             raise FormatError(f"{path}: parameter {name!r} shaped {shape}, "
                               f"config implies {want_shape}")
-        count = 1
-        for d in shape:
-            count *= d
-        payload = reader.take(8 * count, f"{name} payload")
+        payload = reader.take(8 * math.prod(shape), f"{name} payload")
         params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     if not reader.done:
         raise FormatError(f"{path}: {len(blob) - reader.pos} trailing bytes "

@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: train-teacher, train-student, eval-ppl, rescore, grad-check,
-ablate. Hyperparameters come from a key=value config file plus repeatable
---set overrides; every subcommand but grad-check, which takes no options,
-echoes its fully resolved config before doing any work. Exit codes: 0
-success, 1 user/config error, 2 internal error.
+ablate. The training commands and ablate take every config key, rescore
+only its four scoring keys, from a key=value config file plus repeatable
+--set overrides, and echo the resolved values before doing any work.
+eval-ppl and rescore echo the loaded checkpoint's own model config; eval-ppl
+and grad-check take no config at all. Exit codes: 0 success, 1 user/config
+error, 2 internal error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import _meta_lines, load_checkpoint, save_checkpoint
 from .data import BpttBatch, TokenStream, Vocabulary, atomic_open, build_vocab, encode, read_lines
 from .errors import ConfigError, DataError, UserError
 from .losses import LOSS_VARIANTS, DistillLossSpec
@@ -54,6 +56,12 @@ def _opt_int(text: str) -> int | None:
 
 
 # key -> (parser, default). Declaration order is the echo order.
+RESCORE_KEYS: dict[str, tuple] = {  # all that rescore reads
+    "lm_weight": (_finite, 1.0),
+    "word_insertion_penalty": (_finite, 0.0),
+    "oov_mode": (str, "rnn_unk"),
+    "oov_penalty": (_finite, -10.0),
+}
 CONFIG_KEYS: dict[str, tuple] = {
     "embed_dim": (int, 16),
     "lstm_layers": (int, 1),
@@ -82,10 +90,7 @@ CONFIG_KEYS: dict[str, tuple] = {
     "lr_decay_on_plateau": (_finite, 1.0),
     "vocab_cap": (int, 10000),
     "rnn_unk_min_count": (int, 0),
-    "lm_weight": (_finite, 1.0),
-    "word_insertion_penalty": (_finite, 0.0),
-    "oov_mode": (str, "rnn_unk"),
-    "oov_penalty": (_finite, -10.0),
+    **RESCORE_KEYS,
 }
 
 
@@ -134,8 +139,7 @@ class RunConfig:
 
     def lines(self) -> list[str]:
         out = []
-        for key in CONFIG_KEYS:
-            v = self.values[key]
+        for key, v in self.values.items():
             if v is None:
                 v = 0
             elif isinstance(v, bool):
@@ -144,19 +148,20 @@ class RunConfig:
         return out
 
 
-def _parse_value(key: str, raw: str, where: str):
-    if key not in CONFIG_KEYS:
+def _parse_value(key: str, raw: str, where: str, keys: dict[str, tuple]):
+    if key not in keys:
         raise ConfigError(f"{where}: unknown config key {key!r}")
-    parser, _ = CONFIG_KEYS[key]
+    parser, _ = keys[key]
     try:
         return parser(raw)
     except ValueError as e:
         raise ConfigError(f"{where}: bad value for {key}: {e}") from None
 
 
-def load_config(path=None, overrides: list[str] = (), seed: int | None = None) -> RunConfig:
-    """Defaults, then the config file, then --set overrides, then --seed."""
-    values = {k: d for k, (_, d) in CONFIG_KEYS.items()}
+def load_config(path=None, overrides: list[str] = (), seed: int | None = None,
+                keys: dict[str, tuple] = CONFIG_KEYS) -> RunConfig:
+    """Defaults, then the config file, then --set overrides, then --seed, over keys."""
+    values = {k: d for k, (_, d) in keys.items()}
     if path is not None:
         for lineno, line in enumerate(read_lines(path, ConfigError), 1):
             stripped = line.split("#", 1)[0].strip()
@@ -166,23 +171,20 @@ def load_config(path=None, overrides: list[str] = (), seed: int | None = None) -
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, raw = key.strip(), raw.strip()
-            values[key] = _parse_value(key, raw, f"{path}:{lineno}")
+            values[key] = _parse_value(key, raw, f"{path}:{lineno}", keys)
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, raw = key.strip(), raw.strip()
-        values[key] = _parse_value(key, raw, f"--set {key}")
+        values[key] = _parse_value(key, raw, f"--set {key}", keys)
     if seed is not None:
         values["seed"] = seed
     return RunConfig(values)
 
 
 def _echo_config(cfg: RunConfig, out_dir: Path | None) -> None:
-    print("# resolved config")
-    for line in cfg.lines():
-        print(line)
-    print()
+    print("# resolved config", *cfg.lines(), "", sep="\n")
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         with atomic_open(out_dir / "resolved.cfg") as f:
@@ -194,8 +196,10 @@ def _echo_config(cfg: RunConfig, out_dir: Path | None) -> None:
 
 
 def _load_model_and_vocab(args):
-    """The --model checkpoint and its vocabulary (--vocab, or vocab.txt beside it)."""
+    """The --model checkpoint, its config echoed as its header has it, and its
+    vocabulary (--vocab, or vocab.txt beside it)."""
     model = load_checkpoint(args.model)
+    print(f"# checkpoint {args.model}", *_meta_lines(model.config), "", sep="\n")
     path = Path(args.vocab or Path(args.model).parent / "vocab.txt")
     if not args.vocab and not path.is_file():  # an explicit --vocab's reader names the OS reason
         raise DataError(f"no vocabulary at {path}; pass --vocab")
@@ -230,8 +234,7 @@ def _train_command(args, setup) -> int:
                           f"data vocab size {vocab.size}")
     model = build_model(cfg.model_config(vocab.size), cfg["seed"])
     print(f"vocab={vocab.size} params={param_count(model.config)}{suffix}")
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:  # _echo_config made it
         vocab.save(out_dir / "vocab.txt")
 
     result = train(model, train_stream, valid_stream, cfg.train_config(loss),
@@ -269,8 +272,6 @@ def cmd_train_student(args) -> int:
 
 
 def cmd_eval_ppl(args) -> int:
-    cfg = load_config(args.config, args.set)
-    _echo_config(cfg, Path(args.out) if args.out else None)
     model, vocab = _load_model_and_vocab(args)
     stream = encode(read_lines(args.data), vocab)
     ppl = perplexity(model, stream)
@@ -279,7 +280,7 @@ def cmd_eval_ppl(args) -> int:
 
 
 def cmd_rescore(args) -> int:
-    cfg = load_config(args.config, args.set)
+    cfg = load_config(args.config, args.set, keys=RESCORE_KEYS)
     _echo_config(cfg, Path(args.out) if args.out else None)
     model, vocab = _load_model_and_vocab(args)
     nbest = parse_nbest(read_lines(args.nbest), args.nbest)
@@ -446,8 +447,7 @@ def cmd_ablate(args) -> int:
     teachers = {}
     for seed in seeds:
         tm = build_model(cfg.model_config(vocab.size, dropout=plain), seed + 100)
-        tcfg = cfg.train_config(DistillLossSpec(variant="ce_only"))
-        tcfg.seed = seed + 100
+        tcfg = replace(cfg.train_config(DistillLossSpec(variant="ce_only")), seed=seed + 100)
         train(tm, train_stream, valid_stream, tcfg)
         teachers[seed] = TeacherEnsemble([tm])
 
@@ -457,8 +457,7 @@ def cmd_ablate(args) -> int:
         vppls, tppls = [], []
         for seed in seeds:
             model = build_model(cfg.model_config(vocab.size, dropout=spec), seed)
-            run_cfg = cfg.train_config(loss)
-            run_cfg.seed = seed
+            run_cfg = replace(cfg.train_config(loss), seed=seed)
             result = train(model, train_stream, valid_stream, run_cfg,
                            teacher=teachers[seed] if loss.needs_teacher else None)
             vppls.append(result.best_valid_ppl)  # the restored params' score; inf if none
@@ -494,7 +493,7 @@ def _build_parser() -> _Parser:
             sp.add_argument("--seed", type=int, help="override the seed key")
             sp.add_argument("--data-dir", required=True,
                             help="directory with train.txt and valid.txt")
-        sp.add_argument("--out", help="directory for resolved.cfg and a trained model's files")
+        sp.add_argument("--out", help="directory for resolved.cfg; training also saves there")
 
     sp = sub.add_parser("train-teacher", help="train one teacher with CE loss")
     common(sp, data_dir=True)
@@ -505,7 +504,6 @@ def _build_parser() -> _Parser:
                     help="teacher checkpoint(s); repeatable or comma-separated")
 
     sp = sub.add_parser("eval-ppl", help="perplexity of a checkpoint on a text file")
-    common(sp)
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--vocab", help="vocabulary file (default: vocab.txt beside the model)")

@@ -1,5 +1,6 @@
 """Command-line behavior: config resolution, subcommands, exit codes."""
 
+import argparse
 import hashlib
 import multiprocessing
 import os
@@ -14,7 +15,7 @@ import lmdistill
 import lmdistill.cli as cli_module
 import lmdistill.model as model_module
 import lmdistill.training as training_module
-from lmdistill.checkpoint import load_checkpoint
+from lmdistill.checkpoint import _meta_lines, load_checkpoint
 from lmdistill.cli import CONFIG_KEYS, GradCheckReport, dispatch, grad_check_rows, load_config
 from lmdistill.data import Vocabulary, build_vocab, encode
 from lmdistill.errors import ConfigError
@@ -168,7 +169,7 @@ def test_internal_error_exits_2(monkeypatch, capsys):
     def broken(*args):
         raise RuntimeError("broken")
 
-    monkeypatch.setattr(cli_module, "load_config", broken)
+    monkeypatch.setattr(cli_module, "load_checkpoint", broken)
     rc = dispatch(["eval-ppl", "--model", "model.dlm", "--data", "test.txt"])
     assert rc == 2
     assert "Traceback" in capsys.readouterr().err
@@ -411,6 +412,28 @@ def test_eval_ppl_matches_library_with_rare_words(tmp_path, data_dir, capsys):
     assert shown == pytest.approx(perplexity(model, encode(lines, vocab)), abs=5e-7)
 
 
+def test_eval_ppl_echoes_the_checkpoints_own_config(tmp_path, data_dir, capsys):
+    # a 2-layer checkpoint whose shape is none of the config defaults
+    teacher = train_teacher(tmp_path, data_dir, "teacher", "lstm_layers=2",
+                            "last_hidden_dim=6")
+    capsys.readouterr()
+    model_path = teacher / "model.dlm"
+    assert dispatch(["eval-ppl", "--model", str(model_path),
+                     "--data", str(data_dir / "valid.txt")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = _meta_lines(load_checkpoint(model_path).config)
+    assert lines[:len(header) + 2] == [f"# checkpoint {model_path}", *header, ""]
+    assert {"lstm_layers=2", "hidden_dim=10", "last_hidden_dim=6", "embed_dim=8"} <= set(header)
+    assert "# resolved config" not in lines
+
+
+@pytest.mark.parametrize("option", [["--set", "hidden_dim=5"], ["--config", "run.cfg"],
+                                    ["--out", "runs"]], ids=["set", "config", "out"])
+def test_eval_ppl_takes_no_config(option, capsys):
+    assert dispatch(["eval-ppl", "--model", "m.dlm", "--data", "test.txt"] + option) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_eval_ppl_needs_vocab(tmp_path, data_dir, capsys):
     teacher = train_teacher(tmp_path, data_dir)
     lonely = tmp_path / "lonely.dlm"
@@ -489,7 +512,7 @@ def test_unreadable_input_exits_1_naming_path(tmp_path, data_dir, rescore_files,
     rescore = ["rescore", "--model", str(model), "--nbest", str(nbest)]
     train = ["train-teacher", "--data-dir", str(data_dir)] + sets()
     path, argv = {
-        "--config": (tmp_path / "run.cfg", eval_ppl + ["--config", str(tmp_path / "run.cfg")]),
+        "--config": (tmp_path / "run.cfg", rescore + ["--config", str(tmp_path / "run.cfg")]),
         "train.txt": (data_dir / "train.txt", train),
         "valid.txt": (data_dir / "valid.txt", train),
         "--data": (test_txt, eval_ppl),
@@ -616,6 +639,42 @@ def test_rescore_sweep_grid_must_be_finite(tmp_path, rescore_files, capsys):
     assert "bad sweep grid" in capsys.readouterr().err
 
 
+def test_rescore_refuses_a_model_key_set_on_the_command_line(rescore_files, capsys):
+    teacher, nbest, _ = rescore_files
+    capsys.readouterr()
+    assert dispatch(["rescore", "--model", str(teacher / "model.dlm"), "--nbest", str(nbest),
+                     "--set", "hidden_dim=5"]) == 1
+    assert "--set hidden_dim: unknown config key 'hidden_dim'" in capsys.readouterr().err
+
+
+def test_rescore_refuses_a_model_key_in_its_config_file(tmp_path, rescore_files, capsys):
+    teacher, nbest, _ = rescore_files
+    path = tmp_path / "run.cfg"
+    path.write_text("lm_weight = 0.5\nnum_experts = 9\n", encoding="utf-8")
+    capsys.readouterr()
+    assert dispatch(["rescore", "--model", str(teacher / "model.dlm"), "--nbest", str(nbest),
+                     "--config", str(path)]) == 1
+    assert f"{path}:2: unknown config key 'num_experts'" in capsys.readouterr().err
+
+
+def test_rescore_config_round_trips_its_four_keys(tmp_path, rescore_files, capsys):
+    teacher, nbest, _ = rescore_files
+    model_path, out = teacher / "model.dlm", tmp_path / "rescored"
+    argv = ["rescore", "--model", str(model_path), "--nbest", str(nbest)]
+    capsys.readouterr()
+    assert dispatch(argv + ["--set", "lm_weight=0.5", "--out", str(out)]) == 0
+    first = capsys.readouterr().out
+    resolved = (out / "resolved.cfg").read_text().splitlines()
+    assert resolved == ["lm_weight = 0.5", "word_insertion_penalty = 0.0",
+                        "oov_mode = rnn_unk", "oov_penalty = -10.0"]
+    header = _meta_lines(load_checkpoint(model_path).config)
+    assert first.startswith("\n".join(["# resolved config", *resolved, "",
+                                        f"# checkpoint {model_path}", *header, "", ""]))
+    # the written file loads back and selects the same hypotheses
+    assert dispatch(argv + ["--config", str(out / "resolved.cfg")]) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_rescore_bad_oov_mode(tmp_path, rescore_files, capsys):
     teacher, nbest, _ = rescore_files
     capsys.readouterr()
@@ -656,6 +715,27 @@ def test_grad_check_takes_no_options(option, capsys):
 def test_seed_is_refused_where_nothing_is_seeded(argv, capsys):
     assert dispatch(argv + ["--seed", "3"]) == 1
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+# Every option string each subcommand accepts, -h aside. A config option added where
+# nothing reads it (--config on eval-ppl, --seed on rescore) fails here.
+OPTIONS = {
+    "train-teacher": {"--config", "--set", "--seed", "--data-dir", "--out"},
+    "train-student": {"--config", "--set", "--seed", "--data-dir", "--out", "--teacher"},
+    "eval-ppl": {"--model", "--data", "--vocab"},
+    "rescore": {"--config", "--set", "--out", "--model", "--vocab", "--nbest", "--refs",
+                "--sweep-lm-weight", "--sweep-wip"},
+    "grad-check": set(),
+    "ablate": {"--config", "--set", "--seed", "--data-dir", "--out"},
+}
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    sub, = [a for a in cli_module._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+           for name, sp in sub.choices.items()}
+    assert got == OPTIONS
 
 
 def test_grad_check_row_fails_on_a_nan_error(monkeypatch):
