@@ -13,23 +13,20 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 
 from .data import atomic_open
 from .errors import DataError, FormatError
-from .model import LmModel, ModelConfig, _param_shapes
+from .model import _INT_KEYS, _OPT_INT_KEYS, LmModel, ModelConfig, _param_shapes
 from .regularization import DropoutSpec
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"DLM1\n"
 
-_INT_KEYS = ("vocab_size", "embed_dim", "lstm_layers", "hidden_dim",
-             "bottleneck_dim", "num_experts")
-_OPT_INT_KEYS = ("last_hidden_dim", "expert_dim")
-_RATE_KEYS = ("input_rate", "output_rate", "hidden_rate", "embed_rate",
-              "other_rate", "ar_weight", "tar_weight")
+_RATE_KEYS = tuple(f.name for f in fields(DropoutSpec))
 
 
 def _meta_lines(config: ModelConfig) -> list[str]:

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: train-teacher, train-student, eval-ppl, rescore, grad-check,
-ablate. The training commands and ablate take every config key, rescore
-only its four scoring keys, from a key=value config file plus repeatable
---set overrides, and echo the resolved values before doing any work.
+ablate. Each command that takes a config reads only its own key table (below)
+from a key=value config file plus repeatable --set overrides, refuses any other
+key, and echoes the resolved values before doing any work.
 eval-ppl and rescore echo the loaded checkpoint's own model config; eval-ppl
 and grad-check take no config at all. Exit codes: 0 success, 1 user/config
 error, 2 internal error.
@@ -49,20 +49,26 @@ def _finite(text: str) -> float:
     return v
 
 
+def _ce_only(text: str) -> str:
+    if text != "ce_only":
+        raise ValueError(f"train-teacher trains with ce_only, got {text!r}")
+    return text
+
+
 def _opt_int(text: str) -> int | None:
     # 0 stands for "unset" so optional dims stay expressible in flat keys.
     v = int(text)
     return None if v == 0 else v
 
 
-# key -> (parser, default). Declaration order is the echo order.
-RESCORE_KEYS: dict[str, tuple] = {  # all that rescore reads
+# Each command's table of the keys it reads, key -> (parser, default), in echo order.
+RESCORE_KEYS: dict[str, tuple] = {  # rescore
     "lm_weight": (_finite, 1.0),
     "word_insertion_penalty": (_finite, 0.0),
     "oov_mode": (str, "rnn_unk"),
     "oov_penalty": (_finite, -10.0),
 }
-CONFIG_KEYS: dict[str, tuple] = {
+CONFIG_KEYS: dict[str, tuple] = {  # train-student; ablate, whose fixed rows skip loss_variant
     "embed_dim": (int, 16),
     "lstm_layers": (int, 1),
     "hidden_dim": (int, 32),
@@ -90,8 +96,10 @@ CONFIG_KEYS: dict[str, tuple] = {
     "lr_decay_on_plateau": (_finite, 1.0),
     "vocab_cap": (int, 10000),
     "rnn_unk_min_count": (int, 0),
-    **RESCORE_KEYS,
 }
+TEACHER_KEYS: dict[str, tuple] = {  # train-teacher
+    k: (_ce_only, "ce_only") if k == "loss_variant" else pd
+    for k, pd in CONFIG_KEYS.items() if k != "alpha"}
 
 
 @dataclass
@@ -117,17 +125,13 @@ class RunConfig:
                            last_hidden_dim=v["last_hidden_dim"], expert_dim=v["expert_dim"],
                            dropout=self.dropout_spec() if dropout is None else dropout)
 
-    def loss_spec(self, variant: str | None = None) -> DistillLossSpec:
-        v = self.values
-        return DistillLossSpec(variant=v["loss_variant"] if variant is None else variant,
-                               alpha=v["alpha"])
+    def loss_spec(self) -> DistillLossSpec:
+        return DistillLossSpec(variant=self.values["loss_variant"], alpha=self.values["alpha"])
 
-    def train_config(self, loss: DistillLossSpec | None = None) -> TrainConfig:
+    def train_config(self, loss: DistillLossSpec) -> TrainConfig:
         v = self.values
-        return TrainConfig(loss=self.loss_spec() if loss is None else loss,
-                           lr=v["lr"], grad_clip=v["grad_clip"], epochs=v["epochs"],
-                           batch_size=v["batch_size"], bptt_len=v["bptt_len"],
-                           seed=v["seed"],
+        return TrainConfig(loss=loss, lr=v["lr"], grad_clip=v["grad_clip"], epochs=v["epochs"],
+                           batch_size=v["batch_size"], bptt_len=v["bptt_len"], seed=v["seed"],
                            asgd_trigger_patience=v["asgd_trigger_patience"],
                            lr_decay_on_plateau=v["lr_decay_on_plateau"])
 
@@ -158,8 +162,8 @@ def _parse_value(key: str, raw: str, where: str, keys: dict[str, tuple]):
         raise ConfigError(f"{where}: bad value for {key}: {e}") from None
 
 
-def load_config(path=None, overrides: list[str] = (), seed: int | None = None,
-                keys: dict[str, tuple] = CONFIG_KEYS) -> RunConfig:
+def load_config(path=None, overrides: list[str] = (), seed: int | None = None, *,
+                keys: dict[str, tuple]) -> RunConfig:
     """Defaults, then the config file, then --set overrides, then --seed, over keys."""
     values = {k: d for k, (_, d) in keys.items()}
     if path is not None:
@@ -221,10 +225,10 @@ def _train_streams(cfg: RunConfig, data_dir: Path) -> tuple[Vocabulary, TokenStr
 # subcommands
 
 
-def _train_command(args, setup) -> int:
-    """train-teacher and train-student: setup(cfg) checks the config and returns the
+def _train_command(args, keys, setup) -> int:
+    """train-teacher and train-student over their key tables: setup(cfg) returns the
     loss, the teacher ensemble or None, and a suffix for the vocab=... params=... line."""
-    cfg = load_config(args.config, args.set, args.seed)
+    cfg = load_config(args.config, args.set, args.seed, keys=keys)
     out_dir = Path(args.out) if args.out else None
     _echo_config(cfg, out_dir)
     loss, teacher, suffix = setup(cfg)
@@ -249,13 +253,7 @@ def _train_command(args, setup) -> int:
 
 
 def cmd_train_teacher(args) -> int:
-    def setup(cfg):
-        if cfg["loss_variant"] != "ce_only":
-            raise ConfigError("train-teacher trains with loss_variant = ce_only; "
-                              f"config says {cfg['loss_variant']!r}")
-        return cfg.loss_spec("ce_only"), None, ""
-
-    return _train_command(args, setup)
+    return _train_command(args, TEACHER_KEYS, lambda cfg: (DistillLossSpec(), None, ""))
 
 
 def cmd_train_student(args) -> int:
@@ -268,7 +266,7 @@ def cmd_train_student(args) -> int:
         teachers = TeacherEnsemble([load_checkpoint(p) for p in paths])
         return loss, teachers, f" teachers={len(paths)}"
 
-    return _train_command(args, setup)
+    return _train_command(args, CONFIG_KEYS, setup)
 
 
 def cmd_eval_ppl(args) -> int:
@@ -422,7 +420,7 @@ def grad_check_rows() -> list[tuple[str, GradCheckReport]]:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_config(args.config, args.set, args.seed)
+    cfg = load_config(args.config, args.set, args.seed, keys=CONFIG_KEYS)
     _echo_config(cfg, Path(args.out) if args.out else None)
     data_dir = Path(args.data_dir)
     vocab, train_stream, valid_stream = _train_streams(cfg, data_dir)
@@ -488,7 +486,7 @@ def _build_parser() -> _Parser:
     def common(sp, data_dir=False):
         sp.add_argument("--config", help="key = value config file")
         sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override one config key (repeatable)")
+                        help="override one of the command's config keys (repeatable)")
         if data_dir:
             sp.add_argument("--seed", type=int, help="override the seed key")
             sp.add_argument("--data-dir", required=True,

@@ -42,6 +42,10 @@ __all__ = ["ModelConfig", "LmModel", "LmState", "ForwardResult", "MosRows", "bui
            "eval_stages"]
 
 EMBED_INIT_RANGE = 0.1
+# ModelConfig's int fields, and its optional ones, where None picks a default width
+_INT_KEYS = ("vocab_size", "embed_dim", "lstm_layers", "hidden_dim", "bottleneck_dim",
+             "num_experts")
+_OPT_INT_KEYS = ("last_hidden_dim", "expert_dim")
 
 
 @dataclass
@@ -58,12 +62,11 @@ class ModelConfig:
     dropout: DropoutSpec = field(default_factory=DropoutSpec)
 
     def __post_init__(self):
-        for name in ("vocab_size", "embed_dim", "lstm_layers", "hidden_dim",
-                     "bottleneck_dim", "num_experts"):
+        for name in _INT_KEYS:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        for name in ("last_hidden_dim", "expert_dim"):
+        for name in _OPT_INT_KEYS:
             v = getattr(self, name)
             if v is not None and (not isinstance(v, int) or v < 1):
                 raise ConfigError(f"{name} must be a positive integer or None, got {v!r}")

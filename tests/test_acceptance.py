@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmdistill.cli import dispatch, grad_check_rows, load_config
+from lmdistill.cli import CONFIG_KEYS, TEACHER_KEYS, dispatch, grad_check_rows, load_config
 from lmdistill.data import build_vocab, encode
 from lmdistill.losses import (LOSS_VARIANTS, DistillLossSpec, distill_loss,
                               trust_weights)
@@ -297,14 +297,14 @@ def test_criterion_8_parameter_counts():
     details = []
     ok = True
     for name, (exact, approx) in published.items():
-        cfg = load_config(CONFIGS / name)
+        cfg = load_config(CONFIGS / name, keys=TEACHER_KEYS if "teacher" in name else CONFIG_KEYS)
         config = cfg.model_config(vocab_size=cfg["vocab_cap"])
         count = param_count(config)
         within = abs(count / approx - 1.0) <= 0.10
         ok &= count == exact and within
         details.append(f"{name.split('.')[0]}={count:,}")
     # instantiating one of them proves the closed form matches allocation
-    student_cfg = load_config(CONFIGS / "ptb-student.cfg")
+    student_cfg = load_config(CONFIGS / "ptb-student.cfg", keys=CONFIG_KEYS)
     config = student_cfg.model_config(vocab_size=student_cfg["vocab_cap"])
     model = build_model(config, 0)
     allocated = sum(p.size for p in model.params.values())

@@ -16,7 +16,8 @@ import lmdistill.cli as cli_module
 import lmdistill.model as model_module
 import lmdistill.training as training_module
 from lmdistill.checkpoint import _meta_lines, load_checkpoint
-from lmdistill.cli import CONFIG_KEYS, GradCheckReport, dispatch, grad_check_rows, load_config
+from lmdistill.cli import (CONFIG_KEYS, RESCORE_KEYS, TEACHER_KEYS, GradCheckReport, dispatch,
+                           grad_check_rows, load_config)
 from lmdistill.data import Vocabulary, build_vocab, encode
 from lmdistill.errors import ConfigError
 from lmdistill.losses import LOSS_VARIANTS
@@ -59,18 +60,23 @@ def train_teacher(tmp_path, data_dir, name="teacher", *extra):
 # config resolution
 
 
+TABLES = {"teacher": TEACHER_KEYS, "student": CONFIG_KEYS, "rescore": RESCORE_KEYS}
+
+
 def test_defaults_cover_every_key():
-    cfg = load_config()
-    assert set(cfg.values) == set(CONFIG_KEYS)
+    for keys in TABLES.values():
+        assert set(load_config(keys=keys).values) == set(keys)
+    cfg = load_config(keys=CONFIG_KEYS)
     assert cfg["lr"] == 1.0
     assert cfg["loss_variant"] == "ce_only"
     assert cfg["last_hidden_dim"] is None
+    assert load_config(keys=TEACHER_KEYS)["loss_variant"] == "ce_only"
 
 
 def test_precedence_defaults_file_set_seed(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("lr = 3.0\nseed = 5\nepochs = 7\n", encoding="utf-8")
-    cfg = load_config(path, overrides=["lr=4.5"], seed=9)
+    cfg = load_config(path, overrides=["lr=4.5"], seed=9, keys=CONFIG_KEYS)
     assert cfg["lr"] == 4.5      # --set beats the file
     assert cfg["seed"] == 9      # --seed beats the file
     assert cfg["epochs"] == 7    # file beats the default
@@ -80,59 +86,72 @@ def test_precedence_defaults_file_set_seed(tmp_path):
 def test_config_comments_and_blanks(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# a comment\n\nlr = 2.0  # trailing comment\n", encoding="utf-8")
-    assert load_config(path)["lr"] == 2.0
+    assert load_config(path, keys=CONFIG_KEYS)["lr"] == 2.0
 
 
 def test_config_file_errors(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("lr = 1.0\nwhatever = 3\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=r"run\.cfg:2: unknown config key"):
-        load_config(path)
+        load_config(path, keys=CONFIG_KEYS)
     # configs written for older versions may still set the removed temperature key
     path.write_text("alpha = 0.1\ntemperature = 1.0\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=r"run\.cfg:2: unknown config key 'temperature'"):
-        load_config(path)
+        load_config(path, keys=CONFIG_KEYS)
     path.write_text("alpha = banana\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=r"run\.cfg:1: bad value for alpha"):
-        load_config(path)
+        load_config(path, keys=CONFIG_KEYS)
     path.write_text("just a line\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=r"run\.cfg:1: expected key = value"):
-        load_config(path)
-    # every float key must be finite: nan and inf parse as floats but mean nothing here
-    for key in [k for k, (_, default) in CONFIG_KEYS.items() if isinstance(default, float)]:
-        for raw in ("nan", "inf", "-inf"):
-            path.write_text(f"epochs = 1\n{key} = {raw}\n", encoding="utf-8")
-            with pytest.raises(ConfigError, match=rf"run\.cfg:2: bad value for {key}"):
-                load_config(path)
-            with pytest.raises(ConfigError, match=rf"--set {key}: bad value for {key}"):
-                load_config(overrides=[f"{key}={raw}"])
+        load_config(path, keys=CONFIG_KEYS)
+    # every float key of every table must be finite: nan and inf parse as floats but
+    # mean nothing here
+    for keys in TABLES.values():
+        for key in [k for k, (_, default) in keys.items() if isinstance(default, float)]:
+            for raw in ("nan", "inf", "-inf"):
+                path.write_text(f"# line 1\n{key} = {raw}\n", encoding="utf-8")
+                with pytest.raises(ConfigError, match=rf"run\.cfg:2: bad value for {key}"):
+                    load_config(path, keys=keys)
+                with pytest.raises(ConfigError, match=rf"--set {key}: bad value for {key}"):
+                    load_config(overrides=[f"{key}={raw}"], keys=keys)
     with pytest.raises(ConfigError, match=r"cannot read .*absent\.cfg: No such file"):
-        load_config(tmp_path / "absent.cfg")
+        load_config(tmp_path / "absent.cfg", keys=CONFIG_KEYS)
 
 
 def test_set_overrides_errors():
     with pytest.raises(ConfigError, match="--set needs key=value"):
-        load_config(overrides=["lr"])
+        load_config(overrides=["lr"], keys=CONFIG_KEYS)
     with pytest.raises(ConfigError, match="--set epochs: bad value"):
-        load_config(overrides=["epochs=many"])
+        load_config(overrides=["epochs=many"], keys=CONFIG_KEYS)
     with pytest.raises(ConfigError, match="unknown config key"):
-        load_config(overrides=["nope=1"])
+        load_config(overrides=["nope=1"], keys=CONFIG_KEYS)
 
 
 def test_optional_dims_and_bools():
-    cfg = load_config(overrides=["last_hidden_dim=0", "tie_embeddings=false"])
+    cfg = load_config(overrides=["last_hidden_dim=0", "tie_embeddings=false"], keys=CONFIG_KEYS)
     assert cfg["last_hidden_dim"] is None
     assert cfg["tie_embeddings"] is False
     lines = cfg.lines()
     assert "last_hidden_dim = 0" in lines
     assert "tie_embeddings = false" in lines
     with pytest.raises(ConfigError, match="bad value for tie_embeddings"):
-        load_config(overrides=["tie_embeddings=yes"])
+        load_config(overrides=["tie_embeddings=yes"], keys=CONFIG_KEYS)
 
 
 def test_echo_order_matches_declaration():
-    keys = [line.split(" = ")[0] for line in load_config().lines()]
-    assert keys == list(CONFIG_KEYS)
+    for keys in TABLES.values():
+        echoed = [line.split(" = ")[0] for line in load_config(keys=keys).lines()]
+        assert echoed == list(keys)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_recipe_loads_under_its_command(path):
+    # a teacher recipe that set alpha, or a student one with a rescore key, fails here
+    keys = {"teacher": TEACHER_KEYS, "student": CONFIG_KEYS}[path.stem.rsplit("-", 1)[1]]
+    assert load_config(path, keys=keys)["vocab_cap"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +282,50 @@ def test_train_teacher_end_to_end(tmp_path, data_dir, capsys):
     log_lines = (out / "train.log").read_text().splitlines()
     assert log_lines == [l for l in stdout.splitlines() if l.startswith("epoch=")]
     # resolved.cfg round-trips through the loader to the same values
-    cfg = load_config(out / "resolved.cfg")
+    # and lists exactly the keys train-teacher reads
+    cfg = load_config(out / "resolved.cfg", keys=TEACHER_KEYS)
     assert cfg["epochs"] == 2 and cfg["hidden_dim"] == 10
+    assert [line.split(" = ")[0] for line in (out / "resolved.cfg").read_text().splitlines()] \
+        == list(TEACHER_KEYS)
     # the checkpoint is loadable and matches the echoed param count
     model = load_checkpoint(out / "model.dlm")
     assert f"params={sum(p.size for p in model.params.values())}" in stdout
 
 
-def test_train_teacher_requires_ce_only(data_dir, capsys):
+def test_train_teacher_requires_ce_only(tmp_path, data_dir, capsys):
     rc = dispatch(["train-teacher", "--data-dir", str(data_dir)]
                   + sets("loss_variant=kl_only"))
     assert rc == 1
     assert "ce_only" in capsys.readouterr().err
+    # a config file's variant is refused at its line
+    path = tmp_path / "teacher.cfg"
+    path.write_text("epochs = 2\nloss_variant = kl_only\n", encoding="utf-8")
+    argv = ["train-teacher", "--data-dir", str(data_dir), "--config", str(path)] + sets()
+    assert dispatch(argv) == 1
+    assert f"{path}:2: bad value for loss_variant" in capsys.readouterr().err
+    # the ce_only line that every teacher recipe carries still loads
+    path.write_text("epochs = 2\nloss_variant = ce_only\n", encoding="utf-8")
+    assert dispatch(argv) == 0
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "train-student", "ablate"])
+@pytest.mark.parametrize("kv", ["lm_weight=7", "word_insertion_penalty=1", "oov_mode=weird",
+                                "oov_penalty=-3"])
+def test_training_commands_refuse_rescore_keys(tmp_path, data_dir, command, kv, capsys):
+    key = kv.split("=")[0]
+    out = tmp_path / "run"
+    teacher = ["--teacher", str(tmp_path / "t.dlm")] if command == "train-student" else []
+    rc = dispatch([command, "--data-dir", str(data_dir), "--out", str(out)] + teacher
+                  + sets(kv))
+    assert rc == 1
+    assert f"--set {key}: unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()  # refused where it was parsed, before any echo
+
+
+def test_train_teacher_refuses_alpha(data_dir, capsys):
+    rc = dispatch(["train-teacher", "--data-dir", str(data_dir)] + sets("alpha=0.5"))
+    assert rc == 1
+    assert "--set alpha: unknown config key 'alpha'" in capsys.readouterr().err
 
 
 def test_train_teacher_without_out_saves_nothing(tmp_path, data_dir, capsys):
@@ -728,6 +779,42 @@ OPTIONS = {
     "grad-check": set(),
     "ablate": {"--config", "--set", "--seed", "--data-dir", "--out"},
 }
+
+
+# The config keys each subcommand loads, in echo order; eval-ppl and grad-check load none.
+# A key put in a table whose command does not read it (a rescore key on a training
+# command, alpha on train-teacher) fails here.
+STUDENT_KEYS = ["embed_dim", "lstm_layers", "hidden_dim", "last_hidden_dim", "bottleneck_dim",
+                "num_experts", "expert_dim", "tie_embeddings", "input_dropout",
+                "output_dropout", "hidden_dropout", "embed_dropout", "other_dropout",
+                "ar_weight", "tar_weight", "loss_variant", "alpha", "lr", "grad_clip",
+                "epochs", "batch_size", "bptt_len", "seed", "asgd_trigger_patience",
+                "lr_decay_on_plateau", "vocab_cap", "rnn_unk_min_count"]
+KEYS = {
+    "train-teacher": [k for k in STUDENT_KEYS if k != "alpha"],
+    "train-student": STUDENT_KEYS,
+    "rescore": ["lm_weight", "word_insertion_penalty", "oov_mode", "oov_penalty"],
+    "ablate": STUDENT_KEYS,
+}
+
+
+def test_each_subcommand_loads_exactly_its_keys(monkeypatch):
+    loaded = []
+
+    def record(*args, keys):
+        loaded.append(list(keys))
+        raise ConfigError("recorded")
+
+    monkeypatch.setattr(cli_module, "load_config", record)
+    argv = {"train-teacher": ["--data-dir", "d"],
+            "train-student": ["--data-dir", "d", "--teacher", "t.dlm"],
+            "rescore": ["--model", "m.dlm", "--nbest", "n.tsv"],
+            "ablate": ["--data-dir", "d"]}
+    got = {}
+    for command, rest in argv.items():
+        assert dispatch([command] + rest) == 1
+        got[command] = loaded.pop()
+    assert got == KEYS
 
 
 def test_each_subcommand_takes_exactly_its_options():
