@@ -5,15 +5,16 @@ experts mixed by a learned prior. The final LSTM layer's width defaults to
 hidden_dim but may be set separately (reference configs narrow it to the
 bottleneck width, which is how the published parameter counts come out).
 
-model_forward runs layer-major over whole windows: each LSTM layer is one op over the
-time-major [T*B x in] block (lstm_layer, its backward a hand-written BPTT), and stops at
-the head's B*T input rows (MosRows). Eval (perplexity, rescoring) reads only each
-target's log P, in chunks of _PICK_ELEMENTS / (K*V) rows (1 MB, at least 8 rows) that
+model_forward runs the trunk (_trunk) and stops at the head's B*T input rows (MosRows).
+The trunk runs the LSTM layers (lstm_layer, its backward a hand-written BPTT) in time
+chunks as two stages over contiguous layers; where the layers are wide enough
+(_PIPELINE_ELEMENTS), the upper stage runs on a second thread a chunk behind the lower one,
+forward and backward, with the bits of one thread. Eval (perplexity, rescoring) reads only
+each target's log P, in chunks of _PICK_ELEMENTS / (K*V) rows (1 MB, at least 8 rows) that
 alternate between the calling thread and one helper thread, against a C-ordered copy of
 the output matrix, with nothing [n x V] formed (mos_log_probs with picks; with none, the
-same arithmetic scores every (row, id)). perplexity runs the batch-1 trunk as eval_stages'
-two stages over contiguous layers, the upper one a window behind on a second thread when
-the layers are wide enough (_PIPELINE_ELEMENTS) for that to pay.
+same arithmetic scores every (row, id)). perplexity's 32-step windows are the trunk's
+chunks, scored as they come.
 Teachers' P (add_probs) and the train-mode loss run in chunks of CHUNK_ELEMENTS / (K*V)
 rows, through one [K*c x V] workspace per call laid out (row, expert)-major: one output
 matmul over the K expert contexts, one exp per expert, and the mixture in P space, S =
@@ -38,8 +39,7 @@ from .errors import ConfigError, NumericError, ShapeError
 from .regularization import DropoutSpec, variational_mask
 
 __all__ = ["ModelConfig", "LmModel", "LmState", "ForwardResult", "MosRows", "build_model",
-           "param_count", "lstm_layer", "mos_log_probs", "model_forward", "add_probs",
-           "eval_stages"]
+           "param_count", "lstm_layer", "mos_log_probs", "model_forward", "add_probs"]
 
 EMBED_INIT_RANGE = 0.1
 # ModelConfig's int fields, and its optional ones, where None picks a default width
@@ -171,7 +171,8 @@ def _sigmoid(z: np.ndarray, e: np.ndarray, den: np.ndarray, pos: np.ndarray) -> 
 
 def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
                wh: np.ndarray, b: np.ndarray):
-    """One LSTM layer over a time-major [T*B x in] block: (hs [T*B x H], h_T, c_T, backward).
+    """One LSTM layer over a time-major [T*B x in] block of steps from (h0, c0):
+    (hs [T*B x H], h_T, c_T, backward).
 
     Gate order in the fused matrices is [i, f, g, o]; i, f, o are sigmoid gates,
     g is the tanh candidate: c' = f*c + i*g, h' = o*tanh(c'). The input GEMM
@@ -179,10 +180,14 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
     the cells. A step holds the tanh candidate aside, makes one logistic pass over
     all four gate blocks and writes the candidate back into g; its tanh(c) is kept for the
     backward, and its other intermediates, and the reverse recurrence's, go into buffers
-    allocated once per call. backward(dL/dhs)
-    runs the reverse recurrence, ends in one weight-gradient GEMM each for wx and
-    wh, and returns the gradients in (xs, h0, c0, wx, wh, b). model_forward carries
-    h_T and c_T on as constants, so a window's gradient stops at the state it was handed.
+    allocated once per call. backward(d_hs, dh, dc, dz=None) runs the reverse recurrence
+    from dh and dc, the gradients in h_T and c_T, and returns the gradients in h0 and c0 and
+    dz [T*B x 4H], the gates' pre-activation gradients (written into dz if given). The
+    caller makes the GEMMs over dz: dz @ wx.T, the gradient in xs, and _lstm_weight_grads.
+    _trunk runs a window as chunks of steps, each from the (h, c) the chunk before ended
+    in, each backward from the (dh, dc) of the chunk after: bitwise the window run whole,
+    as all but the input GEMMs (xs @ wx, dz @ wx.T) is per step or per element, and those
+    split by rows as the whole GEMM does at the trunk's shapes (tests check it).
     """
     batch, hid = c0.shape
     if (wx.shape[1] != 4 * hid or wh.shape != (hid, 4 * hid) or b.shape != (4 * hid,)
@@ -210,10 +215,10 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
         cells[t + 1] += np.multiply(i[t], cand, out=tmp)
         np.multiply(o[t], np.tanh(cells[t + 1], out=tanh_c[t]), out=hs[t + 1])
 
-    def backward(d_hs):
+    def backward(d_hs, dh, dc, dz=None):
         # dz = [dc*g*i(1-i), dc*c_prev*f(1-f), dc*i*(1-g^2), dh*tanh(c)*o(1-o)], each block
         # written in place by the ops, in the order, of the expression it spells out
-        dz = np.empty((steps, batch, 4 * hid))
+        dz = np.empty((steps, batch, 4 * hid)) if dz is None else dz.reshape(steps, batch, -1)
         dz_i, dz_f, dz_g, dz_o = (dz[:, :, j * hid:(j + 1) * hid] for j in range(4))
         dc_from_dh = np.empty((steps, batch, hid))  # scratch until its own value, last
         np.multiply(np.multiply(g, i, out=dz_i), np.subtract(1.0, i, out=dc_from_dh), out=dz_i)
@@ -225,7 +230,7 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
         np.multiply(o, np.subtract(1.0, np.multiply(tanh_c, tanh_c, out=dc_from_dh),
                                    out=dc_from_dh), out=dc_from_dh)  # o*(1 - tanh(c)^2)
         d_hs, dz4 = d_hs.reshape(steps, batch, hid), dz.reshape(steps, batch, 4, hid)
-        dh, dc = np.zeros((batch, hid)), np.zeros((batch, hid))
+        dh, dc = dh.copy(), dc.copy()
         for t in reversed(range(steps)):  # dh, dc: the gradients in h_t, c_t
             dh += d_hs[t]
             dc += np.multiply(dh, dc_from_dh[t], out=tmp)
@@ -233,21 +238,28 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
             dz4[t, :, 3] *= dh
             np.matmul(dz[t], wh.T, out=dh)
             dc *= f[t]
-        dz = dz.reshape(steps * batch, 4 * hid)
-        return (dz @ wx.T, dh, dc, xs.T @ dz,
-                hs[:-1].reshape(steps * batch, hid).T @ dz, dz.sum(axis=0))
+        return dh, dc, dz.reshape(steps * batch, 4 * hid)
 
     return hs[1:].reshape(steps * batch, hid), hs[-1].copy(), cells[-1].copy(), backward
+
+
+def _lstm_weight_grads(xs: np.ndarray, h_in: np.ndarray, dz: np.ndarray):
+    """(dL/dwx, dL/dwh, dL/db) of an lstm_layer window from its input rows xs, each step's
+    incoming h (h0, then the outputs but the last) and backward's dz: one GEMM each over
+    the whole window."""
+    return xs.T @ dz, h_in.T @ dz, dz.sum(axis=0)
 
 
 # A head chunk's [K*rows x V] block holds about this many float64s (16 MB).
 CHUNK_ELEMENTS = 1 << 21
 _PICK_ELEMENTS = 1 << 17  # the same for a target-only head (mos_log_probs): 1 MB, L2-sized
-# eval_stages' pipeline pays once its lighter stage's recurrent matrices hold this many
-# float64s, a 224-wide layer's 1.6 MB wh: perplexity ran 1.18-1.60x faster at 2 x 224, and
-# 0.94-1.14x at 2 x 192. A narrower batch-1 step is mostly numpy call overhead under the GIL,
-# and two threads slow each other down.
+# The trunk's two stages run on two threads once the lighter one's recurrent matrices hold
+# this many float64s, a 224-wide layer's 1.6 MB wh, at any batch. Against one thread at
+# 2 x 224, perplexity (batch 1) ran 1.47x and a B=12 train trunk 1.45x faster; at 2 x 128,
+# 0.62x and 1.36x. A narrow batch-1 step is mostly numpy call overhead under the GIL; a
+# narrow B=12 one here is a --teacher student's, whose worker holds the second core (README).
 _PIPELINE_ELEMENTS = 4 * 224 * 224
+_CHUNK_STEPS = 10  # a pipelined train window's time chunk, in steps
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
@@ -587,18 +599,74 @@ def _checked_ids(model: LmModel, tokens, batch: int) -> np.ndarray:
     return tokens
 
 
+def _stages(model: LmModel, steps: int, window: int | None):
+    """How the trunk runs `steps` steps: (cut, pipelined, bounds).
+
+    Its two stages are layers [0, cut) and [cut, L): cut balances their per-step GEMM bytes
+    (their recurrent matrices' sizes), a tie going to stage B. pipelined is whether stage B
+    runs on a second thread: two chunks or more, two layers or more, and the lighter
+    stage's recurrent matrices hold _PIPELINE_ELEMENTS float64s or more. bounds are the
+    chunks' first steps and the end: a caller's `window` gives chunks of that many steps, the
+    last one shorter; else, where that pipelines, about _CHUNK_STEPS each, split evenly so
+    that no chunk is a step or two (a GEMM over a block of one or two rows may round
+    otherwise than the same rows in a taller block); else one chunk."""
+    gemv = [4 * h * h for h in model.config.layer_widths]  # each layer's wh size
+    cut = min(range(1, max(2, len(gemv))), key=lambda c: max(sum(gemv[:c]), sum(gemv[c:])))
+    wide = len(gemv) > 1 and min(sum(gemv[:cut]), sum(gemv[cut:])) >= _PIPELINE_ELEMENTS
+    if window:
+        bounds = [*range(0, steps, window), steps]
+    else:
+        parts = max(1, -(-steps // _CHUNK_STEPS) if wide else 1)
+        bounds = [steps * k // parts for k in range(parts + 1)]
+    return cut, wide and len(bounds) > 2, bounds
+
+
+def _wavefront(items, stage_a, stage_b, pipelined: bool, consume) -> None:
+    """consume(stage_b(stage_a(item))) for each item, in order. Pipelined, stage_b runs on one
+    pool thread an item behind stage_a on the calling thread, and consume of an item beside
+    stage_b of the next; an error in any of them is raised here once the pool is joined.
+    Otherwise all three run on the calling thread and no pool is made."""
+    if not pipelined:
+        for item in items:
+            consume(stage_b(stage_a(item)))
+        return
+    with ThreadPoolExecutor(1) as pool:  # joined on exit, an error or not
+        behind = None
+        for item in items:
+            ahead = pool.submit(stage_b, stage_a(item))
+            if behind is not None:
+                consume(behind.result())
+            behind = ahead
+        consume(behind.result())
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _trunk(model: LmModel, tokens: np.ndarray, state: LmState,
-           rng: np.random.Generator | None):
+           rng: np.random.Generator | None, window: int | None = None, consume=None):
     """model_forward below the head: (the head's input rows, the new state, raw, dropped,
-    the trunk's backward or None in eval mode)."""
+    the trunk's backward or None in eval mode).
+
+    The layers run in time chunks (_stages) as two stages over contiguous layers: stage A
+    gathers a chunk's embedding rows and runs the lower layers, stage B the upper ones, each
+    layer carrying its (h, c) from chunk to chunk. Pipelined, stage B of chunk j runs on one
+    pool thread beside stage A of chunk j+1 (_wavefront); the backward runs the same
+    wavefront in reverse, the upper layers' chunk j on the calling thread beside the lower
+    layers' chunk j+1. What needs every chunk runs once over the whole window: the
+    bottleneck, each layer's weight gradients and layer 0's input gradient (one GEMM each),
+    and the embedding gradient. Any chunking gives the bits of one chunk (lstm_layer).
+    Eval mode may pass consume: each chunk's head input rows then go to consume(rows) on the
+    calling thread as they come, and only the new state is returned.
+    """
     cfg, p = model.config, model.params
     tokens = _checked_ids(model, tokens, state.batch_size)
-    batch = tokens.shape[0]
-    rates = cfg.dropout
-    layers = range(cfg.lstm_layers)
+    batch, steps = tokens.shape
+    rates, n = cfg.dropout, cfg.lstm_layers
     embed_mask = variational_mask((cfg.vocab_size, 1), rates.embed_rate, rng)
     wh_masks = [variational_mask(p[f"lstm{i}.wh"].shape, rates.hidden_rate, rng)
-                for i in layers]
+                for i in range(n)]
     in_mask = variational_mask((batch, cfg.embed_dim), rates.input_rate, rng)
     out_masks = [variational_mask((batch, h), rates.output_rate, rng) for h in cfg.layer_widths]
     other_mask = variational_mask((batch, cfg.bottleneck_dim), rates.other_rate, rng)
@@ -608,19 +676,38 @@ def _trunk(model: LmModel, tokens: np.ndarray, state: LmState,
     if embed_mask is not None:  # whole word rows
         row_mask = np.broadcast_to(embed_mask, table.shape)
         table = table * row_mask
-    x = _masked(table[ids], in_mask)
-    new_state, backwards = [], []
-    for i, wh_mask, out_mask, (h0, c0) in zip(layers, wh_masks, out_masks, state.layers):
-        raw, h, c, layer_backward = lstm_layer(x, h0, c0, p[f"lstm{i}.wx"],
-                                               _masked(p[f"lstm{i}.wh"], wh_mask),
-                                               p[f"lstm{i}.b"])
-        x = _masked(raw, out_mask)
-        new_state.append((h, c))
-        if rng is not None:
-            backwards.append(layer_backward)
-    hidden = _masked(x @ p["bottleneck.w"] + p["bottleneck.b"], other_mask)
-    if rng is None:
-        return hidden, LmState(new_state), raw, x, None
+    weights = [(p[f"lstm{i}.wx"], _masked(p[f"lstm{i}.wh"], wh_masks[i]), p[f"lstm{i}.b"])
+               for i in range(n)]
+    cut, pipelined, bounds = _stages(model, steps, window)
+    spans = [slice(t0 * batch, t1 * batch) for t0, t1 in zip(bounds, bounds[1:])]
+    carried, train, top = list(state.layers), rng is not None, []
+    # train mode's per layer, per chunk: inputs, outputs and backwards
+    ins, outs, backs = [[[] for _ in range(n)] for _ in range(3)] if train else [None] * 3
+
+    def run(x, raw, layers):
+        for i in layers:
+            raw, h, c, back = lstm_layer(x, *carried[i], *weights[i])
+            carried[i] = (h, c)
+            if train:
+                ins[i].append(x)
+                outs[i].append(raw)
+                backs[i].append(back)
+            x = _masked(raw, out_masks[i])
+        return x, raw
+
+    def bottleneck(x):
+        return _masked(x @ p["bottleneck.w"] + p["bottleneck.b"], other_mask)
+
+    _wavefront(spans, lambda rows: run(_masked(table[ids[rows]], in_mask), None, range(cut)),
+               lambda x_raw: run(*x_raw, range(cut, n)), pipelined,
+               top.append if consume is None else lambda x_raw: consume(bottleneck(x_raw[0])))
+    if consume is not None:
+        return LmState(carried)
+    x, raw = map(_joined, zip(*top))
+    hidden = bottleneck(x)
+    if not train:
+        return hidden, LmState(carried), raw, x, None
+    outs[-1] = [raw]  # the top layer's chunks, joined once
 
     def backward(d_hidden, d_dropped=None, d_raw=None, d_embedding=None):
         if out_masks[-1] is None:  # dropped is raw: AR's and TAR's gradients, summed first
@@ -630,14 +717,48 @@ def _trunk(model: LmModel, tokens: np.ndarray, state: LmState,
         d = d @ p["bottleneck.w"].T
         if d_dropped is not None:
             d += d_dropped
-        for i in reversed(layers):
-            if out_masks[i] is not None:
-                d = _masked(d, out_masks[i])
-                if d_raw is not None and i == layers[-1]:
-                    d += d_raw
-            d, _, _, grads[f"lstm{i}.wx"], d_wh, grads[f"lstm{i}.b"] = backwards[i](d)
+        d_state = [(np.zeros_like(h), np.zeros_like(c)) for h, c in state.layers]
+        dzs, layer_grads = [np.empty((len(ids), w.shape[1])) for _, w, _ in weights], [None] * n
+        d_in = []  # dL/d(layer 0's input rows), masked: one GEMM once all its chunks ran
+
+        def back(j, layers):  # chunk j's reverse step, from the top layer down
+            rows = spans[j]
+            for i in reversed(layers):  # dL/d(layer i's output): the head's or layer i+1's
+                d_rows = d[rows] if i == n - 1 else dzs[i + 1][rows] @ weights[i + 1][0].T
+                if out_masks[i] is not None:
+                    d_rows = _masked(d_rows, out_masks[i])
+                    if d_raw is not None and i == n - 1:
+                        d_rows += d_raw[rows]
+                dh, dc, _ = backs[i][j](d_rows, *d_state[i], dz=dzs[i][rows])
+                d_state[i], backs[i][j] = (dh, dc), None  # the chunk's forward buffers go
+
+        def weight_grads(layers):  # once every chunk of theirs has run; layer 0's d_in too
+            for i in layers:  # (the layer below may still read dzs[i]: it stays)
+                h_in = np.concatenate([state.layers[i][0], *outs[i]])[:len(ids)]
+                layer_grads[i] = _lstm_weight_grads(_joined(ins[i]), h_in, dzs[i])
+                if i == 0:
+                    d_in.append(_masked(dzs[0] @ weights[0][0].T, in_mask))
+                ins[i] = outs[i] = None
+
+        def upper(j):  # j None: after the last chunk, beside the lower layers' last
+            if j is None:
+                weight_grads(range(cut, n))
+            else:
+                back(j, range(cut, n))
+            return j
+
+        def lower(j):
+            if j is not None:
+                back(j, range(cut))
+                if j == 0:
+                    weight_grads(range(cut))
+
+        _wavefront([*reversed(range(len(spans))), None], upper, lower, pipelined,
+                   lambda _: None)
+        for i in reversed(range(n)):
+            grads[f"lstm{i}.wx"], d_wh, grads[f"lstm{i}.b"] = layer_grads[i]
             grads[f"lstm{i}.wh"] = _masked(d_wh, wh_masks[i])
-        d = _masked(d, in_mask)
+        d = d_in[0]
         if embed_mask is None:  # onto the tied output matrix's gradient, if any
             d_table = np.zeros_like(table) if d_embedding is None else d_embedding
             np.add.at(d_table, ids, d)
@@ -649,39 +770,4 @@ def _trunk(model: LmModel, tokens: np.ndarray, state: LmState,
         grads["embedding"] = d_table
         return grads
 
-    return hidden, LmState(new_state), raw, x, backward
-
-
-def eval_stages(model: LmModel, state: LmState):
-    """Eval mode's trunk as two stages over contiguous layers: (stage_a, stage_b, pipelined).
-
-    stage_a(tokens [batch x T]) gathers the embedding rows and runs layers [0, cut); stage_b
-    of its result runs layers [cut, L) and the bottleneck and returns the head's input rows,
-    model_forward's bit for bit. Each stage carries its own layers' (h, c) from state across
-    its calls, so stage_b of one window can run on another thread beside stage_a of the next;
-    stage_b calls nothing but lstm_layer and numpy. cut balances the stages' per-step GEMV
-    bytes (their recurrent matrices' sizes); a tie goes to stage_b, as the caller of stage_a
-    also scores the head. pipelined is whether that pays: at least two layers, and the
-    lighter stage's recurrent matrices hold _PIPELINE_ELEMENTS float64s or more.
-    """
-    p, n = model.params, model.config.lstm_layers
-    weights = [(p[f"lstm{i}.wx"], p[f"lstm{i}.wh"], p[f"lstm{i}.b"]) for i in range(n)]
-    gemv = [wh.size for _, wh, _ in weights]
-    cut = min(range(1, max(2, n)), key=lambda c: max(sum(gemv[:c]), sum(gemv[c:])))
-    carried = list(state.layers)
-
-    def run(x, first, last):
-        for i in range(first, last):
-            x, h, c, _ = lstm_layer(x, *carried[i], *weights[i])
-            carried[i] = (h, c)
-        return x
-
-    def stage_a(tokens):
-        ids = _checked_ids(model, tokens, state.batch_size).ravel(order="F")
-        return run(p["embedding"][ids], 0, cut)
-
-    def stage_b(x):
-        return run(x, cut, n) @ p["bottleneck.w"] + p["bottleneck.b"]
-
-    pipelined = n > 1 and min(sum(gemv[:cut]), sum(gemv[cut:])) >= _PIPELINE_ELEMENTS
-    return stage_a, stage_b, pipelined
+    return hidden, LmState(carried), raw, x, backward

@@ -2,7 +2,8 @@
 
 step_loss is one step's loss and gradients (train-mode forward, distill_loss
 running the MoS head, the loss and their backward as one chunked op, AR/TAR,
-then the forward's backward through the trunk), for train() and the
+then the forward's backward through the trunk, which for wide layers runs its
+forward and BPTT on two threads, model._trunk), for train() and the
 grad-check alike; the gradients come back as one array per parameter, keyed
 and ordered as model.params. Optimization is plain SGD with global-norm gradient
 clipping, optional plateau LR decay, and optional ASGD-style parameter
@@ -27,7 +28,6 @@ import itertools
 import math
 import multiprocessing
 import socket
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing.pool import ExceptionWithTraceback
 
@@ -36,7 +36,7 @@ import numpy as np
 from .data import BpttBatch, TokenStream, bptt_batches
 from .errors import ConfigError, DataError, TrainingError, require_finite
 from .losses import DistillLossSpec, distill_loss
-from .model import (CHUNK_ELEMENTS, LmModel, LmState, MosRows, add_probs, eval_stages,
+from .model import (CHUNK_ELEMENTS, LmModel, LmState, MosRows, _trunk, add_probs,
                     flatten_targets, model_forward)
 from .regularization import activation_reg
 
@@ -358,42 +358,29 @@ def perplexity(model: LmModel, stream: TokenStream) -> float:
     """exp of the mean natural-log NLL over every target token (eos included).
 
     One lane in EVAL_WINDOW-step windows, state carried; the last window may be
-    shorter, so no target is dropped. The trunk runs as eval_stages' two stages:
-    while the caller runs stage A (embedding, lower layers) of a window and scores
-    earlier rows, one pool thread runs stage B (upper layers, bottleneck) of the window
-    before. Where that would not pay (eval_stages' pipelined) the caller runs stage B
-    itself, in the same loop, and no thread starts. Rows are scored by one target-only
-    head call (MosRows.picked) per CHUNK_ELEMENTS / bottleneck rows, so the result does
-    not depend on which thread ran stage B.
+    shorter, so no target is dropped. The windows are the trunk's time chunks
+    (model._trunk): where the layers are wide enough to pipeline, one pool thread runs
+    the upper layers of a window while the caller runs the lower layers of the next and
+    scores earlier rows. Rows are scored by one target-only head call (MosRows.picked)
+    per CHUNK_ELEMENTS / bottleneck rows, so the result does not depend on which thread
+    ran which layer.
     """
     n = len(stream)
     if n < 2:
         raise DataError(f"stream of {n} tokens too short to evaluate")
-    stage_a, stage_b, pipelined = eval_stages(model, model.init_state(1))
-    total, hidden, targets = 0.0, [], []
+    total, hidden, done = 0.0, [], 0  # done: targets scored so far
 
-    def score(lo, hi, rows):
-        nonlocal total
-        hidden.append(rows.result() if pipelined else rows)
-        targets.append(stream.ids[lo + 1:hi + 1])
-        if hi == n - 1 or sum(map(len, hidden)) * hidden[0].shape[1] >= CHUNK_ELEMENTS:
-            y = np.concatenate(targets)
-            picked = MosRows(model, np.concatenate(hidden)).picked(np.arange(len(y)), y)
-            for window in np.split(picked, np.cumsum([len(t) for t in targets[:-1]])):
+    def score(rows):
+        nonlocal total, done
+        hidden.append(rows)
+        held = sum(map(len, hidden))
+        if done + held == n - 1 or held * rows.shape[1] >= CHUNK_ELEMENTS:
+            y = stream.ids[done + 1:done + 1 + held]
+            picked = MosRows(model, np.concatenate(hidden)).picked(np.arange(held), y)
+            for window in np.split(picked, np.cumsum([len(h) for h in hidden[:-1]])):
                 total += float(-window.sum())
+            done += held
             hidden.clear()
-            targets.clear()
 
-    # joined on exit, and a stage B error is raised here by result(); a pool that is
-    # never submitted to starts no thread
-    with ThreadPoolExecutor(1) as pool:
-        behind = None  # the previous window's (lo, hi, rows or their future)
-        for lo in range(0, n - 1, EVAL_WINDOW):
-            hi = min(lo + EVAL_WINDOW, n - 1)
-            x = stage_a(stream.ids[None, lo:hi])
-            window = (lo, hi, pool.submit(stage_b, x) if pipelined else stage_b(x))
-            if behind is not None:
-                score(*behind)
-            behind = window
-        score(*behind)
+    _trunk(model, stream.ids[None, :-1], model.init_state(1), None, EVAL_WINDOW, score)
     return math.exp(total / (n - 1))

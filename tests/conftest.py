@@ -1,4 +1,16 @@
 """Imported before any test module: lmdistill pins one BLAS thread only if it loads
-before numpy, so the suite runs at the thread count the CLI runs at."""
+before numpy, so the suite runs at the thread count the CLI runs at. Every test must also
+leave no thread running that it started (the eval head's helper, the trunk's stage B)."""
+
+import threading
+
+import pytest
 
 import lmdistill  # noqa: F401
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, [t.name for t in threading.enumerate()]

@@ -287,7 +287,14 @@ def lstm_layer(xs: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Te
     """lmdistill's lstm_layer as one tape node: (hs, h_T, c_T), h_T and c_T constants."""
     hs, h, c, back = model_module.lstm_layer(xs.data, h0.data, c0.data, wx.data, wh.data,
                                              b.data)
-    return fused(hs, (xs, h0, c0, wx, wh, b), back), Tensor(h), Tensor(c)
+
+    def backward(d_hs):
+        d_h0, d_c0, dz = back(d_hs, np.zeros_like(h), np.zeros_like(c))
+        h_in = np.concatenate([h0.data, hs])[:len(hs)]
+        return (dz @ wx.data.T, d_h0, d_c0,
+                *model_module._lstm_weight_grads(xs.data, h_in, dz))
+
+    return fused(hs, (xs, h0, c0, wx, wh, b), backward), Tensor(h), Tensor(c)
 
 
 class LogProbRows:

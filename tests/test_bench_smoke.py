@@ -88,8 +88,8 @@ def test_traced_eval_spans_nest(monkeypatch):
 
 
 def test_traced_eval_spans_nest_with_stage_b_on_the_pool(monkeypatch):
-    # a 2-layer model with perplexity's pipeline forced on: layer 1 and the bottleneck run on
-    # the pool thread, and call nothing the tracer wraps
+    # a 2-layer model with the trunk's pipeline forced on: perplexity's windows are its
+    # chunks, and layer 1 runs on the pool thread, calling nothing the tracer wraps
     monkeypatch.setattr(model_module, "_PIPELINE_ELEMENTS", 0)
     calls, layer = [], model_module.lstm_layer
 
@@ -104,4 +104,28 @@ def test_traced_eval_spans_nest_with_stage_b_on_the_pool(monkeypatch):
     ppl = training.perplexity(model, TokenStream(np.random.default_rng(2).integers(0, 40, 129)))
     metrics = spans.summarize(tracer.take(), 0, 0.0)  # raises if spans break nesting
     assert np.isfinite(ppl) and metrics["model.mos_head_calls"] == 1
+    assert sorted(set(calls)) == [(False, 6), (True, 8)]  # layer 1 on the pool, layer 0 not
+
+
+def test_traced_train_spans_nest_with_stage_b_on_the_pool(monkeypatch):
+    # train() of a 2-layer model with the trunk's wavefront forced on (chunks of 2 steps):
+    # layer 1's forward chunks run on the pool thread and call nothing the tracer wraps
+    monkeypatch.setattr(model_module, "_PIPELINE_ELEMENTS", 0)
+    monkeypatch.setattr(model_module, "_CHUNK_STEPS", 2)
+    calls, layer = [], model_module.lstm_layer
+
+    def counted(xs, h0, c0, wx, wh, b):
+        calls.append((threading.current_thread() is threading.main_thread(), wh.shape[0]))
+        return layer(xs, h0, c0, wx, wh, b)
+
+    monkeypatch.setattr(model_module, "lstm_layer", counted)
+    tracer = _install_tracer(monkeypatch)
+    model = build_model(ModelConfig(vocab_size=40, embed_dim=8, lstm_layers=2, hidden_dim=8,
+                                    last_hidden_dim=6, bottleneck_dim=8, num_experts=2), seed=1)
+    stream = TokenStream(np.random.default_rng(3).integers(0, 40, 61))
+    result = training.train(model, stream, stream,
+                            training.TrainConfig(batch_size=2, bptt_len=6, lr=1.0))
+    metrics = spans.summarize(tracer.take(), 0, 0.0)  # raises if spans break nesting
+    assert np.isfinite(result.best_valid_ppl) and metrics["training.valid_ppl_s"] > 0
+    assert metrics["model.forward_calls"] == 4  # one per training batch
     assert sorted(set(calls)) == [(False, 6), (True, 8)]  # layer 1 on the pool, layer 0 not

@@ -836,9 +836,9 @@ def test_grad_check_row_fails_on_a_nan_error(monkeypatch):
 
 def _fed_more(backward, calls):
     """backward, handed 1% more of every gradient it takes."""
-    def skewed(*grads):
+    def skewed(*grads, **out):
         calls.append(backward)
-        return backward(*(1.01 * g for g in grads))
+        return backward(*(1.01 * g for g in grads), **out)
     return skewed
 
 

@@ -285,6 +285,60 @@ def test_lstm_layer_matches_per_step_oracle(lanes, steps, widths):
         assert err <= 1e-10 * np.max(np.abs(w), initial=0.0), f"input {k}: {err:.3e}"
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 10, 23])
+def test_lstm_layer_chunks_from_carried_state_equal_the_whole_window_bitwise(chunk):
+    # 23 steps of 3 lanes in chunks: each forward from the (h, c) the chunk before ended in,
+    # each backward, last chunk first, from the (dh, dc) of the chunk after, writing its
+    # rows of one dz; the input gradient of each chunk's rows and the weight GEMMs over the
+    # whole window, as the trunk runs them
+    rng = np.random.default_rng(chunk)
+    lanes, steps, hid = 3, 23, 7
+    xs = rng.standard_normal((steps * lanes, 5))
+    h0, c0 = rng.standard_normal((lanes, hid)), rng.standard_normal((lanes, hid))
+    wx, wh, b = (rng.standard_normal(shape) for shape in ((5, 4 * hid), (hid, 4 * hid),
+                                                          (4 * hid,)))
+    d_hs = rng.standard_normal((steps * lanes, hid))
+    whole = model_module.lstm_layer(xs, h0, c0, wx, wh, b)
+    want = _window_grads(xs, h0, wx, whole, d_hs)
+
+    spans = [slice(t * lanes, min(t + chunk, steps) * lanes) for t in range(0, steps, chunk)]
+    parts, h, c = [], h0, c0
+    for rows in spans:
+        hs, h, c, backward = model_module.lstm_layer(xs[rows], h, c, wx, wh, b)
+        parts.append((hs, backward))
+    hs = np.concatenate([part[0] for part in parts])
+    assert np.array_equal(hs, whole[0]) and np.array_equal(h, whole[1])
+    assert np.array_equal(c, whole[2])
+    dz, d_xs = np.empty((steps * lanes, 4 * hid)), np.empty_like(xs)
+    dh, dc = np.zeros_like(h0), np.zeros_like(c0)
+    for rows, (_, backward) in reversed(list(zip(spans, parts))):
+        dh, dc, _ = backward(d_hs[rows], dh, dc, dz=dz[rows])
+        d_xs[rows] = dz[rows] @ wx.T
+    h_in = np.concatenate([h0, hs])[:len(hs)]
+    got = (d_xs, dh, dc, *model_module._lstm_weight_grads(xs, h_in, dz))
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert np.array_equal(g, w), f"gradient {k}"
+
+
+@pytest.mark.parametrize("rows", [12, 120, 240])
+@pytest.mark.parametrize("a, b", [((840, 64), (64, 1024)), ((840, 256), (256, 1024)),
+                                  ((840, 1024), (256, 1024))],
+                         ids=["layer0-gates", "layer1-gates", "layer1-input-grad"])
+def test_row_split_gemms_equal_the_whole_gemm_bitwise(a, b, rows):
+    # A pipelined trunk runs xs @ wx and an upper layer's dz @ wx.T chunk by chunk where
+    # a whole window ran one GEMM, so its bits rest on BLAS giving each row the same bits
+    # either way. The shapes are a 2 x 256 trunk's (E=64) at 12 lanes and T=70, in chunks
+    # of 1, 10 and 20 steps. A BLAS kernel that rounds a row by its block fails here.
+    # (OpenBLAS 0.3.31 rounds some rows otherwise in a block of one or two rows, and in
+    # layer 0's dz @ wx.T into E=64 columns in 12 or 36 rows: the trunk splits neither.)
+    rng = np.random.default_rng(rows + a[1])
+    x, w = rng.standard_normal(a), rng.standard_normal(b)
+    w = w if a[1] == b[0] else w.T  # dz @ wx.T: wx is [in x 4H]
+    whole = x @ w
+    split = np.concatenate([x[lo:lo + rows] @ w for lo in range(0, len(x), rows)])
+    assert np.array_equal(split, whole)
+
+
 def test_sigmoid_bits_match_split_where_form():
     # max(e, z >= 0) for the numerator must be np.where(z >= 0, 1, e) bit for bit, at the
     # signed zeros, subnormals, saturation, underflow of exp, the infinities and NaN
@@ -298,6 +352,15 @@ def test_sigmoid_bits_match_split_where_form():
     model_module._sigmoid(got, np.empty_like(z), np.empty_like(z), np.empty(z.shape, dtype=bool))
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _window_grads(xs, h0, wx, layer, d_hs):
+    """The six gradients, in (xs, h0, c0, wx, wh, b), of a window run as one lstm_layer call
+    (its forward's result `layer`), from zero gradients in h_T and c_T."""
+    hs, h, c, backward = layer
+    d_h0, d_c0, dz = backward(d_hs, np.zeros_like(h), np.zeros_like(c))
+    h_in = np.concatenate([h0, hs])[:len(hs)]
+    return dz @ wx.T, d_h0, d_c0, *model_module._lstm_weight_grads(xs, h_in, dz)
 
 
 @pytest.mark.parametrize("lanes", [1, 3])
@@ -328,7 +391,7 @@ def test_lstm_layer_bits_match_split_gate_oracle(lanes, hid, steps):
     want = oracles.oracle_lstm_layer(xs, h0, c0, wx, wh, b)
     for k in range(3):
         assert np.array_equal(got[k], want[k]), f"forward output {k}"
-    for k, (g, w) in enumerate(zip(got[3](d_hs), want[3](d_hs))):
+    for k, (g, w) in enumerate(zip(_window_grads(xs, h0, wx, got, d_hs), want[3](d_hs))):
         assert np.array_equal(g, w), f"backward output {k}"
 
 

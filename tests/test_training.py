@@ -201,17 +201,27 @@ def test_one_hot_oracle_rows():
 # Training behavior
 
 
+def force_trunk(monkeypatch, pipelined, chunk_steps=2):
+    """Make the pipelining rule say yes (in chunks of chunk_steps) or no for every model."""
+    monkeypatch.setattr(model_module, "_PIPELINE_ELEMENTS", 0 if pipelined else 10 ** 15)
+    monkeypatch.setattr(model_module, "_CHUNK_STEPS", chunk_steps)
+
+
+@pytest.mark.parametrize("layers, pipelined", [(2, False), (2, True), (3, False), (3, True)],
+                         ids=["2-inline", "2-pipelined", "3-inline", "3-pipelined"])
 @pytest.mark.parametrize("chunk_rows", [64, 4], ids=["one-chunk", "chunks"])
 @pytest.mark.parametrize("embed_rate", [0.1, 0.0], ids=["embed-mask", "no-embed-mask"])
 @pytest.mark.parametrize("ar, tar", [(2.0, 1.0), (0.0, 0.0)], ids=["ar-tar", "no-ar-tar"])
 @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
 @pytest.mark.parametrize("variant", LOSS_VARIANTS)
 def test_step_loss_equals_the_taped_step_bitwise(variant, tied, ar, tar, embed_rate,
-                                                 chunk_rows, monkeypatch):
+                                                 chunk_rows, layers, pipelined, monkeypatch):
     # The hand-written backward sums in the tape's order, so the value and every
     # parameter's gradient are the taped step's bit for bit; that is what keeps
     # trained files byte-identical. Output dropout on and off: off, AR and TAR
-    # land on one block.
+    # land on one block. Pipelined, the trunk runs 5 steps as chunks of 2, 2 and 1 steps on
+    # two threads (3 layers: layer 0 against layers 1-2), and the tape runs each layer whole.
+    force_trunk(monkeypatch, pipelined)
     vocab, stream = tiny_corpus()
     batch = bptt_batches(stream, 2, 5)[0]
     spec = DistillLossSpec(variant, alpha=0.3)
@@ -221,7 +231,7 @@ def test_step_loss_equals_the_taped_step_bitwise(variant, tied, ar, tar, embed_r
         rates = DropoutSpec(input_rate=0.2, output_rate=output_rate, hidden_rate=0.3,
                             embed_rate=embed_rate, other_rate=0.15, ar_weight=ar,
                             tar_weight=tar)
-        config = tiny_config(vocab.size, lstm_layers=2, last_hidden_dim=6, num_experts=3,
+        config = tiny_config(vocab.size, lstm_layers=layers, last_hidden_dim=6, num_experts=3,
                              tie_embeddings=tied, expert_dim=None if tied else 5,
                              dropout=rates)
         model = build_model(config, 4)
@@ -344,21 +354,27 @@ def test_train_zero_lr_leaves_params_bitwise():
     assert result.best_epoch == 1
 
 
-def test_train_is_deterministic():
+def test_train_is_deterministic(monkeypatch):
+    # two layers with every dropout and AR/TAR on, run twice with the trunk inline and
+    # twice pipelined (chunks of 2 steps): all four runs end bitwise alike
     vocab, stream = tiny_corpus()
+    rates = DropoutSpec(input_rate=0.2, output_rate=0.25, hidden_rate=0.3, embed_rate=0.1,
+                        other_rate=0.15, ar_weight=2.0, tar_weight=1.0)
 
-    def run():
-        model = build_model(tiny_config(vocab.size), 0)
+    def run(pipelined):
+        force_trunk(monkeypatch, pipelined)
+        model = build_model(tiny_config(vocab.size, lstm_layers=2, dropout=rates), 0)
         result = train(model, stream, stream,
                        TrainConfig(loss=DistillLossSpec("ce_only"), lr=2.0,
                                    epochs=4, batch_size=2, bptt_len=6, seed=9))
         return [l.line() for l in result.logs], params_of(model)
 
-    lines1, params1 = run()
-    lines2, params2 = run()
-    assert lines1 == lines2
-    for a, b in zip(params1, params2):
-        assert np.array_equal(a, b)
+    lines1, params1 = run(False)
+    for pipelined in (False, True, True):
+        lines2, params2 = run(pipelined)
+        assert lines1 == lines2
+        for a, b in zip(params1, params2):
+            assert np.array_equal(a, b)
 
 
 def test_train_loss_decreases_on_memorizable_text():
@@ -660,6 +676,67 @@ def test_perplexity_stage_error_reaches_caller(stage, monkeypatch):
         perplexity(model, TokenStream(np.random.default_rng(4).integers(0, 30, size=129)))
     assert threading.active_count() == before
     assert (failing, stage == "a") in calls[2:]  # it ran, and failed, on its stage's thread
+
+
+@pytest.mark.parametrize("stage", ["a", "b"])
+@pytest.mark.parametrize("phase", ["forward", "backward"])
+def test_train_stage_error_reaches_caller(stage, phase, monkeypatch):
+    # two layers, pipelined in chunks of 2 steps: stage A is layer 0, stage B layer 1. The
+    # forward runs stage A on the caller and stage B on the pool thread; the backward runs
+    # layer 1 on the caller and layer 0 on the pool thread. The failing layer raises at its
+    # second chunk, in its forward or in its backward
+    model = _stack(2)
+    force_trunk(monkeypatch, True)
+    failing = {"a": 0, "b": 1}[stage]
+    index = {id(model.params[f"lstm{i}.wx"]): i for i in range(2)}
+    calls, layer = [], model_module.lstm_layer
+
+    def fails_second(i, what):
+        calls.append((i, what, threading.current_thread() is threading.main_thread()))
+        if i == failing and what == phase and sum(c[:2] == (i, what) for c in calls) == 2:
+            raise NumericError(f"layer {i} {what}")
+
+    def recorded(xs, h0, c0, wx, *rest):
+        fails_second(index[id(wx)], "forward")
+        *out, backward = layer(xs, h0, c0, wx, *rest)
+
+        def checked(*args, **kw):
+            fails_second(index[id(wx)], "backward")
+            return backward(*args, **kw)
+
+        return (*out, checked)
+
+    monkeypatch.setattr(model_module, "lstm_layer", recorded)
+    stream = TokenStream(np.random.default_rng(4).integers(0, 30, size=61))
+    before = threading.active_count()
+    with pytest.raises(NumericError, match=f"layer {failing} {phase}"):
+        train(model, stream, stream, TrainConfig(loss=DistillLossSpec("ce_only"),
+                                                 batch_size=2, bptt_len=6))
+    assert threading.active_count() == before
+    on_caller = (stage == "a") == (phase == "forward")
+    assert (failing, phase, on_caller) in calls  # it ran, and failed, on its stage's thread
+    assert (1 - failing, phase, not on_caller) in calls  # the other stage ran beside it
+
+
+def test_one_step_forwards_make_no_pool(monkeypatch):
+    # rescoring runs batch-[nodes] forwards of one step: one chunk, so even with the rule
+    # forced on, no pool is made and no thread starts; a 40-step one makes its pool
+    force_trunk(monkeypatch, True)
+    made = []
+
+    class Counted(model_module.ThreadPoolExecutor):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(model_module, "ThreadPoolExecutor", Counted)
+    model = _stack(3)
+    tokens = np.random.default_rng(5).integers(0, 30, size=(7, 1))
+    model_forward(model, tokens, model.init_state(7))
+    model_forward(model, tokens, model.init_state(7), np.random.default_rng(1))
+    assert made == []
+    model_forward(model, np.tile(tokens, 40), model.init_state(7))
+    assert made == [(1,)]
 
 
 # ---------------------------------------------------------------------------
