@@ -233,9 +233,6 @@ def _train_command(args, keys, setup) -> int:
     _echo_config(cfg, out_dir)
     loss, teacher, suffix = setup(cfg)
     vocab, train_stream, valid_stream = _train_streams(cfg, Path(args.data_dir))
-    if teacher is not None and vocab.size != teacher.vocab_size:
-        raise ConfigError(f"teacher vocab size {teacher.vocab_size} != "
-                          f"data vocab size {vocab.size}")
     model = build_model(cfg.model_config(vocab.size), cfg["seed"])
     print(f"vocab={vocab.size} params={param_count(model.config)}{suffix}")
     if out_dir is not None:  # _echo_config made it

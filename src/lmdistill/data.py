@@ -46,16 +46,20 @@ def atomic_open(path, mode: str = "w"):
 
 
 def read_lines(path, error: type[UserError] = DataError) -> list[str]:
-    """The UTF-8 text file at path, split into lines. A file that cannot be read, or a
-    byte that is not UTF-8, raises error naming the path (and the byte's 1-based line)."""
+    """The UTF-8 text file at path, split into lines at LF, CR LF and CR only (not at a form
+    feed, U+2028 or the rest that str.splitlines also splits at); a final break ends the last
+    line. A file that cannot be read, or a byte that is not UTF-8, raises error naming the
+    path (and the byte's 1-based line, counted by the same rule)."""
     try:
         raw = Path(path).read_bytes()
-        return raw.decode("utf-8").splitlines()
+        lines = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     except OSError as e:
         raise error(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
-        lineno = raw.count(b"\n", 0, e.start) + 1
+        head = raw[:e.start].replace(b"\r\n", b"\n")
+        lineno = head.count(b"\n") + head.count(b"\r") + 1
         raise error(f"{path}:{lineno}: not UTF-8 text") from None
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def _first_bad_word(words: list[str]) -> tuple[int, str] | None:

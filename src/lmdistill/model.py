@@ -180,9 +180,9 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
     the cells. A step holds the tanh candidate aside, makes one logistic pass over
     all four gate blocks and writes the candidate back into g; its tanh(c) is kept for the
     backward, and its other intermediates, and the reverse recurrence's, go into buffers
-    allocated once per call. backward(d_hs, dh, dc, dz=None) runs the reverse recurrence
-    from dh and dc, the gradients in h_T and c_T, and returns the gradients in h0 and c0 and
-    dz [T*B x 4H], the gates' pre-activation gradients (written into dz if given). The
+    allocated once per call. backward(d_hs, dh, dc, dz) runs the reverse recurrence
+    from dh and dc, the gradients in h_T and c_T, writes the gates' pre-activation
+    gradients into the caller's dz [T*B x 4H] and returns the gradients in h0 and c0. The
     caller makes the GEMMs over dz: dz @ wx.T, the gradient in xs, and _lstm_weight_grads.
     _trunk runs a window as chunks of steps, each from the (h, c) the chunk before ended
     in, each backward from the (dh, dc) of the chunk after: bitwise the window run whole,
@@ -215,10 +215,10 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
         cells[t + 1] += np.multiply(i[t], cand, out=tmp)
         np.multiply(o[t], np.tanh(cells[t + 1], out=tanh_c[t]), out=hs[t + 1])
 
-    def backward(d_hs, dh, dc, dz=None):
+    def backward(d_hs, dh, dc, dz):
         # dz = [dc*g*i(1-i), dc*c_prev*f(1-f), dc*i*(1-g^2), dh*tanh(c)*o(1-o)], each block
         # written in place by the ops, in the order, of the expression it spells out
-        dz = np.empty((steps, batch, 4 * hid)) if dz is None else dz.reshape(steps, batch, -1)
+        dz = dz.reshape(steps, batch, 4 * hid)
         dz_i, dz_f, dz_g, dz_o = (dz[:, :, j * hid:(j + 1) * hid] for j in range(4))
         dc_from_dh = np.empty((steps, batch, hid))  # scratch until its own value, last
         np.multiply(np.multiply(g, i, out=dz_i), np.subtract(1.0, i, out=dc_from_dh), out=dz_i)
@@ -238,7 +238,7 @@ def lstm_layer(xs: np.ndarray, h0: np.ndarray, c0: np.ndarray, wx: np.ndarray,
             dz4[t, :, 3] *= dh
             np.matmul(dz[t], wh.T, out=dh)
             dc *= f[t]
-        return dh, dc, dz.reshape(steps * batch, 4 * hid)
+        return dh, dc
 
     return hs[1:].reshape(steps * batch, hid), hs[-1].copy(), cells[-1].copy(), backward
 
@@ -729,8 +729,8 @@ def _trunk(model: LmModel, tokens: np.ndarray, state: LmState,
                     d_rows = _masked(d_rows, out_masks[i])
                     if d_raw is not None and i == n - 1:
                         d_rows += d_raw[rows]
-                dh, dc, _ = backs[i][j](d_rows, *d_state[i], dz=dzs[i][rows])
-                d_state[i], backs[i][j] = (dh, dc), None  # the chunk's forward buffers go
+                d_state[i] = backs[i][j](d_rows, *d_state[i], dz=dzs[i][rows])
+                backs[i][j] = None  # the chunk's forward buffers go
 
         def weight_grads(layers):  # once every chunk of theirs has run; layer 0's d_in too
             for i in layers:  # (the layer below may still read dzs[i]: it stays)

@@ -14,12 +14,12 @@ Teacher soft labels come from one forked worker process (POSIX fork), ahead
 of the student. It runs the teacher over the same batches in the same order,
 from reset_state(batch_size) each epoch, so teacher state is carried across
 the same token lanes the student sees and Q is bitwise what an in-process call
-would give. It writes each Q to a socket as a shape header and its raw
-float64 bytes; the send blocks once the socket's buffer is full, so the worker
-holds at most one Q beyond what the buffer holds. train() reads each Q
-straight into the array the previous one was read into (no pickle, no
-per-batch allocation), so a Q is valid until the next one is read. A teacher's
-exception comes back through a pipe beside the socket.
+would give. Every Q is [batch_size*bptt_len x V], fixed before the fork
+(train() checks the teacher's V); the worker checks each Q's shape and writes
+only its raw float64 bytes to a socket, whose send blocks once its buffer is
+full. train() reads each Q straight into one array (no pickle, no per-batch
+allocation), so a Q is valid until the next one is read. A teacher's
+exception, a wrong shape's ShapeError included, comes back through a pipe.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from multiprocessing.pool import ExceptionWithTraceback
 import numpy as np
 
 from .data import BpttBatch, TokenStream, bptt_batches
-from .errors import ConfigError, DataError, TrainingError, require_finite
+from .errors import ConfigError, DataError, ShapeError, TrainingError, require_finite
 from .losses import DistillLossSpec, distill_loss
 from .model import (CHUNK_ELEMENTS, LmModel, LmState, MosRows, _trunk, add_probs,
                     flatten_targets, model_forward)
@@ -121,9 +121,10 @@ class TeacherEnsemble:
 
         Rows are time-major, matching model_forward's log_probs layout. Each
         member's P is added into the result chunk by chunk (add_probs), in a
-        fixed member order, so the result is deterministic.
+        fixed member order, so the result is deterministic. Member state starts at
+        the first call's batch size; another batch size needs reset_state first.
         """
-        if self._states is None or self._states[0].batch_size != inputs.shape[0]:
+        if self._states is None:
             self.reset_state(inputs.shape[0])
         total = np.zeros((np.size(inputs), self.vocab_size))
         for i, member in enumerate(self.members):
@@ -195,29 +196,20 @@ def step_loss(model: LmModel, batch: BpttBatch, state: LmState, spec: DistillLos
     return float(value), {name: grads[name] for name in model.params}, out.state
 
 
-def _recv_into(sock: socket.socket, array: np.ndarray) -> np.ndarray:
-    """Fill the C-contiguous array with the next array.nbytes bytes from sock; returns it.
-    Raises EOFError if the stream ends first."""
-    view = memoryview(array.reshape(-1).view(np.uint8))
-    while view:
-        got = sock.recv_into(view)
-        if not got:
-            raise EOFError
-        view = view[got:]
-    return array
-
-
 def _await_q(sock, conn, proc, q: np.ndarray, epoch: int, batch: int) -> np.ndarray:
-    """The worker's Q for one batch: a shape header, then the float64 bytes, read into q's
-    memory when the sizes match (else into a new array). Raises the teacher's own
-    exception, or RuntimeError if the worker died."""
+    """The worker's Q for one batch, its float64 bytes read into q's memory; returns q.
+    Raises the teacher's own exception, or RuntimeError if the worker died."""
+    view = memoryview(q).cast("B")
     try:
-        ndim = int(_recv_into(sock, np.empty(1, np.int64))[0])
-        shape = tuple(_recv_into(sock, np.empty(ndim, np.int64)).tolist())
-        return _recv_into(sock, q.reshape(shape) if q.size == math.prod(shape)
-                          else np.empty(shape))
-    except (EOFError, OSError):  # the worker ended, or reset mid-Q
+        while view:
+            got = sock.recv_into(view)
+            if not got:  # the worker ended
+                break
+            view = view[got:]
+    except OSError:  # the worker reset mid-Q
         pass
+    if not view:
+        return q
     try:
         exc = conn.recv()  # the teacher's exception, if it sent one before it ended
     except (EOFError, OSError):
@@ -231,12 +223,13 @@ def _soft_labels(teacher, batches: list[BpttBatch], epochs: int):
     """Teacher Q for every batch of every epoch, in train()'s order; None with no teacher.
 
     Forks the worker at the first next(); each next() reads one Q from the
-    worker's socket into the array the previous one was read into, so a Q is
-    valid until the next next().
+    worker's socket into the one [B*T x V] array, so a Q is valid until the next
+    next().
     """
     if teacher is None:
         yield from itertools.repeat(None)  # endless: train() takes what it needs
     total = epochs * len(batches)
+    q = np.empty((batches[0].inputs.size, teacher.vocab_size))
 
     def worker(child_end, child_sock):
         conn.close()  # the main process's ends: its death then fails the send here
@@ -246,10 +239,11 @@ def _soft_labels(teacher, batches: list[BpttBatch], epochs: int):
                 if i % len(batches) == 0:
                     teacher.reset_state(batches[0].inputs.shape[0])
                 batch = batches[i % len(batches)]
-                q = np.ascontiguousarray(teacher.soft_labels(batch.inputs, batch.targets),
-                                         dtype=np.float64)
-                child_sock.sendall(np.array([q.ndim, *q.shape], np.int64))
-                child_sock.sendall(q)
+                got = np.ascontiguousarray(teacher.soft_labels(batch.inputs, batch.targets),
+                                           dtype=np.float64)
+                if got.shape != q.shape:  # else every later Q would arrive shifted
+                    raise ShapeError(f"teacher soft labels {got.shape} != {q.shape}")
+                child_sock.sendall(got)
         except Exception as exc:
             child_end.send(ExceptionWithTraceback(exc, exc.__traceback__))
 
@@ -261,11 +255,9 @@ def _soft_labels(teacher, batches: list[BpttBatch], epochs: int):
     child_end.close()
     child_sock.close()
     try:
-        q = np.empty(0)
         for i in range(total):
             epoch, bi = divmod(i, len(batches))
-            q = _await_q(sock, conn, proc, q, epoch + 1, bi)
-            yield q
+            yield _await_q(sock, conn, proc, q, epoch + 1, bi)
     finally:
         proc.terminate()
         proc.join()
@@ -279,17 +271,20 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
     """Train the model in place; on return it holds the best-validation params.
 
     teacher must be present exactly when the loss reads soft labels
-    (cfg.loss.needs_teacher); it runs in a forked worker (module docstring) that
-    sends each batch's Q through a socket.
+    (cfg.loss.needs_teacher) and have the model's vocab_size, else ConfigError
+    before any fork; it runs in a forked worker (module docstring).
     Raises TrainingError naming the batch if the loss or the gradient norm
-    goes non-finite, the teacher's own exception if it raises, and
-    RuntimeError naming the exit code if the worker dies.
+    goes non-finite, the teacher's own exception (ShapeError for a wrong-shaped
+    Q) if it raises, and RuntimeError naming the exit code if the worker dies.
     """
     if cfg.loss.needs_teacher and teacher is None:
         raise ConfigError(f"loss variant {cfg.loss.variant!r} needs a teacher")
     if not cfg.loss.needs_teacher and teacher is not None:
         raise ConfigError(f"loss variant {cfg.loss.variant!r} at alpha = {cfg.loss.alpha:g} "
                           f"reads no teacher distributions; pass no teacher")
+    if teacher is not None and teacher.vocab_size != model.config.vocab_size:
+        raise ConfigError(f"teacher vocab size {teacher.vocab_size} != "
+                          f"model vocab size {model.config.vocab_size}")
 
     batches = bptt_batches(train_stream, cfg.batch_size, cfg.bptt_len)
     params = model.params

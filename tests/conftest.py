@@ -1,7 +1,9 @@
 """Imported before any test module: lmdistill pins one BLAS thread only if it loads
 before numpy, so the suite runs at the thread count the CLI runs at. Every test must also
-leave no thread running that it started (the eval head's helper, the trunk's stage B)."""
+leave no thread running that it started (the eval head's helper, the trunk's stage B), and
+no child process (train()'s soft-label worker, which it joins on every exit path)."""
 
+import multiprocessing
 import threading
 
 import pytest
@@ -14,3 +16,9 @@ def no_thread_left_running():
     before = threading.active_count()
     yield
     assert threading.active_count() <= before, [t.name for t in threading.enumerate()]
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    yield
+    assert multiprocessing.active_children() == []

@@ -289,7 +289,8 @@ def lstm_layer(xs: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Te
                                              b.data)
 
     def backward(d_hs):
-        d_h0, d_c0, dz = back(d_hs, np.zeros_like(h), np.zeros_like(c))
+        dz = np.empty((len(hs), wx.data.shape[1]))
+        d_h0, d_c0 = back(d_hs, np.zeros_like(h), np.zeros_like(c), dz)
         h_in = np.concatenate([h0.data, hs])[:len(hs)]
         return (dz @ wx.data.T, d_h0, d_c0,
                 *model_module._lstm_weight_grads(xs.data, h_in, dz))

@@ -89,6 +89,17 @@ def test_config_comments_and_blanks(tmp_path):
     assert load_config(path, keys=CONFIG_KEYS)["lr"] == 2.0
 
 
+def test_config_comment_holding_a_form_feed_loads(tmp_path):
+    # a form feed is no line break: the comment's tail stays a comment, and the line
+    # after it is line 2
+    path = tmp_path / "run.cfg"
+    path.write_text("# a comment\fand its tail = 3\nlr = 2.0\n", encoding="utf-8")
+    assert load_config(path, keys=CONFIG_KEYS)["lr"] == 2.0
+    path.write_text("# a comment\fand its tail\nalpha = banana\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"run\.cfg:2: bad value for alpha"):
+        load_config(path, keys=CONFIG_KEYS)
+
+
 def test_config_file_errors(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("lr = 1.0\nwhatever = 3\n", encoding="utf-8")

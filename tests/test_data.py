@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmdistill.data import (EOS, RNN_UNK, UNK, BpttBatch, TokenStream,
-                            Vocabulary, atomic_open, bptt_batches, build_vocab, encode)
+from lmdistill.data import (EOS, RNN_UNK, UNK, BpttBatch, TokenStream, Vocabulary,
+                            atomic_open, bptt_batches, build_vocab, encode, read_lines)
 from lmdistill.errors import ConfigError, DataError, FormatError
 
 
@@ -88,6 +88,35 @@ def test_encode_appends_eos_per_line():
     stream = encode(["a b", "c"], vocab)
     a, b, c = vocab.lookup("a"), vocab.lookup("b"), vocab.lookup("c")
     assert np.array_equal(stream.ids, [a, b, 0, c, 0])
+
+
+def test_corpus_line_with_a_form_feed_and_u2028_encodes_with_one_eos(tmp_path):
+    path = tmp_path / "train.txt"
+    path.write_text("a\fb c\u2028d\n", encoding="utf-8")
+    lines = read_lines(path)
+    assert lines == ["a\fb c\u2028d"]
+    vocab = build_vocab(lines, cap=10)
+    assert vocab.counts[vocab.eos_id] == 1
+    assert encode(lines, vocab).ids.tolist() == [*map(vocab.lookup, "abcd"), vocab.eos_id]
+
+
+@pytest.mark.parametrize("raw, lines", [(b"a\nb\n", ["a", "b"]), (b"a\r\nb\r\n", ["a", "b"]),
+                                        (b"a\rb", ["a", "b"]), (b"a\r\n\rb\n\n", ["a", "", "b", ""]),
+                                        (b"", []), (b"\n", [""]), (b"a\x0bb\x1cc\xc2\x85", ["a\x0bb\x1cc\x85"])],
+                         ids=["lf", "crlf", "cr", "mixed", "empty", "one-break", "no-breaks"])
+def test_read_lines_breaks_at_lf_crlf_and_cr_only(tmp_path, raw, lines):
+    path = tmp_path / "text.txt"
+    path.write_bytes(raw)
+    assert read_lines(path) == lines
+
+
+@pytest.mark.parametrize("sep", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_bad_byte_after_a_form_feed_names_its_own_line(tmp_path, sep):
+    # the not-UTF-8 message counts lines as read_lines splits them
+    path = tmp_path / "train.txt"
+    path.write_bytes(sep.join([b"a\fb", b"c\fd", b"e \xff"]))
+    with pytest.raises(DataError, match=r"train\.txt:3: not UTF-8 text"):
+        read_lines(path)
 
 
 def test_encode_decode_round_trip():

@@ -312,7 +312,7 @@ def test_lstm_layer_chunks_from_carried_state_equal_the_whole_window_bitwise(chu
     dz, d_xs = np.empty((steps * lanes, 4 * hid)), np.empty_like(xs)
     dh, dc = np.zeros_like(h0), np.zeros_like(c0)
     for rows, (_, backward) in reversed(list(zip(spans, parts))):
-        dh, dc, _ = backward(d_hs[rows], dh, dc, dz=dz[rows])
+        dh, dc = backward(d_hs[rows], dh, dc, dz=dz[rows])
         d_xs[rows] = dz[rows] @ wx.T
     h_in = np.concatenate([h0, hs])[:len(hs)]
     got = (d_xs, dh, dc, *model_module._lstm_weight_grads(xs, h_in, dz))
@@ -358,7 +358,8 @@ def _window_grads(xs, h0, wx, layer, d_hs):
     """The six gradients, in (xs, h0, c0, wx, wh, b), of a window run as one lstm_layer call
     (its forward's result `layer`), from zero gradients in h_T and c_T."""
     hs, h, c, backward = layer
-    d_h0, d_c0, dz = backward(d_hs, np.zeros_like(h), np.zeros_like(c))
+    dz = np.empty((len(hs), wx.shape[1]))
+    d_h0, d_c0 = backward(d_hs, np.zeros_like(h), np.zeros_like(c), dz)
     h_in = np.concatenate([h0, hs])[:len(hs)]
     return dz @ wx.T, d_h0, d_c0, *model_module._lstm_weight_grads(xs, h_in, dz)
 

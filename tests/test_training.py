@@ -45,13 +45,6 @@ def params_of(model):
     return [p.copy() for p in model.params.values()]
 
 
-@pytest.fixture(autouse=True)
-def no_worker_left_running():
-    # train() joins its soft-label worker on every exit path, raising or not
-    yield
-    assert multiprocessing.active_children() == []
-
-
 # ---------------------------------------------------------------------------
 # TrainConfig and EpochLog
 
@@ -165,15 +158,15 @@ def test_ensemble_carries_member_state_across_batches():
     assert np.array_equal(q2, total2 / 2)
 
 
-def test_ensemble_resets_on_batch_size_change():
+def test_ensemble_batch_size_change_needs_reset_state():
+    # member state starts on first use and is never dropped behind the caller's back
     vocab, stream = tiny_corpus()
-    m = build_model(tiny_config(vocab.size), 1)
-    ens = TeacherEnsemble([m])
+    ens = TeacherEnsemble([build_model(tiny_config(vocab.size), 1)])
     ens.soft_labels(stream.ids[None, :4].repeat(2, axis=0), None)
-    q = ens.soft_labels(stream.ids[None, :4], None)  # narrower batch
+    with pytest.raises(ShapeError, match=r"state batch 2 != tokens batch 1"):
+        ens.soft_labels(stream.ids[None, :4], None)  # narrower batch
     ens.reset_state(1)
-    fresh = ens.soft_labels(stream.ids[None, :4], None)
-    assert np.array_equal(q, fresh)
+    assert ens.soft_labels(stream.ids[None, :4], None).shape == (4, vocab.size)
 
 
 def test_ensemble_validation():
@@ -501,6 +494,8 @@ def test_train_rejects_corrupt_teacher_rows():
     vocab, stream = tiny_corpus()
 
     class BadTeacher:
+        vocab_size = vocab.size
+
         def reset_state(self, batch_size):
             pass
 
@@ -1027,18 +1022,50 @@ def test_error_mid_run_stops_the_worker_promptly(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_error_while_the_worker_is_blocked_in_send_stops_it_promptly():
+def test_closing_the_labels_while_the_worker_is_blocked_in_send_stops_it_promptly():
+    vocab, stream = tiny_corpus()
+    labels = training._soft_labels(OneHotOracle(50_000), bptt_batches(stream, 2, 6), 2)
+    next(labels)  # 12 x 50,000: 4.8 MB, more than the socket's buffer holds
+    time.sleep(0.2)  # the worker is blocked sending batch 1's Q
+    assert len(multiprocessing.active_children()) == 1
+    start = time.monotonic()
+    labels.close()
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
+
+
+def test_teacher_vocab_mismatch_is_a_config_error_before_any_fork(monkeypatch):
     vocab, stream = tiny_corpus()
 
-    class BigWrongShapeTeacher(OneHotOracle):
+    def no_fork():
+        raise AssertionError("train() forked a worker")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = TrainConfig(loss=DistillLossSpec("kl_only"), epochs=1, batch_size=2, bptt_len=6)
+    with pytest.raises(ConfigError, match=rf"teacher vocab size {vocab.size + 1} != "
+                                          rf"model vocab size {vocab.size}"):
+        train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg,
+              teacher=OneHotOracle(vocab.size + 1))
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-row-too-many", "one-row-too-few"])
+def test_wrong_shaped_q_is_a_shape_error_raised_promptly(extra):
+    # without the worker's check, one row too many would shift every later Q by a row,
+    # and each shifted Q would still be rows of distributions
+    vocab, stream = tiny_corpus()
+
+    class RowShiftTeacher(OneHotOracle):
         def soft_labels(self, inputs, targets):
-            return np.ones((400, 400))  # 1.28 MB: more than the pipe's buffer holds
+            q = super().soft_labels(inputs, targets)
+            return np.concatenate([q, q[:1]]) if extra > 0 else q[:-1]
 
     cfg = TrainConfig(loss=DistillLossSpec("kl_only"), epochs=2, batch_size=2, bptt_len=6)
     start = time.monotonic()
-    with pytest.raises(ShapeError):
+    rows = cfg.batch_size * cfg.bptt_len
+    with pytest.raises(ShapeError, match=rf"^teacher soft labels \({rows + extra}, {vocab.size}\) "
+                                         rf"!= \({rows}, {vocab.size}\)"):
         train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg,
-              teacher=BigWrongShapeTeacher(vocab.size))
+              teacher=RowShiftTeacher(vocab.size))
     assert time.monotonic() - start < 10
     assert multiprocessing.active_children() == []
 
