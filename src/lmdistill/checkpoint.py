@@ -18,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from .data import atomic_open
-from .errors import DataError, FormatError
+from .errors import ConfigError, DataError, FormatError
 from .model import _INT_KEYS, _OPT_INT_KEYS, LmModel, ModelConfig, _param_shapes
 from .regularization import DropoutSpec
 
@@ -53,9 +53,9 @@ def _config_from_meta(meta: dict[str, str], path) -> ModelConfig:
             opts[k] = None if raw == "none" else int(raw)
         tie = {"true": True, "false": False}[need("tie_embeddings")]
         rates = {k: float(need(k)) for k in _RATE_KEYS}
-    except (ValueError, KeyError) as e:
+        return ModelConfig(**ints, **opts, tie_embeddings=tie, dropout=DropoutSpec(**rates))
+    except (ValueError, KeyError, ConfigError) as e:  # ConfigError: a value out of range
         raise FormatError(f"{path}: bad checkpoint metadata: {e}") from None
-    return ModelConfig(**ints, **opts, tie_embeddings=tie, dropout=DropoutSpec(**rates))
 
 
 def save_checkpoint(model: LmModel, path) -> None:

@@ -55,6 +55,13 @@ def _ce_only(text: str) -> str:
     return text
 
 
+def _seed(text: str) -> int:
+    v = int(text)
+    if v < 0:
+        raise ValueError(f"expected a seed >= 0, got {text!r}")
+    return v
+
+
 def _opt_int(text: str) -> int | None:
     # 0 stands for "unset" so optional dims stay expressible in flat keys.
     v = int(text)
@@ -91,7 +98,7 @@ CONFIG_KEYS: dict[str, tuple] = {  # train-student; ablate, whose fixed rows ski
     "epochs": (int, 5),
     "batch_size": (int, 2),
     "bptt_len": (int, 8),
-    "seed": (int, 0),
+    "seed": (_seed, 0),
     "asgd_trigger_patience": (int, 0),
     "lr_decay_on_plateau": (_finite, 1.0),
     "vocab_cap": (int, 10000),
@@ -162,7 +169,7 @@ def _parse_value(key: str, raw: str, where: str, keys: dict[str, tuple]):
         raise ConfigError(f"{where}: bad value for {key}: {e}") from None
 
 
-def load_config(path=None, overrides: list[str] = (), seed: int | None = None, *,
+def load_config(path=None, overrides: list[str] = (), seed: str | None = None, *,
                 keys: dict[str, tuple]) -> RunConfig:
     """Defaults, then the config file, then --set overrides, then --seed, over keys."""
     values = {k: d for k, (_, d) in keys.items()}
@@ -183,7 +190,7 @@ def load_config(path=None, overrides: list[str] = (), seed: int | None = None, *
         key, raw = key.strip(), raw.strip()
         values[key] = _parse_value(key, raw, f"--set {key}", keys)
     if seed is not None:
-        values["seed"] = seed
+        values["seed"] = _parse_value("seed", seed, "--seed", keys)
     return RunConfig(values)
 
 
@@ -225,21 +232,23 @@ def _train_streams(cfg: RunConfig, data_dir: Path) -> tuple[Vocabulary, TokenStr
 # subcommands
 
 
-def _train_command(args, keys, setup) -> int:
-    """train-teacher and train-student over their key tables: setup(cfg) returns the
-    loss, the teacher ensemble or None, and a suffix for the vocab=... params=... line."""
+def _train_command(args, keys, loss_of, teacher_paths=None) -> int:
+    """train-teacher and train-student over their key tables: loss_of(cfg) returns the
+    loss; the student distils from the teachers at teacher_paths."""
     cfg = load_config(args.config, args.set, args.seed, keys=keys)
     out_dir = Path(args.out) if args.out else None
     _echo_config(cfg, out_dir)
-    loss, teacher, suffix = setup(cfg)
+    loss = loss_of(cfg)
     vocab, train_stream, valid_stream = _train_streams(cfg, Path(args.data_dir))
+    labels = None if teacher_paths is None else _teachers(teacher_paths, vocab)
     model = build_model(cfg.model_config(vocab.size), cfg["seed"])
+    suffix = "" if teacher_paths is None else f" teachers={len(teacher_paths)}"
     print(f"vocab={vocab.size} params={param_count(model.config)}{suffix}")
     if out_dir is not None:  # _echo_config made it
         vocab.save(out_dir / "vocab.txt")
 
     result = train(model, train_stream, valid_stream, cfg.train_config(loss),
-                   teacher=teacher, log_fn=print)
+                   labels=labels, log_fn=print)
     print(f"best_valid_ppl={result.best_valid_ppl:.6f} best_epoch={result.best_epoch}")
     if out_dir is not None:
         save_checkpoint(model, out_dir / "model.dlm")
@@ -249,21 +258,35 @@ def _train_command(args, keys, setup) -> int:
     return 0
 
 
+def _teachers(paths: list[str], vocab: Vocabulary) -> TeacherEnsemble:
+    """The checkpoints at paths as one ensemble. A vocab.txt beside a checkpoint, as
+    train-teacher --out writes it, must hold the student's words id for id; train()
+    checks the vocabulary sizes, the only check for a teacher without one."""
+    for p in paths:
+        beside = Path(p).parent / "vocab.txt"
+        if beside.is_file():
+            pairs = zip(Vocabulary.load(beside).words, vocab.words)
+            for i, (theirs, ours) in enumerate(pairs):
+                if theirs != ours:
+                    raise ConfigError(f"{beside}: word id {i} is {theirs!r}, "
+                                      f"the student's is {ours!r}")
+    return TeacherEnsemble([load_checkpoint(p) for p in paths])
+
+
 def cmd_train_teacher(args) -> int:
-    return _train_command(args, TEACHER_KEYS, lambda cfg: (DistillLossSpec(), None, ""))
+    return _train_command(args, TEACHER_KEYS, lambda cfg: DistillLossSpec())
 
 
 def cmd_train_student(args) -> int:
-    def setup(cfg):
+    def loss_of(cfg):
         loss = cfg.loss_spec()
         if not loss.needs_teacher:
             raise ConfigError(f"train-student needs a distillation loss; loss_variant = "
                               f"{loss.variant} at alpha = {loss.alpha:g} reads no teacher")
-        paths = [p for chunk in args.teacher for p in chunk.split(",") if p]
-        teachers = TeacherEnsemble([load_checkpoint(p) for p in paths])
-        return loss, teachers, f" teachers={len(paths)}"
+        return loss
 
-    return _train_command(args, CONFIG_KEYS, setup)
+    paths = [p for chunk in args.teacher for p in chunk.split(",") if p]
+    return _train_command(args, CONFIG_KEYS, loss_of, paths)
 
 
 def cmd_eval_ppl(args) -> int:
@@ -454,7 +477,7 @@ def cmd_ablate(args) -> int:
             model = build_model(cfg.model_config(vocab.size, dropout=spec), seed)
             run_cfg = replace(cfg.train_config(loss), seed=seed)
             result = train(model, train_stream, valid_stream, run_cfg,
-                           teacher=teachers[seed] if loss.needs_teacher else None)
+                           labels=teachers[seed] if loss.needs_teacher else None)
             vppls.append(result.best_valid_ppl)  # the restored params' score; inf if none
             if test_stream is not None:
                 tppls.append(perplexity(model, test_stream))
@@ -485,7 +508,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one of the command's config keys (repeatable)")
         if data_dir:
-            sp.add_argument("--seed", type=int, help="override the seed key")
+            sp.add_argument("--seed", help="override the seed key")
             sp.add_argument("--data-dir", required=True,
                             help="directory with train.txt and valid.txt")
         sp.add_argument("--out", help="directory for resolved.cfg; training also saves there")

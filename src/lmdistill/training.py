@@ -10,15 +10,17 @@ clipping, optional plateau LR decay, and optional ASGD-style parameter
 averaging that arms after a configurable number of non-improving validation
 epochs. Everything is deterministic per (config, seed).
 
-Teacher soft labels come from one forked worker process (POSIX fork), ahead
-of the student. It runs the teacher over the same batches in the same order,
-from reset_state(batch_size) each epoch, so teacher state is carried across
-the same token lanes the student sees and Q is bitwise what an in-process call
-would give. Every Q is [batch_size*bptt_len x V], fixed before the fork
-(train() checks the teacher's V); the worker checks each Q's shape and writes
-only its raw float64 bytes to a socket, whose send blocks once its buffer is
-full. train() reads each Q straight into one array (no pickle, no per-batch
-allocation), so a Q is valid until the next one is read. A teacher's
+train() reads the teacher's distributions Q from a label source (vocab_size, and
+stream(batches, epochs) yielding each batch's Q for every epoch in train()'s order)
+and returns its run state, TrainResult. TeacherEnsemble.stream, the training
+commands' source, runs the teacher in one forked worker process (POSIX fork), ahead
+of the student, over the same batches in the same order, from
+reset_state(batch_size) each epoch, so teacher state is carried across the same
+token lanes the student sees and Q is bitwise what an in-process call would give.
+Every Q is [batch_size*bptt_len x V], fixed before the fork; the worker checks each
+Q's shape and writes only its raw float64 bytes to a socket, whose send blocks once
+its buffer is full. The stream reads each Q straight into one array (no pickle, no
+per-batch allocation), so a Q is valid until the next one is read. A teacher's
 exception, a wrong shape's ShapeError included, comes back through a pipe.
 """
 
@@ -89,9 +91,19 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
+    """train()'s run state, which it mutates epoch by epoch and returns; epoch = len(logs)."""
     logs: list[EpochLog]
     best_valid_ppl: float
     best_epoch: int
+    lr: float = math.nan
+    best_params: dict[str, np.ndarray] | None = None
+    bad_epochs: int = 0
+    averager: _Averager | None = None
+    dropout_rng: np.random.Generator | None = None
+
+    @property
+    def epoch(self) -> int:
+        return len(self.logs)
 
 
 class TeacherEnsemble:
@@ -131,6 +143,47 @@ class TeacherEnsemble:
             self._states[i] = add_probs(member, inputs, self._states[i], total)
         total /= len(self.members)
         return total
+
+    def stream(self, batches: list[BpttBatch], epochs: int):
+        """Q for every batch of every epoch, in train()'s order, from a worker forked at
+        the first next(). Each next() reads one Q into the one [B*T x V] array, so a Q
+        is valid until the next next(); close() stops the worker."""
+        total = epochs * len(batches)
+        q = np.empty((batches[0].inputs.size, self.vocab_size))
+
+        def worker(child_end, child_sock):
+            conn.close()  # the main process's ends: its death then fails the send here
+            sock.close()
+            try:
+                for i in range(total):
+                    if i % len(batches) == 0:
+                        self.reset_state(batches[0].inputs.shape[0])
+                    batch = batches[i % len(batches)]
+                    got = np.ascontiguousarray(self.soft_labels(batch.inputs, batch.targets),
+                                               dtype=np.float64)
+                    if got.shape != q.shape:  # else every later Q would arrive shifted
+                        raise ShapeError(f"teacher soft labels {got.shape} != {q.shape}")
+                    child_sock.sendall(got)
+            except Exception as exc:
+                child_end.send(ExceptionWithTraceback(exc, exc.__traceback__))
+
+        ctx = multiprocessing.get_context("fork")
+        conn, child_end = ctx.Pipe()
+        sock, child_sock = socket.socketpair()
+        proc = ctx.Process(target=worker, args=(child_end, child_sock))
+        proc.start()
+        child_end.close()
+        child_sock.close()
+        try:
+            for i in range(total):
+                epoch, bi = divmod(i, len(batches))
+                yield _await_q(sock, conn, proc, q, epoch + 1, bi)
+        finally:
+            proc.terminate()
+            proc.join()
+            proc.close()
+            conn.close()
+            sock.close()
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -219,94 +272,38 @@ def _await_q(sock, conn, proc, q: np.ndarray, epoch: int, batch: int) -> np.ndar
     raise exc
 
 
-def _soft_labels(teacher, batches: list[BpttBatch], epochs: int):
-    """Teacher Q for every batch of every epoch, in train()'s order; None with no teacher.
-
-    Forks the worker at the first next(); each next() reads one Q from the
-    worker's socket into the one [B*T x V] array, so a Q is valid until the next
-    next().
-    """
-    if teacher is None:
-        yield from itertools.repeat(None)  # endless: train() takes what it needs
-    total = epochs * len(batches)
-    q = np.empty((batches[0].inputs.size, teacher.vocab_size))
-
-    def worker(child_end, child_sock):
-        conn.close()  # the main process's ends: its death then fails the send here
-        sock.close()
-        try:
-            for i in range(total):
-                if i % len(batches) == 0:
-                    teacher.reset_state(batches[0].inputs.shape[0])
-                batch = batches[i % len(batches)]
-                got = np.ascontiguousarray(teacher.soft_labels(batch.inputs, batch.targets),
-                                           dtype=np.float64)
-                if got.shape != q.shape:  # else every later Q would arrive shifted
-                    raise ShapeError(f"teacher soft labels {got.shape} != {q.shape}")
-                child_sock.sendall(got)
-        except Exception as exc:
-            child_end.send(ExceptionWithTraceback(exc, exc.__traceback__))
-
-    ctx = multiprocessing.get_context("fork")
-    conn, child_end = ctx.Pipe()
-    sock, child_sock = socket.socketpair()
-    proc = ctx.Process(target=worker, args=(child_end, child_sock))
-    proc.start()
-    child_end.close()
-    child_sock.close()
-    try:
-        for i in range(total):
-            epoch, bi = divmod(i, len(batches))
-            yield _await_q(sock, conn, proc, q, epoch + 1, bi)
-    finally:
-        proc.terminate()
-        proc.join()
-        proc.close()
-        conn.close()
-        sock.close()
-
-
 def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
-          cfg: TrainConfig, teacher=None, log_fn=None) -> TrainResult:
-    """Train the model in place; on return it holds the best-validation params.
+          cfg: TrainConfig, labels=None, log_fn=None) -> TrainResult:
+    """Train the model in place, ending on the best-validation params; return the run state.
 
-    teacher must be present exactly when the loss reads soft labels
-    (cfg.loss.needs_teacher) and have the model's vocab_size, else ConfigError
-    before any fork; it runs in a forked worker (module docstring).
-    Raises TrainingError naming the batch if the loss or the gradient norm
-    goes non-finite, the teacher's own exception (ShapeError for a wrong-shaped
-    Q) if it raises, and RuntimeError naming the exit code if the worker dies.
+    labels, a label source (module docstring), must be present exactly when the loss
+    reads soft labels (cfg.loss.needs_teacher) and have the model's vocab_size, else
+    ConfigError before its stream starts; train() closes the stream on every exit.
+    Raises TrainingError naming the batch if the loss or the gradient norm goes
+    non-finite, and what the stream raises: for TeacherEnsemble.stream the teacher's
+    own exception (ShapeError for a wrong-shaped Q), or RuntimeError if the worker dies.
     """
-    if cfg.loss.needs_teacher and teacher is None:
+    if cfg.loss.needs_teacher and labels is None:
         raise ConfigError(f"loss variant {cfg.loss.variant!r} needs a teacher")
-    if not cfg.loss.needs_teacher and teacher is not None:
+    if not cfg.loss.needs_teacher and labels is not None:
         raise ConfigError(f"loss variant {cfg.loss.variant!r} at alpha = {cfg.loss.alpha:g} "
                           f"reads no teacher distributions; pass no teacher")
-    if teacher is not None and teacher.vocab_size != model.config.vocab_size:
-        raise ConfigError(f"teacher vocab size {teacher.vocab_size} != "
+    if labels is not None and labels.vocab_size != model.config.vocab_size:
+        raise ConfigError(f"teacher vocab size {labels.vocab_size} != "
                           f"model vocab size {model.config.vocab_size}")
 
     batches = bptt_batches(train_stream, cfg.batch_size, cfg.bptt_len)
     params = model.params
-    dropout_rng = np.random.default_rng(cfg.seed)
-
-    logs: list[EpochLog] = []
-    lr = cfg.lr
-    best_ppl = math.inf
-    best_epoch = 0
-    best_params: dict[str, np.ndarray] | None = None
-    bad_epochs = 0
-    averager: _Averager | None = None
-
-    # forks at its first next(), not earlier: set-up ends at train()'s entry
-    labels = _soft_labels(teacher, batches, cfg.epochs)
+    run = TrainResult([], math.inf, 0, cfg.lr, dropout_rng=np.random.default_rng(cfg.seed))
+    # a teacher's stream forks at its first next(), not here: set-up ends at train()'s entry
+    qs = itertools.repeat(None) if labels is None else labels.stream(batches, cfg.epochs)
     try:
-        for epoch in range(1, cfg.epochs + 1):
+        for epoch in range(run.epoch + 1, cfg.epochs + 1):
             state = model.init_state(cfg.batch_size)
             loss_sum = 0.0
             for bi, batch in enumerate(batches):
-                value, grads, state = step_loss(model, batch, state, cfg.loss, next(labels),
-                                                dropout_rng)
+                value, grads, state = step_loss(model, batch, state, cfg.loss, next(qs),
+                                                run.dropout_rng)
                 if not math.isfinite(value):
                     raise TrainingError(f"non-finite loss {value} at epoch {epoch}, batch {bi}")
                 norm = clip_gradients(grads, cfg.grad_clip)
@@ -314,39 +311,40 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
                     raise TrainingError(
                         f"non-finite gradient norm {norm} at epoch {epoch}, batch {bi}")
                 for name, g in grads.items():
-                    params[name] -= lr * g
+                    params[name] -= run.lr * g
                 del grads  # not held through the next step's forward and backward
-                if averager is not None:
-                    averager.update(params)
+                if run.averager is not None:
+                    run.averager.update(params)
                 loss_sum += value
 
             train_loss = loss_sum / len(batches)
-            scored = model if averager is None else LmModel(model.config, averager.avg)
+            scored = model if run.averager is None else LmModel(model.config, run.averager.avg)
             valid_ppl = perplexity(scored, valid_stream)
 
-            entry = EpochLog(epoch, train_loss, valid_ppl, lr)
-            logs.append(entry)
+            entry = EpochLog(epoch, train_loss, valid_ppl, run.lr)
+            run.logs.append(entry)
             if log_fn is not None:
                 log_fn(entry.line())
 
-            if valid_ppl < best_ppl:
-                best_ppl = valid_ppl
-                best_epoch = epoch
-                best_params = _snapshot(params if averager is None else averager.avg)
-                bad_epochs = 0
+            if valid_ppl < run.best_valid_ppl:
+                run.best_valid_ppl = valid_ppl
+                run.best_epoch = epoch
+                run.best_params = _snapshot(params if run.averager is None else run.averager.avg)
+                run.bad_epochs = 0
             else:
-                bad_epochs += 1
+                run.bad_epochs += 1
                 if cfg.lr_decay_on_plateau < 1.0:
-                    lr *= cfg.lr_decay_on_plateau
-                if (cfg.asgd_trigger_patience > 0 and averager is None
-                        and bad_epochs >= cfg.asgd_trigger_patience):
-                    averager = _Averager(params)
+                    run.lr *= cfg.lr_decay_on_plateau
+                if (cfg.asgd_trigger_patience > 0 and run.averager is None
+                        and run.bad_epochs >= cfg.asgd_trigger_patience):
+                    run.averager = _Averager(params)
     finally:
-        labels.close()
+        if labels is not None:
+            qs.close()
 
-    if best_params is not None:
-        _restore(params, best_params)
-    return TrainResult(logs, best_ppl, best_epoch)
+    if run.best_params is not None:
+        _restore(params, run.best_params)
+    return run
 
 
 def perplexity(model: LmModel, stream: TokenStream) -> float:

@@ -1,8 +1,8 @@
-"""Test-only teachers; the tape ops, per-step LSTM cell, head, taped loss and
-AR/TAR that the layer op and the fused ops replaced; the layer op's split-gate
-recurrence that its one-logistic-pass step replaced; the taped training step
-that the hand-written step backward replaced; the per-hypothesis scoring
-the prefix-trie scorer replaced; and the in-process training loop the
+"""Test-only teachers and an in-process label source; the tape ops, per-step LSTM
+cell, head, taped loss and AR/TAR that the layer op and the fused ops replaced; the
+layer op's split-gate recurrence that its one-logistic-pass step replaced; the taped
+training step that the hand-written step backward replaced; the per-hypothesis
+scoring the prefix-trie scorer replaced; and the in-process training loop the
 soft-label worker replaced."""
 
 import math
@@ -21,7 +21,10 @@ from tape import Tensor
 
 
 class OneHotOracle:
-    """Degenerate teacher that puts all mass on the true next token."""
+    """Degenerate teacher that puts all mass on the true next token; its label source is
+    the forked worker's, TeacherEnsemble.stream."""
+
+    stream = training.TeacherEnsemble.stream
 
     def __init__(self, vocab_size: int):
         self.vocab_size = vocab_size
@@ -34,6 +37,21 @@ class OneHotOracle:
         q = np.zeros((y.shape[0], self.vocab_size))
         q[np.arange(y.shape[0]), y] = 1.0
         return q
+
+
+class InProcessLabels:
+    """A label source with no worker: the teacher's Q computed in the caller, batch by
+    batch, from reset_state(batch_size) each epoch."""
+
+    def __init__(self, teacher):
+        self.teacher = teacher
+        self.vocab_size = teacher.vocab_size
+
+    def stream(self, batches, epochs):
+        for _ in range(epochs):
+            self.teacher.reset_state(batches[0].inputs.shape[0])
+            for batch in batches:
+                yield self.teacher.soft_labels(batch.inputs, batch.targets)
 
 
 # ---------------------------------------------------------------------------

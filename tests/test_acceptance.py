@@ -169,7 +169,7 @@ def test_criterion_4_distillation_fidelity():
         train(student, train_stream, train_stream,
               TrainConfig(loss=DistillLossSpec("kl_only"), lr=2.0, epochs=120,
                           batch_size=2, bptt_len=8, seed=seed),
-              teacher=TeacherEnsemble([teacher]))
+              labels=TeacherEnsemble([teacher]))
         kls.append(_mean_kl(teacher, student, held_stream))
     elapsed = time.time() - t0
     ok = all(k < 0.05 for k in kls) and elapsed < 600.0
@@ -194,7 +194,7 @@ def test_criterion_5_one_hot_kl_equals_ce_training():
         train(model, stream, stream,
               TrainConfig(loss=DistillLossSpec(variant), lr=1.0, epochs=1,
                           batch_size=2, bptt_len=4, seed=7),
-              teacher=teacher)
+              labels=teacher)
         return model
 
     m_ce = run("ce_only", None)

@@ -405,6 +405,26 @@ def test_train_student_vocab_mismatch(tmp_path, data_dir, capsys):
     assert "vocab size" in capsys.readouterr().err
 
 
+def test_train_student_refuses_a_teacher_trained_on_other_words(tmp_path, data_dir, capsys):
+    # the same corpus with every w renamed x: both vocabularies have the same size
+    other = tmp_path / "other"
+    other.mkdir()
+    for f in data_dir.iterdir():
+        (other / f.name).write_text(f.read_text(encoding="utf-8").replace("w", "x"),
+                                    encoding="utf-8")
+    teacher = train_teacher(tmp_path, other)
+    capsys.readouterr()
+    argv = (["train-student", "--data-dir", str(data_dir), "--teacher", str(teacher / "model.dlm")]
+            + sets("loss_variant=kl_only", "epochs=1"))
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {teacher / 'vocab.txt'}: word id 3 is 'x" in err  # ids 0-2: the specials
+    assert "the student's is 'w" in err
+    # a teacher without a vocab.txt beside it is checked by vocabulary size only
+    (teacher / "vocab.txt").unlink()
+    assert dispatch(argv) == 0
+
+
 def test_train_student_exits_2_when_teacher_worker_dies(tmp_path, data_dir, capsys,
                                                         monkeypatch):
     teacher = train_teacher(tmp_path, data_dir)
@@ -769,6 +789,19 @@ def test_grad_check_command(capsys):
 def test_grad_check_takes_no_options(option, capsys):
     assert dispatch(["grad-check"] + option) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["config", "set", "seed"])
+@pytest.mark.parametrize("command", ["train-teacher", "train-student", "ablate"])
+def test_negative_seed_exits_1_naming_its_source(tmp_path, command, source, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a seed below 0\nseed = -5\n", encoding="utf-8")
+    argv, where = {"config": (["--config", str(cfg)], f"{cfg}:2"),
+                   "set": (["--set", "seed=-5"], "--set seed"),
+                   "seed": (["--seed", "-1"], "--seed")}[source]
+    teacher = ["--teacher", "t.dlm"] if command == "train-student" else []
+    assert dispatch([command, "--data-dir", str(tmp_path)] + teacher + argv) == 1
+    assert f"error: {where}: bad value for seed: expected a seed >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["eval-ppl", "--model", "m.dlm", "--data", "test.txt"],

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -23,7 +24,7 @@ from lmdistill.model import ModelConfig, build_model, flatten_targets, model_for
 from lmdistill.regularization import DropoutSpec, activation_reg
 from lmdistill.training import (EpochLog, TeacherEnsemble, TrainConfig, clip_gradients,
                                 perplexity, train)
-from oracles import OneHotOracle, in_process_train, taped_step_loss
+from oracles import InProcessLabels, OneHotOracle, in_process_train, taped_step_loss
 
 
 def tiny_corpus(seed=7, n_lines=8, n_words=6, line_len=8):
@@ -312,7 +313,7 @@ def test_train_teacher_presence_contract():
     with pytest.raises(ConfigError, match="no teacher"):
         train(model, stream, stream,
               TrainConfig(loss=DistillLossSpec("ce_only"), epochs=1),
-              teacher=OneHotOracle(vocab.size))
+              labels=OneHotOracle(vocab.size))
 
 
 def test_fixed_interp_at_alpha_one_runs_without_teacher():
@@ -324,7 +325,7 @@ def test_fixed_interp_at_alpha_one_runs_without_teacher():
     cfg = TrainConfig(loss=spec, epochs=1, batch_size=2, bptt_len=6)
     with pytest.raises(ConfigError, match="alpha = 1 reads no teacher"):
         train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg,
-              teacher=OneHotOracle(vocab.size))
+              labels=OneHotOracle(vocab.size))
     a = build_model(tiny_config(vocab.size), 0)
     b = build_model(tiny_config(vocab.size), 0)
     train(a, stream, stream, cfg)
@@ -464,7 +465,7 @@ def test_train_reports_non_finite_loss_with_location():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(TrainingError, match=r"epoch 1, batch 0"):
-            train(model, stream, stream, cfg, teacher=OneHotOracle(vocab.size))
+            train(model, stream, stream, cfg, labels=OneHotOracle(vocab.size))
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -495,6 +496,7 @@ def test_train_rejects_corrupt_teacher_rows():
 
     class BadTeacher:
         vocab_size = vocab.size
+        stream = TeacherEnsemble.stream
 
         def reset_state(self, batch_size):
             pass
@@ -507,7 +509,7 @@ def test_train_rejects_corrupt_teacher_rows():
     cfg = TrainConfig(loss=DistillLossSpec("kl_only"), epochs=1,
                       batch_size=2, bptt_len=6)
     with pytest.raises(DataError, match="sums to"):
-        train(model, stream, stream, cfg, teacher=BadTeacher())
+        train(model, stream, stream, cfg, labels=BadTeacher())
 
     class WrongShapeTeacher(BadTeacher):
         def soft_labels(self, inputs, targets):
@@ -515,7 +517,7 @@ def test_train_rejects_corrupt_teacher_rows():
 
     model = build_model(tiny_config(vocab.size), 0)
     with pytest.raises(ShapeError):
-        train(model, stream, stream, cfg, teacher=WrongShapeTeacher())
+        train(model, stream, stream, cfg, labels=WrongShapeTeacher())
 
 
 def test_nan_parameter_surfaces_as_numeric_error():
@@ -539,7 +541,7 @@ def test_distillation_with_real_teacher_runs_and_improves():
     result = train(student, stream, stream,
                    TrainConfig(loss=DistillLossSpec("trust_reg", alpha=0.1),
                                lr=1.0, epochs=8, batch_size=2, bptt_len=6),
-                   teacher=TeacherEnsemble([teacher]))
+                   labels=TeacherEnsemble([teacher]))
     assert result.best_valid_ppl < before
 
 
@@ -885,6 +887,22 @@ def test_checkpoint_metadata_bad_value(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("line", [b"hidden_dim=0", b"input_rate=1.5", b"ar_weight=nan"])
+def test_checkpoint_metadata_out_of_range_names_the_file(tmp_path, line):
+    # each parses, but the model config refuses it; among several teachers the path
+    # tells which file is bad
+    _, _, model = _trained_model()
+    path = tmp_path / "m.dlm"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    key = line.split(b"=")[0] + b"="
+    start = blob.index(b"\n" + key) + 1
+    path.write_bytes(blob[:start] + line + blob[blob.index(b"\n", start):])
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: bad checkpoint metadata: "
+                                          rf"{line.split(b'=')[0].decode()}"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_unterminated_metadata(tmp_path):
     path = tmp_path / "m.dlm"
     path.write_bytes(MAGIC + b"vocab_size=5")
@@ -935,12 +953,52 @@ def test_worker_trains_bitwise_as_the_in_process_teacher():
     assert len(bptt_batches(stream, cfg.batch_size, cfg.bptt_len)) % 2 == 1
     a = build_model(tiny_config(vocab.size), 0)
     b = build_model(tiny_config(vocab.size), 0)
-    res = train(a, stream, stream, cfg, teacher=two_teachers(vocab))
+    res = train(a, stream, stream, cfg, labels=two_teachers(vocab))
     want = in_process_train(b, stream, stream, cfg, two_teachers(vocab))
     # a plateau after epoch 2: lr decayed and ASGD averaged through epochs 3 and 4
     assert res.logs[-2].lr < cfg.lr
     assert res.logs == want
     assert all(np.array_equal(p, b.params[name]) for name, p in a.params.items())
+
+
+def test_in_process_labels_train_bitwise_as_the_worker(monkeypatch):
+    vocab, stream = tiny_corpus()
+    cfg = TrainConfig(loss=DistillLossSpec("trust_reg", alpha=0.5), lr=20.0, epochs=4,
+                      batch_size=2, bptt_len=6, seed=3, asgd_trigger_patience=1,
+                      lr_decay_on_plateau=0.5)
+    a = build_model(tiny_config(vocab.size), 0)
+    b = build_model(tiny_config(vocab.size), 0)
+    forked = train(a, stream, stream, cfg, labels=two_teachers(vocab))
+
+    def no_fork():
+        raise AssertionError("train() forked a worker")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    got = train(b, stream, stream, cfg, labels=InProcessLabels(two_teachers(vocab)))
+    assert got.logs == forked.logs
+    assert (got.lr, got.bad_epochs, got.best_epoch) == (forked.lr, forked.bad_epochs,
+                                                       forked.best_epoch)
+    assert all(np.array_equal(p, b.params[name]) for name, p in a.params.items())
+
+
+def test_train_returns_its_run_state_after_a_plateau():
+    # lr=8 plateaus at epoch 3, the last: patience 1 arms the averager there, the lr
+    # halves, and the model goes back to epoch 2's params
+    vocab, stream = tiny_corpus()
+    cfg = TrainConfig(loss=DistillLossSpec("ce_only"), lr=8.0, epochs=3, batch_size=2,
+                      bptt_len=6, seed=3, asgd_trigger_patience=1, lr_decay_on_plateau=0.5)
+    model = build_model(tiny_config(vocab.size), 3)
+    run = train(model, stream, stream, cfg)
+    ppls = [l.valid_ppl for l in run.logs]
+    best = [p < min(ppls[:i], default=math.inf) for i, p in enumerate(ppls)]
+    assert run.epoch == len(run.logs) == cfg.epochs
+    assert best == [True, True, False]
+    assert (run.best_epoch, run.bad_epochs, run.lr) == (2, 1, 4.0)
+    assert run.best_valid_ppl == ppls[1]
+    assert run.averager.steps == 1  # armed at the end of epoch 3, not yet updated
+    assert isinstance(run.dropout_rng, np.random.Generator)
+    assert run.best_params.keys() == model.params.keys()
+    assert all(np.array_equal(run.best_params[name], p) for name, p in model.params.items())
 
 
 def test_worker_never_overwrites_a_q_in_use(monkeypatch):
@@ -959,7 +1017,7 @@ def test_worker_never_overwrites_a_q_in_use(monkeypatch):
     step_loss = training.step_loss
     monkeypatch.setattr(training, "step_loss", slow_step_loss)
     cfg = TrainConfig(loss=DistillLossSpec("kl_only"), epochs=2, batch_size=2, bptt_len=6)
-    train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg, teacher=oracle)
+    train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg, labels=oracle)
     assert seen == [True] * 10
 
 
@@ -978,7 +1036,7 @@ def test_teacher_error_in_worker_is_raised_by_train():
     cfg = TrainConfig(loss=DistillLossSpec("kl_only"), epochs=1, batch_size=2, bptt_len=6)
     with pytest.raises(NumericError, match=r"^teacher log-probs are nan at call 3$"):
         train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg,
-              teacher=FailingTeacher(vocab.size))
+              labels=FailingTeacher(vocab.size))
 
 
 def test_worker_death_is_raised_naming_its_exit_code(monkeypatch):
@@ -996,7 +1054,7 @@ def test_worker_death_is_raised_naming_its_exit_code(monkeypatch):
     cfg = TrainConfig(loss=DistillLossSpec("kl_only"), epochs=1, batch_size=2, bptt_len=6)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match=r"exited with code 3 before epoch 1, batch 2"):
-        train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg, teacher=teacher)
+        train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg, labels=teacher)
     assert time.monotonic() - start < 10
 
 
@@ -1017,14 +1075,14 @@ def test_error_mid_run_stops_the_worker_promptly(monkeypatch):
     start = time.monotonic()
     with pytest.raises(TrainingError, match=r"^stop at step 7$"):
         train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg,
-              teacher=OneHotOracle(vocab.size))
+              labels=OneHotOracle(vocab.size))
     assert time.monotonic() - start < 10
     assert multiprocessing.active_children() == []
 
 
 def test_closing_the_labels_while_the_worker_is_blocked_in_send_stops_it_promptly():
     vocab, stream = tiny_corpus()
-    labels = training._soft_labels(OneHotOracle(50_000), bptt_batches(stream, 2, 6), 2)
+    labels = OneHotOracle(50_000).stream(bptt_batches(stream, 2, 6), 2)
     next(labels)  # 12 x 50,000: 4.8 MB, more than the socket's buffer holds
     time.sleep(0.2)  # the worker is blocked sending batch 1's Q
     assert len(multiprocessing.active_children()) == 1
@@ -1045,7 +1103,7 @@ def test_teacher_vocab_mismatch_is_a_config_error_before_any_fork(monkeypatch):
     with pytest.raises(ConfigError, match=rf"teacher vocab size {vocab.size + 1} != "
                                           rf"model vocab size {vocab.size}"):
         train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg,
-              teacher=OneHotOracle(vocab.size + 1))
+              labels=OneHotOracle(vocab.size + 1))
 
 
 @pytest.mark.parametrize("extra", [1, -1], ids=["one-row-too-many", "one-row-too-few"])
@@ -1065,7 +1123,7 @@ def test_wrong_shaped_q_is_a_shape_error_raised_promptly(extra):
     with pytest.raises(ShapeError, match=rf"^teacher soft labels \({rows + extra}, {vocab.size}\) "
                                          rf"!= \({rows}, {vocab.size}\)"):
         train(build_model(tiny_config(vocab.size), 0), stream, stream, cfg,
-              teacher=RowShiftTeacher(vocab.size))
+              labels=RowShiftTeacher(vocab.size))
     assert time.monotonic() - start < 10
     assert multiprocessing.active_children() == []
 
@@ -1073,7 +1131,7 @@ def test_wrong_shaped_q_is_a_shape_error_raised_promptly(extra):
 def test_soft_labels_fork_at_the_first_next_only():
     vocab, stream = tiny_corpus()
     batches = bptt_batches(stream, 2, 6)
-    labels = training._soft_labels(OneHotOracle(vocab.size), batches, 1)
+    labels = OneHotOracle(vocab.size).stream(batches, 1)
     assert multiprocessing.active_children() == []
     np.testing.assert_array_equal(next(labels),
                                   OneHotOracle(vocab.size).soft_labels(None, batches[0].targets))
@@ -1081,7 +1139,7 @@ def test_soft_labels_fork_at_the_first_next_only():
     labels.close()
     assert multiprocessing.active_children() == []
 
-    unstarted = training._soft_labels(OneHotOracle(vocab.size), batches, 1)
+    unstarted = OneHotOracle(vocab.size).stream(batches, 1)
     unstarted.close()
     assert multiprocessing.active_children() == []
     with pytest.raises(StopIteration):
@@ -1092,7 +1150,7 @@ def test_receiving_q_allocates_nothing_per_batch():
     # each Q is read into the array the previous one was read into
     vocab, stream = tiny_corpus()
     batches = bptt_batches(stream, 2, 6)
-    labels = training._soft_labels(OneHotOracle(50_000), batches, 2)
+    labels = OneHotOracle(50_000).stream(batches, 2)
     first = next(labels)  # 12 x 50,000: 4.8 MB
     tracemalloc.start()
     try:
@@ -1106,10 +1164,3 @@ def test_receiving_q_allocates_nothing_per_batch():
         labels.close()
     assert peak < first.nbytes / 100, f"peak {peak} B against a {first.nbytes} B Q"
 
-
-def test_soft_labels_without_a_teacher_are_none_and_fork_nothing():
-    vocab, stream = tiny_corpus()
-    labels = training._soft_labels(None, bptt_batches(stream, 2, 6), 2)
-    assert [next(labels) for _ in range(10)] == [None] * 10
-    assert multiprocessing.active_children() == []
-    labels.close()
