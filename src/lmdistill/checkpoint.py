@@ -6,7 +6,9 @@ Layout:
   - per parameter, in canonical order: name length (u64 LE), name bytes,
     rank (u64 LE), each dim (u64 LE), row-major float64 LE payload
 
-Floats in the metadata use repr, so a save/load round trip is bitwise exact.
+Floats in the metadata use repr, so a save/load round trip is bitwise exact. A key the
+config does not read is ignored, as are an older file's expert_dim and tie_embeddings lines;
+an untied model's out.w record then fails the load, as a parameter out of order.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ def _meta_lines(config: ModelConfig) -> list[str]:
     for k in _OPT_INT_KEYS:
         v = getattr(config, k)
         lines.append(f"{k}={'none' if v is None else v}")
-    lines.append(f"tie_embeddings={'true' if config.tie_embeddings else 'false'}")
     lines += [f"{k}={getattr(config.dropout, k)!r}" for k in _RATE_KEYS]
     return lines
 
@@ -51,10 +52,9 @@ def _config_from_meta(meta: dict[str, str], path) -> ModelConfig:
         for k in _OPT_INT_KEYS:
             raw = need(k)
             opts[k] = None if raw == "none" else int(raw)
-        tie = {"true": True, "false": False}[need("tie_embeddings")]
         rates = {k: float(need(k)) for k in _RATE_KEYS}
-        return ModelConfig(**ints, **opts, tie_embeddings=tie, dropout=DropoutSpec(**rates))
-    except (ValueError, KeyError, ConfigError) as e:  # ConfigError: a value out of range
+        return ModelConfig(**ints, **opts, dropout=DropoutSpec(**rates))
+    except (ValueError, ConfigError) as e:  # ConfigError: a value out of range
         raise FormatError(f"{path}: bad checkpoint metadata: {e}") from None
 
 

@@ -34,14 +34,6 @@ from .training import TeacherEnsemble, TrainConfig, perplexity, step_loss, train
 # run configuration
 
 
-def _bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"expected true or false, got {text!r}")
-
-
 def _finite(text: str) -> float:
     v = float(text)
     if not math.isfinite(v):
@@ -72,8 +64,6 @@ def _opt_int(text: str) -> int | None:
 RESCORE_KEYS: dict[str, tuple] = {  # rescore
     "lm_weight": (_finite, 1.0),
     "word_insertion_penalty": (_finite, 0.0),
-    "oov_mode": (str, "rnn_unk"),
-    "oov_penalty": (_finite, -10.0),
 }
 CONFIG_KEYS: dict[str, tuple] = {  # train-student; ablate, whose fixed rows skip loss_variant
     "embed_dim": (int, 16),
@@ -82,8 +72,6 @@ CONFIG_KEYS: dict[str, tuple] = {  # train-student; ablate, whose fixed rows ski
     "last_hidden_dim": (_opt_int, None),
     "bottleneck_dim": (int, 16),
     "num_experts": (int, 2),
-    "expert_dim": (_opt_int, None),
-    "tie_embeddings": (_bool, True),
     "input_dropout": (_finite, 0.0),
     "output_dropout": (_finite, 0.0),
     "hidden_dropout": (_finite, 0.0),
@@ -100,7 +88,6 @@ CONFIG_KEYS: dict[str, tuple] = {  # train-student; ablate, whose fixed rows ski
     "bptt_len": (int, 8),
     "seed": (_seed, 0),
     "asgd_trigger_patience": (int, 0),
-    "lr_decay_on_plateau": (_finite, 1.0),
     "vocab_cap": (int, 10000),
     "rnn_unk_min_count": (int, 0),
 }
@@ -128,8 +115,7 @@ class RunConfig:
         return ModelConfig(vocab_size=vocab_size, embed_dim=v["embed_dim"],
                            lstm_layers=v["lstm_layers"], hidden_dim=v["hidden_dim"],
                            bottleneck_dim=v["bottleneck_dim"], num_experts=v["num_experts"],
-                           tie_embeddings=v["tie_embeddings"],
-                           last_hidden_dim=v["last_hidden_dim"], expert_dim=v["expert_dim"],
+                           last_hidden_dim=v["last_hidden_dim"],
                            dropout=self.dropout_spec() if dropout is None else dropout)
 
     def loss_spec(self) -> DistillLossSpec:
@@ -139,24 +125,15 @@ class RunConfig:
         v = self.values
         return TrainConfig(loss=loss, lr=v["lr"], grad_clip=v["grad_clip"], epochs=v["epochs"],
                            batch_size=v["batch_size"], bptt_len=v["bptt_len"], seed=v["seed"],
-                           asgd_trigger_patience=v["asgd_trigger_patience"],
-                           lr_decay_on_plateau=v["lr_decay_on_plateau"])
+                           asgd_trigger_patience=v["asgd_trigger_patience"])
 
     def rescore_config(self) -> RescoreConfig:
         v = self.values
         return RescoreConfig(lm_weight=v["lm_weight"],
-                             word_insertion_penalty=v["word_insertion_penalty"],
-                             oov_mode=v["oov_mode"], oov_penalty=v["oov_penalty"])
+                             word_insertion_penalty=v["word_insertion_penalty"])
 
     def lines(self) -> list[str]:
-        out = []
-        for key, v in self.values.items():
-            if v is None:
-                v = 0
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            out.append(f"{key} = {v}")
-        return out
+        return [f"{key} = {0 if v is None else v}" for key, v in self.values.items()]
 
 
 def _parse_value(key: str, raw: str, where: str, keys: dict[str, tuple]):
@@ -405,9 +382,9 @@ def grad_check_rows() -> list[tuple[str, GradCheckReport]]:
 
     The loss is training.step_loss, the function train() calls: model_forward
     in train mode, distill_loss, plus activation_reg. The tiny model has two
-    LSTM layers (the last narrower), K=3 experts, every dropout and AR/TAR on;
-    tied and untied output matrices alternate. Each row names the variant, the
-    tying and the parameter with the worst relative error.
+    LSTM layers (the last narrower), K=3 experts, every dropout and AR/TAR on,
+    and the output matrix tied to the embedding. Each row names the variant and the
+    parameter with the worst relative error.
     """
     vocab, lanes, steps, seed = 8, 2, 3, 0
     rng = np.random.default_rng(seed)
@@ -417,11 +394,9 @@ def grad_check_rows() -> list[tuple[str, GradCheckReport]]:
     rates = DropoutSpec(input_rate=0.2, output_rate=0.2, hidden_rate=0.2, embed_rate=0.2,
                         other_rate=0.2, ar_weight=2.0, tar_weight=1.0)
     rows = []
+    config = ModelConfig(vocab_size=vocab, embed_dim=3, lstm_layers=2, hidden_dim=4,
+                         last_hidden_dim=3, bottleneck_dim=3, num_experts=3, dropout=rates)
     for i, variant in enumerate(LOSS_VARIANTS):
-        tied = i % 2 == 0
-        config = ModelConfig(vocab_size=vocab, embed_dim=3, lstm_layers=2, hidden_dim=4,
-                             last_hidden_dim=3, bottleneck_dim=3, num_experts=3,
-                             tie_embeddings=tied, dropout=rates)
         model = build_model(config, seed + i)
         spec = DistillLossSpec(variant=variant, alpha=0.3)
         soft = q if spec.needs_teacher else None
@@ -435,7 +410,7 @@ def grad_check_rows() -> list[tuple[str, GradCheckReport]]:
         # a failed report (NaN included) outranks every passed one
         worst_name, worst = max(reports.items(),
                                 key=lambda kv: (not kv[1].passed, kv[1].max_rel_err))
-        rows.append((f"{variant} {'tied' if tied else 'untied'} worst={worst_name}", worst))
+        rows.append((f"{variant} worst={worst_name}", worst))
     return rows
 
 

@@ -42,10 +42,10 @@ __all__ = ["ModelConfig", "LmModel", "LmState", "ForwardResult", "MosRows", "bui
            "param_count", "lstm_layer", "mos_log_probs", "model_forward", "add_probs"]
 
 EMBED_INIT_RANGE = 0.1
-# ModelConfig's int fields, and its optional ones, where None picks a default width
+# ModelConfig's int fields, and its optional one, where None picks a default width
 _INT_KEYS = ("vocab_size", "embed_dim", "lstm_layers", "hidden_dim", "bottleneck_dim",
              "num_experts")
-_OPT_INT_KEYS = ("last_hidden_dim", "expert_dim")
+_OPT_INT_KEYS = ("last_hidden_dim",)
 
 
 @dataclass
@@ -56,9 +56,7 @@ class ModelConfig:
     hidden_dim: int
     bottleneck_dim: int
     num_experts: int
-    tie_embeddings: bool = True
     last_hidden_dim: int | None = None  # width of the final LSTM layer; None = hidden_dim
-    expert_dim: int | None = None  # per-expert context width; None = embed_dim
     dropout: DropoutSpec = field(default_factory=DropoutSpec)
 
     def __post_init__(self):
@@ -70,15 +68,6 @@ class ModelConfig:
             v = getattr(self, name)
             if v is not None and (not isinstance(v, int) or v < 1):
                 raise ConfigError(f"{name} must be a positive integer or None, got {v!r}")
-        if self.tie_embeddings and self.expert_width != self.embed_dim:
-            raise ConfigError(
-                f"tie_embeddings needs expert_dim == embed_dim "
-                f"({self.expert_width} != {self.embed_dim}); the output matrix is the "
-                f"transposed embedding")
-
-    @property
-    def expert_width(self) -> int:
-        return self.embed_dim if self.expert_dim is None else self.expert_dim
 
     @property
     def layer_widths(self) -> list[int]:
@@ -119,10 +108,8 @@ def _param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
                ("prior.w", (config.bottleneck_dim, config.num_experts)),
                ("prior.b", (config.num_experts,))]
     for k in range(config.num_experts):
-        shapes += [(f"expert{k}.w", (config.bottleneck_dim, config.expert_width)),
-                   (f"expert{k}.b", (config.expert_width,))]
-    if not config.tie_embeddings:
-        shapes.append(("out.w", (config.expert_width, config.vocab_size)))
+        shapes += [(f"expert{k}.w", (config.bottleneck_dim, config.embed_dim)),
+                   (f"expert{k}.b", (config.embed_dim,))]
     shapes.append(("out.b", (config.vocab_size,)))
     return shapes
 
@@ -308,9 +295,8 @@ def _head_inputs(model: LmModel, hidden: np.ndarray):
 
 
 def _out_matrix(model: LmModel) -> np.ndarray:
-    """The [E x V] output matrix: the transposed embedding (a view) when tied."""
-    p = model.params
-    return p["embedding"].T if model.config.tie_embeddings else p["out.w"]
+    """The [E x V] output matrix: the transposed embedding (a view)."""
+    return model.params["embedding"].T
 
 
 def _chunks(model: LmModel, log_pi: np.ndarray, ctx: np.ndarray, buffers: int):
@@ -506,11 +492,8 @@ class MosRows:
         total, d_log_pi, d_ctx, d_out, d_out_b = _head_loss(model, log_pi, ctx, objective)
         d_hidden, grads = head_inputs_backward(d_log_pi, d_ctx)
         grads["out.b"] = d_out_b
-        if model.config.tie_embeddings:
-            # C order: clip_gradients sums over it, and a transposed view sums in another order
-            grads["embedding"] = d_out.T.copy()
-        else:
-            grads["out.w"] = d_out
+        # C order: clip_gradients sums over it, and a transposed view sums in another order
+        grads["embedding"] = d_out.T.copy()
         return total, d_hidden, grads
 
 

@@ -7,6 +7,7 @@ targets [w1..wn, eos], so an n-word hypothesis contributes n+1 log-prob terms.
 An utterance's hypotheses are scored together as one prefix trie over their
 inputs, one model_forward per trie depth, so a prefix they share is run once,
 then one target-only head call per utterance over the whole trie.
+A word the vocabulary can only map to unk (an OOV word) is fed and scored as rnn_unk.
 LM scores do not depend on lm_weight or wip, so a sweep scores each utterance
 once and combines at every grid point. The combined score is acoustic +
 lm_weight * lm_logprob + wip * word_count; the first-pass LM column is carried
@@ -28,8 +29,6 @@ __all__ = ["NbestEntry", "RescoreConfig", "parse_nbest", "score_utterance",
            "combine_and_select", "rescore_nbest", "WerReport", "wer",
            "edit_ops", "parse_refs"]
 
-OOV_MODES = ("rnn_unk", "skip", "penalty")
-
 
 @dataclass
 class NbestEntry:
@@ -44,16 +43,11 @@ class NbestEntry:
 class RescoreConfig:
     lm_weight: float = 1.0
     word_insertion_penalty: float = 0.0
-    oov_mode: str = "rnn_unk"
-    oov_penalty: float = -10.0  # log-prob charged per OOV word in penalty mode
 
     def __post_init__(self):
-        require_finite(self, "lm_weight", "word_insertion_penalty", "oov_penalty")
+        require_finite(self, "lm_weight", "word_insertion_penalty")
         if self.lm_weight < 0:
             raise ConfigError(f"lm_weight must be >= 0, got {self.lm_weight}")
-        if self.oov_mode not in OOV_MODES:
-            raise ConfigError(f"oov_mode must be one of {', '.join(OOV_MODES)}, "
-                              f"got {self.oov_mode!r}")
 
 
 def parse_nbest(lines, source: str = "<nbest>") -> dict[str, list[NbestEntry]]:
@@ -112,25 +106,21 @@ def parse_refs(lines, source: str = "<refs>") -> dict[str, list[str]]:
     return refs
 
 
-def score_utterance(model: LmModel, vocab: Vocabulary, hypotheses: list[list[str]],
-                    cfg: RescoreConfig) -> list[float]:
+def score_utterance(model: LmModel, vocab: Vocabulary,
+                    hypotheses: list[list[str]]) -> list[float]:
     """Total natural-log probability of each hypothesis's words + eos from a zero state.
 
     The hypotheses' inputs form a prefix trie, walked depth by depth: one eval
     model_forward per depth runs every node at that depth from its parent's
     (h, c), so a shared prefix is run once; one head call over every node then
     reads only the targets' log-probs (MosRows.picked).
-    OOV words (those the vocabulary can only map to unk) are fed as rnn_unk and
-    handled per cfg.oov_mode: scored as rnn_unk, skipped (context only), or
-    charged cfg.oov_penalty.
+    OOV words (those the vocabulary can only map to unk) are fed and scored as rnn_unk.
     """
-    targets, oov = [], []
+    targets = []
     for words in hypotheses:
         found = [vocab.lookup(w) for w in words]
-        flags = [i == vocab.unk_id and w != UNK for i, w in zip(found, words)]
-        targets.append([vocab.rnn_unk_id if f else i for i, f in zip(found, flags)]
-                       + [vocab.eos_id])
-        oov.append(np.asarray(flags + [False]))
+        targets.append([vocab.rnn_unk_id if i == vocab.unk_id and w != UNK else i
+                        for i, w in zip(found, words)] + [vocab.eos_id])
     if not targets:
         return []
     node = [0] * len(targets)  # each hypothesis's row among the current depth's nodes
@@ -150,25 +140,23 @@ def score_utterance(model: LmModel, vocab: Vocabulary, hypotheses: list[list[str
         parents, inputs, state = [p for p, _ in children], [w for _, w in children], out.state
     picked = MosRows(model, np.concatenate(hidden)).picked(np.hstack(at), np.hstack(targets))
     logp = np.split(picked, np.cumsum([len(t) for t in targets[:-1]]))
-    if cfg.oov_mode == "rnn_unk":
-        return [float(lp.sum()) for lp in logp]
-    penalty = cfg.oov_penalty if cfg.oov_mode == "penalty" else 0.0  # skip charges nothing
-    return [float(lp[~f].sum()) + float(f.sum()) * penalty for lp, f in zip(logp, oov)]
+    return [float(lp.sum()) for lp in logp]
 
 
 def combine_and_select(entries: list[NbestEntry], lm_scores: list[float],
                        cfg: RescoreConfig) -> NbestEntry:
     """Pick the entry maximizing acoustic + lm_weight*lm + wip*len(words).
 
-    Ties go to the lowest first-pass rank.
+    Ties go to the lowest first-pass rank, as does the pick when no total beats -inf
+    (every one -inf or NaN).
     """
     if not entries:
         raise DataError("empty hypothesis list")
     if len(entries) != len(lm_scores):
         raise DataError(f"{len(entries)} hypotheses but {len(lm_scores)} LM scores")
-    best = None
-    best_total = -np.inf
-    for entry, lm in sorted(zip(entries, lm_scores), key=lambda p: p[0].rank):
+    ranked = sorted(zip(entries, lm_scores), key=lambda p: p[0].rank)
+    best, best_total = ranked[0][0], -np.inf
+    for entry, lm in ranked:
         total = (entry.acoustic_score + cfg.lm_weight * lm
                  + cfg.word_insertion_penalty * len(entry.words))
         if total > best_total:
@@ -184,7 +172,7 @@ def rescore_nbest(model: LmModel, vocab: Vocabulary,
 
     lm_scores maps utt_id to its LM scores in entry order, and is filled in
     place: a sweep over lm_weight and wip passes one dict to every call. Its
-    scores hold only for the same model, vocabulary, N-best and OOV settings.
+    scores hold only for the same model, vocabulary and N-best.
     """
     if model.config.vocab_size != vocab.size:
         raise ConfigError(f"model was built for {model.config.vocab_size} words "
@@ -193,7 +181,7 @@ def rescore_nbest(model: LmModel, vocab: Vocabulary,
     out = {}
     for utt, entries in nbest.items():
         if utt not in lm_scores:
-            lm_scores[utt] = score_utterance(model, vocab, [e.words for e in entries], cfg)
+            lm_scores[utt] = score_utterance(model, vocab, [e.words for e in entries])
         out[utt] = combine_and_select(entries, lm_scores[utt], cfg)
     return out
 

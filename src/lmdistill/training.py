@@ -5,10 +5,10 @@ running the MoS head, the loss and their backward as one chunked op, AR/TAR,
 then the forward's backward through the trunk, which for wide layers runs its
 forward and BPTT on two threads, model._trunk), for train() and the
 grad-check alike; the gradients come back as one array per parameter, keyed
-and ordered as model.params. Optimization is plain SGD with global-norm gradient
-clipping, optional plateau LR decay, and optional ASGD-style parameter
-averaging that arms after a configurable number of non-improving validation
-epochs. Everything is deterministic per (config, seed).
+and ordered as model.params. Optimization is plain SGD at a fixed learning rate with
+global-norm gradient clipping, and optional ASGD-style parameter averaging that arms
+after a configurable number of non-improving validation epochs. Everything is
+deterministic per (config, seed).
 
 train() reads the teacher's distributions Q from a label source (vocab_size, and
 stream(batches, epochs) yielding each batch's Q for every epoch in train()'s order)
@@ -59,7 +59,6 @@ class TrainConfig:
     bptt_len: int = 8
     seed: int = 0
     asgd_trigger_patience: int = 0  # 0 disables averaging
-    lr_decay_on_plateau: float = 1.0  # multiplier applied when validation stalls
 
     def __post_init__(self):
         require_finite(self, "lr", "grad_clip")
@@ -72,9 +71,6 @@ class TrainConfig:
         if self.asgd_trigger_patience < 0:
             raise ConfigError(f"asgd_trigger_patience must be >= 0, "
                               f"got {self.asgd_trigger_patience}")
-        if not (0.0 < self.lr_decay_on_plateau <= 1.0):
-            raise ConfigError(f"lr_decay_on_plateau must be in (0, 1], "
-                              f"got {self.lr_decay_on_plateau}")
 
 
 @dataclass
@@ -95,7 +91,6 @@ class TrainResult:
     logs: list[EpochLog]
     best_valid_ppl: float
     best_epoch: int
-    lr: float = math.nan
     best_params: dict[str, np.ndarray] | None = None
     bad_epochs: int = 0
     averager: _Averager | None = None
@@ -244,8 +239,8 @@ def step_loss(model: LmModel, batch: BpttBatch, state: LmState, spec: DistillLos
         reg, d_dropped, d_raw = activation_reg(out.dropped, out.raw, batch.inputs.shape[0],
                                                rates.ar_weight, rates.tar_weight)
         value += reg
-    # a tied embedding's head gradient is the one the trunk's gather adds onto
-    grads = out.backward(d_hidden, d_dropped, d_raw, head.pop("embedding", None)) | head
+    # the head's gradient in the tied embedding is the one the trunk's gather adds onto
+    grads = out.backward(d_hidden, d_dropped, d_raw, head.pop("embedding")) | head
     return float(value), {name: grads[name] for name in model.params}, out.state
 
 
@@ -294,7 +289,7 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
 
     batches = bptt_batches(train_stream, cfg.batch_size, cfg.bptt_len)
     params = model.params
-    run = TrainResult([], math.inf, 0, cfg.lr, dropout_rng=np.random.default_rng(cfg.seed))
+    run = TrainResult([], math.inf, 0, dropout_rng=np.random.default_rng(cfg.seed))
     # a teacher's stream forks at its first next(), not here: set-up ends at train()'s entry
     qs = itertools.repeat(None) if labels is None else labels.stream(batches, cfg.epochs)
     try:
@@ -311,7 +306,7 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
                     raise TrainingError(
                         f"non-finite gradient norm {norm} at epoch {epoch}, batch {bi}")
                 for name, g in grads.items():
-                    params[name] -= run.lr * g
+                    params[name] -= cfg.lr * g
                 del grads  # not held through the next step's forward and backward
                 if run.averager is not None:
                     run.averager.update(params)
@@ -321,7 +316,7 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
             scored = model if run.averager is None else LmModel(model.config, run.averager.avg)
             valid_ppl = perplexity(scored, valid_stream)
 
-            entry = EpochLog(epoch, train_loss, valid_ppl, run.lr)
+            entry = EpochLog(epoch, train_loss, valid_ppl, cfg.lr)
             run.logs.append(entry)
             if log_fn is not None:
                 log_fn(entry.line())
@@ -333,8 +328,6 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
                 run.bad_epochs = 0
             else:
                 run.bad_epochs += 1
-                if cfg.lr_decay_on_plateau < 1.0:
-                    run.lr *= cfg.lr_decay_on_plateau
                 if (cfg.asgd_trigger_patience > 0 and run.averager is None
                         and run.bad_epochs >= cfg.asgd_trigger_patience):
                     run.averager = _Averager(params)
@@ -348,7 +341,8 @@ def train(model: LmModel, train_stream: TokenStream, valid_stream: TokenStream,
 
 
 def perplexity(model: LmModel, stream: TokenStream) -> float:
-    """exp of the mean natural-log NLL over every target token (eos included).
+    """exp of the mean natural-log NLL over every target token (eos included); inf where
+    that overflows a float64.
 
     One lane in EVAL_WINDOW-step windows, state carried; the last window may be
     shorter, so no target is dropped. The windows are the trunk's time chunks
@@ -376,4 +370,7 @@ def perplexity(model: LmModel, stream: TokenStream) -> float:
             hidden.clear()
 
     _trunk(model, stream.ids[None, :-1], model.init_state(1), None, EVAL_WINDOW, score)
-    return math.exp(total / (n - 1))
+    try:
+        return math.exp(total / (n - 1))
+    except OverflowError:  # a mean NLL past ~709.8 nats
+        return math.inf

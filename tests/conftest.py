@@ -1,7 +1,8 @@
-"""Imported before any test module: lmdistill pins one BLAS thread only if it loads
-before numpy, so the suite runs at the thread count the CLI runs at. Every test must also
-leave no thread running that it started (the eval head's helper, the trunk's stage B), and
-no child process (train()'s soft-label worker, which it joins on every exit path)."""
+"""Imported before any test module, so lmdistill pins one BLAS thread through the environment
+before numpy loads, as the CLI does; imported after numpy, it could reach only the OpenBLAS
+numpy bundles. Every test must also leave no thread running that it started (the eval head's
+helper, the trunk's stage B), and no child process (train()'s soft-label worker, which it
+joins on every exit path)."""
 
 import multiprocessing
 import threading

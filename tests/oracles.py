@@ -221,9 +221,8 @@ def expert_params(model, params):
 
 
 def out_matrix(model, params) -> Tensor:
-    """The [E x V] output matrix as a tape value: the embedding transposed when tied."""
-    return (oracle_transpose(params["embedding"]) if model.config.tie_embeddings
-            else params["out.w"])
+    """The [E x V] output matrix as a tape value: the embedding transposed."""
+    return oracle_transpose(params["embedding"])
 
 
 def oracle_mos_log_probs(model, params, h: Tensor, out: Tensor) -> Tensor:
@@ -321,8 +320,7 @@ class TapedRows:
             model, log_pi.data, swap(ctx.data, k), objective)
         d_ctx = swap(d_ctx, n)
         return T.precomputed(total, [(log_pi, d_log_pi), (ctx, d_ctx), (p["out.b"], d_out_b),
-                                     (p["embedding"], d_out.T) if model.config.tie_embeddings
-                                     else (p["out.w"], d_out)])
+                                     (p["embedding"], d_out.T)])
 
 
 def taped_step_loss(model, params, batch, state, spec, q, rng) -> Tensor:
@@ -367,19 +365,15 @@ def taped_step_loss(model, params, batch, state, spec, q, rng) -> Tensor:
 # per hypothesis. The trie scorer must agree with it.
 
 
-def oracle_hypothesis_score(model, vocab, words, oov_mode="rnn_unk", oov_penalty=-10.0):
-    """Natural-log probability of words + eos, the hypothesis run alone from a zero state."""
+def oracle_hypothesis_score(model, vocab, words):
+    """Natural-log probability of words + eos, the hypothesis run alone from a zero state;
+    an OOV word is fed and scored as rnn_unk."""
     oov = [vocab.lookup(w) == vocab.unk_id and w != UNK for w in words]
     ids = [vocab.rnn_unk_id if o else vocab.lookup(w) for w, o in zip(words, oov)]
     inputs = np.asarray([[vocab.eos_id] + ids])
     targets = np.asarray(ids + [vocab.eos_id])
     out = model_forward(model, inputs, model.init_state(1))
-    logp = out.log_probs.data[np.arange(targets.shape[0]), targets]
-    oov = np.asarray(oov + [False])  # eos is always scored
-    if oov_mode == "rnn_unk":
-        return float(logp.sum())
-    penalty = oov_penalty if oov_mode == "penalty" else 0.0
-    return float(logp[~oov].sum()) + float(oov.sum()) * penalty
+    return float(out.log_probs.data[np.arange(targets.shape[0]), targets].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +386,7 @@ def in_process_train(model, train_stream, valid_stream, cfg, teacher):
     batches = training.bptt_batches(train_stream, cfg.batch_size, cfg.bptt_len)
     params = model.params
     rng = np.random.default_rng(cfg.seed)
-    logs, lr, best_ppl, best_params, bad_epochs, averager = [], cfg.lr, math.inf, None, 0, None
+    logs, best_ppl, best_params, bad_epochs, averager = [], math.inf, None, 0, None
     for epoch in range(1, cfg.epochs + 1):
         state = model.init_state(cfg.batch_size)
         teacher.reset_state(cfg.batch_size)
@@ -402,7 +396,7 @@ def in_process_train(model, train_stream, valid_stream, cfg, teacher):
             value, grads, state = training.step_loss(model, batch, state, cfg.loss, q, rng)
             training.clip_gradients(grads, cfg.grad_clip)
             for name, g in grads.items():
-                params[name] -= lr * g
+                params[name] -= cfg.lr * g
             if averager is not None:
                 averager.update(params)
             loss_sum += value
@@ -413,13 +407,12 @@ def in_process_train(model, train_stream, valid_stream, cfg, teacher):
             training._restore(params, averager.avg)
             valid_ppl = training.perplexity(model, valid_stream)
             training._restore(params, raw)
-        logs.append(training.EpochLog(epoch, loss_sum / len(batches), valid_ppl, lr))
+        logs.append(training.EpochLog(epoch, loss_sum / len(batches), valid_ppl, cfg.lr))
         if valid_ppl < best_ppl:
             best_ppl, bad_epochs = valid_ppl, 0
             best_params = training._snapshot(params if averager is None else averager.avg)
         else:
             bad_epochs += 1
-            lr *= cfg.lr_decay_on_plateau
             if (cfg.asgd_trigger_patience > 0 and averager is None
                     and bad_epochs >= cfg.asgd_trigger_patience):
                 averager = training._Averager(params)

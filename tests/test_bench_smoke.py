@@ -80,7 +80,7 @@ def test_traced_eval_spans_nest(monkeypatch):
     words = [f"w{i}" for i in range(20)]
     vocab = build_vocab([" ".join(words)], cap=40)
     hypotheses = [words[i:i + 7] for i in range(0, 14, 2)]  # 50 trie nodes
-    rescore.score_utterance(model, vocab, hypotheses, rescore.RescoreConfig())
+    rescore.score_utterance(model, vocab, hypotheses)
     metrics = spans.summarize(tracer.take(), 0, 0.0)
     assert metrics["model.mos_head_calls"] >= 1
     assert calls and min(rows for _, rows in calls) > 3 * 8

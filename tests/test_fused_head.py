@@ -22,7 +22,7 @@ from lmdistill.losses import LOSS_VARIANTS, DistillLossSpec, distill_loss
 from lmdistill.model import (ModelConfig, build_model, flatten_targets, model_forward,
                              mos_log_probs)
 from lmdistill.regularization import DropoutSpec
-from lmdistill.rescore import RescoreConfig, score_utterance
+from lmdistill.rescore import score_utterance
 from oracles import (oracle_activation_reg, oracle_distill_loss, oracle_forward,
                      oracle_mos_log_probs, out_matrix)
 
@@ -30,11 +30,9 @@ RATES = DropoutSpec(input_rate=0.2, output_rate=0.25, hidden_rate=0.3, embed_rat
                     other_rate=0.15, ar_weight=2.0, tar_weight=1.0)
 
 
-def _config(tied, **kw):
+def _config(**kw):
     base = dict(vocab_size=11, embed_dim=4, lstm_layers=2, hidden_dim=6,
-                bottleneck_dim=5, num_experts=3, tie_embeddings=tied, dropout=RATES)
-    if not tied:
-        base.update(last_hidden_dim=5, expert_dim=3)
+                bottleneck_dim=5, num_experts=3, dropout=RATES)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -68,10 +66,9 @@ def _underflow(model):
 
 @pytest.mark.parametrize("underflow, experts", [(False, 3), (True, 3), (False, 1), (True, 1)],
                          ids=["", "underflow", "K1", "underflow-K1"])
-@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
 @pytest.mark.parametrize("variant", LOSS_VARIANTS)
-def test_fused_step_matches_per_step_oracle(variant, tied, underflow, experts, monkeypatch):
-    config = _config(tied, num_experts=experts)
+def test_fused_step_matches_per_step_oracle(variant, underflow, experts, monkeypatch):
+    config = _config(num_experts=experts)
     model = build_model(config, seed=1)
     if underflow:
         _underflow(model)
@@ -102,9 +99,8 @@ def test_fused_step_matches_per_step_oracle(variant, tied, underflow, experts, m
 
 
 @pytest.mark.parametrize("underflow", [False, True], ids=["", "underflow"])
-@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
-def test_eval_forward_matches_per_step_oracle(tied, underflow):
-    config = _config(tied)
+def test_eval_forward_matches_per_step_oracle(underflow):
+    config = _config()
     model = build_model(config, seed=3)
     if underflow:
         _underflow(model)
@@ -119,7 +115,7 @@ def test_fused_step_peak_memory_is_a_fraction_of_the_expert_block():
     # K*N*V*8 = 8 * 640 * 5000 * 8 B = 205 MB would be one [K*N x V] block;
     # the fused step holds a few chunk-sized blocks at a time instead
     config = ModelConfig(vocab_size=5000, embed_dim=16, lstm_layers=1, hidden_dim=16,
-                         bottleneck_dim=16, num_experts=8, tie_embeddings=True,
+                         bottleneck_dim=16, num_experts=8,
                          dropout=DropoutSpec(other_rate=0.1, ar_weight=1.0))
     model = build_model(config, seed=5)
     rng = np.random.default_rng(6)
@@ -159,7 +155,7 @@ def test_soft_labels_peak_memory_is_the_output_and_one_chunk_workspace(monkeypat
 
 
 def test_nan_reaching_the_head_raises_numeric_error():
-    config = _config(True, dropout=DropoutSpec())
+    config = _config(dropout=DropoutSpec())
     model = build_model(config, seed=8)
     model.params["out.b"][3] = np.nan
     tokens = np.zeros((2, 3), dtype=np.int64)
@@ -182,9 +178,8 @@ def _picks(n, v, rng):
 @pytest.mark.parametrize("n, experts, underflow", [(1, 3, False), (5, 3, False), (5, 1, False),
                                                    (40, 3, False), (40, 3, True)],
                          ids=["n1", "one-chunk", "K1", "multi-chunk", "underflow"])
-@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
-def test_target_only_head_matches_the_full_head(tied, n, experts, underflow):
-    config = _config(tied, num_experts=experts)
+def test_target_only_head_matches_the_full_head(n, experts, underflow):
+    config = _config(num_experts=experts)
     model = build_model(config, seed=12)
     if underflow:
         _underflow(model)
@@ -206,7 +201,7 @@ def test_target_only_alternating_chunks_equal_one_thread_bitwise(experts, monkey
     # helper thread 1 and 3. BLAS may round a row differently in a block of another height
     # (a one-row block is a matrix-vector product), so a chunk off the grid can change bits;
     # every (row, id) is picked, so a logit that moves shows
-    config = _config(True, num_experts=experts, vocab_size=300, embed_dim=32, bottleneck_dim=16)
+    config = _config(num_experts=experts, vocab_size=300, embed_dim=32, bottleneck_dim=16)
     model = build_model(config, seed=14)
     rng = np.random.default_rng(15)
     hidden = rng.normal(size=(41, config.bottleneck_dim))
@@ -230,7 +225,7 @@ def test_target_only_alternating_chunks_equal_one_thread_bitwise(experts, monkey
 def test_nan_in_either_thread_raises_numeric_error(row, monkeypatch):
     # 40 rows in chunks of 8: the caller walks chunks 0, 2 and 4 (rows 0-7, 16-23, 32-39),
     # the helper thread 1 and 3 (rows 8-15, 24-31)
-    config = _config(True)
+    config = _config()
     model = build_model(config, seed=16)
     hidden = np.random.default_rng(17).normal(size=(40, config.bottleneck_dim))
     hidden[row, 2] = np.nan
@@ -244,7 +239,7 @@ def test_nan_in_either_thread_raises_numeric_error(row, monkeypatch):
 
 
 def test_eval_leaves_no_thread_behind():
-    config = _config(True, dropout=DropoutSpec())
+    config = _config(dropout=DropoutSpec())
     model = build_model(config, seed=18)
     stream = TokenStream(np.random.default_rng(19).integers(0, 11, size=70))
     vocab = build_vocab(["a b c d e f g h"], cap=11)
@@ -253,5 +248,5 @@ def test_eval_leaves_no_thread_behind():
     before = threading.active_count()
     assert np.isfinite(training.perplexity(model, stream))
     assert threading.active_count() == before
-    assert all(np.isfinite(score_utterance(model, vocab, hypotheses, RescoreConfig())))
+    assert all(np.isfinite(score_utterance(model, vocab, hypotheses)))
     assert threading.active_count() == before

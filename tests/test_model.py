@@ -38,16 +38,6 @@ def test_param_count_tiny_hand_sum():
     assert _allocated(build_model(cfg, seed=0)) == 113
 
 
-def test_param_count_untied_hand_sum():
-    # same as above plus a free 2x5 output matrix
-    cfg = ModelConfig(vocab_size=5, embed_dim=2, lstm_layers=1, hidden_dim=3,
-                      bottleneck_dim=2, num_experts=2, tie_embeddings=False)
-    assert param_count(cfg) == 113 + 10
-    model = build_model(cfg, seed=0)
-    assert _allocated(model) == 123
-    assert model.params["out.w"].shape == (2, 5)
-
-
 def test_param_count_two_layer_narrow_final_hand_sum():
     # V=7 E=3 L=2 H=4 last=2 B=2 K=1:
     #   embedding 21
@@ -72,7 +62,6 @@ def test_param_count_formula_matches_allocation_random_configs():
             hidden_dim=int(rng.integers(2, 12)),
             bottleneck_dim=int(rng.integers(2, 9)),
             num_experts=int(rng.integers(1, 5)),
-            tie_embeddings=bool(rng.integers(0, 2)),
             last_hidden_dim=int(rng.integers(2, 12)) if rng.integers(0, 2) else None,
         )
         model = build_model(cfg, seed=int(rng.integers(0, 1000)))
@@ -86,17 +75,6 @@ def test_layer_widths_resolution():
     assert cfg.layer_input_widths == [4, 8, 8]
     cfg2 = tiny_config(lstm_layers=2)
     assert cfg2.layer_widths == [8, 8]
-
-
-def test_tie_requires_matching_expert_width():
-    with pytest.raises(ConfigError):
-        ModelConfig(vocab_size=10, embed_dim=4, lstm_layers=1, hidden_dim=8,
-                    bottleneck_dim=4, num_experts=2, expert_dim=6)
-    # untied is free to diverge
-    cfg = ModelConfig(vocab_size=10, embed_dim=4, lstm_layers=1, hidden_dim=8,
-                      bottleneck_dim=4, num_experts=2, expert_dim=6,
-                      tie_embeddings=False)
-    assert cfg.expert_width == 6
 
 
 def test_config_validation_errors():
@@ -472,11 +450,10 @@ def _linear_objective(w):
     return lambda lo, hi, log_p: (float(np.sum(w[lo:hi] * log_p)), w[lo:hi])
 
 
-@pytest.mark.parametrize("tied", [True, False])
-def test_mos_stacked_block_matches_per_expert_head(tied, monkeypatch):
+def test_mos_stacked_block_matches_per_expert_head(monkeypatch):
     # K=3 experts, n=5 rows: a row-order bug in the stacked block cannot hide
     cfg = ModelConfig(vocab_size=7, embed_dim=3, lstm_layers=1, hidden_dim=4,
-                      bottleneck_dim=2, num_experts=3, tie_embeddings=tied)
+                      bottleneck_dim=2, num_experts=3)
     model = build_model(cfg, seed=12)
     rng = np.random.default_rng(13)
     h = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
@@ -495,7 +472,7 @@ def test_mos_stacked_block_matches_per_expert_head(tied, monkeypatch):
     assert np.max(np.abs(mos_log_probs(model, h.data)
                          - _per_expert_mos(model, params, h).data)) <= 1e-12
     head = {"prior.w", "prior.b", "expert0.w", "expert0.b", "expert1.w", "expert1.b",
-            "expert2.w", "expert2.b", "embedding" if tied else "out.w", "out.b", "h"}
+            "expert2.w", "expert2.b", "embedding", "out.b", "h"}
     assert got_grads.keys() == want_grads.keys() == head
     for name, g in want_grads.items():
         err = np.max(np.abs(got_grads[name] - g)) / np.max(np.abs(g))
@@ -507,11 +484,10 @@ def test_mos_loss_fills_head_grads_for_any_k(k):
     # the hand-written head backward returns a gradient for every head parameter and
     # the hidden rows, and for nothing below them
     v = 9
-    model = build_model(tiny_config(vocab_size=v, num_experts=k, tie_embeddings=False),
-                        seed=3)
+    model = build_model(tiny_config(vocab_size=v, num_experts=k), seed=3)
     h = np.random.default_rng(4).standard_normal((5, 4))
     _, d_hidden, grads = MosRows(model, h).loss(_linear_objective(np.ones((5, v))))
-    head = {"prior.w", "prior.b", "out.w", "out.b"} | {
+    head = {"prior.w", "prior.b", "embedding", "out.b"} | {
         f"expert{j}.{part}" for j in range(k) for part in "wb"}
     assert grads.keys() == head and d_hidden.shape == h.shape
     assert all(g.shape == model.params[name].shape for name, g in grads.items())
@@ -692,8 +668,7 @@ def _np_sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
-def test_train_forward_matches_numpy_with_masks_in_draw_order(tied):
+def test_train_forward_matches_numpy_with_masks_in_draw_order():
     # The masks come from one generator in a fixed order: embedding rows
     # [V x 1], each layer's recurrent weights, the input [B x E], each layer's
     # output [B x H_i], the bottleneck [B x bottleneck_dim]. That order is what
@@ -702,7 +677,7 @@ def test_train_forward_matches_numpy_with_masks_in_draw_order(tied):
     spec = DropoutSpec(input_rate=r_in, output_rate=r_out, hidden_rate=r_hid,
                        embed_rate=r_emb, other_rate=r_oth)
     cfg = tiny_config(lstm_layers=2, hidden_dim=6, last_hidden_dim=5, num_experts=3,
-                      tie_embeddings=tied, dropout=spec)
+                      dropout=spec)
     model = build_model(cfg, seed=26)
     batch, steps = 3, 4
     tokens = np.random.default_rng(27).integers(0, 10, size=(batch, steps))
@@ -720,7 +695,7 @@ def test_train_forward_matches_numpy_with_masks_in_draw_order(tied):
     assert rng.random() == draw.random()  # no draw beyond these five kinds
 
     emb = p["embedding"] * emb_m
-    out_w = p["embedding"].T if tied else p["out.w"]
+    out_w = p["embedding"].T
     hs = [np.zeros((batch, h)) for h in cfg.layer_widths]
     cs = [np.zeros((batch, h)) for h in cfg.layer_widths]
     rows, raw, dropped = [], [], []

@@ -8,7 +8,7 @@ import pytest
 from lmdistill.cli import grad_check_params
 from lmdistill.errors import ConfigError
 from lmdistill.losses import DistillLossSpec, distill_loss
-from lmdistill.model import ModelConfig, build_model, model_forward, mos_log_probs
+from lmdistill.model import LmModel, ModelConfig, build_model, model_forward, mos_log_probs
 from lmdistill.regularization import DropoutSpec, activation_reg, variational_mask
 
 
@@ -57,10 +57,9 @@ def test_mask_determinism_under_seed():
 
 
 def _only(**rates):
-    # 1-layer untied model whose only nonzero dropout is the one given
+    # 1-layer model whose only nonzero dropout is the one given
     config = ModelConfig(vocab_size=12, embed_dim=4, lstm_layers=1, hidden_dim=6,
-                         bottleneck_dim=4, num_experts=2, tie_embeddings=False,
-                         dropout=DropoutSpec(**rates))
+                         bottleneck_dim=4, num_experts=2, dropout=DropoutSpec(**rates))
     return build_model(config, seed=3)
 
 
@@ -109,8 +108,11 @@ def test_embedding_dropout_zeroes_whole_rows():
     # the embedding-row mask is the only draw; it keeps or drops whole rows
     kept = np.random.default_rng(6).random((12, 1)) >= rate
     assert 0 < kept.sum() < kept.size
-    model.params["embedding"] *= kept / (1.0 - rate)
-    assert np.array_equal(got, _eval_log_probs(model))
+    # the input gather reads the dropped rows; the tied output matrix keeps them all
+    dropped = LmModel(model.config, {**model.params,
+                                     "embedding": model.params["embedding"] * kept / (1.0 - rate)})
+    hidden = model_forward(dropped, TOKENS, dropped.init_state(2)).log_probs.hidden
+    assert np.array_equal(got, mos_log_probs(model, hidden))
 
 
 def test_activation_reg_hand_case():

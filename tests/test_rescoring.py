@@ -13,7 +13,7 @@ from lmdistill.cli import dispatch
 from lmdistill.data import EOS, UNK, Vocabulary, build_vocab
 from lmdistill.errors import ConfigError, DataError, FormatError
 from lmdistill.model import ModelConfig, build_model, model_forward
-from lmdistill.rescore import (OOV_MODES, NbestEntry, RescoreConfig, WerReport,
+from lmdistill.rescore import (NbestEntry, RescoreConfig, WerReport,
                                combine_and_select, edit_ops, parse_nbest,
                                parse_refs, rescore_nbest, score_utterance, wer)
 from oracles import oracle_hypothesis_score
@@ -118,10 +118,9 @@ def test_parse_refs_errors():
 # hypothesis scoring
 
 
-def score(model, vocab, words, oov_mode="rnn_unk", oov_penalty=-10.0):
+def score(model, vocab, words):
     """One hypothesis through the trie scorer."""
-    cfg = RescoreConfig(oov_mode=oov_mode, oov_penalty=oov_penalty)
-    return score_utterance(model, vocab, [words], cfg)[0]
+    return score_utterance(model, vocab, [words])[0]
 
 
 def test_uniform_model_scores_count_log_vocab():
@@ -129,31 +128,25 @@ def test_uniform_model_scores_count_log_vocab():
     model = uniform_model(vocab.size)
     # n in-vocab words + eos, each -ln V under a zeroed model
     hyps = [[], ["alpha"], ["alpha", "beta", "gamma"]]
-    for words, got in zip(hyps, score_utterance(model, vocab, hyps, RescoreConfig())):
+    for words, got in zip(hyps, score_utterance(model, vocab, hyps)):
         assert got == pytest.approx(-(len(words) + 1) * math.log(vocab.size), rel=1e-12)
 
 
-def test_oov_mode_relations_on_uniform_model():
+def test_oov_word_is_scored_on_uniform_model():
     vocab = make_vocab()
     model = uniform_model(vocab.size)
-    words = ["alpha", "zzz", "beta"]  # zzz is OOV
-    lnv = math.log(vocab.size)
-    s_rnn = score(model, vocab, words, "rnn_unk")
-    s_skip = score(model, vocab, words, "skip")
-    s_pen = score(model, vocab, words, "penalty", oov_penalty=-10.0)
-    assert s_rnn == pytest.approx(-4 * lnv, rel=1e-12)
-    assert s_skip == pytest.approx(-3 * lnv, rel=1e-12)
-    assert s_pen == pytest.approx(-3 * lnv - 10.0, rel=1e-12)
+    words = ["alpha", "zzz", "beta"]  # zzz is OOV: scored as rnn_unk, like any word
+    assert score(model, vocab, words) == pytest.approx(-4 * math.log(vocab.size), rel=1e-12)
 
 
 def test_literal_unk_token_is_not_oov():
     vocab = make_vocab()
-    model = uniform_model(vocab.size)
-    # the unk word itself maps to unk_id by definition, so no OOV handling
-    s_rnn = score(model, vocab, [UNK], "rnn_unk")
-    s_skip = score(model, vocab, [UNK], "skip")
-    assert s_rnn == s_skip
-    assert s_rnn == pytest.approx(-2 * math.log(vocab.size), rel=1e-12)
+    model = random_model(vocab.size)
+    # the unk word itself maps to unk_id by definition: fed and scored as unk, not rnn_unk
+    out = model_forward(model, np.asarray([[vocab.eos_id, vocab.unk_id]]), model.init_state(1))
+    want = out.log_probs.data[[0, 1], [vocab.unk_id, vocab.eos_id]].sum()
+    assert score(model, vocab, [UNK]) == pytest.approx(want, rel=1e-12)
+    assert score(model, vocab, [UNK]) != score(model, vocab, ["zzz"])
 
 
 def test_trie_scores_match_manual_forward():
@@ -166,11 +159,7 @@ def test_trie_scores_match_manual_forward():
     out = model_forward(model, inputs, model.init_state(1))
     logp = out.log_probs.data[np.arange(4), targets]
     # one forward per depth rounds differently from one forward over all steps
-    assert score(model, vocab, words, "rnn_unk") == pytest.approx(logp.sum(), rel=1e-12)
-    # skip drops only the OOV position (index 1); eos is always scored
-    assert score(model, vocab, words, "skip") == pytest.approx(logp[[0, 2, 3]].sum(), rel=1e-12)
-    assert (score(model, vocab, words, "penalty", oov_penalty=-2.5)
-            == pytest.approx(logp[[0, 2, 3]].sum() + 1 * -2.5, rel=1e-12))
+    assert score(model, vocab, words) == pytest.approx(logp.sum(), rel=1e-12)
 
 
 def test_empty_hypothesis_scores_eos_only():
@@ -183,8 +172,7 @@ def test_empty_hypothesis_scores_eos_only():
                                                     rel=1e-12)
 
 
-@pytest.mark.parametrize("oov_mode", OOV_MODES)
-def test_trie_scores_match_per_hypothesis_oracle(oov_mode):
+def test_trie_scores_match_per_hypothesis_oracle():
     base = make_vocab()
     vocab = Vocabulary(base.words, base.counts, rare={"rareword"})
     model = random_model(vocab.size)
@@ -201,19 +189,18 @@ def test_trie_scores_match_per_hypothesis_oracle(oov_mode):
         "u2\t3\t-1.0\t0.0\tbeta beta",
     ]
     nbest = parse_nbest(lines)
-    cfg = RescoreConfig(oov_mode=oov_mode, oov_penalty=-3.0)
     lm_scores = {}
-    rescore_nbest(model, vocab, nbest, cfg, lm_scores)
+    rescore_nbest(model, vocab, nbest, RescoreConfig(), lm_scores)
     assert sorted(lm_scores) == ["u1", "u2"]
     for utt, entries in nbest.items():
         assert len(lm_scores[utt]) == len(entries)
         for entry, got in zip(entries, lm_scores[utt]):
-            want = oracle_hypothesis_score(model, vocab, entry.words, oov_mode, -3.0)
+            want = oracle_hypothesis_score(model, vocab, entry.words)
             assert got == pytest.approx(want, rel=1e-12), (utt, entry.rank)
     u1 = lm_scores["u1"]
     assert u1[0] == u1[2]
-    # the OOV and the rare word share a trie node and a target; only the OOV flag differs
-    assert (u1[4] == u1[5]) == (oov_mode == "rnn_unk")
+    # the OOV and the rare word share a trie node and a target
+    assert u1[4] == u1[5]
 
 
 def test_sweep_feeds_one_trie_pass(tmp_path, monkeypatch, capsys):
@@ -258,9 +245,7 @@ def test_rescore_nbest_checks_vocab_size():
 def test_rescore_config_validation():
     with pytest.raises(ConfigError):
         RescoreConfig(lm_weight=-1.0)
-    with pytest.raises(ConfigError):
-        RescoreConfig(oov_mode="nope")
-    for name in ("lm_weight", "word_insertion_penalty", "oov_penalty"):
+    for name in ("lm_weight", "word_insertion_penalty"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
                 RescoreConfig(**{name: bad})
@@ -298,6 +283,21 @@ def test_exact_ties_go_to_lowest_rank():
     entries = [_entry(3, -7.0, ["x"]), _entry(2, -7.0, ["y"]), _entry(1, -7.0, ["z"])]
     winner = combine_and_select(entries, [-1.0, -1.0, -1.0], RescoreConfig())
     assert winner.rank == 1
+
+
+def test_no_total_above_minus_inf_goes_to_lowest_rank(tmp_path, capsys):
+    # lm_weight 1e308 overflows every total to -inf; a NaN LM score makes a NaN total
+    entries = [_entry(2, -1.0, ["y"]), _entry(1, -1.0, ["z"])]
+    assert combine_and_select(entries, [-5.0, -4.0], RescoreConfig(lm_weight=1e308)).rank == 1
+    assert combine_and_select(entries, [-math.inf, math.nan], RescoreConfig()).rank == 1
+    vocab = make_vocab()
+    vocab.save(tmp_path / "vocab.txt")
+    save_checkpoint(random_model(vocab.size), tmp_path / "model.dlm")
+    (tmp_path / "nbest.tsv").write_text("u1\t1\t-1.0\t0.0\talpha\nu1\t2\t-1.0\t0.0\tbeta\n")
+    rc = dispatch(["rescore", "--model", str(tmp_path / "model.dlm"),
+                   "--nbest", str(tmp_path / "nbest.tsv"), "--set", "lm_weight=1e308"])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith("u1\talpha\n")
 
 
 def test_combine_validation():

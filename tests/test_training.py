@@ -59,10 +59,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(asgd_trigger_patience=-1)
-    with pytest.raises(ConfigError):
-        TrainConfig(lr_decay_on_plateau=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(lr_decay_on_plateau=1.5)
     for name in ("lr", "grad_clip"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
@@ -206,9 +202,8 @@ def force_trunk(monkeypatch, pipelined, chunk_steps=2):
 @pytest.mark.parametrize("chunk_rows", [64, 4], ids=["one-chunk", "chunks"])
 @pytest.mark.parametrize("embed_rate", [0.1, 0.0], ids=["embed-mask", "no-embed-mask"])
 @pytest.mark.parametrize("ar, tar", [(2.0, 1.0), (0.0, 0.0)], ids=["ar-tar", "no-ar-tar"])
-@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
 @pytest.mark.parametrize("variant", LOSS_VARIANTS)
-def test_step_loss_equals_the_taped_step_bitwise(variant, tied, ar, tar, embed_rate,
+def test_step_loss_equals_the_taped_step_bitwise(variant, ar, tar, embed_rate,
                                                  chunk_rows, layers, pipelined, monkeypatch):
     # The hand-written backward sums in the tape's order, so the value and every
     # parameter's gradient are the taped step's bit for bit; that is what keeps
@@ -226,7 +221,6 @@ def test_step_loss_equals_the_taped_step_bitwise(variant, tied, ar, tar, embed_r
                             embed_rate=embed_rate, other_rate=0.15, ar_weight=ar,
                             tar_weight=tar)
         config = tiny_config(vocab.size, lstm_layers=layers, last_hidden_dim=6, num_experts=3,
-                             tie_embeddings=tied, expert_dim=None if tied else 5,
                              dropout=rates)
         model = build_model(config, 4)
         monkeypatch.setattr(model_module, "CHUNK_ELEMENTS",
@@ -286,7 +280,7 @@ def test_step_loss_is_forward_plus_distill_plus_reg(ar, tar, monkeypatch):
         if ar or tar:
             reg, d_dropped, d_raw = activation_reg(out.dropped, out.raw, 2, ar, tar)
             value += reg
-        trunk = out.backward(d_hidden, d_dropped, d_raw, head.pop("embedding", None))
+        trunk = out.backward(d_hidden, d_dropped, d_raw, head.pop("embedding"))
         return value, trunk | head
 
     def counted(*args):
@@ -394,27 +388,6 @@ def test_train_restores_best_params():
     assert result.best_valid_ppl == min(ppls)
     # the model now holds the best epoch's params
     assert perplexity(model, stream) == result.best_valid_ppl
-
-
-def test_plateau_decay_follows_logged_schedule():
-    vocab, stream = tiny_corpus()
-    model = build_model(tiny_config(vocab.size), 3)
-    result = train(model, stream, stream,
-                   TrainConfig(loss=DistillLossSpec("ce_only"), lr=8.0,
-                               epochs=10, batch_size=2, bptt_len=6, seed=3,
-                               lr_decay_on_plateau=0.5))
-    lrs = [l.lr for l in result.logs]
-    ppls = [l.valid_ppl for l in result.logs]
-    assert lrs[0] == 8.0
-    best = math.inf
-    prev_lr = prev_improved = None
-    for lr_e, ppl_e in zip(lrs, ppls):
-        if prev_lr is not None:
-            assert lr_e == prev_lr * (1.0 if prev_improved else 0.5)
-        prev_improved = ppl_e < best  # strict, judged against earlier epochs only
-        best = min(best, ppl_e)
-        prev_lr = lr_e
-    assert lrs[-1] < 8.0  # this run really does plateau
 
 
 def test_huge_asgd_patience_equals_disabled():
@@ -622,20 +595,17 @@ def _layer_threads(monkeypatch, model, fail=None):
     return calls
 
 
-def _stack(layers, tied=True):
+def _stack(layers):
     # a last layer narrower than the others, as in the reference configs; 3 layers split as
     # layer 0 against layers 1-2
     return build_model(ModelConfig(vocab_size=30, embed_dim=6, lstm_layers=layers,
                                    hidden_dim=10, last_hidden_dim=8, bottleneck_dim=5,
-                                   num_experts=3, tie_embeddings=tied,
-                                   expert_dim=None if tied else 4), seed=layers)
+                                   num_experts=3), seed=layers)
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3])
-@pytest.mark.parametrize("tied", [True, False])
-def test_perplexity_pipelined_and_inline_match_windowed_model_forward(layers, tied,
-                                                                      monkeypatch):
-    model = _stack(layers, tied)
+def test_perplexity_pipelined_and_inline_match_windowed_model_forward(layers, monkeypatch):
+    model = _stack(layers)
     # 75 tokens: 74 targets in windows of 32, 32 and a short 10
     stream = TokenStream(np.random.default_rng(layers).integers(0, 30, size=75))
     # the loop perplexity ran before its stages: model_forward per window, one head call
@@ -947,16 +917,15 @@ def two_teachers(vocab):
 def test_worker_trains_bitwise_as_the_in_process_teacher():
     vocab, stream = tiny_corpus()
     cfg = TrainConfig(loss=DistillLossSpec("trust_reg", alpha=0.5), lr=20.0, epochs=4,
-                      batch_size=2, bptt_len=6, seed=3, asgd_trigger_patience=1,
-                      lr_decay_on_plateau=0.5)
+                      batch_size=2, bptt_len=6, seed=3, asgd_trigger_patience=1)
     # an odd count: epoch 2's batch 0 overwrites epoch 1's last Q in the receive array
     assert len(bptt_batches(stream, cfg.batch_size, cfg.bptt_len)) % 2 == 1
     a = build_model(tiny_config(vocab.size), 0)
     b = build_model(tiny_config(vocab.size), 0)
     res = train(a, stream, stream, cfg, labels=two_teachers(vocab))
     want = in_process_train(b, stream, stream, cfg, two_teachers(vocab))
-    # a plateau after epoch 2: lr decayed and ASGD averaged through epochs 3 and 4
-    assert res.logs[-2].lr < cfg.lr
+    # a plateau after epoch 2: ASGD averaged through epochs 3 and 4
+    assert res.averager.steps > 1
     assert res.logs == want
     assert all(np.array_equal(p, b.params[name]) for name, p in a.params.items())
 
@@ -964,8 +933,7 @@ def test_worker_trains_bitwise_as_the_in_process_teacher():
 def test_in_process_labels_train_bitwise_as_the_worker(monkeypatch):
     vocab, stream = tiny_corpus()
     cfg = TrainConfig(loss=DistillLossSpec("trust_reg", alpha=0.5), lr=20.0, epochs=4,
-                      batch_size=2, bptt_len=6, seed=3, asgd_trigger_patience=1,
-                      lr_decay_on_plateau=0.5)
+                      batch_size=2, bptt_len=6, seed=3, asgd_trigger_patience=1)
     a = build_model(tiny_config(vocab.size), 0)
     b = build_model(tiny_config(vocab.size), 0)
     forked = train(a, stream, stream, cfg, labels=two_teachers(vocab))
@@ -976,24 +944,23 @@ def test_in_process_labels_train_bitwise_as_the_worker(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     got = train(b, stream, stream, cfg, labels=InProcessLabels(two_teachers(vocab)))
     assert got.logs == forked.logs
-    assert (got.lr, got.bad_epochs, got.best_epoch) == (forked.lr, forked.bad_epochs,
-                                                       forked.best_epoch)
+    assert (got.bad_epochs, got.best_epoch) == (forked.bad_epochs, forked.best_epoch)
     assert all(np.array_equal(p, b.params[name]) for name, p in a.params.items())
 
 
 def test_train_returns_its_run_state_after_a_plateau():
-    # lr=8 plateaus at epoch 3, the last: patience 1 arms the averager there, the lr
-    # halves, and the model goes back to epoch 2's params
+    # lr=8 plateaus at epoch 3, the last: patience 1 arms the averager there, and the
+    # model goes back to epoch 2's params
     vocab, stream = tiny_corpus()
     cfg = TrainConfig(loss=DistillLossSpec("ce_only"), lr=8.0, epochs=3, batch_size=2,
-                      bptt_len=6, seed=3, asgd_trigger_patience=1, lr_decay_on_plateau=0.5)
+                      bptt_len=6, seed=3, asgd_trigger_patience=1)
     model = build_model(tiny_config(vocab.size), 3)
     run = train(model, stream, stream, cfg)
     ppls = [l.valid_ppl for l in run.logs]
     best = [p < min(ppls[:i], default=math.inf) for i, p in enumerate(ppls)]
     assert run.epoch == len(run.logs) == cfg.epochs
     assert best == [True, True, False]
-    assert (run.best_epoch, run.bad_epochs, run.lr) == (2, 1, 4.0)
+    assert (run.best_epoch, run.bad_epochs) == (2, 1)
     assert run.best_valid_ppl == ppls[1]
     assert run.averager.steps == 1  # armed at the end of epoch 3, not yet updated
     assert isinstance(run.dropout_rng, np.random.Generator)
