@@ -66,9 +66,11 @@ def _underflow(model):
 
 @pytest.mark.parametrize("underflow, experts", [(False, 3), (True, 3), (False, 1), (True, 1)],
                          ids=["", "underflow", "K1", "underflow-K1"])
+@pytest.mark.parametrize("bottleneck", [5, 4], ids=["rect", "square"])
 @pytest.mark.parametrize("variant", LOSS_VARIANTS)
-def test_fused_step_matches_per_step_oracle(variant, underflow, experts, monkeypatch):
-    config = _config(num_experts=experts)
+def test_fused_step_matches_per_step_oracle(variant, bottleneck, underflow, experts,
+                                            monkeypatch):
+    config = _config(num_experts=experts, bottleneck_dim=bottleneck)
     model = build_model(config, seed=1)
     if underflow:
         _underflow(model)
@@ -99,8 +101,9 @@ def test_fused_step_matches_per_step_oracle(variant, underflow, experts, monkeyp
 
 
 @pytest.mark.parametrize("underflow", [False, True], ids=["", "underflow"])
-def test_eval_forward_matches_per_step_oracle(underflow):
-    config = _config()
+@pytest.mark.parametrize("bottleneck", [5, 4], ids=["rect", "square"])
+def test_eval_forward_matches_per_step_oracle(bottleneck, underflow):
+    config = _config(bottleneck_dim=bottleneck)
     model = build_model(config, seed=3)
     if underflow:
         _underflow(model)
@@ -178,8 +181,9 @@ def _picks(n, v, rng):
 @pytest.mark.parametrize("n, experts, underflow", [(1, 3, False), (5, 3, False), (5, 1, False),
                                                    (40, 3, False), (40, 3, True)],
                          ids=["n1", "one-chunk", "K1", "multi-chunk", "underflow"])
-def test_target_only_head_matches_the_full_head(n, experts, underflow):
-    config = _config(num_experts=experts)
+@pytest.mark.parametrize("bottleneck", [5, 4], ids=["rect", "square"])
+def test_target_only_head_matches_the_full_head(bottleneck, n, experts, underflow):
+    config = _config(num_experts=experts, bottleneck_dim=bottleneck)
     model = build_model(config, seed=12)
     if underflow:
         _underflow(model)

@@ -450,13 +450,14 @@ def _linear_objective(w):
     return lambda lo, hi, log_p: (float(np.sum(w[lo:hi] * log_p)), w[lo:hi])
 
 
-def test_mos_stacked_block_matches_per_expert_head(monkeypatch):
+@pytest.mark.parametrize("bottleneck", [2, 3], ids=["rect", "square"])
+def test_mos_stacked_block_matches_per_expert_head(bottleneck, monkeypatch):
     # K=3 experts, n=5 rows: a row-order bug in the stacked block cannot hide
     cfg = ModelConfig(vocab_size=7, embed_dim=3, lstm_layers=1, hidden_dim=4,
-                      bottleneck_dim=2, num_experts=3)
+                      bottleneck_dim=bottleneck, num_experts=3)
     model = build_model(cfg, seed=12)
     rng = np.random.default_rng(13)
-    h = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+    h = Tensor(rng.standard_normal((5, bottleneck)), requires_grad=True)
     w = rng.standard_normal((5, 7))
     params = T.leaves(model.params)
 
@@ -668,7 +669,8 @@ def _np_sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def test_train_forward_matches_numpy_with_masks_in_draw_order():
+@pytest.mark.parametrize("bottleneck", [4, 3], ids=["square", "rect"])
+def test_train_forward_matches_numpy_with_masks_in_draw_order(bottleneck):
     # The masks come from one generator in a fixed order: embedding rows
     # [V x 1], each layer's recurrent weights, the input [B x E], each layer's
     # output [B x H_i], the bottleneck [B x bottleneck_dim]. That order is what
@@ -677,7 +679,7 @@ def test_train_forward_matches_numpy_with_masks_in_draw_order():
     spec = DropoutSpec(input_rate=r_in, output_rate=r_out, hidden_rate=r_hid,
                        embed_rate=r_emb, other_rate=r_oth)
     cfg = tiny_config(lstm_layers=2, hidden_dim=6, last_hidden_dim=5, num_experts=3,
-                      dropout=spec)
+                      bottleneck_dim=bottleneck, dropout=spec)
     model = build_model(cfg, seed=26)
     batch, steps = 3, 4
     tokens = np.random.default_rng(27).integers(0, 10, size=(batch, steps))

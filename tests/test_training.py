@@ -202,14 +202,17 @@ def force_trunk(monkeypatch, pipelined, chunk_steps=2):
 @pytest.mark.parametrize("chunk_rows", [64, 4], ids=["one-chunk", "chunks"])
 @pytest.mark.parametrize("embed_rate", [0.1, 0.0], ids=["embed-mask", "no-embed-mask"])
 @pytest.mark.parametrize("ar, tar", [(2.0, 1.0), (0.0, 0.0)], ids=["ar-tar", "no-ar-tar"])
+@pytest.mark.parametrize("bottleneck", [8, 5], ids=["square", "rect"])
 @pytest.mark.parametrize("variant", LOSS_VARIANTS)
-def test_step_loss_equals_the_taped_step_bitwise(variant, ar, tar, embed_rate,
+def test_step_loss_equals_the_taped_step_bitwise(variant, bottleneck, ar, tar, embed_rate,
                                                  chunk_rows, layers, pipelined, monkeypatch):
     # The hand-written backward sums in the tape's order, so the value and every
     # parameter's gradient are the taped step's bit for bit; that is what keeps
     # trained files byte-identical. Output dropout on and off: off, AR and TAR
     # land on one block. Pipelined, the trunk runs 5 steps as chunks of 2, 2 and 1 steps on
     # two threads (3 layers: layer 0 against layers 1-2), and the tape runs each layer whole.
+    # The experts map bottleneck_dim to embed_dim: square as in the tiny configs, or not as
+    # in the PTB configs.
     force_trunk(monkeypatch, pipelined)
     vocab, stream = tiny_corpus()
     batch = bptt_batches(stream, 2, 5)[0]
@@ -221,7 +224,7 @@ def test_step_loss_equals_the_taped_step_bitwise(variant, ar, tar, embed_rate,
                             embed_rate=embed_rate, other_rate=0.15, ar_weight=ar,
                             tar_weight=tar)
         config = tiny_config(vocab.size, lstm_layers=layers, last_hidden_dim=6, num_experts=3,
-                             dropout=rates)
+                             bottleneck_dim=bottleneck, dropout=rates)
         model = build_model(config, 4)
         monkeypatch.setattr(model_module, "CHUNK_ELEMENTS",
                             chunk_rows * config.num_experts * vocab.size)
@@ -595,17 +598,19 @@ def _layer_threads(monkeypatch, model, fail=None):
     return calls
 
 
-def _stack(layers):
+def _stack(layers, bottleneck=5):
     # a last layer narrower than the others, as in the reference configs; 3 layers split as
     # layer 0 against layers 1-2
     return build_model(ModelConfig(vocab_size=30, embed_dim=6, lstm_layers=layers,
-                                   hidden_dim=10, last_hidden_dim=8, bottleneck_dim=5,
+                                   hidden_dim=10, last_hidden_dim=8, bottleneck_dim=bottleneck,
                                    num_experts=3), seed=layers)
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3])
-def test_perplexity_pipelined_and_inline_match_windowed_model_forward(layers, monkeypatch):
-    model = _stack(layers)
+@pytest.mark.parametrize("bottleneck", [5, 6], ids=["rect", "square"])
+def test_perplexity_pipelined_and_inline_match_windowed_model_forward(layers, bottleneck,
+                                                                      monkeypatch):
+    model = _stack(layers, bottleneck)
     # 75 tokens: 74 targets in windows of 32, 32 and a short 10
     stream = TokenStream(np.random.default_rng(layers).integers(0, 30, size=75))
     # the loop perplexity ran before its stages: model_forward per window, one head call
